@@ -14,7 +14,7 @@ deviates beyond its tolerance in *either* direction — upward drift on a
 latency metric is a perf regression, downward drift on a fidelity metric
 (jobs completed, suspects isolated) is a correctness smell, and silent
 movement of supposedly-deterministic numbers means nondeterminism crept
-in.  Missing metrics and missing result files regress too.
+in.  Missing metrics, result files and baselines fail too.
 """
 
 from __future__ import annotations
@@ -194,5 +194,6 @@ def run_suite(
             f"{len(all_regressions)} metric regression(s) across "
             f"{len({r.benchmark for r in all_regressions})} benchmark(s)"
         )
-        return 1
-    return 0
+    if missing_baselines:
+        log(f"{len(missing_baselines)} benchmark(s) without a baseline")
+    return 1 if all_regressions or missing_baselines else 0

@@ -114,10 +114,11 @@ class TestRunSuite:
         )
         return code, logs
 
-    def test_missing_baseline_is_not_a_failure(self, tmp_path):
+    def test_missing_baseline_fails(self, tmp_path):
         code, logs = self.run(tmp_path, quick_spec())
-        assert code == 0
+        assert code == 1
         assert any("no baseline" in line for line in logs)
+        assert any("without a baseline" in line for line in logs)
 
     def test_update_then_compare_passes(self, tmp_path):
         assert self.run(tmp_path, quick_spec(), update=True)[0] == 0
