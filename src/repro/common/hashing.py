@@ -38,14 +38,6 @@ def record_hash(record: Record) -> bytes:
 _MODULUS = 1 << (8 * DIGEST_SIZE)
 
 
-def _fold(accumulator: bytes, record_digest: bytes) -> bytes:
-    """Order-independent fold: add hashes modulo 2**256 (AdHash)."""
-    total = (
-        int.from_bytes(accumulator, "big") + int.from_bytes(record_digest, "big")
-    ) % _MODULUS
-    return total.to_bytes(DIGEST_SIZE, "big")
-
-
 @dataclass(frozen=True)
 class Digest:
     """One digest emitted at a verification point.
@@ -82,7 +74,9 @@ class StreamingDigest:
         if chunk_size < 0:
             raise ValueError("chunk_size must be >= 0")
         self.chunk_size = chunk_size
-        self._acc = bytes(DIGEST_SIZE)
+        #: AdHash accumulator: the sum of record hashes as an int, reduced
+        #: modulo 2**256 (and turned into bytes) only in ``_snapshot``.
+        self._acc = 0
         self._count = 0
         self._chunk_index = 0
         self._emitted: list[Digest] = []
@@ -94,7 +88,7 @@ class StreamingDigest:
     def update(self, record: Record) -> Digest | None:
         """Fold one record in; return an intermediate digest when a chunk
         boundary is crossed, else ``None``."""
-        self._acc = _fold(self._acc, record_hash(record))
+        self._acc += int.from_bytes(record_hash(record), "big")
         self._count += 1
         if self.chunk_size and self._count % self.chunk_size == 0:
             digest = Digest(
@@ -136,7 +130,8 @@ class StreamingDigest:
         # Bind the accumulator to the record count so that e.g. a replica
         # that drops a record and one that duplicates another cannot
         # accidentally produce the same XOR accumulator value.
-        return sha256(self._acc + self._count.to_bytes(8, "big"))
+        acc = (self._acc % _MODULUS).to_bytes(DIGEST_SIZE, "big")
+        return sha256(acc + self._count.to_bytes(8, "big"))
 
 
 def digest_of(records, chunk_size: int = 0) -> Digest:

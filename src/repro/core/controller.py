@@ -69,7 +69,7 @@ from repro.core.verifier import (
 from repro.dataflow.plan import LogicalPlan, VertexId
 from repro.faults.injection import FaultPlan
 from repro.mapreduce.cluster import Cluster
-from repro.mapreduce.engine import JobRun, MapReduceEngine
+from repro.mapreduce.engine import JobRun, MapReduceEngine, ReplicaResults
 from repro.mapreduce.metrics import RunMetrics, publish_run
 from repro.mapreduce.scheduler import ClusterBFTScheduler, TaskScheduler
 from repro.simulation.events import EventLoop
@@ -118,6 +118,9 @@ class _Attempt:
         #: node that touched the chain, not just the last job's nodes.
         self.chain_nodes: dict[tuple[int, int], set[str]] = {}
         self.deps: dict[int, set[int]] = {}
+        #: Task results this attempt's replicas share; set only for
+        #: replicated attempts and dropped when the attempt ends.
+        self.shared: ReplicaResults | None = None
         self.force_end = False
 
     def done(self) -> bool:
@@ -715,6 +718,7 @@ class ClusterBFTController:
                     # replicas of verified sids running — their digests
                     # still feed offline fault attribution.
                     self.engine.cancel(run)
+            attempt.shared = None
             all_runs.extend(attempt.runs)
             metrics.verification_comparisons += verifier.total_comparisons
 
@@ -1009,7 +1013,9 @@ class ClusterBFTController:
         pending_set = set(pending)
         attempt.deps = {i: {d for d in deps[i] if d in pending_set} for i in pending}
 
-        submitted: set[tuple[int, int]] = set()
+        submitted: dict[tuple[int, int], JobRun] = {}
+        if replication > 1:
+            attempt.shared = ReplicaResults()
         done: set[tuple[int, int]] = set()
 
         job_sids = dict(self._sids(prepared, pending, script_id, attempt_index))
@@ -1074,10 +1080,12 @@ class ClusterBFTController:
                         continue
                     if not all((d, replica) in done for d in job_deps):
                         continue
-                    submitted.add(key)
                     sid = job_sids[job_index]
                     spec = graph.jobs[job_index]
-                    run = JobRun(
+                    # Replicas share task results only along chains that
+                    # stayed on data-honest nodes (DESIGN.md §16).
+                    clean_chain = all(submitted[d, replica].clean for d in job_deps)
+                    run = submitted[key] = JobRun(
                         job_id=f"{sid}.r{replica}",
                         sid=sid,
                         replica=replica,
@@ -1098,6 +1106,8 @@ class ClusterBFTController:
                             "deps": sorted(job_deps),
                         },
                         span_parent=span_parent,
+                        shared=attempt.shared if clean_chain else None,
+                        job_index=job_index,
                     )
                     attempt.runs.append(run)
                     attempt.runs_by_job.setdefault(job_index, []).append(run)

@@ -82,6 +82,16 @@ class _TaskState:
     speculated: bool = False
 
 
+class ReplicaResults(dict):
+    """Task outputs shared by one attempt's replicas (DESIGN.md §16).
+
+    Keyed ``(job_index, kind, task_index)``.  Only runs whose whole
+    replica chain stayed on nodes that cannot alter data read or write
+    it, and ``runtime.py`` is deterministic, so a hit is exactly the
+    value the task would have computed.
+    """
+
+
 class JobRun:
     """One replica execution of one compiled job."""
 
@@ -99,6 +109,8 @@ class JobRun:
         allowed_nodes: set[NodeId] | None = None,
         trace_attrs: dict | None = None,
         span_parent: int | None = None,
+        shared: ReplicaResults | None = None,
+        job_index: int = 0,
     ) -> None:
         self.job_id = job_id
         self.sid = sid
@@ -112,6 +124,16 @@ class JobRun:
         self.scope = scope
         self.digest_sink = digest_sink
         self.on_complete = on_complete
+        #: The attempt's result table while this run may use it: dropped
+        #: at the first task placed on a node that can alter data, and
+        #: when the run completes or is cancelled.
+        self.shared = shared
+        self.job_index = job_index
+        #: False once a task was placed on such a node, or when an
+        #: upstream run of this replica chain was not clean (the
+        #: submitter then passes no table): downstream runs of the
+        #: chain must not share either.
+        self.clean = shared is not None
 
         self.splits: list[Split] = []
         self.map_states: list[_TaskState] = []
@@ -224,6 +246,17 @@ class JobRun:
                 if now - state.started_at > threshold:
                     candidates.append((kind, index))
         return candidates
+
+    def shared_result(self, kind: str, index: int, compute):
+        """``compute()``, or the result a clean replica already stored."""
+        shared = self.shared
+        if shared is None:
+            return compute()
+        key = (self.job_index, kind, index)
+        result = shared.get(key)
+        if result is None:
+            result = shared[key] = compute()
+        return result
 
     def reduce_input(self, partition: int) -> list:
         """Shuffle: gather one partition from all maps in task order."""
@@ -357,6 +390,7 @@ class MapReduceEngine:
         """Abort a run: pending tasks are dropped; running tasks' effects
         are discarded when their completion events fire."""
         run.cancelled = True
+        run.shared = None
         for state in list(run.map_states) + list(run.reduce_states):
             if state.status == PENDING:
                 state.status = DONE  # never scheduled; nothing to free
@@ -541,6 +575,11 @@ class MapReduceEngine:
         node.start_task(task_key)
         behavior = node.behavior
         behavior.note_task_start()
+        if behavior.faulty or behavior.corrupts_storage:
+            # This node may tamper, equivocate or read rotten blocks:
+            # from here on the run computes everything for real.
+            run.shared = None
+            run.clean = False
         # Deterministic per-task stream: independent of scheduling order,
         # stable across replicas only in structure (node id + task key),
         # so a probabilistic fault on one node cannot accidentally strike
@@ -656,13 +695,17 @@ class MapReduceEngine:
         block = self.dfs.read_block(
             physical, split.block_index, scope=run.scope, node_id=node.node_id
         )
-        result = execute_map_task(
-            run.spec,
-            split.branch_index,
-            block.records,
-            block.size_bytes,
-            node.behavior,
-            node_rng,
+        result = run.shared_result(
+            "map",
+            index,
+            lambda: execute_map_task(
+                run.spec,
+                split.branch_index,
+                block.records,
+                block.size_bytes,
+                node.behavior,
+                node_rng,
+            ),
         )
         digest_bytes = sum(t.bytes_hashed for t in result.taps)
         digest_records = sum(t.record_count for t in result.taps)
@@ -704,23 +747,26 @@ class MapReduceEngine:
     def _execute_reduce(
         self, node: WorkerNode, run: JobRun, index: int, node_rng: random.Random
     ) -> tuple[ReduceTaskOutput, TaskMetrics]:
-        keyed = run.reduce_input(index)
-        if node.behavior.corrupts_storage and keyed:
-            # Shuffle spills live on the reducer's local disk in Hadoop:
-            # bit-rot on this node's read path hits them just like DFS
-            # blocks.  Same rng scheme as the DFS hook, so the fault is
-            # independent of scheduling order.
-            rng = self._task_rngs.stream(
-                f"storage/{node.node_id}/shuffle/{run.job_id}#{index}"
-            )
-            raw = [record for _, _, record in keyed]
-            observed = node.behavior.corrupt_read(raw, rng)
-            if observed is not raw:
-                keyed = [
-                    (key, tag, new_record)
-                    for (key, tag, _), new_record in zip(keyed, observed)
-                ]
-        result = execute_reduce_task(run.spec, keyed, node.behavior, node_rng)
+        def compute() -> ReduceTaskOutput:
+            keyed = run.reduce_input(index)
+            if node.behavior.corrupts_storage and keyed:
+                # Shuffle spills live on the reducer's local disk in
+                # Hadoop: bit-rot on this node's read path hits them just
+                # like DFS blocks.  Same rng scheme as the DFS hook, so
+                # the fault is independent of scheduling order.
+                rng = self._task_rngs.stream(
+                    f"storage/{node.node_id}/shuffle/{run.job_id}#{index}"
+                )
+                raw = [record for _, _, record in keyed]
+                observed = node.behavior.corrupt_read(raw, rng)
+                if observed is not raw:
+                    keyed = [
+                        (key, tag, new_record)
+                        for (key, tag, _), new_record in zip(keyed, observed)
+                    ]
+            return execute_reduce_task(run.spec, keyed, node.behavior, node_rng)
+
+        result = run.shared_result("reduce", index, compute)
         digest_bytes = sum(t.bytes_hashed for t in result.taps)
         digest_records = sum(t.record_count for t in result.taps)
         shuffle_time = result.bytes_in / self.cost.shuffle_throughput_bps
@@ -843,13 +889,14 @@ class MapReduceEngine:
         if run.cancelled or run.state == DONE:
             return
         run.state = DONE
+        run.shared = None
         records = run.assemble_output()
         physical_out = run.physical_path(run.spec.output_path)
         if self.dfs.exists(physical_out):
             self.dfs.delete(physical_out)
-        self.dfs.write_file(physical_out, records, scope=run.scope)
+        written = self.dfs.write_file(physical_out, records, scope=run.scope)
         run.metrics.finished_at = self.loop.now
-        run.metrics.hdfs_write += sum(r.size_bytes() for r in records)
+        run.metrics.hdfs_write += written.size_bytes
         if run.span is not None:
             run.span.end(
                 end=self.loop.now,

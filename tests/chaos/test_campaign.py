@@ -85,6 +85,19 @@ class TestCampaign:
         assert not cell["passed"]
         assert cell["violations"][0]["invariant"] == SAFE1
 
+    def test_smoke_report_identical_without_replica_sharing(self, monkeypatch):
+        """Sharing task results between honest replicas (DESIGN.md §16)
+        must not move one byte of a campaign report: the same cells run
+        with the result table patched to never hit are the reference."""
+        from repro.mapreduce.engine import ReplicaResults
+
+        scenarios = resolve_scenarios("smoke")
+        shared = render_report(run_campaign(scenarios, [1, 2]))
+        monkeypatch.setattr(
+            ReplicaResults, "get", lambda self, key, default=None: None
+        )
+        assert render_report(run_campaign(scenarios, [1, 2])) == shared
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(CampaignError):
             run_campaign(resolve_scenarios("baseline"), [])

@@ -1,5 +1,6 @@
 """Tests for streaming digests — the verification primitive."""
 
+import hashlib
 import random
 
 from hypothesis import given, settings
@@ -84,6 +85,29 @@ class TestStreamingDigest:
     def test_final_digest_same_regardless_of_chunking(self):
         records = [Record((i, "x")) for i in range(9)]
         assert digest_of(records, chunk_size=0).value == digest_of(records, chunk_size=3).value
+
+    @given(rows)
+    @settings(max_examples=50)
+    def test_matches_bytewise_adhash_reference(self, data):
+        """The int accumulator must stay bit-identical to the per-record
+        bytes -> int -> bytes fold it replaced, chunk digests included."""
+        records = [Record(t) for t in data]
+        streaming = StreamingDigest(chunk_size=3)
+        streaming.update_all(records)
+        streaming.finalize()
+        acc = bytes(32)
+        expected = []
+        for count, record in enumerate(records, start=1):
+            total = int.from_bytes(acc, "big") + int.from_bytes(
+                record_hash(record), "big"
+            )
+            acc = (total % (1 << 256)).to_bytes(32, "big")
+            if count % 3 == 0:
+                expected.append(acc + count.to_bytes(8, "big"))
+        expected.append(acc + len(records).to_bytes(8, "big"))
+        assert [d.value for d in streaming.all_digests()] == [
+            hashlib.sha256(e).digest() for e in expected
+        ]
 
 
 class TestCorruptDigest:
