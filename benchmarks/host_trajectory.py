@@ -1,0 +1,179 @@
+"""Host-time trajectory: one committed line per workload per PR.
+
+    python3 benchmarks/host_trajectory.py --record [--label TEXT] [--seed S] [--seconds N]
+    python3 benchmarks/host_trajectory.py --check
+
+``--record`` shells out to ``benchmarks/perf/run.py`` (``--trace 0`` and
+``--trace 1``) for every workload ``BENCHMARK.json`` declares, then to
+tier-1, and appends to ``benchmarks/host_trajectory.jsonl``:
+
+* one ``"kind": "workload"`` line per workload - git sha, seed, the
+  end-to-end values, the ten largest ``*.self_s`` as shares of
+  ``harness.rep_s``, and ``common.encode.calls_per_record``;
+* one ``"kind": "tier1"`` line - wall seconds and test count.
+
+A PR that touches the data path records the parent's code first and its
+own code last, so the file is the repository's host-time history.  It
+lives outside ``benchmarks/perf/`` because a PR that claims a gain may
+not edit that directory.  ``--check`` validates that every line parses
+and names only workloads and metrics ``BENCHMARK.json`` declares.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+TRAJECTORY = HERE / "host_trajectory.jsonl"
+RUN = HERE / "perf" / "run.py"
+DEFAULT_SEED = 23
+TOP_LAYERS = 10
+#: Per-layer values recorded beside the self-time shares.
+PER_LAYER_KEPT = ("harness.rep_s", "common.encode.calls_per_record")
+
+
+def load_spec() -> dict:
+    with open(ROOT / "BENCHMARK.json") as handle:
+        return json.load(handle)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
+    ).stdout.strip()
+
+
+def measure(workload: str, seed: int, seconds: float, trace: int) -> dict[str, float]:
+    """One ``run.py`` invocation; the metric values of its final JSON line."""
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if done.returncode != 0 or not result["correct"]:
+        raise SystemExit(f"{workload} --trace {trace}: {result['failed']} operations failed")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def workload_line(workload: str, seed: int, seconds: float) -> dict:
+    end_to_end = measure(workload, seed, seconds, 0)
+    layers = measure(workload, seed, seconds, 1)
+    rep_s = layers["harness.rep_s"]
+    shares = sorted(
+        ((name, value / rep_s) for name, value in layers.items()
+         if name.endswith(".self_s")),
+        key=lambda pair: -pair[1],
+    )[:TOP_LAYERS]
+    return {
+        "kind": "workload",
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "end_to_end": end_to_end,
+        "self_s_share": {name: round(share, 4) for name, share in shares},
+        "per_layer": {name: layers[name] for name in PER_LAYER_KEPT},
+    }
+
+
+def tier1_line() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    start = perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
+    )
+    wall = perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit("tier-1 did not pass:\n" + done.stdout[-2000:])
+    # pyproject's addopts already carries one -q, so tier-1 runs at -qq
+    # and prints no "N passed" summary: count the progress dots.
+    progress = re.findall(r"^([.sxX]+) +\[ *\d+%\]$", done.stdout, re.MULTILINE)
+    return {"kind": "tier1", "wall_s": round(wall, 1), "tests": "".join(progress).count(".")}
+
+
+def command_record(args, spec: dict) -> int:
+    stamp = {
+        "sha": git("rev-parse", "--short", "HEAD"),
+        # True when src/ differs from the commit named by ``sha``.
+        "src_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "label": args.label,
+    }
+
+    def append(line: dict) -> None:
+        text = json.dumps({**stamp, **line}, sort_keys=True)
+        with open(TRAJECTORY, "a") as handle:
+            handle.write(text + "\n")
+        print(text, flush=True)
+
+    for entry in spec["workloads"]:
+        append(workload_line(entry["name"], args.seed, args.seconds))
+    append(tier1_line())
+    return 0
+
+
+def problems_in(line: dict, spec: dict) -> list[str]:
+    """Names in one trajectory line that ``BENCHMARK.json`` does not declare."""
+    if line.get("kind") == "tier1":
+        return [] if {"sha", "wall_s", "tests"} <= set(line) else ["tier1 line incomplete"]
+    if line.get("kind") != "workload":
+        return [f"unknown kind {line.get('kind')!r}"]
+    end_to_end = {entry["name"] for entry in spec["end_to_end"]}
+    per_layer = {entry["name"] for entry in spec["per_layer"]}
+    found = []
+    if line["workload"] not in {entry["name"] for entry in spec["workloads"]}:
+        found.append(f"undeclared workload {line['workload']!r}")
+    if set(line["end_to_end"]) != end_to_end:
+        found.append(f"end_to_end names {sorted(set(line['end_to_end']) ^ end_to_end)}")
+    for name in line["self_s_share"]:
+        if name not in per_layer or not name.endswith(".self_s"):
+            found.append(f"undeclared self-time layer {name!r}")
+    for name in line["per_layer"]:
+        if name not in per_layer:
+            found.append(f"undeclared per-layer metric {name!r}")
+    return found
+
+
+def command_check(spec: dict) -> int:
+    problems = []
+    count = 0
+    with open(TRAJECTORY) as handle:
+        for number, text in enumerate(handle, 1):
+            count += 1
+            try:
+                found = problems_in(json.loads(text), spec)
+            except (ValueError, KeyError, TypeError) as error:
+                found = [f"does not parse: {error!r}"]
+            problems += [f"line {number}: {problem}" for problem in found]
+    for problem in problems:
+        print("PROBLEM:", problem)
+    print(f"host_trajectory: {count} lines,", "ok" if not problems else "FAILED")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    spec = load_spec()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", action="store_true")
+    mode.add_argument("--check", action="store_true")
+    parser.add_argument("--label", default="", help="free text, e.g. 'PR 17 parent'")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    args = parser.parse_args(argv)
+    return command_check(spec) if args.check else command_record(args, spec)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
