@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.common.records import Record, encode_record
+from repro.common.records import Record
 
 DIGEST_SIZE = 32  # SHA-256
 
@@ -32,7 +32,7 @@ def sha256(data: bytes) -> bytes:
 
 def record_hash(record: Record) -> bytes:
     """SHA-256 of a record's canonical encoding."""
-    return sha256(encode_record(record))
+    return sha256(record.encoded())
 
 
 _MODULUS = 1 << (8 * DIGEST_SIZE)

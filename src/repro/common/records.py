@@ -9,7 +9,7 @@ replicas must produce *bit-identical* digests (paper §5.4).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Scalar = int | float | str | bool | None
 FieldValue = Any  # Scalar | tuple[...] | frozenset — validated at runtime.
@@ -25,10 +25,11 @@ class Record:
     3
     """
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "_encoded")
 
     def __init__(self, fields: Sequence[FieldValue]) -> None:
         self.fields: tuple[FieldValue, ...] = tuple(fields)
+        self._encoded: bytes | None = None
 
     def __getitem__(self, index: int) -> FieldValue:
         return self.fields[index]
@@ -61,9 +62,60 @@ class Record:
         """Return the positional concatenation of two records (join output)."""
         return Record(self.fields + other.fields)
 
+    def encoded(self) -> bytes:
+        """Canonical encoding of the whole record (newline-free,
+        self-delimiting), computed on first use and kept: ``fields``
+        never changes, so size, sort key and digest all read these bytes."""
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = encode_value(self.fields)
+        return encoded
+
     def size_bytes(self) -> int:
         """Approximate serialized size, used by the cost model."""
-        return len(encode_value(self.fields))
+        return len(self.encoded())
+
+
+def encode_tuple(members: Iterable[bytes]) -> bytes:
+    """Encoding of the tuple whose members encode to ``members``."""
+    inner = b"".join(members)
+    return b"t%d:%b;" % (len(inner), inner)
+
+
+def _encode_int(value: int) -> bytes:
+    body = b"%d" % value
+    return b"i%d:%b;" % (len(body), body)
+
+
+def _encode_float(value: float) -> bytes:
+    body = repr(value).encode()
+    return b"f%d:%b;" % (len(body), body)
+
+
+def _encode_str(value: str) -> bytes:
+    body = value.encode("utf-8")
+    return b"s%d:%b;" % (len(body), body)
+
+
+def _encode_bag(value: Iterable[FieldValue]) -> bytes:
+    # Bags are canonicalized by sorting their encodings so that replicas
+    # that materialize a bag in different orders still digest equally.
+    inner = b"".join(sorted(map(encode_value, value)))
+    return b"g%d:%b;" % (len(inner), inner)
+
+
+#: Exact type -> encoder; a subclass uses the first entry on its MRO.
+_ENCODERS: dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: b"N;",
+    bool: lambda value: b"b1;" if value else b"b0;",
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    Record: Record.encoded,
+    tuple: lambda value: encode_tuple(map(encode_value, value)),
+    list: _encode_bag,
+    frozenset: _encode_bag,
+}
 
 
 def encode_value(value: FieldValue) -> bytes:
@@ -73,45 +125,18 @@ def encode_value(value: FieldValue) -> bytes:
     values never encode to the same bytes, so digest equality implies
     data equality (up to hash collisions of SHA-256 itself).
     """
-    if value is None:
-        return b"N;"
-    if value is True:
-        return b"b1;"
-    if value is False:
-        return b"b0;"
-    if isinstance(value, int):
-        body = str(value).encode()
-        return b"i" + str(len(body)).encode() + b":" + body + b";"
-    if isinstance(value, float):
-        body = repr(value).encode()
-        return b"f" + str(len(body)).encode() + b":" + body + b";"
-    if isinstance(value, str):
-        body = value.encode("utf-8")
-        return b"s" + str(len(body)).encode() + b":" + body + b";"
-    if isinstance(value, Record):
-        return encode_value(value.fields)
-    if isinstance(value, tuple):
-        inner = b"".join(encode_value(v) for v in value)
-        return b"t" + str(len(inner)).encode() + b":" + inner + b";"
-    if isinstance(value, (list, frozenset)):
-        # Bags are canonicalized by sorting their encodings so that replicas
-        # that materialize a bag in different orders still digest equally.
-        encodings = sorted(encode_value(v) for v in value)
-        inner = b"".join(encodings)
-        return b"g" + str(len(inner)).encode() + b":" + inner + b";"
+    for base in type(value).__mro__:
+        encoder = _ENCODERS.get(base)
+        if encoder is not None:
+            return encoder(value)
     raise TypeError(f"unsupported field type: {type(value).__name__}")
 
 
 def encode_record(record: Record) -> bytes:
-    """Canonical encoding of a whole record (newline-free, self-delimiting)."""
-    return encode_value(record.fields)
+    """Canonical encoding of a whole record (see :meth:`Record.encoded`)."""
+    return record.encoded()
 
 
 def records_from_rows(rows: Iterable[Sequence[FieldValue]]) -> list[Record]:
     """Convenience: wrap an iterable of plain sequences into records."""
     return [Record(tuple(row)) for row in rows]
-
-
-def total_bytes(records: Iterable[Record]) -> int:
-    """Sum of approximate serialized sizes — the cost model's currency."""
-    return sum(r.size_bytes() for r in records)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import PlanError, SchemaError
-from repro.common.records import Record, encode_record
+from repro.common.records import Record
 from repro.dataflow import schema as sc
 from repro.dataflow.expressions import Expr, FieldRef
 from repro.dataflow.schema import Field, Schema
@@ -30,7 +30,7 @@ from repro.dataflow.schema import Field, Schema
 
 def canonical_sort(records: list[Record]) -> list[Record]:
     """Sort records by canonical encoding (stable across replicas)."""
-    return sorted(records, key=encode_record)
+    return sorted(records, key=Record.encoded)
 
 
 class Operator:

@@ -67,10 +67,13 @@ class Schema:
     0
     """
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "_resolved")
 
     def __init__(self, fields: list[Field] | tuple[Field, ...]) -> None:
         self.fields: tuple[Field, ...] = tuple(fields)
+        #: ref -> index for every ref resolved so far (``fields`` never
+        #: changes, so neither does a resolution; failures are not kept).
+        self._resolved: dict[str, int] = {}
 
     @classmethod
     def of(cls, *specs: tuple[str, str] | str) -> "Schema":
@@ -118,6 +121,12 @@ class Schema:
         against ``alias::name`` fields (when unambiguous), and qualified
         ``alias::name`` refs.
         """
+        index = self._resolved.get(ref)
+        if index is None:
+            index = self._resolved[ref] = self._resolve(ref)
+        return index
+
+    def _resolve(self, ref: str) -> int:
         if ref.startswith("$"):
             try:
                 index = int(ref[1:])

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.common.hashing import Digest, StreamingDigest, sha256
-from repro.common.records import Record, encode_record, encode_value
+from repro.common.records import Record, encode_tuple, encode_value
 from repro.compiler.jobspec import JobSpec, PipelineOp
 from repro.dataflow.operators import VerifyOp
 from repro.faults.behaviors import NodeBehavior
@@ -29,10 +29,26 @@ from repro.faults.behaviors import NodeBehavior
 KeyedRecord = tuple[object, int, Record]
 
 
+def _encode_key(key: object) -> tuple[bytes, int]:
+    """Encode a reduce key once, for both of its uses.
+
+    Returns the key's encoding *as a tuple* — what partitioning and key
+    order go by, so a scalar key and its 1-tuple agree — and the size of
+    the key's own encoding, which is what the shuffle is charged.
+    """
+    encoded = encode_value(key)
+    if isinstance(key, tuple):
+        return encoded, len(encoded)
+    return encode_tuple((encoded,)), len(encoded)
+
+
+def _partition_of(key_as_tuple: bytes, num_reducers: int) -> int:
+    return int.from_bytes(sha256(key_as_tuple)[:4], "big") % num_reducers
+
+
 def partition_for(key: object, num_reducers: int) -> int:
     """Deterministic hash partitioner (stable across processes/replicas)."""
-    digest = sha256(encode_value(key if isinstance(key, tuple) else (key,)))
-    return int.from_bytes(digest[:4], "big") % num_reducers
+    return _partition_of(_encode_key(key)[0], num_reducers)
 
 
 @dataclass
@@ -51,7 +67,6 @@ class _Tap:
     def __init__(self, vp_id: str, chunk_records: int) -> None:
         self.vp_id = vp_id
         self.chunk_records = chunk_records
-        self.encodings: list[bytes] = []
         self.records: list[Record] = []
 
     def observe(self, record: Record) -> None:
@@ -59,16 +74,15 @@ class _Tap:
 
     def finalize(self) -> TapResult:
         # Sort canonically so chunk boundaries agree across replicas.
-        ordered = sorted(self.records, key=encode_record)
+        ordered = sorted(self.records, key=Record.encoded)
         streaming = StreamingDigest(chunk_size=self.chunk_records)
         streaming.update_all(ordered)
         streaming.finalize()
-        bytes_hashed = sum(r.size_bytes() for r in ordered)
         return TapResult(
             vp_id=self.vp_id,
             digests=streaming.all_digests(),
             record_count=len(ordered),
-            bytes_hashed=bytes_hashed,
+            bytes_hashed=sum(r.size_bytes() for r in ordered),
         )
 
 
@@ -150,18 +164,20 @@ def execute_map_task(
             per_key[key].append(record)
         for key, group in per_key.items():
             partial = spec.combiner.initial_partial(group)
-            part = partition_for(key, spec.num_reducers)
+            key_as_tuple, key_bytes = _encode_key(key)
+            part = _partition_of(key_as_tuple, spec.num_reducers)
             partitions[part].append((key, branch.tag, partial))
-            bytes_out += partial.size_bytes() + len(encode_value(key))
+            bytes_out += partial.size_bytes() + key_bytes
         result.records_out = len(per_key)
     else:
         for record in out_records:
             key = spec.blocking.reduce_key(
                 record, branch.tag, spec.blocking_input_schemas
             )
-            part = partition_for(key, spec.num_reducers)
+            key_as_tuple, key_bytes = _encode_key(key)
+            part = _partition_of(key_as_tuple, spec.num_reducers)
             partitions[part].append((key, branch.tag, record))
-            bytes_out += record.size_bytes() + len(encode_value(key))
+            bytes_out += record.size_bytes() + key_bytes
     result.partitions = dict(partitions)
     result.bytes_out = bytes_out
     return result
@@ -187,10 +203,15 @@ def execute_reduce_task(
     rng: random.Random,
 ) -> ReduceTaskOutput:
     """Run one reduce task over its shuffled partition."""
-    bytes_in = sum(
-        record.size_bytes() + len(encode_value(key))
-        for key, _, record in keyed_records
-    )
+    bytes_in = 0
+    # Key order goes by a group's first-seen key, the one ``groups``
+    # keeps; an equal key of another type (1, 1.0, True) joins that group
+    # but is charged its own size.
+    sort_form: dict = {}
+    for key, _, record in keyed_records:
+        key_as_tuple, key_bytes = _encode_key(key)
+        sort_form.setdefault(key, key_as_tuple)
+        bytes_in += record.size_bytes() + key_bytes
     # A commission-faulty reducer computes on tampered values.
     raw_records = [record for _, _, record in keyed_records]
     corrupted = behavior.corrupt_records(raw_records, rng)
@@ -204,21 +225,18 @@ def execute_reduce_task(
         groups[key].append((tag, record))
 
     reduced: list[Record] = []
+    ordered_keys = sorted(groups, key=sort_form.__getitem__)
     if spec.combiner is not None:
         # Merge map-side partials and produce the FOREACH's output
         # directly; the remaining pipeline (after that FOREACH) applies
         # as usual.
-        for key in sorted(
-            groups, key=lambda k: encode_value(k if isinstance(k, tuple) else (k,))
-        ):
+        for key in ordered_keys:
             partials = [record for _, record in groups[key]]
             merged = spec.combiner.merge(partials)
             reduced.append(spec.combiner.finalize(key, merged))
         pipeline = spec.reduce_pipeline[1:]
     else:
-        for key in sorted(
-            groups, key=lambda k: encode_value(k if isinstance(k, tuple) else (k,))
-        ):
+        for key in ordered_keys:
             reduced.extend(
                 spec.blocking.reduce(key, groups[key], spec.blocking_input_schemas)
             )

@@ -196,10 +196,11 @@ class TrustedDFS:
         """Read a whole file, counting the bytes against ``scope``."""
         file = self._get(name)
         records = file.records()
+        size = file.size_bytes
         counters = self._counters(scope)
-        counters.bytes_read += file.size_bytes
+        counters.bytes_read += size
         counters.records_read += len(records)
-        self.global_counters.bytes_read += file.size_bytes
+        self.global_counters.bytes_read += size
         self.global_counters.records_read += len(records)
         return records
 

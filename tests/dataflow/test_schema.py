@@ -79,6 +79,43 @@ class TestQualifiedResolution:
             schema.index_of("user")
 
 
+class TestMemoisedResolution:
+    """``index_of`` keeps what it resolved; the answer must be the one a
+    schema that never resolved anything gives."""
+
+    FIELDS = [Field("A::user", INT), Field("A::follower", INT), Field("B::user", INT),
+              Field("n", INT), Field("dup", INT), Field("dup", INT)]
+    GOOD = ["$0", "$5", "A::user", "B::user", "A::follower", "follower", "n"]
+    BAD = ["$6", "$-1", "$x", "$", "user", "dup", "ghost", "C::user", ""]
+
+    def test_memoised_equals_unmemoised_for_every_ref_form(self):
+        warm = Schema(self.FIELDS)
+        for _ in range(3):
+            for ref in self.GOOD:
+                assert warm.index_of(ref) == Schema(self.FIELDS).index_of(ref)
+        assert warm.type_of("n") == INT and warm.has_field("follower")
+
+    def test_errors_are_raised_every_time_and_never_cached(self):
+        schema = Schema(self.FIELDS)
+        for _ in range(3):
+            for ref in self.BAD:
+                with pytest.raises(SchemaError):
+                    schema.index_of(ref)
+                assert not schema.has_field(ref)
+        # A failed lookup leaves later good ones intact, and vice versa.
+        assert [schema.index_of(ref) for ref in self.GOOD] == [0, 5, 0, 2, 1, 1, 3]
+        with pytest.raises(SchemaError):
+            schema.index_of("user")
+
+    def test_memo_is_per_instance_and_outside_equality(self):
+        warm, cold = Schema(self.FIELDS), Schema(self.FIELDS)
+        warm.index_of("n")
+        assert warm == cold and hash(warm) == hash(cold)
+        # Same ref, different schema, different answer.
+        assert warm.project([3, 0]).index_of("n") == 0
+        assert warm.qualify("Z").index_of("n") == 3 == warm.index_of("n")
+
+
 class TestDerivedSchemas:
     def test_project(self):
         schema = Schema.of("a", "b", "c")

@@ -1,5 +1,6 @@
 """Tests for the task data-path (map/reduce execution, taps, corruption)."""
 
+import hashlib
 import random
 
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.common.records import Record, records_from_rows
 from repro.compiler.jobspec import JobSpec, MapBranch, PipelineOp
+from repro.compiler.mr_compiler import compile_plan
 from repro.dataflow import expressions as ex
 from repro.dataflow.operators import FilterOp, ForeachOp, GroupOp, Projection, VerifyOp
+from repro.dataflow.piglatin import parse_script
 from repro.dataflow.schema import INT, Schema
 from repro.faults.behaviors import CORRECT, CommissionBehavior
 from repro.mapreduce.runtime import (
@@ -17,6 +20,7 @@ from repro.mapreduce.runtime import (
     partition_for,
     run_pipeline,
 )
+from tests.common.test_records import reference_encode
 
 EDGES = Schema.of(("user", INT), ("follower", INT))
 
@@ -33,7 +37,86 @@ def group_spec(num_reducers=3, pipeline=None, reduce_pipeline=None):
     )
 
 
+def combining_spec(num_reducers):
+    """A compiled GROUP + COUNT/SUM job, which carries a map-side combiner."""
+    graph = compile_plan(parse_script("""
+        A = LOAD 'in' AS (user:int, follower:int);
+        G = GROUP A BY user;
+        C = FOREACH G GENERATE group, COUNT(A), SUM(A.follower);
+        STORE C INTO 'out';
+    """))
+    (spec,) = [job for job in graph.jobs if job.combiner is not None]
+    spec.num_reducers = num_reducers
+    return spec
+
+
+# What the runtime did before reduce keys were encoded once per keyed
+# record, written out with the reference encoder (tests/common).
+
+
+def reference_partition(key, num_reducers):
+    as_tuple = key if isinstance(key, tuple) else (key,)
+    digest = hashlib.sha256(reference_encode(as_tuple)).digest()
+    return int.from_bytes(digest[:4], "big") % num_reducers
+
+
+def reference_shuffle_bytes(keyed_records):
+    return sum(
+        len(reference_encode(record.fields)) + len(reference_encode(key))
+        for key, _, record in keyed_records
+    )
+
+
+def reference_key_order(keyed_records):
+    """Group keys as the reducer emits them: the first-seen key of each
+    group of equal keys, ordered by its encoding as a tuple."""
+    first_seen = list({key: None for key, _, _ in keyed_records})
+    return sorted(
+        first_seen,
+        key=lambda k: reference_encode(k if isinstance(k, tuple) else (k,)),
+    )
+
+
+#: ``partition_for(key, n)`` for n in (1, 3, 7, 64), computed with the
+#: code of the commit before the single key-encoding helper (9b207a8).
+PINNED_PARTITIONS = [
+    (1, [0, 0, 4, 30]),
+    (1.0, [0, 1, 6, 20]),
+    (True, [0, 2, 1, 39]),
+    (False, [0, 0, 6, 13]),
+    (None, [0, 0, 5, 47]),
+    (0, [0, 2, 6, 31]),
+    (-5, [0, 2, 4, 24]),
+    (2**70, [0, 1, 1, 22]),
+    (3.5, [0, 1, 2, 52]),
+    (float("inf"), [0, 0, 0, 62]),
+    ("", [0, 2, 1, 44]),
+    ("abc", [0, 0, 2, 21]),
+    ("zoë", [0, 0, 2, 7]),
+    ((1,), [0, 0, 4, 30]),
+    ((1.0,), [0, 1, 6, 20]),
+    ((1, "x"), [0, 0, 1, 61]),
+    (("a", None), [0, 0, 1, 52]),
+    (((1, 2), "n"), [0, 2, 4, 57]),
+    ((), [0, 1, 1, 10]),
+]
+
+#: Equal as dict keys, distinct as encoded values.
+LOOKALIKES = (True, 1.0, 1)
+
+
+def same_keys(actual, expected):
+    """Equal and of the same types (``1 == 1.0 == True`` would pass ``==``)."""
+    return [(type(k), k) for k in actual] == [(type(k), k) for k in expected]
+
+
 class TestPartitioner:
+    def test_pinned_partition_table(self):
+        for key, expected in PINNED_PARTITIONS:
+            assert [partition_for(key, n) for n in (1, 3, 7, 64)] == expected, key
+            assert [reference_partition(key, n) for n in (1, 3, 7, 64)] == expected
+
+
     @given(st.integers(-(10**9), 10**9), st.integers(1, 64))
     @settings(max_examples=100)
     def test_partition_in_range(self, key, reducers):
@@ -127,6 +210,42 @@ class TestMapTask:
                 assert partition_for(key, 4) == part
                 assert tag == 0 and key == record[0]
 
+    def test_bytes_out_matches_reference_formula(self):
+        records = records_from_rows([(i % 7, i * 1000) for i in range(40)])
+        for spec in (group_spec(num_reducers=4), combining_spec(4)):
+            out = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
+            keyed = [k for part in out.partitions.values() for k in part]
+            assert len(keyed) == (40 if spec.combiner is None else 7)
+            assert out.bytes_out == reference_shuffle_bytes(keyed)
+
+    def test_lookalike_keys_partition_and_account_by_their_own_encoding(self):
+        records = records_from_rows([(key, 5) for key in LOOKALIKES + (2,)])
+        out = execute_map_task(
+            group_spec(num_reducers=64), 0, records, 100, CORRECT, random.Random(0)
+        )
+        placed = {
+            (type(key), key): part
+            for part, keyed in out.partitions.items()
+            for key, _, _ in keyed
+        }
+        assert placed == {
+            (type(key), key): reference_partition(key, 64) for key in LOOKALIKES + (2,)
+        }
+        assert len(set(placed.values())) == 4
+        keyed = [k for part in out.partitions.values() for k in part]
+        assert out.bytes_out == reference_shuffle_bytes(keyed)
+
+    def test_combiner_groups_lookalike_keys_under_the_first_seen(self):
+        spec = combining_spec(64)
+        for first in LOOKALIKES:
+            rest = [key for key in LOOKALIKES if key is not first]
+            records = records_from_rows([(key, 5) for key in [first] + rest])
+            out = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
+            ((part, keyed),) = out.partitions.items()
+            assert part == reference_partition(first, 64)
+            assert same_keys([key for key, _, _ in keyed], [first])
+            assert out.bytes_out == reference_shuffle_bytes(keyed)
+
     def test_commission_behavior_corrupts_stream(self):
         spec = group_spec()
         records = records_from_rows([(i, i) for i in range(10)])
@@ -158,6 +277,42 @@ class TestReduceTask:
         a = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
         b = execute_reduce_task(spec, keyed[::-1], CORRECT, random.Random(0))
         assert a.output_records == b.output_records
+
+    def test_bytes_in_matches_reference_formula(self):
+        keyed = [(k % 5, 0, Record((k % 5, k * 1000))) for k in range(30)]
+        out = execute_reduce_task(group_spec(), keyed, CORRECT, random.Random(0))
+        assert out.bytes_in == reference_shuffle_bytes(keyed)
+
+    def test_lookalike_keys_group_sort_and_account_as_before(self):
+        for first in LOOKALIKES:
+            rest = [key for key in LOOKALIKES if key is not first]
+            keys = [2, first, 0] + rest + [first]
+            keyed = [(key, 0, Record((key, n))) for n, key in enumerate(keys)]
+            out = execute_reduce_task(group_spec(), keyed, CORRECT, random.Random(0))
+            # One group for the three lookalikes, under the first-seen
+            # key, sorted by *its* encoding; each key charged its own size.
+            assert same_keys(
+                [r[0] for r in out.output_records], reference_key_order(keyed)
+            )
+            assert sorted(len(r[1]) for r in out.output_records) == [1, 1, 4]
+            assert out.bytes_in == reference_shuffle_bytes(keyed)
+        # The first-seen key decides the order: b"t3:b1;;" sorts before
+        # b"t5:i1:0;;", which sorts before b"t5:i1:1;;".
+        assert reference_key_order([(True, 0, None), (0, 0, None)]) == [True, 0]
+        assert reference_key_order([(1, 0, None), (0, 0, None)]) == [0, 1]
+
+    def test_combining_reducer_orders_lookalike_keys_as_before(self):
+        spec = combining_spec(1)
+        for first in LOOKALIKES:
+            rest = [key for key in LOOKALIKES if key is not first]
+            records = records_from_rows([(key, 5) for key in [2, first, 0] + rest])
+            mapped = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
+            keyed = mapped.partitions[0]
+            out = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
+            assert same_keys(
+                [r[0] for r in out.output_records], reference_key_order(keyed)
+            )
+            assert out.bytes_in == reference_shuffle_bytes(keyed)
 
     def test_fused_limit_slices_output(self):
         spec = group_spec()
