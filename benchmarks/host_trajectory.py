@@ -5,12 +5,16 @@
 
 ``--record`` shells out to ``benchmarks/perf/run.py`` (``--trace 0`` and
 ``--trace 1``) for every workload ``BENCHMARK.json`` declares, then to
-tier-1, and appends to ``benchmarks/host_trajectory.jsonl``:
+tier-1 and to two chaos campaigns, and appends to
+``benchmarks/host_trajectory.jsonl``:
 
 * one ``"kind": "workload"`` line per workload - git sha, seed, the
   end-to-end values, the ten largest ``*.self_s`` as shares of
   ``harness.rep_s``, and ``common.encode.calls_per_record``;
-* one ``"kind": "tier1"`` line - wall seconds and test count.
+* one ``"kind": "tier1"`` line - wall seconds and test count;
+* one ``"kind": "chaos"`` line - wall seconds of ``repro chaos run`` for
+  each campaign in ``CHAOS_CAMPAIGNS`` (median of ``CHAOS_RUNS`` fresh
+  children, interpreter start included).
 
 A PR that touches the data path records the parent's code first and its
 own code last, so the file is the repository's host-time history.  It
@@ -38,6 +42,9 @@ DEFAULT_SEED = 23
 TOP_LAYERS = 10
 #: Per-layer values recorded beside the self-time shares.
 PER_LAYER_KEPT = ("harness.rep_s", "common.encode.calls_per_record")
+#: campaign -> ``--seeds`` argument of the timed ``repro chaos run``.
+CHAOS_CAMPAIGNS = {"service": 5, "smoke": 2}
+CHAOS_RUNS = 3
 
 
 def load_spec() -> dict:
@@ -84,11 +91,16 @@ def workload_line(workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def tier1_line() -> dict:
+def src_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env
+
+
+def tier1_line() -> dict:
+    env = src_env()
     start = perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q"],
@@ -101,6 +113,25 @@ def tier1_line() -> dict:
     # and prints no "N passed" summary: count the progress dots.
     progress = re.findall(r"^([.sxX]+) +\[ *\d+%\]$", done.stdout, re.MULTILINE)
     return {"kind": "tier1", "wall_s": round(wall, 1), "tests": "".join(progress).count(".")}
+
+
+def chaos_line() -> dict:
+    env = src_env()
+    wall_s = {}
+    for campaign, seeds in CHAOS_CAMPAIGNS.items():
+        walls = []
+        for _ in range(CHAOS_RUNS):
+            start = perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "chaos", "run",
+                 "--campaign", campaign, "--seeds", str(seeds)],
+                cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
+            )
+            walls.append(perf_counter() - start)
+            if done.returncode != 0:
+                raise SystemExit(f"chaos campaign {campaign} failed:\n" + done.stdout[-2000:])
+        wall_s[campaign] = round(sorted(walls)[CHAOS_RUNS // 2], 3)
+    return {"kind": "chaos", "wall_s": wall_s}
 
 
 def command_record(args, spec: dict) -> int:
@@ -120,6 +151,7 @@ def command_record(args, spec: dict) -> int:
     for entry in spec["workloads"]:
         append(workload_line(entry["name"], args.seed, args.seconds))
     append(tier1_line())
+    append(chaos_line())
     return 0
 
 
@@ -127,6 +159,9 @@ def problems_in(line: dict, spec: dict) -> list[str]:
     """Names in one trajectory line that ``BENCHMARK.json`` does not declare."""
     if line.get("kind") == "tier1":
         return [] if {"sha", "wall_s", "tests"} <= set(line) else ["tier1 line incomplete"]
+    if line.get("kind") == "chaos":
+        ok = "sha" in line and set(line["wall_s"]) == set(CHAOS_CAMPAIGNS)
+        return [] if ok else ["chaos line incomplete"]
     if line.get("kind") != "workload":
         return [f"unknown kind {line.get('kind')!r}"]
     end_to_end = {entry["name"] for entry in spec["end_to_end"]}
