@@ -275,9 +275,10 @@ class ClusterBFTController:
     def run_plain(self, script: str | LogicalPlan) -> ScriptResult:
         """Baseline: unreplicated, uninstrumented run ("Pure Pig")."""
         handler = RequestHandler(self.config.bft)
+        plan = self._to_plan(script)
         prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
+            plan,
+            self._input_sizes(plan),
             explicit_points=[],
             include_output_points=False,
             compile_options=self._compile_options(),
@@ -293,9 +294,10 @@ class ClusterBFTController:
         """One replica with digest computation but no replication — the
         "Single Execution" series of paper Fig. 9/10."""
         handler = RequestHandler(self.config.bft)
+        plan = self._to_plan(script)
         prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
+            plan,
+            self._input_sizes(plan),
             explicit_points=explicit_points,
             include_output_points=include_output_points,
             compile_options=self._compile_options(),
@@ -321,9 +323,10 @@ class ClusterBFTController:
         if replication is not None:
             cfg = replace(cfg, replication=replication).validate()
         handler = RequestHandler(cfg)
+        plan = self._to_plan(script)
         prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
+            plan,
+            self._input_sizes(plan),
             explicit_points=explicit_points,
             include_output_points=include_output_points,
             compile_options=self._compile_options(),
@@ -1551,7 +1554,7 @@ class ClusterBFTController:
         """Quarantine a degrading region wholesale and re-dispatch its
         in-flight work; journaled write-ahead so a resumed run replays
         the same placement decision."""
-        sids = sorted({run.sid for run in self.engine.runs if run.is_active})
+        sids = sorted({run.sid for run in self.engine.live_runs})
         if journal is not None:
             journal.append(
                 wal.RECONFIG,

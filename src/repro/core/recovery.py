@@ -313,9 +313,10 @@ def resume_run(
 
     # -- re-prepare with the *recorded* instrumentation -----------------
     handler = RequestHandler(cfg)
+    plan = controller._to_plan(script)
     prepared = handler.prepare(
-        script,
-        controller._input_sizes(controller._to_plan(script)),
+        plan,
+        controller._input_sizes(plan),
         explicit_points=list(run_start["marked"]),
         include_output_points=run_start["include_output_points"],
         compile_options=controller._compile_options(),

@@ -55,9 +55,7 @@ class ResourceManager:
     def table(self) -> list[ResourceRow]:
         """The current resource table, one row per node."""
         sids_per_node: dict[NodeId, set[SubGraphId]] = {}
-        for run in self.engine.runs:
-            if not run.is_active:
-                continue
+        for run in self.engine.live_runs:
             for node_id in run.nodes_used:
                 sids_per_node.setdefault(node_id, set()).add(run.sid)
         rows = []

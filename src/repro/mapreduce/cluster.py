@@ -90,6 +90,10 @@ class Cluster:
                 region=config.region_of_index(index),
                 speed=config.speed_of_index(index),
             )
+        # Membership is fixed for the cluster's lifetime; only the
+        # ``excluded`` flags move, and only through exclude/reinstate.
+        self._node_ids = sorted(self.nodes)
+        self._active_ordinals: dict[str | None, dict[NodeId, int]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -112,7 +116,21 @@ class Cluster:
         return self.nodes[node_id]
 
     def node_ids(self) -> list[NodeId]:
-        return sorted(self.nodes)
+        return list(self._node_ids)
+
+    def active_ordinals(self, region: str | None = None) -> dict[NodeId, int]:
+        """node id -> its index among the non-excluded nodes (of
+        ``region``, when given) in id order; iterates in that order.
+        Cached until the next ``exclude``/``reinstate``: the scheduler
+        asks on every eligibility check of every heartbeat."""
+        ordinals = self._active_ordinals.get(region)
+        if ordinals is None:
+            ids = self._node_ids if region is None else self.region_node_ids(region)
+            active = [node_id for node_id in ids if not self.nodes[node_id].excluded]
+            ordinals = self._active_ordinals[region] = {
+                node_id: index for index, node_id in enumerate(active)
+            }
+        return ordinals
 
     def active_nodes(self) -> list[WorkerNode]:
         return [n for n in self.nodes.values() if not n.excluded]
@@ -123,12 +141,14 @@ class Cluster:
     def exclude(self, node_id: NodeId) -> None:
         """Remove a node from the inclusion list (suspicion threshold hit)."""
         self.nodes[node_id].excluded = True
+        self._active_ordinals.clear()
 
     def reinstate(self, node_id: NodeId) -> None:
         """Administrator re-inserts a re-imaged node (paper §4.2)."""
         node = self.nodes[node_id]
         node.excluded = False
         node.behavior = CORRECT
+        self._active_ordinals.clear()
 
     def total_slots(self) -> int:
         return sum(n.slots for n in self.active_nodes())

@@ -48,6 +48,7 @@ PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 OMITTED = "omitted"  # completion never reported (omission failure)
+STATUSES = (PENDING, RUNNING, DONE, OMITTED)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ class Split:
 
 @dataclass
 class _TaskState:
+    kind: str  # "map" | "reduce"
+    #: Written only by :meth:`JobRun.set_status`, which keeps the counts.
     status: str = PENDING
     node: NodeId | None = None
     started_at: float = 0.0
@@ -138,6 +141,12 @@ class JobRun:
         self.splits: list[Split] = []
         self.map_states: list[_TaskState] = []
         self.reduce_states: list[_TaskState] = []
+        #: kind -> status -> number of task states, kept by
+        #: ``set_status`` so a heartbeat reads the queries below in O(1)
+        #: instead of rescanning every state (DESIGN.md §18).
+        self.task_counts = {
+            kind: dict.fromkeys(STATUSES, 0) for kind in ("map", "reduce")
+        }
         self.map_results: dict[int, MapTaskOutput] = {}
         self.reduce_results: dict[int, ReduceTaskOutput] = {}
         self.metrics = JobMetrics(job_id=job_id)
@@ -169,24 +178,45 @@ class JobRun:
     def physical_path(self, logical: str) -> str:
         return self.path_map.get(logical, logical)
 
+    def create_tasks(self) -> None:
+        """One PENDING state per split and per reducer."""
+        self.map_states = [_TaskState("map") for _ in self.splits]
+        self.reduce_states = [_TaskState("reduce") for _ in range(self.num_reduces)]
+        for kind, states in (("map", self.map_states), ("reduce", self.reduce_states)):
+            counts = self.task_counts[kind] = dict.fromkeys(STATUSES, 0)
+            counts[PENDING] = len(states)
+
+    def set_status(self, state: _TaskState, status: str) -> None:
+        """The one place a task's status changes."""
+        counts = self.task_counts[state.kind]
+        counts[state.status] -= 1
+        counts[status] += 1
+        state.status = status
+
     def maps_finished(self) -> bool:
-        return all(s.status == DONE for s in self.map_states)
+        return self.task_counts["map"][DONE] == len(self.map_states)
 
     def all_finished(self) -> bool:
-        return self.maps_finished() and all(
-            s.status == DONE for s in self.reduce_states
+        return self.maps_finished() and self.task_counts["reduce"][DONE] == len(
+            self.reduce_states
         )
 
     def has_omitted_task(self) -> bool:
-        return any(
-            s.status == OMITTED
-            for s in list(self.map_states) + list(self.reduce_states)
-        )
+        counts = self.task_counts
+        return counts["map"][OMITTED] + counts["reduce"][OMITTED] > 0
+
+    def busy_tasks(self) -> int:
+        """Tasks holding a node slot.  OMITTED ones count: they occupy
+        theirs forever, which is exactly the omission failure mode."""
+        maps, reduces = self.task_counts["map"], self.task_counts["reduce"]
+        return maps[RUNNING] + maps[OMITTED] + reduces[RUNNING] + reduces[OMITTED]
 
     def ready_map_tasks(self, node_id: NodeId) -> tuple[list[int], list[int]]:
         """(data-local, remote) pending map task indices for a node."""
         local: list[int] = []
         remote: list[int] = []
+        if not self.task_counts["map"][PENDING]:
+            return local, remote
         for index, state in enumerate(self.map_states):
             if state.status != PENDING:
                 continue
@@ -197,7 +227,7 @@ class JobRun:
         return local, remote
 
     def ready_reduce_tasks(self) -> list[int]:
-        if not self.maps_finished():
+        if not self.maps_finished() or not self.task_counts["reduce"][PENDING]:
             return []
         return [
             index
@@ -206,15 +236,32 @@ class JobRun:
         ]
 
     def has_ready_tasks(self) -> bool:
-        if any(s.status == PENDING for s in self.map_states):
+        counts = self.task_counts
+        if counts["map"][PENDING]:
             return True
-        return bool(self.ready_reduce_tasks())
+        return self.maps_finished() and counts["reduce"][PENDING] > 0
 
     def mark_scheduled(self, kind: str, index: int, node_id: NodeId) -> None:
         states = self.map_states if kind == "map" else self.reduce_states
-        states[index].status = RUNNING
+        self.set_status(states[index], RUNNING)
         states[index].node = node_id
         self.nodes_used.add(node_id)
+
+    def drop_pending(self) -> None:
+        """Never-scheduled tasks of a cancelled run hold nothing to free."""
+        for state in self.map_states + self.reduce_states:
+            if state.status == PENDING:
+                self.set_status(state, DONE)
+
+    def redispatch_from(self, node_id: NodeId) -> int:
+        """Return the attempts in flight on ``node_id`` to PENDING."""
+        redispatched = 0
+        for state in self.map_states + self.reduce_states:
+            if state.node == node_id and state.status in (RUNNING, OMITTED):
+                self.set_status(state, PENDING)
+                state.node = None
+                redispatched += 1
+        return redispatched
 
     def speculatable_tasks(
         self, now: float, slowdown: float, floor: float, exclude_node: NodeId
@@ -312,7 +359,12 @@ class MapReduceEngine:
         # derive_seed(_run_seed, name), so this is bit-compatible with
         # constructing random.Random(derive_seed(...)) directly.
         self._task_rngs = RngRegistry(self._run_seed)
+        #: Every run ever submitted, in submission order (history).
         self.runs: list[JobRun] = []
+        #: The runs of ``runs`` that are ``is_active``, same order: what
+        #: a heartbeat scans, so its cost follows the work in flight and
+        #: not the service's uptime.
+        self.live_runs: list[JobRun] = []
         self._heartbeats_running = False
         #: Last heartbeat receipt time per node — the crash detector's
         #: only input, mirroring Hadoop's TaskTracker expiry logic.
@@ -343,6 +395,7 @@ class MapReduceEngine:
         run.metrics.submitted_at = self.loop.now
         run.state = RUNNING
         self.runs.append(run)
+        self.live_runs.append(run)
         if self._tracer.enabled:
             run.span = self._tracer.begin(
                 "job",
@@ -383,17 +436,19 @@ class MapReduceEngine:
                         locations=block.locations,
                     )
                 )
-        run.map_states = [_TaskState() for _ in run.splits]
-        run.reduce_states = [_TaskState() for _ in range(run.num_reduces)]
+        run.create_tasks()
 
     def cancel(self, run: JobRun) -> None:
         """Abort a run: pending tasks are dropped; running tasks' effects
         are discarded when their completion events fire."""
+        if run.is_active:
+            self.live_runs.remove(run)
         run.cancelled = True
         run.shared = None
-        for state in list(run.map_states) + list(run.reduce_states):
-            if state.status == PENDING:
-                state.status = DONE  # never scheduled; nothing to free
+        run.drop_pending()
+        # Completions still in flight return before touching these.
+        run.map_results.clear()
+        run.reduce_results.clear()
         if run.span is not None:
             run.span.end(cancelled=True)
 
@@ -415,13 +470,8 @@ class MapReduceEngine:
                 label=f"hb:{node_id}",
             )
 
-    def _active_runs(self) -> list[JobRun]:
-        return [run for run in self.runs if run.is_active]
-
     def _work_remains(self) -> bool:
-        return any(
-            run.is_active and not run.all_finished() for run in self.runs
-        )
+        return any(not run.all_finished() for run in self.live_runs)
 
     def _heartbeat(self, node_id: NodeId) -> None:
         if not self._work_remains():
@@ -439,7 +489,7 @@ class MapReduceEngine:
         self._detect_crashes()
         if not node.excluded:
             schedulable = [
-                run for run in self._active_runs() if run.has_ready_tasks()
+                run for run in self.live_runs if run.has_ready_tasks()
             ]
             for ref in self.scheduler.assign(node, schedulable):
                 self._start_task(node, ref)
@@ -480,14 +530,7 @@ class MapReduceEngine:
         node = self.cluster.node(node_id)
         node.alive = False
         self.cluster.exclude(node_id)
-        redispatched = 0
-        for run in self._active_runs():
-            states = list(run.map_states) + list(run.reduce_states)
-            for state in states:
-                if state.node == node_id and state.status in (RUNNING, OMITTED):
-                    state.status = PENDING
-                    state.node = None
-                    redispatched += 1
+        redispatched = sum(run.redispatch_from(node_id) for run in self.live_runs)
         node.running.clear()
         if self._tracer.enabled:
             self._tracer.event(
@@ -513,14 +556,7 @@ class MapReduceEngine:
         migrating away from a merely *suspect* region never discards
         verified-correct work.  Returns the number of attempts moved.
         """
-        redispatched = 0
-        for run in self._active_runs():
-            states = list(run.map_states) + list(run.reduce_states)
-            for state in states:
-                if state.node == node_id and state.status in (RUNNING, OMITTED):
-                    state.status = PENDING
-                    state.node = None
-                    redispatched += 1
+        redispatched = sum(run.redispatch_from(node_id) for run in self.live_runs)
         if redispatched and self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "tasks_redispatched", reason="migration"
@@ -537,7 +573,7 @@ class MapReduceEngine:
         attempts without waiting for the verifier timeout."""
         slowdown = self.cluster.config.speculation_slowdown
         floor = self.cluster.config.speculation_floor
-        for run in self._active_runs():
+        for run in self.live_runs:
             if node.free_slots <= 0:
                 return
             if not self.scheduler.eligible(node, run):
@@ -549,7 +585,7 @@ class MapReduceEngine:
                     return
                 states = run.map_states if kind == "map" else run.reduce_states
                 states[index].speculated = True
-                states[index].status = RUNNING  # rescues OMITTED attempts
+                run.set_status(states[index], RUNNING)  # rescues OMITTED attempts
                 run.nodes_used.add(node.node_id)
                 run.speculative_attempts += 1
                 if self._tracer.enabled:
@@ -602,7 +638,7 @@ class MapReduceEngine:
             # The node hangs: slot stays occupied, completion never fires
             # (unless speculation later launches a backup attempt).
             if state.status != DONE:
-                state.status = OMITTED
+                run.set_status(state, OMITTED)
             if self._tracer.enabled:
                 self._tracer.event(
                     "task.omitted",
@@ -619,7 +655,7 @@ class MapReduceEngine:
             node.finish_task(task_key)
             if run.cancelled or state.status == DONE:
                 return  # a sibling attempt already delivered this task
-            state.status = DONE
+            run.set_status(state, DONE)
             if ref.kind == "map":
                 run.map_results[ref.index] = result
             else:
@@ -889,12 +925,16 @@ class MapReduceEngine:
         if run.cancelled or run.state == DONE:
             return
         run.state = DONE
+        self.live_runs.remove(run)
         run.shared = None
         records = run.assemble_output()
         physical_out = run.physical_path(run.spec.output_path)
         if self.dfs.exists(physical_out):
             self.dfs.delete(physical_out)
         written = self.dfs.write_file(physical_out, records, scope=run.scope)
+        # History keeps a run's metrics, not every task's records.
+        run.map_results.clear()
+        run.reduce_results.clear()
         run.metrics.finished_at = self.loop.now
         run.metrics.hdfs_write += written.size_bytes
         if run.span is not None:

@@ -185,15 +185,9 @@ class ClusterBFTScheduler(TaskScheduler):
 
     def _partition_ordinal(self, node: WorkerNode) -> int:
         if self._cluster is not None:
-            active = [
-                node_id
-                for node_id in self._cluster.node_ids()
-                if not self._cluster.node(node_id).excluded
-            ]
-            try:
-                return active.index(node.node_id)
-            except ValueError:
-                pass
+            ordinal = self._cluster.active_ordinals().get(node.node_id)
+            if ordinal is not None:
+                return ordinal
         return self._node_ordinal(node.node_id)
 
     def _live_regions(self) -> list[str]:
@@ -212,15 +206,8 @@ class ClusterBFTScheduler(TaskScheduler):
 
     def _region_ordinal(self, node: WorkerNode) -> int:
         """Index of ``node`` among its region's non-excluded nodes."""
-        active = [
-            node_id
-            for node_id in self._cluster.region_node_ids(node.region)
-            if not self._cluster.node(node_id).excluded
-        ]
-        try:
-            return active.index(node.node_id)
-        except ValueError:
-            return self._node_ordinal(node.node_id)
+        ordinal = self._cluster.active_ordinals(node.region).get(node.node_id)
+        return ordinal if ordinal is not None else self._node_ordinal(node.node_id)
 
     def eligible(self, node: WorkerNode, run: "JobRun") -> bool:
         if node.node_id in self.quarantined:
@@ -256,11 +243,7 @@ class ClusterBFTScheduler(TaskScheduler):
         profile = self._straggler_profile
         if profile is None or not profile.stragglers or self._cluster is None:
             return None
-        active = [
-            node_id
-            for node_id in self._cluster.node_ids()
-            if not self._cluster.node(node_id).excluded
-        ]
+        active = self._cluster.active_ordinals()
         if node.node_id not in active or len(active) < total:
             # Fewer nodes than replicas: the ordinal partition's
             # wrap-around behaviour is the only workable split.
@@ -285,6 +268,8 @@ class ClusterBFTScheduler(TaskScheduler):
     def assign(self, node: WorkerNode, runs: list["JobRun"]) -> list[TaskRef]:
         assignments: list[TaskRef] = []
         free = node.free_slots
+        if free <= 0:
+            return assignments
         jobs_on_node = {
             run.job_id for run in runs if node.node_id in run.nodes_used
         }
@@ -347,6 +332,9 @@ class FairShareScheduler(TaskScheduler):
         self._deficit: dict[str, float] = {}
         self._budget: dict[str, int] = {}
         self._engine = None
+        #: sid -> tenant, as ``_owner`` resolved it (dropped whenever an
+        #: owner is registered: a sid may then resolve differently).
+        self._tenant_of_sid: dict[SubGraphId, str] = {}
 
     # -- shared-state delegation (one quarantine set, one cluster) ------
 
@@ -389,6 +377,7 @@ class FairShareScheduler(TaskScheduler):
         """Attribute runs whose sid starts with ``script_id`` to ``tenant``."""
         self._owner[script_id] = tenant
         self._deficit.setdefault(tenant, 0.0)
+        self._tenant_of_sid.clear()
 
     def set_slot_budget(self, tenant: str, slots: int | None) -> None:
         """Cap ``tenant`` at ``slots`` concurrent task slots (None lifts)."""
@@ -402,28 +391,24 @@ class FairShareScheduler(TaskScheduler):
         self._engine = engine
 
     def tenant_of(self, run: "JobRun") -> str:
-        return self._owner.get(run.sid.split(".", 1)[0], "")
+        sid = run.sid
+        tenant = self._tenant_of_sid.get(sid)
+        if tenant is None:
+            tenant = self._tenant_of_sid[sid] = self._owner.get(
+                sid.split(".", 1)[0], ""
+            )
+        return tenant
 
     def _slots_in_use(self) -> dict[str, int]:
-        """Concurrent task slots per tenant, counted from engine state.
-
-        Derived on demand rather than tracked incrementally: crashes,
-        cancellations and omissions all mutate task states outside any
-        scheduler callback, and a drifting counter here would silently
-        unbalance tenants.  OMITTED tasks count — they occupy a node
-        slot forever, which is exactly the omission failure mode.
-        """
+        """Concurrent task slots per tenant, summed over the engine's
+        live runs from the counts each run keeps at its one status
+        write — crashes, cancellations and omissions change task states
+        outside any scheduler callback, so nothing is tracked here."""
         in_use: dict[str, int] = {}
         if self._engine is None:
             return in_use
-        for run in self._engine.runs:
-            if not run.is_active:
-                continue
-            busy = sum(
-                1
-                for state in list(run.map_states) + list(run.reduce_states)
-                if state.status in ("running", "omitted")
-            )
+        for run in self._engine.live_runs:
+            busy = run.busy_tasks()
             if busy:
                 tenant = self.tenant_of(run)
                 in_use[tenant] = in_use.get(tenant, 0) + busy
@@ -445,7 +430,7 @@ class FairShareScheduler(TaskScheduler):
             # delegation, no credit bookkeeping to perturb.
             return self.inner.assign(node, runs)
 
-        in_use = self._slots_in_use()
+        in_use = self._slots_in_use() if self._budget else {}
         contenders: list[str] = []
         for tenant in order:
             budget = self._budget.get(tenant)

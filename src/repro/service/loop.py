@@ -165,9 +165,10 @@ class RunDriver:
             ),
         )
         handler = RequestHandler(controller.config.bft)
+        plan = controller._to_plan(script)
         prepared = handler.prepare(
-            script,
-            controller._input_sizes(controller._to_plan(script)),
+            plan,
+            controller._input_sizes(plan),
             explicit_points=None,
             include_output_points=True,
             compile_options=controller._compile_options(),
@@ -232,6 +233,8 @@ class ClusterBFTService:
         if ledger is not None:
             ledger.bind_tracer(self.telemetry.tracer)
         self.result = ServiceResult(trace_name=trace.name, seed=trace.seed)
+        #: Unfinished drivers in admission order (``_start_run`` appends,
+        #: ``_finish_run`` removes), so a tick costs the runs in flight.
         self._drivers: list[RunDriver] = []
         self._arrivals_pending = 0
         self._tick_scheduled = False
@@ -363,6 +366,7 @@ class ClusterBFTService:
             self._finish_run(driver)
 
     def _finish_run(self, driver: RunDriver) -> None:
+        self._drivers.remove(driver)
         record = driver.record
         result = driver.result
         record.finished_at = self.loop.now
@@ -401,14 +405,13 @@ class ClusterBFTService:
     # -- the service tick ----------------------------------------------
 
     def _busy(self) -> bool:
-        return self._arrivals_pending > 0 or any(
-            not driver.done for driver in self._drivers
-        )
+        return self._arrivals_pending > 0 or bool(self._drivers)
 
     def _advance_drivers(self) -> None:
         """Advance every satisfied driver, to a fixpoint, in admission
-        order.  A driver finishing can start a queued successor (whose
-        driver appends to the list and is picked up in the same pass)."""
+        order.  A driver finishing can start a queued successor, whose
+        driver appends to the list and is picked up by the next sweep
+        of the same call."""
         progressed = True
         while progressed:
             progressed = False

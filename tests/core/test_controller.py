@@ -89,6 +89,25 @@ class TestModes:
         result = controller.run_assured(plan, explicit_points=[group])
         assert result.assured
 
+    @pytest.mark.parametrize("mode", ["run_plain", "run_single", "run_assured"])
+    def test_script_text_is_parsed_once_per_submission(self, mode, monkeypatch):
+        import repro.core.request_handler as request_handler
+        import repro.dataflow.piglatin as piglatin
+
+        parsed = []
+        parse = piglatin.parse_script
+
+        def counting(source, validate=True):
+            parsed.append(source)
+            return parse(source, validate)
+
+        # Every binding of the name a submission can resolve.
+        monkeypatch.setattr(piglatin, "parse_script", counting)
+        monkeypatch.setattr(request_handler, "parse_script", counting)
+        result = getattr(make_controller(), mode)(SCRIPT)
+        assert len(result.outputs["out"]) == 3
+        assert parsed == [SCRIPT]
+
 
 class TestFaultScenarios:
     def test_commission_node_masked_and_attributed(self):

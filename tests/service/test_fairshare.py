@@ -17,8 +17,10 @@ class StubRun:
         self.sid = sid
         self.job_id = sid
         self.is_active = True
-        self.map_states = [SimpleNamespace(status="running")] * busy
-        self.reduce_states = []
+        self.busy = busy
+
+    def busy_tasks(self):
+        return self.busy
 
 
 class RecordingInner(TaskScheduler):
@@ -80,7 +82,7 @@ def test_slot_budget_skips_tenant_at_capacity():
     sched, inner = make()
     alice_run = StubRun("script0001.r0", busy=2)
     bob_run = StubRun("script0002.r0")
-    sched.observe_engine(SimpleNamespace(runs=[alice_run, bob_run]))
+    sched.observe_engine(SimpleNamespace(live_runs=[alice_run, bob_run]))
     sched.set_slot_budget("alice", 2)
     sched.assign(NODE, [alice_run, bob_run])
     # alice is at budget (2 running slots): sits this round out.

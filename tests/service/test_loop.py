@@ -73,6 +73,39 @@ def test_quota_overflow_queues_then_dequeues_fifo():
     assert dequeues[0].details["waited"] > 0
 
 
+def test_tick_keeps_only_unfinished_drivers_in_admission_order():
+    text = trace_text(
+        [
+            tenant("alice", [job(0.0), job(0.0), job(0.1)], max_concurrent=1),
+            tenant("bob", [job(0.05, "groupcount")]),
+        ]
+    )
+    service = ClusterBFTService(parse_trace(text))
+    seen = []
+    advance = service._advance_drivers
+
+    def watched():
+        before = len(service.result.runs)
+        advance()
+        # Unfinished drivers only, in admission order; a successor a
+        # finishing driver dequeued is admitted within the same call.
+        seen.append([driver.record.run_id for driver in service._drivers])
+        assert not any(driver.done for driver in service._drivers)
+        assert seen[-1] == sorted(seen[-1])
+        watched.dequeued_in_tick |= len(service.result.runs) > before
+
+    watched.dequeued_in_tick = False
+    service._advance_drivers = watched
+    result = service.run()
+    assert len(result.runs) == 4 and result.all_assured
+    assert watched.dequeued_in_tick
+    assert max(len(ids) for ids in seen) == 2  # alice's quota is one at a time
+    assert seen[-1] == [] and not service._busy()
+    assert [run.run_id for run in result.runs] == sorted(
+        run.run_id for run in result.runs
+    )
+
+
 def test_full_queue_rejects_fail_closed():
     text = trace_text(
         [
