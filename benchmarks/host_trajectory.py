@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -130,7 +131,7 @@ def chaos_line() -> dict:
             walls.append(perf_counter() - start)
             if done.returncode != 0:
                 raise SystemExit(f"chaos campaign {campaign} failed:\n" + done.stdout[-2000:])
-        wall_s[campaign] = round(sorted(walls)[CHAOS_RUNS // 2], 3)
+        wall_s[campaign] = round(statistics.median(walls), 3)
     return {"kind": "chaos", "wall_s": wall_s}
 
 

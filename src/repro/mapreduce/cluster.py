@@ -126,7 +126,7 @@ class Cluster:
         ordinals = self._active_ordinals.get(region)
         if ordinals is None:
             ids = self._node_ids if region is None else self.region_node_ids(region)
-            active = [node_id for node_id in ids if not self.nodes[node_id].excluded]
+            active = (node_id for node_id in ids if not self.nodes[node_id].excluded)
             ordinals = self._active_ordinals[region] = {
                 node_id: index for index, node_id in enumerate(active)
             }
