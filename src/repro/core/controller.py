@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.common.config import SystemConfig
+from repro.common.config import ClusterBFTConfig, SystemConfig
 from repro.common.errors import ReproError, VerificationExhausted
 from repro.common.ids import NodeId
 from repro.common.records import Record, encode_record
@@ -54,15 +54,15 @@ from repro.core.gauges import publish_suspicion
 from repro.core.request_handler import (
     PreparedScript,
     RequestHandler,
-    job_has_verification,
     output_coverage,
 )
-from repro.core.suspicion import SuspicionTracker
+from repro.core.suspicion import NodeSuspicion, SuspicionTracker
 from repro.core.verifier import (
-    COMMISSION,
     FAILED,
+    OMISSION,
     TIMEOUT,
     VERIFIED,
+    ReplicaFault,
     VerificationOutcome,
     Verifier,
 )
@@ -100,27 +100,58 @@ class ScriptResult:
         return self.assured
 
 
+#: Fault kind of a digest-quorum winner whose *stored* bytes diverged
+#: from the majority's (the verifier's kinds cover digests only).
+EQUIVOCATION = "equivocation"
+
+
 class _Attempt:
     """Book-keeping for one attempt (one replication degree)."""
 
-    def __init__(self) -> None:
+    def __init__(self, run: wal.RunState, index: int, pending: list[int]) -> None:
+        self.index = index
+        self.pending = pending
+        self.replication = run.replication
+        self.timeout = run.timeout
+        self.job_sids = {
+            job_index: f"{run.script_id}.a{index}.j{job_index}"
+            for job_index in pending
+        }
+        self.sid_jobs = {sid: job_index for job_index, sid in self.job_sids.items()}
+        self.span = None
+        #: Explicit parent of the attempt's "verify" and job spans (the
+        #: attempt span's id; None when tracing is off).
+        self.span_parent: int | None = None
+        self.verifier: Verifier | None = None
         self.outcomes: dict[str, VerificationOutcome] = {}
         self.expected_verdicts: set[str] = set()
         self.plain_jobs_pending: set[tuple[int, int]] = set()
         #: Subset of plain_jobs_pending producing user-visible outputs.
         self.plain_final_pending: set[tuple[int, int]] = set()
         self.runs: list[JobRun] = []
-        self.runs_by_job: dict[int, list[JobRun]] = {}
+        #: (job_index, replica) -> the run submitted / completed for it.
+        self.submitted: dict[tuple[int, int], JobRun] = {}
+        self.completed: set[tuple[int, int]] = set()
         #: (job_index, replica) -> nodes of the whole unverified replica
         #: chain up to (and including) that job.  This is the paper's
         #: "job cluster": the replication unit is the sub-graph since the
         #: last verified point, so a digest mismatch implicates every
         #: node that touched the chain, not just the last job's nodes.
         self.chain_nodes: dict[tuple[int, int], set[str]] = {}
-        self.deps: dict[int, set[int]] = {}
+        #: job_index -> its upstream jobs that run in this attempt too.
+        pending_set = set(pending)
+        self.deps: dict[int, set[int]] = {
+            i: {d for d in run.deps[i] if d in pending_set} for i in pending
+        }
         #: Task results this attempt's replicas share; set only for
         #: replicated attempts and dropped when the attempt ends.
         self.shared: ReplicaResults | None = None
+        #: Sids settled eagerly at verdict time (checkpoint tier): their
+        #: WAL/audit records and DFS copies already happened, and their
+        #: results wait in ``staged`` for the attempt boundary, which
+        #: merges them instead of settling the sid again.
+        self.settled_sids: set[str] = set()
+        self.staged = wal.Settled()
         self.force_end = False
 
     def done(self) -> bool:
@@ -272,18 +303,27 @@ class ClusterBFTController:
     # execution modes
     # ------------------------------------------------------------------
 
-    def run_plain(self, script: str | LogicalPlan) -> ScriptResult:
-        """Baseline: unreplicated, uninstrumented run ("Pure Pig")."""
-        handler = RequestHandler(self.config.bft)
+    def prepare(
+        self,
+        script: str | LogicalPlan,
+        explicit_points: list[VertexId] | None = None,
+        include_output_points: bool = True,
+        config: ClusterBFTConfig | None = None,
+    ) -> PreparedScript:
+        """Parse (if needed), instrument and compile ``script`` against
+        the inputs staged in this deployment's DFS."""
         plan = self._to_plan(script)
-        prepared = handler.prepare(
+        return RequestHandler(config or self.config.bft).prepare(
             plan,
             self._input_sizes(plan),
-            explicit_points=[],
-            include_output_points=False,
+            explicit_points=explicit_points,
+            include_output_points=include_output_points,
             compile_options=self._compile_options(),
         )
-        return self._run_unverified(prepared, replication=1)
+
+    def run_plain(self, script: str | LogicalPlan) -> ScriptResult:
+        """Baseline: unreplicated, uninstrumented run ("Pure Pig")."""
+        return self._run_unverified(self.prepare(script, [], False))
 
     def run_single(
         self,
@@ -293,16 +333,9 @@ class ClusterBFTController:
     ) -> ScriptResult:
         """One replica with digest computation but no replication — the
         "Single Execution" series of paper Fig. 9/10."""
-        handler = RequestHandler(self.config.bft)
-        plan = self._to_plan(script)
-        prepared = handler.prepare(
-            plan,
-            self._input_sizes(plan),
-            explicit_points=explicit_points,
-            include_output_points=include_output_points,
-            compile_options=self._compile_options(),
+        return self._run_unverified(
+            self.prepare(script, explicit_points, include_output_points)
         )
-        return self._run_unverified(prepared, replication=1)
 
     def run_assured(
         self,
@@ -322,21 +355,13 @@ class ClusterBFTController:
         cfg = self.config.bft
         if replication is not None:
             cfg = replace(cfg, replication=replication).validate()
-        handler = RequestHandler(cfg)
-        plan = self._to_plan(script)
-        prepared = handler.prepare(
-            plan,
-            self._input_sizes(plan),
-            explicit_points=explicit_points,
-            include_output_points=include_output_points,
-            compile_options=self._compile_options(),
-        )
+        prepared = self.prepare(script, explicit_points, include_output_points, cfg)
         return self._run_assured(prepared, strict=strict)
 
     def resume_assured(
         self,
         prepared: PreparedScript,
-        resume: wal.ResumeState,
+        resume: wal.RunState,
         strict: bool = False,
     ) -> ScriptResult:
         """Continue a journaled run from its last settled attempt
@@ -358,40 +383,38 @@ class ClusterBFTController:
     # unverified execution (baselines)
     # ------------------------------------------------------------------
 
-    def _run_unverified(self, prepared: PreparedScript, replication: int) -> ScriptResult:
-        script_id = self._next_script_id()
+    def _run_unverified(self, prepared: PreparedScript) -> ScriptResult:
+        """One replica of every job, nothing verified: one attempt of a
+        run that commits nothing and publishes what replica 0 wrote."""
+        run = wal.RunState(
+            script_id=self._next_script_id(),
+            replication=1,
+            timeout=prepared.config.verifier_timeout,
+        ).bind(prepared, None)
         start = self.loop.now
-        tracer = self.telemetry.tracer
-        run_span = tracer.begin(
+        run_span = self.telemetry.tracer.begin(
             "run",
             start=start,
-            script_id=script_id,
-            mode="plain" if replication == 1 else "unverified",
-            replication=replication,
+            script_id=run.script_id,
+            mode="plain",
+            replication=1,
             jobs=len(prepared.job_graph.jobs),
         )
-        metrics = RunMetrics()
-        attempt = _Attempt()
-        self._submit_attempt(
-            prepared,
-            pending=list(range(len(prepared.job_graph.jobs))),
-            replication=replication,
-            script_id=script_id,
-            attempt_index=0,
-            verified_paths={},
-            verifier=None,
-            attempt=attempt,
+        metrics = run.metrics
+        attempt = run.last_attempt = _Attempt(
+            run, 0, list(range(len(prepared.job_graph.jobs)))
         )
+        self._submit_attempt(run, attempt)
         self.loop.run_while(lambda: not attempt.done())
-        for run in attempt.runs:
-            metrics.absorb_job(run.metrics)
-        outputs = self._publish_replica_outputs(prepared, script_id, 0, replica=0)
+        for job_run in attempt.runs:
+            metrics.absorb_job(job_run.metrics)
+        outputs = self._publish_outputs(run)
         metrics.latency = self.loop.now - start
         run_span.end(latency=metrics.latency, assured=False)
         if self.telemetry.enabled:
             publish_run(self.telemetry.metrics, metrics, mode="plain")
         return ScriptResult(
-            script_id=script_id,
+            script_id=run.script_id,
             assured=False,
             outputs=outputs,
             latency=metrics.latency,
@@ -407,7 +430,7 @@ class ClusterBFTController:
     def _run_assured(
         self,
         prepared: PreparedScript,
-        resume: wal.ResumeState | None = None,
+        resume: wal.RunState | None = None,
         strict: bool = False,
     ) -> ScriptResult:
         """Single-run driver: block the event loop through every wait
@@ -425,7 +448,7 @@ class ClusterBFTController:
     def _assured_steps(
         self,
         prepared: PreparedScript,
-        resume: wal.ResumeState | None = None,
+        resume: wal.RunState | None = None,
         strict: bool = False,
         journal: wal.Journal | None = None,
         script_id: str | None = None,
@@ -443,45 +466,67 @@ class ClusterBFTController:
         can write its own stream of a shared ledger; ``script_id`` lets
         the service allocate ids at admission time; ``span_attrs`` adds
         attribution (e.g. tenant) to the run span.
+
+        Everything the steps below share is on two objects: ``run``
+        (:class:`~repro.core.journal.RunState`, one per script — given
+        as ``resume`` when a journal is being resumed) and the
+        :class:`_Attempt` in flight (DESIGN.md §19).
         """
-        cfg = prepared.config
         if journal is None:
             journal = self.journal
-        if script_id is None:
-            script_id = (
-                resume.script_id if resume is not None else self._next_script_id()
-            )
-        start = self.loop.now
+        run = resume or wal.RunState.fresh(
+            script_id or self._next_script_id(), prepared.config
+        )
+        run.bind(prepared, journal)
+        self._begin_run(run, span_attrs)
+        for attempt_index in run.attempt_indexes():
+            attempt = self._start_attempt(run, attempt_index)
+            if attempt is None:
+                break
+            yield _WaitWhile(lambda a=attempt: not a.done())
+            self._settle_attempt(run, attempt)
+            if run.assured or not run.verifiable:
+                break
+            self._escalate(run, attempt)
+        return (yield from self._finish_run(run, strict))
+
+    def _begin_run(self, run: wal.RunState, span_attrs: dict | None) -> None:
+        """Open the run: span, write-ahead ``run_start``, audit, and the
+        replicated front end's ordering round."""
+        prepared = run.prepared
+        cfg = prepared.config
+        script_id = run.script_id
+        jobs = len(prepared.job_graph.jobs)
         tracer = self.telemetry.tracer
-        run_span = tracer.begin(
+        run.started_at = self.loop.now
+        run.span = tracer.begin(
             "run",
-            start=start,
+            start=run.started_at,
             script_id=script_id,
             mode="assured",
             replication=cfg.replication,
-            jobs=len(prepared.job_graph.jobs),
+            jobs=jobs,
             points=len(prepared.marked_vertices),
             **(span_attrs or {}),
         )
-        if journal is not None and resume is None:
+        if run.journal is not None and not run.resumed:
             # Write-ahead: the run exists in the journal before any job
             # is submitted.  ``marked``/``include_output_points`` let a
             # recovery re-prepare the exact same instrumented plan.
-            journal.append(
+            run.journal.append(
                 wal.RUN_START,
                 script_id=script_id,
-                jobs=len(prepared.job_graph.jobs),
+                jobs=jobs,
                 replication=cfg.replication,
                 points=len(prepared.marked_vertices),
                 marked=list(prepared.marked_vertices),
                 include_output_points=prepared.include_output_points,
             )
-            journal.run_started = True
         self.audit.record(
-            start,
+            run.started_at,
             SUBMIT,
             script_id,
-            jobs=len(prepared.job_graph.jobs),
+            jobs=jobs,
             replication=cfg.replication,
             points=len(prepared.marked_vertices),
             **self.audit_context,
@@ -494,442 +539,191 @@ class ClusterBFTController:
                 # Anchor the ordering round's Request send (and the whole
                 # pre-prepare/prepare/commit cascade behind it) to this
                 # run's root span.
-                tracer.push_context(run_span.span_id)
+                tracer.push_context(run.span.span_id)
                 try:
-                    self.frontend.call((script_id, len(prepared.job_graph.jobs)))
+                    self.frontend.call((script_id, jobs))
                 finally:
                     tracer.pop_context()
             else:
-                self.frontend.call((script_id, len(prepared.job_graph.jobs)))
-        graph = prepared.job_graph
-        order = graph.topological_order()
+                self.frontend.call((script_id, jobs))
 
-        metrics = RunMetrics()
-        all_outcomes: list[VerificationOutcome] = []
-        all_runs: list[JobRun] = []
-        verified_jobs: set[int] = set()  # committed (output reusable)
-        verified_ok: set[int] = set()  # sid VERIFIED (maybe uncommittable)
-        verified_paths: dict[str, str] = {}
-        reused = 0
-        if resume is not None:
-            verified_jobs = set(resume.verified_jobs)
-            verified_ok = set(resume.verified_ok)
-            verified_paths = dict(resume.verified_paths)
-            reused = resume.reused
-
-        deps = graph.dependencies()
-        verifiable = {
-            i for i in order if job_has_verification(graph.jobs[i])
-        }
-        final_jobs = [i for i, job in enumerate(graph.jobs) if not job.output_is_temp]
-
-        def rerun_closure() -> list[int]:
-            """Jobs that must run again: every verifiable job not yet
-            VERIFIED, plus (transitively) the uncommitted upstream jobs
-            feeding them.  Committed sub-graphs are reused — the paper's
-            variable-grain recomputation saving."""
-            needed = set(verifiable) - verified_ok
-            frontier = sorted(needed)
-            while frontier:
-                job_index = frontier.pop()
-                for dep in deps[job_index]:
-                    if dep not in verified_jobs and dep not in needed:
-                        needed.add(dep)
-                        frontier.append(dep)
-            return [i for i in order if i in needed]
-
-        replication = cfg.replication
-        timeout = cfg.verifier_timeout
-        attempts_used = 0
-        start_attempt = 0
-        if resume is not None:
-            replication = resume.replication
-            timeout = resume.timeout
-            attempts_used = resume.attempts_used
-            start_attempt = resume.start_attempt
-        assured = False
-        last_attempt: _Attempt | None = None
-        checkpointed = 0
-
-        def escalated_timeout(current: float) -> float:
-            """Next attempt's verifier timeout: doubled, clamped to the
-            configured ``max_verifier_timeout`` ceiling.  Used for both
-            the live escalation and the journaled ``next_timeout`` so a
-            resumed run restores exactly the value an uninterrupted run
-            would have used."""
-            doubled = current * 2
-            cap = cfg.max_verifier_timeout
-            if cap is not None and doubled > cap:
-                return cap
-            return doubled
-
-        # A restored snapshot may already cover the full commit set —
-        # e.g. a crash landed between the final attempt's ``attempt_end``
-        # and ``run_end``, leaving start_attempt past max_reruns and the
-        # rerun range below empty.  Assurance of a fully-settled snapshot
-        # is decided by the restored state alone, so evaluate it *before*
-        # the loop: an empty range must never read as exhaustion.
-        settled_on_resume = resume is not None and not rerun_closure()
-        if settled_on_resume:
-            reused += len(order)
-            if verifiable:
-                assured = (
-                    all(i in verified_jobs for i in final_jobs)
-                    and verifiable <= verified_ok
-                )
-        rerun_range = (
-            range(0)
-            if settled_on_resume
-            else range(start_attempt, cfg.max_reruns + 1)
-        )
-        for attempt_index in rerun_range:
-            attempts_used += 1
-            if attempt_index == start_attempt and resume is None:
-                pending = list(order)
-            else:
-                # Resumed first attempts also take the closure path:
-                # commits replayed from the journal are reused, never
-                # re-executed.
-                pending = rerun_closure()
-                reused += len(order) - len(pending)
-                if attempt_index > 0:
-                    metrics.reruns += 1
-                    self.audit.record(
-                        self.loop.now,
-                        RERUN,
-                        script_id,
-                        attempt=attempt_index,
-                        replication=replication,
-                        jobs_rerun=len(pending),
-                        jobs_reused=len(order) - len(pending),
-                        **self.audit_context,
-                    )
-            if not pending:
-                # Nothing left to run — e.g. a resume whose journal
-                # already captured the full commit set.  Assurance holds
-                # iff the restored state covers every output.
-                if verifiable:
-                    assured = (
-                        all(i in verified_jobs for i in final_jobs)
-                        and verifiable <= verified_ok
-                    )
-                break
-            if journal is not None:
-                journal.append(
-                    wal.ATTEMPT_START,
-                    script_id=script_id,
-                    attempt=attempt_index,
-                    replication=replication,
-                    timeout=timeout,
-                    jobs=list(pending),
-                )
-            attempt = _Attempt()
-            last_attempt = attempt
-            attempt_span = tracer.begin(
-                "attempt",
-                parent=run_span,
-                start=self.loop.now,
+    def _start_attempt(self, run: wal.RunState, attempt_index: int) -> _Attempt | None:
+        """Work out what attempt ``attempt_index`` has to run and submit
+        it; ``None`` when nothing is left to run."""
+        script_id = run.script_id
+        run.attempts_used += 1
+        pending = run.next_pending(attempt_index)
+        if attempt_index > 0:
+            run.metrics.reruns += 1
+            self.audit.record(
+                self.loop.now,
+                RERUN,
+                script_id,
+                attempt=attempt_index,
+                replication=run.replication,
+                jobs_rerun=len(pending),
+                jobs_reused=len(run.order) - len(pending),
+                **self.audit_context,
+            )
+        if not pending:
+            # Nothing left to run — e.g. every verifiable job VERIFIED
+            # but a final output uncommittable.  ``run.assured`` judges
+            # by the state reached.
+            return None
+        if run.journal is not None:
+            run.journal.append(
+                wal.ATTEMPT_START,
                 script_id=script_id,
                 attempt=attempt_index,
-                replication=replication,
-                timeout=timeout,
-                jobs=len(pending),
+                replication=run.replication,
+                timeout=run.timeout,
+                jobs=list(pending),
             )
-            sid_jobs = {
-                sid: job_index
-                for job_index, sid in self._sids(
-                    prepared, pending, script_id, attempt_index
-                )
-            }
-            #: Sids settled eagerly at verdict time (checkpoint tier):
-            #: their WAL/audit records and DFS copies already happened;
-            #: the attempt-boundary loop merges the staged state instead
-            #: of re-journaling.
-            settled_sids: set[str] = set()
-            staged_ok: set[int] = set()
-            staged_commits: dict[int, tuple[str, str]] = {}
-
-            def on_verdict(
-                outcome,
-                a=attempt,
-                index=attempt_index,
-                sids=sid_jobs,
-                settled=settled_sids,
-                ok=staged_ok,
-                commits=staged_commits,
-            ):
-                self._on_verdict(a, outcome)
-                if cfg.checkpoints:
-                    self._checkpoint_verdict(
-                        prepared,
-                        a,
-                        outcome,
-                        script_id,
-                        index,
-                        sids,
-                        settled,
-                        ok,
-                        commits,
-                        journal,
-                    )
-
-            verifier = Verifier(
-                self.loop,
-                cfg.f,
-                self.config.cost,
-                timeout,
-                on_verdict=on_verdict,
-                on_late_fault=lambda sid, fault, j=journal: self._on_late_fault(
-                    sid, fault, journal=j
-                ),
-                telemetry=self.telemetry,
-                span_parent=attempt_span.span_id if tracer.enabled else None,
-            )
-            self._submit_attempt(
-                prepared,
-                pending=pending,
-                replication=replication,
-                script_id=script_id,
-                attempt_index=attempt_index,
-                verified_paths=verified_paths,
-                verifier=verifier,
-                attempt=attempt,
-                journal=journal,
-                span_parent=attempt_span.span_id if tracer.enabled else None,
-            )
-            # Global fail-safe: if stalled unverified jobs never finish,
-            # end the attempt once every verification deadline has passed.
-            self.loop.schedule(
-                timeout + 4 * self.config.cost.digest_network_seconds,
-                lambda a=attempt: setattr(a, "force_end", True),
-                label=f"attempt-deadline:{script_id}:{attempt_index}",
-            )
-            yield _WaitWhile(lambda a=attempt: not a.done())
-            # The force-end deadline can beat a verdict's delivery event;
-            # pull any internally-decided outcomes so reruns see them.
-            for sid in sorted(attempt.expected_verdicts - set(attempt.outcomes)):
-                decided = verifier.outcome(sid)
-                if decided is not None:
-                    attempt.outcomes[sid] = decided
-            for run in attempt.runs:
-                outcome = attempt.outcomes.get(run.sid)
-                sid_verified = outcome is not None and outcome.status == VERIFIED
-                if run.state != "done" and (
-                    not sid_verified or run.has_omitted_task()
-                ):
-                    # Cancel runs that can never verify; keep the late
-                    # replicas of verified sids running — their digests
-                    # still feed offline fault attribution.
-                    self.engine.cancel(run)
-            attempt.shared = None
-            all_runs.extend(attempt.runs)
-            metrics.verification_comparisons += verifier.total_comparisons
-
-            outcomes = list(attempt.outcomes.values())
-            all_outcomes.extend(outcomes)
-            self._apply_outcomes(prepared, attempt, outcomes, journal=journal)
-
-            # Commit verified, output-covered jobs; record every VERIFIED
-            # sid (committable or not) as settled.
-            for job_index, sid in self._sids(prepared, pending, script_id, attempt_index):
-                if sid in settled_sids:
-                    # Settled at verdict time (checkpoint tier): merge
-                    # the staged effects at the same point in the
-                    # attempt boundary the regular path applies them, so
-                    # rerun closures and assurance checks are identical.
-                    if job_index in staged_ok:
-                        verified_ok.add(job_index)
-                    staged = staged_commits.get(job_index)
-                    if staged is not None:
-                        logical, target = staged
-                        verified_paths[logical] = target
-                        verified_jobs.add(job_index)
-                        checkpointed += 1
-                    continue
-                outcome = attempt.outcomes.get(sid)
-                if outcome is not None:
-                    if journal is not None:
-                        journal.append(
-                            wal.VERDICT,
-                            sid=sid,
-                            status=outcome.status,
-                            winners=sorted(outcome.winners),
-                            faulty_replicas=sorted(
-                                fault.replica for fault in outcome.faults
-                            ),
-                        )
-                    self.audit.record(
-                        self.loop.now,
-                        VERDICT,
-                        sid,
-                        status=outcome.status,
-                        winners=tuple(sorted(outcome.winners)),
-                        faulty_replicas=tuple(
-                            fault.replica for fault in outcome.faults
-                        ),
-                        **self.audit_context,
-                    )
-                if outcome is None or outcome.status != VERIFIED:
-                    continue
-                spec = graph.jobs[job_index]
-                if output_coverage(spec) is None:
-                    verified_ok.add(job_index)
-                    continue
-                # Equivocation defense: digests cover the *computed*
-                # stream, so a node may verify yet persist different
-                # bytes.  Cross-check winners' stored outputs before
-                # trusting any of them; no majority means the sid stays
-                # unsettled and the rerun escalation takes over.
-                winner = self._cross_checked_winner(
-                    attempt,
-                    outcome,
-                    script_id,
-                    attempt_index,
-                    job_index,
-                    spec,
-                    journal=journal,
-                )
-                if winner is None:
-                    continue
-                verified_ok.add(job_index)
-                source = self._replica_path(
-                    script_id, attempt_index, winner, spec.output_path
-                )
-                target = f"__run/{script_id}/verified/{spec.output_path}"
-                if journal is not None:
-                    # The commit record carries the full winning content
-                    # (fsync'd): recovery re-stages it into a fresh DFS
-                    # without re-executing the job.
-                    journal.append(
-                        wal.COMMIT,
-                        sid=sid,
-                        job_index=job_index,
-                        path=spec.output_path,
-                        target=target,
-                        winner=winner,
-                        content=wal.records_to_json(self.dfs.read(source)),
-                    )
-                self._copy_file(source, target)
-                verified_paths[spec.output_path] = target
-                verified_jobs.add(job_index)
-                self.audit.record(
-                    self.loop.now,
-                    COMMIT,
-                    sid,
-                    path=spec.output_path,
-                    winner=winner,
-                    **self.audit_context,
-                )
-
-            attempt_span.end(
-                verdicts={
-                    status: sum(1 for o in outcomes if o.status == status)
-                    for status in (VERIFIED, FAILED, TIMEOUT)
-                },
-                comparisons=verifier.total_comparisons,
-            )
-            if journal is not None:
-                # The settled attempt boundary (fsync'd): everything
-                # recovery needs to rebuild the control tier's state.
-                # next_replication/next_timeout are the deterministic
-                # escalation values — written *before* the escalation
-                # branch runs (write-ahead).
-                journal.append(
-                    wal.ATTEMPT_END,
-                    script_id=script_id,
-                    attempt=attempt_index,
-                    attempts_used=attempts_used,
-                    next_replication=replication + cfg.rerun_extra_replicas,
-                    next_timeout=escalated_timeout(timeout),
-                    verified_jobs=sorted(verified_jobs),
-                    verified_ok=sorted(verified_ok),
-                    verified_paths=dict(sorted(verified_paths.items())),
-                    reused=reused,
-                    suspicion={
-                        node_id: [state.jobs_executed, state.faults_associated]
-                        for node_id, state in sorted(self.suspicion.nodes.items())
-                    },
-                    analyzer={
-                        "observations": self.fault_analyzer.observations,
-                        "saturated_at": self.fault_analyzer.saturated_at,
-                        "disjoint": [
-                            sorted(s) for s in self.fault_analyzer.disjoint
-                        ],
-                        "overlapping": [
-                            sorted(s) for s in self.fault_analyzer.overlapping
-                        ],
-                    },
-                    evicted=sorted(
-                        node_id
-                        for node_id, node in self.cluster.nodes.items()
-                        if node.excluded
-                    ),
-                    quarantined=sorted(self.scheduler.quarantined),
-                )
-            if not verifiable:
-                # Nothing to verify (outputs not instrumented): run once,
-                # publish best-effort, report unassured.
-                break
-            if all(i in verified_jobs for i in final_jobs) and verifiable <= verified_ok:
-                assured = True
-                break
-            replication += cfg.rerun_extra_replicas
-            next_timeout = escalated_timeout(timeout)
-            if next_timeout < timeout * 2:
-                # Liveness signal: escalation wanted to keep doubling but
-                # hit the configured ceiling — audited, never silent.
-                self.audit.record(
-                    self.loop.now,
-                    TIMEOUT_CAP,
-                    script_id,
-                    attempt=attempt_index,
-                    capped=next_timeout,
-                    uncapped=timeout * 2,
-                    **self.audit_context,
-                )
-            timeout = next_timeout
-            if tracer.enabled:
-                tracer.event(
-                    "escalation",
-                    script_id=script_id,
-                    next_replication=replication,
-                    next_timeout=timeout,
-                )
-
-        outputs = self._publish_outputs(
-            prepared, script_id, verified_paths, assured, last_attempt
+        attempt = run.last_attempt = _Attempt(run, attempt_index, pending)
+        tracer = self.telemetry.tracer
+        attempt.span = tracer.begin(
+            "attempt",
+            parent=run.span,
+            start=self.loop.now,
+            script_id=script_id,
+            attempt=attempt_index,
+            replication=attempt.replication,
+            timeout=attempt.timeout,
+            jobs=len(pending),
         )
-        metrics.latency = self.loop.now - start
-        exhausted = bool(verifiable) and not assured
-        unsettled = [
-            f"{script_id}.j{job_index}"
-            for job_index in sorted(verifiable - verified_ok)
-        ]
+        if tracer.enabled:
+            attempt.span_parent = attempt.span.span_id
+        attempt.verifier = Verifier(
+            self.loop,
+            run.config.f,
+            self.config.cost,
+            attempt.timeout,
+            on_verdict=lambda outcome: self._on_verdict(run, attempt, outcome),
+            on_late_fault=lambda sid, fault: self._on_late_fault(run, sid, fault),
+            telemetry=self.telemetry,
+            span_parent=attempt.span_parent,
+        )
+        self._submit_attempt(run, attempt)
+        # Global fail-safe: if stalled unverified jobs never finish,
+        # end the attempt once every verification deadline has passed.
+        self.loop.schedule(
+            attempt.timeout + 4 * self.config.cost.digest_network_seconds,
+            lambda: setattr(attempt, "force_end", True),
+            label=f"attempt-deadline:{script_id}:{attempt_index}",
+        )
+        return attempt
+
+    def _settle_attempt(self, run: wal.RunState, attempt: _Attempt) -> None:
+        """The attempt boundary: collect verdicts, apply them to the
+        shared tier state, settle every sid and journal the snapshot."""
+        verifier = attempt.verifier
+        # The force-end deadline can beat a verdict's delivery event;
+        # pull any internally-decided outcomes so reruns see them.
+        for sid in sorted(attempt.expected_verdicts - set(attempt.outcomes)):
+            decided = verifier.outcome(sid)
+            if decided is not None:
+                attempt.outcomes[sid] = decided
+        for job_run in attempt.runs:
+            outcome = attempt.outcomes.get(job_run.sid)
+            sid_verified = outcome is not None and outcome.status == VERIFIED
+            if job_run.state != "done" and (
+                not sid_verified or job_run.has_omitted_task()
+            ):
+                # Cancel runs that can never verify; keep the late
+                # replicas of verified sids running — their digests
+                # still feed offline fault attribution.
+                self.engine.cancel(job_run)
+        attempt.shared = None
+        run.job_runs.extend(attempt.runs)
+        run.metrics.verification_comparisons += verifier.total_comparisons
+        outcomes = list(attempt.outcomes.values())
+        run.outcomes.extend(outcomes)
+        self._apply_outcomes(run, attempt)
+
+        # Commit verified, output-covered jobs; record every VERIFIED
+        # sid (committable or not) as settled.  Verdict-time results
+        # land first: nothing read them while the attempt ran, and
+        # from here on rerun closures and assurance checks see what a
+        # checkpoint-free run sees.
+        run.merge(attempt.staged)
+        for sid in attempt.sid_jobs:
+            if sid not in attempt.settled_sids:
+                self._settle(run, attempt, sid)
+
+        attempt.span.end(
+            verdicts={
+                status: sum(1 for o in outcomes if o.status == status)
+                for status in (VERIFIED, FAILED, TIMEOUT)
+            },
+            comparisons=verifier.total_comparisons,
+        )
+        if run.journal is not None:
+            run.journal_attempt_end(attempt.index, **self._tier_snapshot())
+
+    def _escalate(self, run: wal.RunState, attempt: _Attempt) -> None:
+        """The attempt left something unverified: more replicas and a
+        longer timeout for the next one."""
+        uncapped = run.timeout * 2
+        run.escalate()
+        if run.timeout < uncapped:
+            # Liveness signal: escalation wanted to keep doubling but
+            # hit the configured ceiling — audited, never silent.
+            self.audit.record(
+                self.loop.now,
+                TIMEOUT_CAP,
+                run.script_id,
+                attempt=attempt.index,
+                capped=run.timeout,
+                uncapped=uncapped,
+                **self.audit_context,
+            )
+        tracer = self.telemetry.tracer
+        if tracer.enabled:
+            tracer.event(
+                "escalation",
+                script_id=run.script_id,
+                next_replication=run.replication,
+                next_timeout=run.timeout,
+            )
+
+    def _finish_run(self, run: wal.RunState, strict: bool):
+        """Publish, stop the latency clock, drain the late replicas and
+        report (a generator: the drain waits)."""
+        script_id = run.script_id
+        metrics = run.metrics
+        assured = run.assured
+        exhausted = run.exhausted
+        outputs = self._publish_outputs(run)
+        metrics.latency = self.loop.now - run.started_at
+        unsettled = run.unsettled()
         if exhausted:
             self.audit.record(
                 self.loop.now,
                 EXHAUSTED,
                 script_id,
-                attempts=attempts_used,
+                attempts=run.attempts_used,
                 unsettled=tuple(unsettled),
                 **self.audit_context,
             )
-        run_span.end(
+        run.span.end(
             end=self.loop.now,
             latency=metrics.latency,
             assured=assured,
-            attempts=attempts_used,
-            reused_jobs=reused,
-            checkpoints=checkpointed,
+            attempts=run.attempts_used,
+            reused_jobs=run.reused,
+            checkpoints=run.checkpointed,
         )
         # Drain the late replicas of verified sids (offline attribution):
         # happens after the latency clock stops — verification is not on
         # the critical path.  The drain is bounded: replicas that cannot
         # make progress (e.g. their partition was evicted) are cancelled.
-        drain_deadline = self.loop.now + cfg.verifier_timeout
+        drain_deadline = self.loop.now + run.config.verifier_timeout
         yield _WaitWhile(
             lambda: self.loop.now < drain_deadline
-            and any(run.is_active and not run.all_finished() for run in all_runs)
+            and any(
+                job_run.is_active and not job_run.all_finished()
+                for job_run in run.job_runs
+            )
         )
         # Digest messages and verifier finalization trail task completion
         # by a few network hops — flush them, or late-replica faults
@@ -937,49 +731,49 @@ class ClusterBFTController:
         yield _WaitUntil(
             self.loop.now + 10 * self.config.cost.digest_network_seconds + 0.5
         )
-        for run in all_runs:
-            if run.state != "done":
-                self.engine.cancel(run)
-        self._evict_suspects(journal=journal)
-        for run in all_runs:
-            metrics.absorb_job(run.metrics)
+        for job_run in run.job_runs:
+            if job_run.state != "done":
+                self.engine.cancel(job_run)
+        self._evict_suspects(run)
+        for job_run in run.job_runs:
+            metrics.absorb_job(job_run.metrics)
         if self.telemetry.enabled:
             publish_run(self.telemetry.metrics, metrics, mode="assured")
-        if journal is not None:
+        if run.journal is not None:
             # Terminal record (fsync'd): a journal ending in run_end is
             # complete — resuming it replays the recorded result instead
             # of re-executing anything.  Closing here also enforces the
             # one-WAL-one-run contract.
-            journal.append(
+            run.journal.append(
                 wal.RUN_END,
                 script_id=script_id,
                 assured=assured,
                 exhausted=exhausted,
-                attempts=attempts_used,
-                reused=reused,
-                checkpoints=checkpointed,
+                attempts=run.attempts_used,
+                reused=run.reused,
+                checkpoints=run.checkpointed,
                 latency=metrics.latency,
                 outputs={
                     logical: wal.records_to_json(records)
                     for logical, records in sorted(outputs.items())
                 },
             )
-            journal.close()
+            run.journal.close()
         result = ScriptResult(
             script_id=script_id,
             assured=assured,
             outputs=outputs,
             latency=metrics.latency,
-            attempts=attempts_used,
+            attempts=run.attempts_used,
             metrics=metrics,
-            outcomes=all_outcomes,
-            marked_vertices=list(prepared.marked_vertices),
-            reused_jobs=reused,
+            outcomes=run.outcomes,
+            marked_vertices=list(run.prepared.marked_vertices),
+            reused_jobs=run.reused,
             exhausted=exhausted,
-            checkpoint_commits=checkpointed,
+            checkpoint_commits=run.checkpointed,
         )
         if exhausted and strict:
-            error = VerificationExhausted(script_id, attempts_used, unsettled)
+            error = VerificationExhausted(script_id, run.attempts_used, unsettled)
             error.result = result
             raise error
         return result
@@ -988,223 +782,211 @@ class ClusterBFTController:
     # attempt plumbing
     # ------------------------------------------------------------------
 
-    def _sids(self, prepared, pending, script_id, attempt_index):
-        return [
-            (job_index, f"{script_id}.a{attempt_index}.j{job_index}")
-            for job_index in pending
-        ]
-
     def _replica_path(self, script_id: str, attempt: int, replica: int, logical: str) -> str:
         return f"__run/{script_id}/a{attempt}/r{replica}/{logical}"
 
-    def _submit_attempt(
-        self,
-        prepared: PreparedScript,
-        pending: list[int],
-        replication: int,
-        script_id: str,
-        attempt_index: int,
-        verified_paths: dict[str, str],
-        verifier: Verifier | None,
-        attempt: _Attempt,
-        journal: wal.Journal | None = None,
-        span_parent: int | None = None,
-    ) -> None:
-        graph = prepared.job_graph
-        internal = graph.internal_paths()
-        deps = graph.dependencies()
-        pending_set = set(pending)
-        attempt.deps = {i: {d for d in deps[i] if d in pending_set} for i in pending}
-
-        submitted: dict[tuple[int, int], JobRun] = {}
-        if replication > 1:
+    def _submit_attempt(self, run: wal.RunState, attempt: _Attempt) -> None:
+        """Register the attempt's verifiable sids and submit every
+        replica whose upstream jobs are not part of the attempt."""
+        graph = run.prepared.job_graph
+        if attempt.replication > 1:
             attempt.shared = ReplicaResults()
-        done: set[tuple[int, int]] = set()
-
-        job_sids = dict(self._sids(prepared, pending, script_id, attempt_index))
-        for job_index in pending:
-            spec = graph.jobs[job_index]
-            if verifier is not None and job_has_verification(spec):
-                attempt.expected_verdicts.add(job_sids[job_index])
+        for job_index in attempt.pending:
+            if attempt.verifier is not None and job_index in run.verifiable:
+                attempt.expected_verdicts.add(attempt.job_sids[job_index])
                 # Register up front: the timeout clock must cover stalls
                 # anywhere in the chain, including upstream jobs that
                 # keep this sid's replicas from ever being submitted.
-                verifier.register(job_sids[job_index], replication)
+                attempt.verifier.register(
+                    attempt.job_sids[job_index], attempt.replication
+                )
             else:
-                for replica in range(replication):
+                for replica in range(attempt.replication):
                     attempt.plain_jobs_pending.add((job_index, replica))
-                    if not spec.output_is_temp:
+                    if not graph.jobs[job_index].output_is_temp:
                         attempt.plain_final_pending.add((job_index, replica))
+        self._submit_ready(run, attempt)
 
-        def path_map_for(job_index: int, replica: int) -> dict[str, str]:
-            spec = graph.jobs[job_index]
-            mapping: dict[str, str] = {}
-            for path in spec.input_paths():
-                if path in verified_paths:
-                    mapping[path] = verified_paths[path]
-                elif path in internal:
-                    mapping[path] = self._replica_path(
-                        script_id, attempt_index, replica, path
-                    )
-            mapping[spec.output_path] = self._replica_path(
-                script_id, attempt_index, replica, spec.output_path
-            )
-            return mapping
+    def _path_map(
+        self, run: wal.RunState, attempt: _Attempt, job_index: int, replica: int
+    ) -> dict[str, str]:
+        """Logical -> physical paths of one replica: committed inputs
+        from their verified copy, this attempt's intermediates and the
+        output under the replica's own prefix."""
+        spec = run.prepared.job_graph.jobs[job_index]
+        mapping: dict[str, str] = {}
+        for path in spec.input_paths():
+            if path in run.verified_paths:
+                mapping[path] = run.verified_paths[path]
+            elif path in run.internal_paths:
+                mapping[path] = self._replica_path(
+                    run.script_id, attempt.index, replica, path
+                )
+        mapping[spec.output_path] = self._replica_path(
+            run.script_id, attempt.index, replica, spec.output_path
+        )
+        return mapping
 
-        def on_complete(run: JobRun, job_index: int, replica: int) -> None:
-            done.add((job_index, replica))
-            attempt.plain_jobs_pending.discard((job_index, replica))
-            attempt.plain_final_pending.discard((job_index, replica))
-            self.suspicion.record_job(run.nodes_used)
-            chain = set(run.nodes_used)
-            for dep in deps[job_index]:
-                if dep in pending_set:
-                    chain |= attempt.chain_nodes.get((dep, replica), set())
-            attempt.chain_nodes[(job_index, replica)] = chain
-            if verifier is not None and job_has_verification(run.spec):
-                if journal is not None:
-                    # Write-ahead: the digest receipt is journaled before
-                    # the verifier acts on it.
-                    journal.append(
-                        wal.DIGEST,
-                        sid=run.sid,
-                        replica=replica,
-                        nodes=sorted(chain),
-                    )
-                verifier.replica_completed(run.sid, replica, chain)
-            submit_ready()
-
-        def submit_ready() -> None:
-            for job_index in pending:
-                job_deps = {d for d in deps[job_index] if d in pending_set}
-                for replica in range(replication):
-                    key = (job_index, replica)
-                    if key in submitted:
-                        continue
-                    if not all((d, replica) in done for d in job_deps):
-                        continue
-                    sid = job_sids[job_index]
-                    spec = graph.jobs[job_index]
-                    # Replicas share task results only along chains that
-                    # stayed on data-honest nodes (DESIGN.md §16).
-                    clean_chain = all(submitted[d, replica].clean for d in job_deps)
-                    run = submitted[key] = JobRun(
-                        job_id=f"{sid}.r{replica}",
-                        sid=sid,
-                        replica=replica,
-                        spec=spec,
-                        path_map=path_map_for(job_index, replica),
-                        scope=f"{script_id}.a{attempt_index}",
-                        digest_sink=verifier.on_report if verifier else None,
-                        on_complete=lambda run, i=job_index, k=replica: on_complete(
-                            run, i, k
-                        ),
-                        total_replicas=replication,
-                        # Span attributes for trace analysis: the deps
-                        # (restricted to this attempt's pending set) are
-                        # what the critical-path computation follows.
-                        trace_attrs={
-                            "attempt": attempt_index,
-                            "job_index": job_index,
-                            "deps": sorted(job_deps),
-                        },
-                        span_parent=span_parent,
-                        shared=attempt.shared if clean_chain else None,
-                        job_index=job_index,
-                    )
-                    attempt.runs.append(run)
-                    attempt.runs_by_job.setdefault(job_index, []).append(run)
-                    self.engine.submit(run)
-
-        submit_ready()
-
-    def _on_verdict(self, attempt: _Attempt, outcome: VerificationOutcome) -> None:
-        attempt.outcomes[outcome.sid] = outcome
-
-    def _checkpoint_verdict(
-        self,
-        prepared: PreparedScript,
-        attempt: _Attempt,
-        outcome: VerificationOutcome,
-        script_id: str,
-        attempt_index: int,
-        sid_jobs: dict[str, int],
-        settled: set[str],
-        staged_ok: set[int],
-        staged_commits: dict[int, tuple[str, str]],
-        journal: wal.Journal | None,
+    def _on_job_complete(
+        self, run: wal.RunState, attempt: _Attempt, job_run: JobRun
     ) -> None:
-        """Verdict-time commit (``ClusterBFTConfig.checkpoints``).
+        job_index, replica = key = (job_run.job_index, job_run.replica)
+        attempt.completed.add(key)
+        attempt.plain_jobs_pending.discard(key)
+        attempt.plain_final_pending.discard(key)
+        self.suspicion.record_job(job_run.nodes_used)
+        chain = set(job_run.nodes_used)
+        for dep in attempt.deps[job_index]:
+            chain |= attempt.chain_nodes.get((dep, replica), set())
+        attempt.chain_nodes[key] = chain
+        if attempt.verifier is not None and job_index in run.verifiable:
+            if run.journal is not None:
+                # Write-ahead: the digest receipt is journaled before
+                # the verifier acts on it.
+                run.journal.append(
+                    wal.DIGEST,
+                    sid=job_run.sid,
+                    replica=replica,
+                    nodes=sorted(chain),
+                )
+            attempt.verifier.replica_completed(job_run.sid, replica, chain)
+        self._submit_ready(run, attempt)
 
-        Journals the verdict and — for output-covered, cross-checked
-        VERIFIED sids — an fsync'd ``checkpoint`` record *inside* the
-        running attempt, so a crash mid-attempt resumes from the last
-        verified sub-graph instead of rerunning everything.  Run-state
-        effects (``verified_jobs``/``verified_ok``/``verified_paths``)
-        are *staged* and merged at the attempt boundary: the in-flight
-        attempt's path map must not change under it, keeping a
-        checkpointed uninterrupted run event-for-event identical to a
-        checkpoint-free one.
+    def _submit_ready(self, run: wal.RunState, attempt: _Attempt) -> None:
+        """Submit every replica whose upstream replicas (same replica
+        index: chains run optimistically, each on its own) completed."""
+        graph = run.prepared.job_graph
+        verifier = attempt.verifier
+        submitted = attempt.submitted
+        for job_index in attempt.pending:
+            job_deps = attempt.deps[job_index]
+            for replica in range(attempt.replication):
+                key = (job_index, replica)
+                if key in submitted:
+                    continue
+                if not all((d, replica) in attempt.completed for d in job_deps):
+                    continue
+                sid = attempt.job_sids[job_index]
+                # Replicas share task results only along chains that
+                # stayed on data-honest nodes (DESIGN.md §16).
+                clean_chain = all(submitted[d, replica].clean for d in job_deps)
+                job_run = submitted[key] = JobRun(
+                    job_id=f"{sid}.r{replica}",
+                    sid=sid,
+                    replica=replica,
+                    spec=graph.jobs[job_index],
+                    path_map=self._path_map(run, attempt, job_index, replica),
+                    scope=f"{run.script_id}.a{attempt.index}",
+                    digest_sink=verifier.on_report if verifier else None,
+                    on_complete=lambda done: self._on_job_complete(run, attempt, done),
+                    total_replicas=attempt.replication,
+                    # Span attributes for trace analysis: the deps
+                    # (restricted to this attempt's pending set) are
+                    # what the critical-path computation follows.
+                    trace_attrs={
+                        "attempt": attempt.index,
+                        "job_index": job_index,
+                        "deps": sorted(job_deps),
+                    },
+                    span_parent=attempt.span_parent,
+                    shared=attempt.shared if clean_chain else None,
+                    job_index=job_index,
+                )
+                attempt.runs.append(job_run)
+                self.engine.submit(job_run)
+
+    # ------------------------------------------------------------------
+    # verdicts: settlement, suspicion, fault isolation, eviction
+    # ------------------------------------------------------------------
+
+    def _on_verdict(
+        self, run: wal.RunState, attempt: _Attempt, outcome: VerificationOutcome
+    ) -> None:
+        attempt.outcomes[outcome.sid] = outcome
+        # Checkpoint tier: settle a VERIFIED sid now.  TIMEOUT/FAILED
+        # sids stay with the attempt boundary: they produce no commit,
+        # so eager settlement buys no durability.
+        if (
+            run.config.checkpoints
+            and outcome.status == VERIFIED
+            and outcome.sid in attempt.sid_jobs
+        ):
+            self._settle(run, attempt, outcome.sid, staged=True)
+
+    def _settle(
+        self, run: wal.RunState, attempt: _Attempt, sid: str, staged: bool = False
+    ) -> None:
+        """Settle one sid: journal and audit its verdict and, when the
+        verdict is VERIFIED, covers the job's output stream and survives
+        the content cross-check, commit the job's output.
+
+        The attempt boundary calls this for every sid of the attempt.
+        With ``ClusterBFTConfig.checkpoints`` a VERIFIED sid is settled
+        earlier, when its verdict arrives (``staged``): the commit is an
+        fsync'd ``checkpoint`` record *inside* the running attempt, so a
+        crash mid-attempt resumes from the last verified sub-graph
+        instead of rerunning everything.  A checkpoint is a commit taken
+        earlier and nothing else; the two differ in the record kind and
+        in where the result lands.  A verdict-time result is *staged*
+        (``attempt.staged``) and merged into the run at the boundary:
+        the in-flight attempt's path map must not change under it,
+        keeping a checkpointed uninterrupted run event-for-event
+        identical to a checkpoint-free one.
         """
-        if outcome.status != VERIFIED:
-            # TIMEOUT/FAILED sids stay with the attempt-end loop: they
-            # produce no commit, so eager settlement buys no durability.
+        outcome = attempt.outcomes.get(sid)
+        if outcome is None:
             return
-        job_index = sid_jobs.get(outcome.sid)
-        if job_index is None:
-            return
-        if journal is None:
-            journal = self.journal
-        spec = prepared.job_graph.jobs[job_index]
+        journal = run.journal
         if journal is not None:
             journal.append(
                 wal.VERDICT,
-                sid=outcome.sid,
+                sid=sid,
                 status=outcome.status,
                 winners=sorted(outcome.winners),
-                faulty_replicas=sorted(
-                    fault.replica for fault in outcome.faults
-                ),
+                faulty_replicas=sorted(fault.replica for fault in outcome.faults),
             )
         self.audit.record(
             self.loop.now,
             VERDICT,
-            outcome.sid,
+            sid,
             status=outcome.status,
             winners=tuple(sorted(outcome.winners)),
             faulty_replicas=tuple(fault.replica for fault in outcome.faults),
             **self.audit_context,
         )
-        # Settled even when the cross-check below yields no majority:
-        # the verdict is journaled either way, and the attempt-end loop
-        # must not journal it (or attribute equivocation faults) twice.
-        settled.add(outcome.sid)
-        if output_coverage(spec) is None:
-            staged_ok.add(job_index)
+        if staged:
+            # Settled even when the cross-check below yields no
+            # majority: the verdict is journaled either way, and the
+            # attempt boundary must not journal it (or attribute
+            # equivocation faults) twice.
+            attempt.settled_sids.add(sid)
+        if outcome.status != VERIFIED:
             return
-        winner = self._cross_checked_winner(
-            attempt,
-            outcome,
-            script_id,
-            attempt_index,
-            job_index,
-            spec,
-            journal=journal,
-        )
+        into = attempt.staged if staged else run
+        job_index = attempt.sid_jobs[sid]
+        spec = run.prepared.job_graph.jobs[job_index]
+        if output_coverage(spec) is None:
+            into.settle(job_index)
+            return
+        # Equivocation defense: digests cover the *computed* stream, so
+        # a node may verify yet persist different bytes.  Cross-check
+        # winners' stored outputs before trusting any of them; no
+        # majority means the sid stays unsettled and the rerun
+        # escalation takes over.
+        winner = self._cross_checked_winner(run, attempt, outcome, job_index)
         if winner is None:
             return
-        staged_ok.add(job_index)
         source = self._replica_path(
-            script_id, attempt_index, winner, spec.output_path
+            run.script_id, attempt.index, winner, spec.output_path
         )
-        target = f"__run/{script_id}/verified/{spec.output_path}"
+        target = f"__run/{run.script_id}/verified/{spec.output_path}"
         if journal is not None:
-            # Like a commit record, the checkpoint carries the winning
-            # content inline (fsync'd): recovery re-stages it into a
-            # fresh DFS without re-executing the job.
+            # The record carries the full winning content (fsync'd):
+            # recovery re-stages it into a fresh DFS without
+            # re-executing the job.
             journal.append(
-                wal.CHECKPOINT,
-                sid=outcome.sid,
+                wal.CHECKPOINT if staged else wal.COMMIT,
+                sid=sid,
                 job_index=job_index,
                 path=spec.output_path,
                 target=target,
@@ -1212,123 +994,95 @@ class ClusterBFTController:
                 content=wal.records_to_json(self.dfs.read(source)),
             )
         self._copy_file(source, target)
-        staged_commits[job_index] = (spec.output_path, target)
-        # Audited as a COMMIT (with a checkpoint marker) so coverage
-        # checks over committed sids keep seeing one uniform kind.
+        into.settle(job_index, spec.output_path, target)
+        # A checkpoint is audited as a COMMIT (with a marker) so
+        # coverage checks over committed sids keep seeing one kind.
         self.audit.record(
             self.loop.now,
             COMMIT,
-            outcome.sid,
+            sid,
             path=spec.output_path,
             winner=winner,
-            checkpoint=True,
+            **({"checkpoint": True} if staged else {}),
             **self.audit_context,
         )
-        if self.telemetry.enabled:
+        if staged and self.telemetry.enabled:
             self.telemetry.tracer.event(
-                "checkpoint.commit", sid=outcome.sid, path=spec.output_path
+                "checkpoint.commit", sid=sid, path=spec.output_path
             )
             self.telemetry.metrics.counter("checkpoint_commits").inc()
 
-    def _on_late_fault(
-        self, sid: str, fault, journal: wal.Journal | None = None
+    def _record_fault(
+        self,
+        run: wal.RunState,
+        sid: str,
+        fault: ReplicaFault,
+        proven: bool = True,
+        late: bool = False,
     ) -> None:
-        """A replica that finished after its sid's verdict disagreed with
-        the winning digest vector."""
-        if journal is None:
-            journal = self.journal
-        if journal is not None:
-            journal.append(
-                wal.LATE_FAULT,
-                sid=sid,
+        """One replica's nodes implicated in a fault of ``sid``.
+
+        A *proven* fault — the digest quorum, or the content majority,
+        disagreed with this replica — is journaled, audited and, unless
+        the replica merely withheld digests, fed to the fault analyzer.
+        Faults mutate cross-run shared state (suspicion, fault analyzer)
+        inside a tenant's attribution window, so the audit record names
+        that tenant (AUD001).  Without a quorum nobody is proven wrong:
+        the nodes become suspects and that is all.  ``late``: the
+        replica finished after its sid's verdict.
+        """
+        nodes = set(fault.nodes)
+        if proven:
+            if run.journal is not None:
+                run.journal.append(
+                    wal.LATE_FAULT if late else wal.FAULT,
+                    sid=sid,
+                    replica=fault.replica,
+                    fault_kind=fault.kind,
+                    nodes=sorted(nodes),
+                )
+            self.audit.record(
+                self.loop.now,
+                FAULT,
+                sid,
                 replica=fault.replica,
                 fault_kind=fault.kind,
-                nodes=sorted(fault.nodes),
+                nodes=tuple(sorted(nodes)),
+                **({"late": True} if late else {}),
+                **self.audit_context,
             )
-        # Late faults mutate cross-run shared state (suspicion, fault
-        # analyzer) inside a tenant's attribution window, so the audit
-        # trail must name that tenant — same contract as the verdict-time
-        # fault path in _apply_outcomes (AUD001).
-        self.audit.record(
-            self.loop.now,
-            FAULT,
-            sid,
-            replica=fault.replica,
-            fault_kind=fault.kind,
-            nodes=tuple(sorted(fault.nodes)),
-            late=True,
-            **self.audit_context,
-        )
-        self.suspicion.record_fault(set(fault.nodes))
-        if fault.kind == COMMISSION:
-            self.fault_analyzer.observe(set(fault.nodes))
-        self._maybe_reconfigure(journal=journal)
+        self.suspicion.record_fault(nodes)
+        if proven and fault.kind != OMISSION:
+            self.fault_analyzer.observe(nodes)
+
+    def _on_late_fault(self, run: wal.RunState, sid: str, fault: ReplicaFault) -> None:
+        """A replica that finished after its sid's verdict disagreed with
+        the winning digest vector."""
+        self._record_fault(run, sid, fault, late=True)
+        self._maybe_reconfigure(run)
         if self.telemetry.enabled:
             self._publish_suspicion_gauges()
 
-    # ------------------------------------------------------------------
-    # outcome handling: suspicion, fault isolation, eviction
-    # ------------------------------------------------------------------
-
-    def _apply_outcomes(
-        self,
-        prepared: PreparedScript,
-        attempt: _Attempt,
-        outcomes: list[VerificationOutcome],
-        journal: wal.Journal | None = None,
-    ) -> None:
-        if journal is None:
-            journal = self.journal
-        for outcome in outcomes:
-            if outcome.status == VERIFIED:
-                # Losers are *known* faulty clusters: quorum proved the
-                # correct digests, these replicas disagreed.
-                for fault in outcome.faults:
-                    if journal is not None:
-                        journal.append(
-                            wal.FAULT,
-                            sid=outcome.sid,
-                            replica=fault.replica,
-                            fault_kind=fault.kind,
-                            nodes=sorted(fault.nodes),
-                        )
-                    self.audit.record(
-                        self.loop.now,
-                        FAULT,
-                        outcome.sid,
-                        replica=fault.replica,
-                        fault_kind=fault.kind,
-                        nodes=tuple(sorted(fault.nodes)),
-                        **self.audit_context,
-                    )
-                    self.suspicion.record_fault(set(fault.nodes))
-                    if fault.kind == COMMISSION:
-                        self.fault_analyzer.observe(set(fault.nodes))
-            elif outcome.status == FAILED:
-                # No quorum: every cluster is a suspect, none is proven.
-                for fault in outcome.faults:
-                    self.suspicion.record_fault(set(fault.nodes))
-            elif outcome.status == TIMEOUT:
-                # Suspect only the replicas that never reported.
-                missing_nodes = self._missing_replica_nodes(attempt, outcome)
-                if missing_nodes:
-                    self.suspicion.record_fault(missing_nodes)
-        # Once the fault analyzer saturates (|D| = f), every fault must
-        # live inside its suspect set — exonerate the rest (paper §4.3).
-        if self.fault_analyzer.saturated:
-            cleared = self.suspicion.suspects() - self.fault_analyzer.suspects()
-            if journal is not None:
-                # The analyzer's conclusion, journaled before it acts
-                # (exoneration mutates suspicion levels).
-                journal.append(
-                    wal.ANALYZER,
-                    suspects=sorted(self.fault_analyzer.suspects()),
-                    cleared=sorted(cleared),
+    def _apply_outcomes(self, run: wal.RunState, attempt: _Attempt) -> None:
+        """Apply the attempt's verdicts to what the tier knows about the
+        cluster, then act on it: exonerate, evict, quarantine, migrate."""
+        for outcome in attempt.outcomes.values():
+            faults = outcome.faults
+            if outcome.status == TIMEOUT:
+                # Suspect only the replicas that never reported: one
+                # omission over every node that touched their chains.
+                missing = self._missing_replica_nodes(attempt, outcome)
+                faults = [ReplicaFault(-1, OMISSION, frozenset(missing))]
+            for fault in faults:
+                # VERIFIED: losers are *known* faulty clusters — quorum
+                # proved the correct digests, these replicas disagreed.
+                # FAILED: no quorum — every cluster is a suspect, none
+                # is proven.
+                self._record_fault(
+                    run, outcome.sid, fault, proven=outcome.status == VERIFIED
                 )
-            if cleared:
-                self.suspicion.clear_faults(cleared)
-        self._evict_suspects(journal=journal)
-        self._maybe_reconfigure(journal=journal)
+        self._evict_suspects(run, exonerate=True)
+        self._maybe_reconfigure(run)
         if self.telemetry.enabled:
             self._publish_suspicion_gauges()
 
@@ -1338,23 +1092,21 @@ class ClusterBFTController:
         """Nodes that touched a replica chain that never reported: the
         stalled job's own nodes plus the finished upstream chain."""
         nodes: set[NodeId] = set()
-        for job_index, runs in attempt.runs_by_job.items():
-            for run in runs:
-                if run.sid == outcome.sid and run.replica in outcome.missing_replicas:
-                    nodes |= run.nodes_used
-                    for dep in attempt.deps.get(job_index, set()):
-                        nodes |= attempt.chain_nodes.get((dep, run.replica), set())
+        job_index = attempt.sid_jobs[outcome.sid]
+        for replica in outcome.missing_replicas:
+            job_run = attempt.submitted.get((job_index, replica))
+            if job_run is not None:
+                nodes |= job_run.nodes_used
+                for dep in attempt.deps[job_index]:
+                    nodes |= attempt.chain_nodes.get((dep, replica), set())
         return nodes
 
     def _cross_checked_winner(
         self,
+        run: wal.RunState,
         attempt: _Attempt,
         outcome: VerificationOutcome,
-        script_id: str,
-        attempt_index: int,
         job_index: int,
-        spec,
-        journal: wal.Journal | None = None,
     ) -> int | None:
         """Content cross-check over the digest quorum's winner replicas.
 
@@ -1365,11 +1117,10 @@ class ClusterBFTController:
         Returns ``None`` when no majority exists — the caller must leave
         the sid unsettled so the rerun escalation handles it.
         """
+        logical = run.prepared.job_graph.jobs[job_index].output_path
         groups: dict[tuple, list[int]] = {}
         for replica in sorted(outcome.winners):
-            path = self._replica_path(
-                script_id, attempt_index, replica, spec.output_path
-            )
+            path = self._replica_path(run.script_id, attempt.index, replica, logical)
             if not self.dfs.exists(path):
                 continue
             content = tuple(
@@ -1390,30 +1141,11 @@ class ClusterBFTController:
             if replicas is not majority
             for replica in replicas
         )
-        if journal is None:
-            journal = self.journal
         for replica in divergent:
             nodes = attempt.chain_nodes.get((job_index, replica), set())
-            if journal is not None:
-                journal.append(
-                    wal.FAULT,
-                    sid=outcome.sid,
-                    replica=replica,
-                    fault_kind="equivocation",
-                    nodes=sorted(nodes),
-                )
-            self.audit.record(
-                self.loop.now,
-                FAULT,
-                outcome.sid,
-                replica=replica,
-                fault_kind="equivocation",
-                nodes=tuple(sorted(nodes)),
-                **self.audit_context,
+            self._record_fault(
+                run, outcome.sid, ReplicaFault(replica, EQUIVOCATION, frozenset(nodes))
             )
-            if nodes:
-                self.suspicion.record_fault(set(nodes))
-                self.fault_analyzer.observe(set(nodes))
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter(
                     "equivocations_detected"
@@ -1422,69 +1154,118 @@ class ClusterBFTController:
             # Equivocation is often the first region-level signal a
             # degrading zone gives off — check for migration here too,
             # not just at attempt boundaries.
-            self._maybe_reconfigure(journal=journal)
+            self._maybe_reconfigure(run)
             if self.telemetry.enabled:
                 self._publish_suspicion_gauges()
         if majority is None:
             return None
         return min(majority)
 
-    def _evict_suspects(self, journal: wal.Journal | None = None) -> None:
+    def _evict_suspects(self, run: wal.RunState, exonerate: bool = False) -> None:
+        """Evict and quarantine the nodes over their suspicion
+        thresholds; at an attempt boundary (``exonerate``) the fault
+        analyzer's conclusion is applied first."""
         cfg = self.config.bft
-        if journal is None:
-            journal = self.journal
-        # Sorted: audit-entry order must not depend on set iteration
-        # (string hashing is salted per process — byte-identical trace
-        # replays need a canonical order).
-        for node_id in sorted(self.suspicion.over_threshold(cfg.suspicion_threshold)):
-            state = self.suspicion.nodes[node_id]
-            if state.jobs_executed < cfg.suspicion_min_jobs:
-                continue
-            if not self.cluster.node(node_id).excluded:
+        journal = run.journal
+        # Once the fault analyzer saturates (|D| = f), every fault must
+        # live inside its suspect set — exonerate the rest (paper §4.3).
+        if exonerate and self.fault_analyzer.saturated:
+            cleared = self.suspicion.suspects() - self.fault_analyzer.suspects()
+            if journal is not None:
+                # The analyzer's conclusion, journaled before it acts
+                # (exoneration mutates suspicion levels).
+                journal.append(
+                    wal.ANALYZER,
+                    suspects=sorted(self.fault_analyzer.suspects()),
+                    cleared=sorted(cleared),
+                )
+            if cleared:
+                self.suspicion.clear_faults(cleared)
+        for evict, threshold in (
+            (True, cfg.suspicion_threshold),
+            (False, cfg.quarantine_threshold),
+        ):
+            if threshold is None:
+                continue  # no quarantine tier configured
+            # Sorted: audit-entry order must not depend on set iteration
+            # (string hashing is salted per process — byte-identical
+            # trace replays need a canonical order).
+            for node_id in sorted(self.suspicion.over_threshold(threshold)):
+                state = self.suspicion.nodes[node_id]
+                if state.jobs_executed < cfg.suspicion_min_jobs:
+                    continue
+                if self.cluster.node(node_id).excluded:
+                    continue  # eviction supersedes quarantine
+                if not evict and self.scheduler.is_quarantined(node_id):
+                    continue
                 if journal is not None:
                     journal.append(
-                        wal.EVICTION,
+                        wal.EVICTION if evict else wal.QUARANTINE,
                         node=node_id,
                         suspicion=round(state.level, 3),
                         jobs=state.jobs_executed,
                         **self.audit_context,
                     )
-                self.cluster.exclude(node_id)
+                if evict:
+                    self.cluster.exclude(node_id)
+                else:
+                    self.scheduler.quarantine(node_id)
                 self.audit.record(
                     self.loop.now,
-                    EVICTION,
+                    EVICTION if evict else QUARANTINE,
                     node_id,
                     suspicion=round(state.level, 3),
                     jobs=state.jobs_executed,
                     **self.audit_context,
                 )
-        if cfg.quarantine_threshold is None:
-            return
-        for node_id in sorted(self.suspicion.over_threshold(cfg.quarantine_threshold)):
-            state = self.suspicion.nodes[node_id]
-            if state.jobs_executed < cfg.suspicion_min_jobs:
-                continue
-            if self.cluster.node(node_id).excluded:
-                continue  # eviction supersedes quarantine
-            if self.scheduler.is_quarantined(node_id):
-                continue
-            if journal is not None:
-                journal.append(
-                    wal.QUARANTINE,
-                    node=node_id,
-                    suspicion=round(state.level, 3),
-                    jobs=state.jobs_executed,
-                    **self.audit_context,
-                )
-            self.scheduler.quarantine(node_id)
-            self.audit.record(
-                self.loop.now,
-                QUARANTINE,
-                node_id,
-                suspicion=round(state.level, 3),
-                jobs=state.jobs_executed,
-                **self.audit_context,
+
+    def _tier_snapshot(self) -> dict:
+        """The tier half of an ``attempt_end`` record: what the control
+        tier has learned about the cluster, shared by every run on this
+        controller (the run's own half is
+        :meth:`~repro.core.journal.RunState.journal_attempt_end`'s, which
+        takes these as keyword arguments)."""
+        return {
+            "suspicion": {
+                node_id: [state.jobs_executed, state.faults_associated]
+                for node_id, state in sorted(self.suspicion.nodes.items())
+            },
+            "analyzer": {
+                "observations": self.fault_analyzer.observations,
+                "saturated_at": self.fault_analyzer.saturated_at,
+                "disjoint": [sorted(s) for s in self.fault_analyzer.disjoint],
+                "overlapping": [sorted(s) for s in self.fault_analyzer.overlapping],
+            },
+            "evicted": sorted(
+                node_id
+                for node_id, node in self.cluster.nodes.items()
+                if node.excluded
+            ),
+            "quarantined": sorted(self.scheduler.quarantined),
+        }
+
+    def _replay_tier(self, snapshot: dict) -> None:
+        """Inverse of :meth:`_tier_snapshot`, on a fresh controller:
+        suspicion levels, fault-analyzer sets, evictions, quarantine as
+        of the ``attempt_end`` record ``snapshot``."""
+        for node_id, (jobs, faults) in snapshot["suspicion"].items():
+            self.suspicion.nodes[node_id] = NodeSuspicion(
+                jobs_executed=jobs, faults_associated=faults
             )
+        analyzer = snapshot["analyzer"]
+        self.fault_analyzer = FaultAnalyzer(
+            f=self.config.bft.f,
+            disjoint=[frozenset(s) for s in analyzer["disjoint"]],
+            overlapping=[frozenset(s) for s in analyzer["overlapping"]],
+            observations=analyzer["observations"],
+            saturated_at=analyzer["saturated_at"],
+        )
+        for node_id in snapshot["evicted"]:
+            if not self.cluster.node(node_id).excluded:
+                self.cluster.exclude(node_id)
+        for node_id in snapshot["quarantined"]:
+            if not self.scheduler.is_quarantined(node_id):
+                self.scheduler.quarantine(node_id)
 
     # ------------------------------------------------------------------
     # online reconfiguration: region-level migration
@@ -1510,7 +1291,7 @@ class ClusterBFTController:
             and not self.scheduler.is_quarantined(node_id)
         ]
 
-    def _maybe_reconfigure(self, journal: wal.Journal | None = None) -> None:
+    def _maybe_reconfigure(self, run: wal.RunState) -> None:
         """Migrate replica sets out of any region whose aggregate
         suspicion crossed the threshold.
 
@@ -1524,8 +1305,6 @@ class ClusterBFTController:
         threshold = cfg.region_suspicion_threshold
         if threshold is None or not self.cluster.config.regions:
             return
-        if journal is None:
-            journal = self.journal
         regions = self.cluster.regions()
         for region in regions:
             nodes = self._schedulable_region_nodes(region)
@@ -1541,22 +1320,22 @@ class ClusterBFTController:
             )
             if not others_alive:
                 continue
-            self._migrate_region(region, level, jobs, nodes, journal)
+            self._migrate_region(run, region, level, jobs, nodes)
 
     def _migrate_region(
         self,
+        run: wal.RunState,
         region: str,
         level: float,
         jobs: int,
         nodes: list[NodeId],
-        journal: wal.Journal | None,
     ) -> None:
         """Quarantine a degrading region wholesale and re-dispatch its
         in-flight work; journaled write-ahead so a resumed run replays
         the same placement decision."""
-        sids = sorted({run.sid for run in self.engine.live_runs})
-        if journal is not None:
-            journal.append(
+        sids = sorted({job_run.sid for job_run in self.engine.live_runs})
+        if run.journal is not None:
+            run.journal.append(
                 wal.RECONFIG,
                 region=region,
                 suspicion=round(level, 3),
@@ -1618,48 +1397,26 @@ class ClusterBFTController:
             self.dfs.delete(target)
         self.dfs.write_file(target, records)
 
-    def _publish_outputs(
-        self,
-        prepared: PreparedScript,
-        script_id: str,
-        verified_paths: dict[str, str],
-        assured: bool,
-        last_attempt: _Attempt | None,
-    ) -> dict[str, list[Record]]:
+    def _publish_outputs(self, run: wal.RunState) -> dict[str, list[Record]]:
         outputs: dict[str, list[Record]] = {}
-        for job in prepared.job_graph.jobs:
+        for job in run.prepared.job_graph.jobs:
             if job.output_is_temp:
                 continue
             logical = job.output_path
-            if logical in verified_paths:
-                source = verified_paths[logical]
+            if logical in run.verified_paths:
+                source = run.verified_paths[logical]
             else:
                 # Unassured fallback: best-effort replica 0 of the last
                 # attempt (flagged by ScriptResult.assured = False).
                 source = None
-                if last_attempt:
-                    for run in last_attempt.runs:
-                        if run.spec.output_path == logical and run.replica == 0:
-                            source = run.physical_path(logical)
+                if run.last_attempt:
+                    for job_run in run.last_attempt.runs:
+                        if job_run.spec.output_path == logical and job_run.replica == 0:
+                            source = job_run.physical_path(logical)
                             break
             if source is None or not self.dfs.exists(source):
                 outputs[logical] = []
                 continue
             self._copy_file(source, logical)
             outputs[logical] = self.dfs.read(logical)
-        return outputs
-
-    def _publish_replica_outputs(
-        self, prepared: PreparedScript, script_id: str, attempt: int, replica: int
-    ) -> dict[str, list[Record]]:
-        outputs: dict[str, list[Record]] = {}
-        for job in prepared.job_graph.jobs:
-            if job.output_is_temp:
-                continue
-            physical = self._replica_path(script_id, attempt, replica, job.output_path)
-            if self.dfs.exists(physical):
-                self._copy_file(physical, job.output_path)
-                outputs[job.output_path] = self.dfs.read(job.output_path)
-            else:
-                outputs[job.output_path] = []
         return outputs

@@ -59,6 +59,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ReproError
 from repro.common.records import Record, encode_value
+from repro.mapreduce.metrics import RunMetrics
 
 SCHEMA_VERSION = "repro.journal/v1"
 
@@ -207,7 +208,16 @@ def config_from_json(data: dict) -> SystemConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fsync_directory(path: str) -> None:
+# -- file-level core shared with the service ledger ---------------------------
+#
+# ``Journal`` and ``repro.service.ledger.MultiplexedLedger`` are the same
+# kind of file: JSONL, sorted keys, a header at ``seq`` 0, one global seq
+# chain, a tail a crash may tear.  What is below knows that format once;
+# each caller passes its error class, its noun and the wording of its
+# own messages.
+
+
+def fsync_directory(path: str) -> None:
     """Force a directory entry to stable storage (no-op where the
     platform cannot fsync directories, e.g. Windows)."""
     try:
@@ -220,6 +230,97 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+def truncate_torn_tail(path: str, error: type[ReproError], noun: str) -> int:
+    """Cut a torn final line off a log about to be appended to; returns
+    the bytes dropped (0 for a clean file).
+
+    A crash mid-append can tear the final line (the readers tolerate and
+    drop it); it has to go *before* the next append, or that record
+    would be concatenated onto it, turning expected crash damage into
+    mid-file corruption that poisons every later read.  Records are
+    newline-terminated, so everything after the last newline is the torn
+    tail.
+    """
+    try:
+        with open(path, "rb+") as raw:
+            data = raw.read()
+            keep = data.rfind(b"\n") + 1
+            if keep < len(data):
+                raw.truncate(keep)
+                raw.flush()
+                os.fsync(raw.fileno())
+    except OSError as exc:
+        raise error(f"cannot read {noun}: {exc}")
+    return len(data) - keep
+
+
+def read_wal(
+    path: str,
+    error: type[ReproError],
+    noun: str,
+    schema: str,
+    tail: str,
+    gap: str,
+) -> tuple[list[dict], list[str]]:
+    """Read a log back as ``(records, warnings)``, tolerating a torn tail.
+
+    A run killed mid-append can leave a cut-off final line — that is
+    expected crash damage, reported as a warning (worded by ``tail``:
+    fields ``index``, ``size``, ``exc``) and dropped.  Anything else
+    fails closed with ``error``: an unreadable file, a line before the
+    tail that does not parse, a line that parses to something other than
+    an object, no records at all, a first record that is not a
+    ``schema`` header, a break in the seq chain (worded by ``gap``:
+    fields ``index``, ``seq``, ``kind``) — lost durable records are
+    corruption, not crash damage.
+    """
+    try:
+        with open(path) as handle:
+            lines = [line for line in handle.read().splitlines() if line.strip()]
+    except OSError as exc:
+        raise error(f"cannot read {noun}: {exc}")
+    records: list[dict] = []
+    warnings: list[str] = []
+    for index, line in enumerate(lines):
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            if index == len(lines) - 1:
+                warnings.append(
+                    tail.format(index=index, size=len(line.encode()), exc=exc)
+                )
+                break
+            raise error(f"{noun} corrupt at record {index} (not the tail): {exc}")
+        if not isinstance(record, dict):
+            raise error(
+                f"{noun} corrupt at record {index}: "
+                f"a {type(record).__name__}, not an object"
+            )
+        records.append(record)
+    if not records:
+        raise error(f"{noun} {path} is empty")
+    header = records[0]
+    if header.get("kind") != HEADER:
+        raise error(f"{noun} {path} does not start with a header")
+    if header.get("schema") != schema:
+        raise error(
+            f"unsupported {noun} schema {header.get('schema')!r} "
+            f"(expected {schema})"
+        )
+    for index, record in enumerate(records):
+        if record.get("seq") != index:
+            raise error(
+                gap.format(index=index, seq=record.get("seq"), kind=record.get("kind"))
+            )
+    return records, warnings
+
+
+# ``Journal`` and ``MultiplexedLedger`` each keep their own ``create`` /
+# ``append`` / ``close``, and this module keeps binding ``encode_value``
+# by name: the host-clock benchmark (``benchmarks/perf/tracing.py``)
+# replaces exactly those attributes through ``vars()`` to time and count
+# the two logs apart, and a PR that is not a benchmark PR may not edit
+# it.  Folding the two classes into one waits for such a PR.
 class Journal:
     """Append-only write-ahead journal for one assured run.
 
@@ -242,7 +343,6 @@ class Journal:
         self._seq = next_seq
         self.crash_hook = crash_hook
         self._tracer = None
-        self.run_started = False
         #: Bytes of torn tail :meth:`reopen` truncated before appending
         #: (0 for a fresh or clean journal).  Callers surface this in the
         #: audit log — dropped crash damage is evidence, not noise.
@@ -288,7 +388,7 @@ class Journal:
                 for dfs_path, records in sorted(inputs.items())
             },
         )
-        _fsync_directory(os.path.dirname(os.path.abspath(path)))
+        fsync_directory(os.path.dirname(os.path.abspath(path)))
         return journal
 
     @classmethod
@@ -298,24 +398,10 @@ class Journal:
         next_seq: int,
         crash_hook: Callable[[dict], None] | None = None,
     ) -> "Journal":
-        """Reopen an existing journal for appending (recovery path).
-
-        A crash mid-append can tear the final line (``read_journal``
-        tolerates and drops it); truncate that partial line *before*
-        appending, or the resume record would be concatenated onto it,
-        turning expected crash damage into mid-file corruption that
-        poisons every later read.  Records are newline-terminated, so
-        everything after the last newline is the torn tail.
-        """
-        torn_bytes = 0
-        with open(path, "rb+") as raw:
-            data = raw.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                torn_bytes = len(data) - keep
-                raw.truncate(keep)
-                raw.flush()
-                os.fsync(raw.fileno())
+        """Reopen an existing journal for appending (recovery path),
+        minus the torn tail a crash may have left (see
+        :func:`truncate_torn_tail`)."""
+        torn_bytes = truncate_torn_tail(path, JournalError, "journal")
         handle = open(path, "a")
         journal = cls(path, handle, next_seq=next_seq, crash_hook=crash_hook)
         journal.torn_bytes_truncated = torn_bytes
@@ -370,45 +456,24 @@ class Journal:
 # ---------------------------------------------------------------------------
 
 
-def read_journal(path: str) -> tuple[list[dict], list[str]]:
-    """Read a journal back, tolerating a torn tail.
+#: Header fields :func:`repro.core.recovery.resume_run` rebuilds the
+#: deployment from.
+HEADER_REQUIRED = ("config", "inputs", "block_bytes")
 
-    Returns ``(records, warnings)``.  A run killed mid-append can leave
-    a cut-off final line — that is expected crash damage, reported as a
-    warning and dropped.  A parse error *before* the final line means
-    the file is corrupt, not truncated, and raises.  The header is
-    validated (schema version, script hash) before anything else is
-    trusted.
-    """
-    try:
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise JournalError(f"cannot read journal: {exc}")
-    records: list[dict] = []
-    warnings: list[str] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    f"journal tail truncated: dropped record {index} ({exc})"
-                )
-                break
-            raise JournalError(
-                f"journal corrupt at record {index} (not the tail): {exc}"
-            )
-    if not records:
-        raise JournalError(f"journal {path} is empty")
+
+def read_journal(path: str) -> tuple[list[dict], list[str]]:
+    """Read a journal back (:func:`read_wal`), then validate what only a
+    journal header has before anything else is trusted: the script hash
+    and the fields recovery rebuilds the deployment from."""
+    records, warnings = read_wal(
+        path,
+        JournalError,
+        "journal",
+        SCHEMA_VERSION,
+        tail="journal tail truncated: dropped record {index} ({exc})",
+        gap="journal seq gap: expected {index}, got {seq} ({kind})",
+    )
     header = records[0]
-    if header.get("kind") != HEADER:
-        raise JournalError(f"journal {path} does not start with a header")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise JournalError(
-            f"unsupported journal schema {header.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
     recorded = header.get("script_sha256")
     actual = script_sha256(header.get("script", ""))
     if recorded != actual:
@@ -416,35 +481,251 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
             f"journal header script hash mismatch: recorded {recorded}, "
             f"script hashes to {actual} — header tampered or corrupt"
         )
-    expected_seq = 0
-    for record in records:
-        if record.get("seq") != expected_seq:
-            raise JournalError(
-                f"journal seq gap: expected {expected_seq}, "
-                f"got {record.get('seq')} ({record.get('kind')})"
-            )
-        expected_seq += 1
+    missing = [name for name in HEADER_REQUIRED if name not in header]
+    if missing:
+        raise JournalError(
+            f"journal header (record 0) lacks {', '.join(missing)}"
+        )
     return records, warnings
 
 
 # ---------------------------------------------------------------------------
-# resume hand-off
+# run state
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
-class ResumeState:
-    """What the controller needs to continue a journaled run from its
-    last settled attempt boundary.  Built by
-    :func:`repro.core.recovery.resume_run`, which also re-stages the
-    committed outputs into the fresh DFS before handing this over."""
+class Settled:
+    """Which jobs a verdict has settled, and where their outputs went.
 
-    script_id: str
-    start_attempt: int
-    attempts_used: int
-    replication: int
-    timeout: float
+    ``verified_ok`` holds every job whose sid VERIFIED.  ``verified_jobs``
+    is the subset that is *committed* — the verification point covered
+    the job's output stream and the stored bytes survived the content
+    cross-check — so its output is reusable across attempts and
+    publishable, from the path ``verified_paths`` maps the job's logical
+    output to.  A run has one of these (it is a :class:`RunState`); an
+    attempt has one for what it settles at verdict time, merged into the
+    run at the attempt boundary.
+    """
+
     verified_jobs: set[int] = dataclasses.field(default_factory=set)
     verified_ok: set[int] = dataclasses.field(default_factory=set)
     verified_paths: dict[str, str] = dataclasses.field(default_factory=dict)
-    reused: int = 0
+
+    def settle(
+        self, job_index: int, logical: str | None = None, target: str | None = None
+    ) -> None:
+        """Job ``job_index`` VERIFIED; given a ``target``, its ``logical``
+        output is committed there."""
+        self.verified_ok.add(job_index)
+        if target is not None:
+            self.verified_paths[logical] = target
+            self.verified_jobs.add(job_index)
+
+
+@dataclasses.dataclass(kw_only=True)
+class RunState(Settled):
+    """The control tier's state of one script (paper §4, Fig. 2): which
+    sub-graphs are verified and committed, and at what replication degree
+    and timeout the next attempt runs.  The paper's Table 3 saving is
+    "reuse what this says is committed" (:meth:`rerun_closure`).
+
+    A fresh run builds it from the configuration (:meth:`fresh`), a
+    resumed run from WAL records (:meth:`replayed`); from there on the
+    controller treats both alike.  The fields up to ``resumed`` are what
+    an ``attempt_end`` record carries of it — written by
+    :meth:`journal_attempt_end` and read back by :meth:`replayed`, the
+    only two places that name them.  What :meth:`bind` attaches is
+    reported, never journaled, and not part of equality.
+    """
+
+    script_id: str
+    #: Replication degree and verifier timeout of the next attempt.
+    replication: int
+    timeout: float
+    start_attempt: int = 0
+    attempts_used: int = 0
+    reused: int = 0  # jobs skipped on reruns thanks to commits
+    #: Built by :meth:`replayed`.  A resumed run writes no second
+    #: ``run_start``, and its first attempt takes the rerun closure like
+    #: every later one: commits replayed from the journal are reused,
+    #: never re-executed.
+    resumed: bool = False
+
+    #: Where this run's records go: the controller's journal, or the
+    #: run's own stream of a service ledger.  ``None``: not journaled.
+    journal: object = dataclasses.field(default=None, compare=False, repr=False)
+
+    # -- construction ---------------------------------------------------
+
+    @classmethod
+    def fresh(cls, script_id: str, config: ClusterBFTConfig) -> "RunState":
+        return cls(
+            script_id=script_id,
+            replication=config.replication,
+            timeout=config.verifier_timeout,
+        )
+
+    @classmethod
+    def replayed(
+        cls, run_start: dict, snapshot: dict | None, config: ClusterBFTConfig
+    ) -> "RunState":
+        """The state a journaled run had reached at its last settled
+        attempt boundary: ``snapshot`` is the latest ``attempt_end``
+        record (``None`` when the crash came before the first one).
+        Commits journaled after it are the caller's to :meth:`settle`."""
+        run = cls.fresh(run_start["script_id"], config)
+        run.resumed = True
+        if snapshot is not None:
+            run.start_attempt = snapshot["attempt"] + 1
+            run.attempts_used = snapshot["attempts_used"]
+            run.replication = snapshot["next_replication"]
+            run.timeout = snapshot["next_timeout"]
+            run.verified_jobs = set(snapshot["verified_jobs"])
+            run.verified_ok = set(snapshot["verified_ok"])
+            run.verified_paths = dict(snapshot["verified_paths"])
+            run.reused = snapshot["reused"]
+        return run
+
+    def journal_attempt_end(
+        self, attempt_index: int, *, suspicion, analyzer, evicted, quarantined
+    ) -> None:
+        """The settled attempt boundary (fsync'd): everything recovery
+        needs to rebuild the control tier's state — this run's half, and
+        the tier's (keyword arguments: the controller's
+        ``_tier_snapshot``).  ``next_replication``/``next_timeout`` are
+        the deterministic escalation values, written *before* the
+        escalation runs (write-ahead)."""
+        self.journal.append(
+            ATTEMPT_END,
+            script_id=self.script_id,
+            attempt=attempt_index,
+            attempts_used=self.attempts_used,
+            next_replication=self.replication + self.config.rerun_extra_replicas,
+            next_timeout=self.escalated_timeout(),
+            verified_jobs=sorted(self.verified_jobs),
+            verified_ok=sorted(self.verified_ok),
+            verified_paths=dict(sorted(self.verified_paths.items())),
+            reused=self.reused,
+            suspicion=suspicion,
+            analyzer=analyzer,
+            evicted=evicted,
+            quarantined=quarantined,
+        )
+
+    def bind(self, prepared, journal) -> "RunState":
+        """Attach the prepared script (and what the steps keep asking its
+        job graph), the journal handle, and an empty record of the
+        execution: what :class:`~repro.core.controller.ScriptResult`
+        reports."""
+        self.prepared = prepared
+        self.journal = journal
+        graph = prepared.job_graph
+        self.order = graph.topological_order()
+        self.deps = graph.dependencies()
+        self.internal_paths = graph.internal_paths()
+        self.verifiable = set(prepared.jobs_with_digests())
+        self.final_jobs = [
+            i for i, job in enumerate(graph.jobs) if not job.output_is_temp
+        ]
+        self.metrics = RunMetrics()
+        #: Every attempt's verification outcomes and job runs, in order.
+        self.outcomes: list = []
+        self.job_runs: list = []
+        self.last_attempt = None
+        self.checkpointed = 0  # verdict-time commits merged so far
+        return self
+
+    @property
+    def config(self) -> ClusterBFTConfig:
+        return self.prepared.config
+
+    # -- what is left to do ---------------------------------------------
+
+    def rerun_closure(self) -> list[int]:
+        """Jobs that must run again: every verifiable job not yet
+        VERIFIED, plus (transitively) the uncommitted upstream jobs
+        feeding them.  Committed sub-graphs are reused — the paper's
+        variable-grain recomputation saving."""
+        needed = self.verifiable - self.verified_ok
+        frontier = sorted(needed)
+        while frontier:
+            job_index = frontier.pop()
+            for dep in self.deps[job_index]:
+                if dep not in self.verified_jobs and dep not in needed:
+                    needed.add(dep)
+                    frontier.append(dep)
+        return [i for i in self.order if i in needed]
+
+    def attempt_indexes(self) -> range:
+        """Attempt indexes left in the rerun budget.
+
+        A restored snapshot may already cover the full commit set — e.g.
+        a crash landed between the final attempt's ``attempt_end`` and
+        ``run_end``, leaving ``start_attempt`` past ``max_reruns``.  Such
+        a run gets no attempt at all, and :attr:`assured` judges it by
+        the restored state alone: an empty range must never read as
+        exhaustion."""
+        if self.resumed and not self.rerun_closure():
+            self.reused += len(self.order)
+            return range(0)
+        return range(self.start_attempt, self.config.max_reruns + 1)
+
+    def next_pending(self, attempt_index: int) -> list[int]:
+        """Jobs attempt ``attempt_index`` runs: the whole graph on a
+        fresh run's first attempt, the rerun closure otherwise (counting
+        what it spares as reused)."""
+        if attempt_index == self.start_attempt and not self.resumed:
+            return list(self.order)
+        pending = self.rerun_closure()
+        self.reused += len(self.order) - len(pending)
+        return pending
+
+    @property
+    def assured(self) -> bool:
+        """Every final output committed and every verifiable job
+        VERIFIED.  A script with nothing to verify (outputs not
+        instrumented) runs once, publishes best-effort and is never
+        assured."""
+        return (
+            bool(self.verifiable)
+            and all(i in self.verified_jobs for i in self.final_jobs)
+            and self.verifiable <= self.verified_ok
+        )
+
+    @property
+    def exhausted(self) -> bool:
+        """Out of attempts (asked once they are) without assurance."""
+        return bool(self.verifiable) and not self.assured
+
+    def unsettled(self) -> list[str]:
+        return [
+            f"{self.script_id}.j{job_index}"
+            for job_index in sorted(self.verifiable - self.verified_ok)
+        ]
+
+    # -- moving on ------------------------------------------------------
+
+    def merge(self, staged: Settled) -> None:
+        """Land an attempt's verdict-time (checkpoint) results where its
+        boundary results land."""
+        self.verified_ok |= staged.verified_ok
+        self.verified_jobs |= staged.verified_jobs
+        self.verified_paths.update(staged.verified_paths)
+        self.checkpointed += len(staged.verified_jobs)
+
+    def escalated_timeout(self) -> float:
+        """Next attempt's verifier timeout: doubled, clamped to the
+        configured ``max_verifier_timeout`` ceiling.  Used for both the
+        live escalation and the journaled ``next_timeout`` so a resumed
+        run restores exactly the value an uninterrupted run would have
+        used."""
+        doubled = self.timeout * 2
+        cap = self.config.max_verifier_timeout
+        if cap is not None and doubled > cap:
+            return cap
+        return doubled
+
+    def escalate(self) -> None:
+        self.replication += self.config.rerun_extra_replicas
+        self.timeout = self.escalated_timeout()

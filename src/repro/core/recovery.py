@@ -7,16 +7,19 @@ by a crashed control tier, :func:`resume_run`
    exact :class:`~repro.common.config.SystemConfig` the run used;
 2. builds a *fresh* controller/request-handler/verifier stack and
    re-stages the journal's input data-sets into its trusted DFS;
-3. restores the control-tier state captured by the last fsync'd
-   ``attempt_end`` snapshot — suspicion levels, fault-analyzer sets,
-   evictions, quarantine — the last *settled attempt boundary*;
+3. restores the state captured by the last fsync'd ``attempt_end``
+   snapshot — the last *settled attempt boundary*: the run's half
+   becomes a :class:`~repro.core.journal.RunState`, the tier's half
+   (suspicion levels, fault-analyzer sets, evictions, quarantine) goes
+   back into the controller;
 4. replays every fsync'd ``commit`` and ``checkpoint`` record
-   (including ones from the crashed, unfinished attempt) into the DFS:
-   committed VERIFIED jobs are reused, never re-executed — checkpoints
-   are verdict-time commits, so a crash *mid-attempt* resumes after the
-   last verified sub-graph rather than rerunning the whole closure;
+   (including ones from the crashed, unfinished attempt) into the DFS
+   and the run state: committed VERIFIED jobs are reused, never
+   re-executed — checkpoints are verdict-time commits, so a crash
+   *mid-attempt* resumes after the last verified sub-graph rather than
+   rerunning the whole closure;
 5. re-prepares the script with the *recorded* verification points and
-   hands a :class:`~repro.core.journal.ResumeState` to
+   hands the run state to
    :meth:`~repro.core.controller.ClusterBFTController.resume_assured`,
    which re-enters the rerun-escalation loop for the unsettled sids.
 
@@ -47,9 +50,6 @@ from repro.common.records import Record
 from repro.core import journal as wal
 from repro.core.audit import TORN_TAIL
 from repro.core.controller import ClusterBFTController, ScriptResult
-from repro.core.fault_analyzer import FaultAnalyzer
-from repro.core.request_handler import RequestHandler
-from repro.core.suspicion import NodeSuspicion
 from repro.faults.injection import FaultPlan
 from repro.mapreduce.metrics import RunMetrics
 from repro.mapreduce.scheduler import TaskScheduler
@@ -222,41 +222,9 @@ def resume_run(
         )
 
     # -- restore the last settled attempt boundary ----------------------
-    cfg = config.bft
-    resume = wal.ResumeState(
-        script_id=run_start["script_id"],
-        start_attempt=0,
-        attempts_used=0,
-        replication=cfg.replication,
-        timeout=cfg.verifier_timeout,
-    )
+    run = wal.RunState.replayed(run_start, snapshot, config.bft)
     if snapshot is not None:
-        resume.start_attempt = snapshot["attempt"] + 1
-        resume.attempts_used = snapshot["attempts_used"]
-        resume.replication = snapshot["next_replication"]
-        resume.timeout = snapshot["next_timeout"]
-        resume.verified_jobs = set(snapshot["verified_jobs"])
-        resume.verified_ok = set(snapshot["verified_ok"])
-        resume.verified_paths = dict(snapshot["verified_paths"])
-        resume.reused = snapshot["reused"]
-        for node_id, (jobs, faults) in snapshot["suspicion"].items():
-            controller.suspicion.nodes[node_id] = NodeSuspicion(
-                jobs_executed=jobs, faults_associated=faults
-            )
-        analyzer = snapshot["analyzer"]
-        controller.fault_analyzer = FaultAnalyzer(
-            f=cfg.f,
-            disjoint=[frozenset(s) for s in analyzer["disjoint"]],
-            overlapping=[frozenset(s) for s in analyzer["overlapping"]],
-            observations=analyzer["observations"],
-            saturated_at=analyzer["saturated_at"],
-        )
-        for node_id in snapshot["evicted"]:
-            if not controller.cluster.node(node_id).excluded:
-                controller.cluster.exclude(node_id)
-        for node_id in snapshot["quarantined"]:
-            if not controller.scheduler.is_quarantined(node_id):
-                controller.scheduler.quarantine(node_id)
+        controller._replay_tier(snapshot)
 
     # -- replay reconfigurations (region migrations) --------------------
     # Fsync'd before the original controller acted on them, so a crash
@@ -270,63 +238,46 @@ def resume_run(
                 controller.scheduler.quarantine(node_id)
 
     # -- replay fsync'd commits (even from the crashed attempt) ---------
+    # A checkpoint is a verdict-time commit: same shape, same idempotent
+    # delete-then-write staging (one folded into a later snapshot is
+    # simply re-staged to the identical content) — this is how a crash
+    # *inside* an attempt resumes from the last verified sub-graph
+    # instead of rerunning the whole closure.  Boundary commits go
+    # first, then checkpoints, whatever their WAL order: DFS block
+    # placement advances a cursor per block written, so the staging
+    # order is simulated state.
+    commits_replayed = len(commits)
+    commits.extend(checkpoints)
     for commit in commits:
         content = wal.records_from_json(commit["content"])
         target = commit["target"]
         if controller.dfs.exists(target):
             controller.dfs.delete(target)
         controller.dfs.write_file(target, content)
-        resume.verified_jobs.add(commit["job_index"])
-        resume.verified_ok.add(commit["job_index"])
-        resume.verified_paths[commit["path"]] = target
-
-    # -- replay fsync'd checkpoints (verdict-time commits) --------------
-    # Same shape and same idempotent delete-then-write staging as the
-    # commit replay above: a checkpoint folded into a later snapshot is
-    # simply re-staged to the identical content.  This is how a crash
-    # *inside* an attempt resumes from the last verified sub-graph
-    # instead of rerunning the whole closure.
-    for checkpoint in checkpoints:
-        content = wal.records_from_json(checkpoint["content"])
-        target = checkpoint["target"]
-        if controller.dfs.exists(target):
-            controller.dfs.delete(target)
-        controller.dfs.write_file(target, content)
-        resume.verified_jobs.add(checkpoint["job_index"])
-        resume.verified_ok.add(checkpoint["job_index"])
-        resume.verified_paths[checkpoint["path"]] = target
-        if controller.telemetry.enabled:
+        run.settle(commit["job_index"], commit["path"], target)
+        if commit["kind"] == wal.CHECKPOINT and controller.telemetry.enabled:
             controller.telemetry.tracer.event(
-                "checkpoint.restore",
-                sid=checkpoint["sid"],
-                path=checkpoint["path"],
+                "checkpoint.restore", sid=commit["sid"], path=commit["path"]
             )
 
     journal.append(
         wal.RESUME,
-        script_id=resume.script_id,
-        start_attempt=resume.start_attempt,
-        commits_replayed=len(commits),
+        script_id=run.script_id,
+        start_attempt=run.start_attempt,
+        commits_replayed=commits_replayed,
         checkpoints_replayed=len(checkpoints),
     )
-    journal.run_started = True
 
     # -- re-prepare with the *recorded* instrumentation -----------------
-    handler = RequestHandler(cfg)
-    plan = controller._to_plan(script)
-    prepared = handler.prepare(
-        plan,
-        controller._input_sizes(plan),
-        explicit_points=list(run_start["marked"]),
-        include_output_points=run_start["include_output_points"],
-        compile_options=controller._compile_options(),
+    prepared = controller.prepare(
+        script, list(run_start["marked"]), run_start["include_output_points"]
     )
-    result = controller.resume_assured(prepared, resume, strict=strict)
+    result = controller.resume_assured(prepared, run, strict=strict)
     return RecoveredRun(
         result=result,
         controller=controller,
         warnings=warnings,
-        commits_replayed=len(commits),
+        commits_replayed=commits_replayed,
         checkpoints_replayed=len(checkpoints),
-        start_attempt=resume.start_attempt,
+        start_attempt=run.start_attempt,
     )

@@ -173,15 +173,28 @@ def _is_append_call(call: CallSite, append_like: set[str]) -> bool:
     )
 
 
-def _kind_of_first_arg(
+def _kinds_of_first_arg(
     call: CallSite,
     info: FunctionInfo,
     graph: ProjectGraph,
     surfaces: list[KindSurface],
-) -> tuple[KindSurface, str] | None:
+) -> list[tuple[KindSurface, str]]:
+    """The kind(s) an append call writes.  ``A if cond else B`` names
+    two: one site then writes both kinds, with one field set."""
     if not call.node.args:
-        return None
+        return []
     arg = call.node.args[0]
+    arms = [arg.body, arg.orelse] if isinstance(arg, ast.IfExp) else [arg]
+    resolved = [_kind_of(arm, info, graph, surfaces) for arm in arms]
+    return [] if None in resolved else resolved
+
+
+def _kind_of(
+    arg: ast.expr,
+    info: FunctionInfo,
+    graph: ProjectGraph,
+    surfaces: list[KindSurface],
+) -> tuple[KindSurface, str] | None:
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
         matches = [s for s in surfaces if arg.value in s.kinds.values()]
         if len(matches) == 1:
@@ -235,20 +248,17 @@ def collect_appends(
         for call in info.calls:
             if not _is_append_call(call, append_like):
                 continue
-            resolved = _kind_of_first_arg(call, info, graph, surfaces)
-            if resolved is None:
-                continue
-            surface, kind = resolved
-            fields_written = surface.appended.setdefault(kind, set())
-            has_splat = False
-            for keyword in call.node.keywords:
-                if keyword.arg is None:
-                    has_splat = True
-                else:
-                    fields_written.add(keyword.arg)
-            if has_splat:
-                surface.open_schema.add(kind)
-            surface.append_sites.setdefault(kind, (info.path, call.line))
+            for surface, kind in _kinds_of_first_arg(call, info, graph, surfaces):
+                fields_written = surface.appended.setdefault(kind, set())
+                has_splat = False
+                for keyword in call.node.keywords:
+                    if keyword.arg is None:
+                        has_splat = True
+                    else:
+                        fields_written.add(keyword.arg)
+                if has_splat:
+                    surface.open_schema.add(kind)
+                surface.append_sites.setdefault(kind, (info.path, call.line))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +422,7 @@ class _ReplayReads(ast.NodeVisitor):
         if isinstance(statement, (ast.For, ast.While)):
             if isinstance(statement, ast.For):
                 self._bind_loop(statement)
+                self._scan_expr(statement.iter)
             self._walk_statements(statement.body)
             self._walk_statements(statement.orelse)
             return
@@ -571,7 +582,8 @@ class _ReplayReads(ast.NodeVisitor):
 
     def _propagate_call(self, call: ast.Call) -> None:
         """One level of ``helper(run_end)``-style propagation: the bound
-        record flows into another replay-scoped project function."""
+        record flows into another replay-scoped project function (or a
+        replay-named method of an object whose class is evident)."""
         bound_args = {
             index: self.bindings[arg.id]
             for index, arg in enumerate(call.args)
@@ -620,6 +632,12 @@ def _call_matches(
     caller: FunctionInfo,
     graph: ProjectGraph,
 ) -> bool:
+    # The call graph resolved this call already — through imports,
+    # ``self`` and typed locals (``controller = Controller(...)``, then
+    # ``controller.replay(record)``): where it found a target, trust it.
+    for site in caller.calls:
+        if site.node is call and site.target is not None:
+            return site.target == candidate.qualname
     func = call.func
     if isinstance(func, ast.Name):
         return (

@@ -71,33 +71,21 @@ def _trace_sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fsync_directory(path: str) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class LedgerStream:
     """Journal-compatible adapter for one run's slice of the ledger.
 
     The controller's assured-step generator writes through the journal
-    interface (``append`` / ``run_started`` / ``close``); a stream
-    forwards each append to the shared ledger tagged with its run id.
+    interface (``append`` / ``close``); a stream forwards each append to
+    the shared ledger tagged with its run id.
     Closing a stream ends the run's slice — the ledger file stays open
     for the other tenants.
     """
 
-    __slots__ = ("ledger", "run_id", "run_started", "closed")
+    __slots__ = ("ledger", "run_id", "closed")
 
     def __init__(self, ledger: "MultiplexedLedger", run_id: str) -> None:
         self.ledger = ledger
         self.run_id = run_id
-        self.run_started = False
         self.closed = False
 
     def append(self, kind: str, **fields) -> dict:
@@ -114,6 +102,10 @@ class LedgerStream:
         self.closed = True
 
 
+# Its own ``create`` / ``append`` / ``close`` beside ``Journal``'s, for
+# the reason given at :class:`repro.core.journal.Journal`: the host-clock
+# benchmark patches both sets by name.  The file format under them is
+# shared (``wal.read_wal`` and friends).
 class MultiplexedLedger:
     """Append-only, run-id-tagged, durable service ledger."""
 
@@ -166,7 +158,7 @@ class MultiplexedLedger:
             trace=trace_text,
             trace_sha256=_trace_sha256(trace_text),
         )
-        _fsync_directory(os.path.dirname(os.path.abspath(path)))
+        wal.fsync_directory(os.path.dirname(os.path.abspath(path)))
         return ledger
 
     @classmethod
@@ -182,23 +174,22 @@ class MultiplexedLedger:
         are verified against them in order, and writing resumes only
         past the durable prefix.
         """
-        torn_bytes = 0
-        with open(path, "rb+") as raw:
-            data = raw.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                torn_bytes = len(data) - keep
-                raw.truncate(keep)
-                raw.flush()
-                os.fsync(raw.fileno())
+        torn_bytes = wal.truncate_torn_tail(path, LedgerError, "ledger")
         with open(path) as text_handle:
             lines = [
                 line for line in text_handle.read().splitlines() if line.strip()
             ]
         if not lines:
             raise LedgerError(f"ledger {path} is empty")
-        header = json.loads(lines[0])
-        if header.get("kind") != HEADER or header.get("schema") != SCHEMA_VERSION:
+        try:
+            header = json.loads(lines[0])
+        except ValueError as exc:
+            raise LedgerError(f"ledger corrupt at record 0: {exc}")
+        if (
+            not isinstance(header, dict)
+            or header.get("kind") != HEADER
+            or header.get("schema") != SCHEMA_VERSION
+        ):
             raise LedgerError(
                 f"ledger {path} does not start with a {SCHEMA_VERSION} header"
             )
@@ -311,41 +302,13 @@ def read_ledger(path: str) -> tuple[list[dict], list[str]]:
 
     Returns ``(records, warnings)``; validates the header and the
     global seq chain — a gap means lost durable records, which is
-    corruption, not crash damage.
+    corruption, not crash damage (:func:`repro.core.journal.read_wal`).
     """
-    try:
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise LedgerError(f"cannot read ledger: {exc}")
-    records: list[dict] = []
-    warnings: list[str] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    f"ledger tail truncated: dropped record {index} "
-                    f"({len(line.encode())} byte(s): {exc})"
-                )
-                break
-            raise LedgerError(
-                f"ledger corrupt at record {index} (not the tail): {exc}"
-            )
-    if not records:
-        raise LedgerError(f"ledger {path} is empty")
-    header = records[0]
-    if header.get("kind") != HEADER:
-        raise LedgerError(f"ledger {path} does not start with a header")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise LedgerError(
-            f"unsupported ledger schema {header.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    for index, record in enumerate(records):
-        if record.get("seq") != index:
-            raise LedgerError(
-                f"ledger seq gap at record {index}: got {record.get('seq')!r}"
-            )
-    return records, warnings
+    return wal.read_wal(
+        path,
+        LedgerError,
+        "ledger",
+        SCHEMA_VERSION,
+        tail="ledger tail truncated: dropped record {index} ({size} byte(s): {exc})",
+        gap="ledger seq gap at record {index}: got {seq!r}",
+    )

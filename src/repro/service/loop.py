@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.core import journal as wal
 from repro.core.audit import ADMIT, DEQUEUE, ENQUEUE, REJECT, TORN_TAIL
 from repro.core.controller import ClusterBFTController, ScriptResult
-from repro.core.request_handler import RequestHandler
 from repro.mapreduce.scheduler import FairShareScheduler
 from repro.service import admission as adm
 from repro.service.admission import AdmissionController
@@ -164,17 +163,8 @@ class RunDriver:
                 self.request.rows,
             ),
         )
-        handler = RequestHandler(controller.config.bft)
-        plan = controller._to_plan(script)
-        prepared = handler.prepare(
-            plan,
-            controller._input_sizes(plan),
-            explicit_points=None,
-            include_output_points=True,
-            compile_options=controller._compile_options(),
-        )
         self._steps = controller._assured_steps(
-            prepared,
+            controller.prepare(script),
             journal=self.stream,
             script_id=run_id,
             span_attrs={"tenant": self.request.tenant},

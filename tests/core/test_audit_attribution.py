@@ -4,6 +4,7 @@ attribution window, so it must emit an attributed FAULT audit record —
 the AUD001 contract."""
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
+from repro.core import journal as wal
 from repro.core.audit import FAULT
 from repro.core.controller import ClusterBFTController
 from repro.core.verifier import COMMISSION, ReplicaFault
@@ -17,6 +18,12 @@ def make_controller():
     return ClusterBFTController(config, block_bytes=4096)
 
 
+def unjournaled_run(controller):
+    """The run the late replica belongs to: helpers take the run whose
+    journal their records go to (none here)."""
+    return wal.RunState.fresh("script0001", controller.config.bft)
+
+
 def test_late_fault_emits_attributed_audit_record():
     controller = make_controller()
     controller.audit_context = {"tenant": "alice", "run": "script0001"}
@@ -24,7 +31,7 @@ def test_late_fault_emits_attributed_audit_record():
         replica=2, kind=COMMISSION, nodes=frozenset({"node01", "node02"})
     )
 
-    controller._on_late_fault("s0", fault)
+    controller._on_late_fault(unjournaled_run(controller), "s0", fault)
 
     events = controller.audit.events(kind=FAULT)
     assert len(events) == 1
@@ -43,7 +50,7 @@ def test_late_fault_still_updates_shared_state():
     controller = make_controller()
     fault = ReplicaFault(replica=1, kind=COMMISSION, nodes=frozenset({"node03"}))
 
-    controller._on_late_fault("s1", fault)
+    controller._on_late_fault(unjournaled_run(controller), "s1", fault)
 
     assert controller.suspicion.nodes["node03"].faults_associated == 1
     assert frozenset({"node03"}) in controller.fault_analyzer.overlapping + (
@@ -57,7 +64,7 @@ def test_late_fault_outside_service_tier_has_empty_attribution():
     controller = make_controller()
     fault = ReplicaFault(replica=0, kind=COMMISSION, nodes=frozenset({"node04"}))
 
-    controller._on_late_fault("s2", fault)
+    controller._on_late_fault(unjournaled_run(controller), "s2", fault)
 
     (event,) = controller.audit.events(kind=FAULT)
     assert "tenant" not in event.details

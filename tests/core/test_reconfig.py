@@ -127,7 +127,9 @@ class TestLastRegionGuard:
             controller.suspicion.nodes[node_id] = NodeSuspicion(
                 jobs_executed=10, faults_associated=9
             )
-        controller._maybe_reconfigure()
+        controller._maybe_reconfigure(
+            wal.RunState.fresh("script0001", controller.config.bft)
+        )
         migrated = {e.subject for e in controller.audit.events(kind=RECONFIG)}
         assert len(migrated) == 2
         survivor = (set(controller.cluster.regions()) - migrated).pop()

@@ -1,7 +1,9 @@
 """WAL/replay coverage (WAL001–WAL003) on fixture surfaces, plus the
 seeded-mutation contract on the real tree: deleting a replay branch,
-reading a replay-only field, or injecting a wall clock into a digest
-path must each be caught."""
+reading a replay-only field, dropping a field from the one
+``attempt_end`` append, deleting the audit record of the one fault
+recorder, or injecting a wall clock into a digest path must each be
+caught."""
 
 import shutil
 from pathlib import Path
@@ -195,6 +197,61 @@ def test_handler_scoping_ignores_durability_policy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one append site for two kinds; readers that are methods
+# ---------------------------------------------------------------------------
+
+TWO_KINDS = REPLAY_OK.replace(
+    'journal.append(wal.PUT, key="k", value="v")',
+    'journal.append(wal.DEL if early else wal.PUT, key="k", value="v")',
+).replace("def writer(journal):", "def writer(journal, early):")
+
+
+def test_conditional_kind_appends_both_kinds(tmp_path):
+    # `A if cond else B` as the kind: the site writes both, so PUT keeps
+    # its handler's fields and DEL (no handler, not declared) is WAL001.
+    diagnostics = run_walcheck(graph_for(tmp_path, TWO_KINDS))
+    assert rules_of(diagnostics) == ["WAL001"]
+    assert "'del_marker'" in diagnostics[0].message
+
+
+def test_conditional_kind_shares_one_field_set(tmp_path):
+    source = TWO_KINDS.replace(
+        "        if kind == wal.PUT:\n",
+        "        if kind == wal.DEL:\n"
+        '            value = record["tombstone"]\n'
+        "        if kind == wal.PUT:\n",
+    )
+    diagnostics = run_walcheck(graph_for(tmp_path, source))
+    assert rules_of(diagnostics) == ["WAL002"]
+    assert "'tombstone'" in diagnostics[0].message
+
+
+METHOD_READER = REPLAY_OK.replace(
+    "def resume(records):",
+    "class Store:\n"
+    "    def replay_put(self, record):\n"
+    '        for item in record["value"]:\n'
+    "            self.last = item\n"
+    "\n\n"
+    "def resume(records):\n"
+    "    store = Store()",
+).replace('            value = record["value"]\n', "            store.replay_put(record)\n").replace(
+    "return schema, value", "return schema"
+)
+
+
+def test_reads_follow_a_method_of_a_typed_local(tmp_path):
+    # `store = Store()` then `store.replay_put(record)`: the call graph
+    # knows the target, so the record's kind follows it into the method
+    # — and a `for` iterable is a read like any other.
+    assert run_walcheck(graph_for(tmp_path, METHOD_READER)) == []
+    source = METHOD_READER.replace('record["value"]', 'record["values"]')
+    diagnostics = run_walcheck(graph_for(tmp_path, source))
+    assert rules_of(diagnostics) == ["WAL002"]
+    assert "'values'" in diagnostics[0].message
+
+
+# ---------------------------------------------------------------------------
 # seeded mutations on the real tree
 # ---------------------------------------------------------------------------
 
@@ -239,15 +296,41 @@ def test_mutation_deleted_commit_replay_branch_trips_wal001(real_tree):
 def test_mutation_replay_only_field_trips_wal002(real_tree):
     mutate(
         real_tree,
-        "core/recovery.py",
-        'resume.reused = snapshot["reused"]',
-        'resume.reused = snapshot["reused_total"]',
+        "core/journal.py",
+        'run.reused = snapshot["reused"]',
+        'run.reused = snapshot["reused_total"]',
     )
     findings = deep_findings(real_tree, "WAL002")
     assert any(
         "'reused_total'" in d.message and "'attempt_end'" in d.message
         for d in findings
     ), findings
+
+
+def test_mutation_dropped_attempt_end_field_trips_wal002(real_tree):
+    # One append site writes `attempt_end`; a field dropped there is a
+    # field the replay (run half in journal.py, tier half in
+    # controller.py) still reads.
+    mutate(real_tree, "core/journal.py", "            reused=self.reused,\n", "")
+    mutate(real_tree, "core/journal.py", "            evicted=evicted,\n", "")
+    findings = deep_findings(real_tree, "WAL002")
+    for field in ("'reused'", "'evicted'"):
+        assert any(
+            field in d.message and "'attempt_end'" in d.message for d in findings
+        ), (field, findings)
+
+
+def test_mutation_unaudited_fault_recorder_trips_aud001(real_tree):
+    # Merging the three fault-recording copies must not have blinded the
+    # attribution check: the one recorder still mutates suspicion and
+    # the fault analyzer, so deleting its audit record is a finding.
+    path = real_tree / "core" / "controller.py"
+    source = path.read_text()
+    start = source.index("            self.audit.record(\n                self.loop.now,\n                FAULT,")
+    end = source.index("        self.suspicion.record_fault(nodes)")
+    path.write_text(source[:start] + source[end:])
+    findings = deep_findings(real_tree, "AUD001")
+    assert any("'_record_fault'" in d.message for d in findings), findings
 
 
 def test_mutation_wall_clock_in_digest_path_trips_flow001(real_tree):
