@@ -95,10 +95,6 @@ class ScriptResult:
     #: Rerun escalation ran out of ``max_reruns`` without assurance.
     exhausted: bool = False
 
-    @property
-    def verified(self) -> bool:
-        return self.assured
-
 
 #: Fault kind of a digest-quorum winner whose *stored* bytes diverged
 #: from the majority's (the verifier's kinds cover digests only).
@@ -118,6 +114,7 @@ class _Attempt:
             for job_index in pending
         }
         self.sid_jobs = {sid: job_index for job_index, sid in self.job_sids.items()}
+        self.prefix = f"__run/{run.script_id}/a{index}"
         self.span = None
         #: Explicit parent of the attempt's "verify" and job spans (the
         #: attempt span's id; None when tracing is off).
@@ -139,20 +136,34 @@ class _Attempt:
         #: node that touched the chain, not just the last job's nodes.
         self.chain_nodes: dict[tuple[int, int], set[str]] = {}
         #: job_index -> its upstream jobs that run in this attempt too.
-        pending_set = set(pending)
         self.deps: dict[int, set[int]] = {
-            i: {d for d in run.deps[i] if d in pending_set} for i in pending
+            i: run.deps[i] & set(pending) for i in pending
         }
         #: Task results this attempt's replicas share; set only for
         #: replicated attempts and dropped when the attempt ends.
         self.shared: ReplicaResults | None = None
         #: Sids settled eagerly at verdict time (checkpoint tier): their
         #: WAL/audit records and DFS copies already happened, and their
-        #: results wait in ``staged`` for the attempt boundary, which
-        #: merges them instead of settling the sid again.
+        #: results — ``RunState.settle`` arguments — wait in ``staged``
+        #: for the attempt boundary, which applies them instead of
+        #: settling the sid again.
         self.settled_sids: set[str] = set()
-        self.staged = wal.Settled()
+        self.staged: list[tuple] = []
         self.force_end = False
+
+    def replica_path(self, replica: int, logical: str) -> str:
+        """Where ``replica`` of this attempt keeps ``logical``."""
+        return f"{self.prefix}/r{replica}/{logical}"
+
+    def stage(self, *result) -> None:
+        self.staged.append(result)
+
+    def chain(self, job_run: JobRun) -> set[NodeId]:
+        """Nodes ``job_run`` and its finished upstream chain ran on."""
+        nodes = set(job_run.nodes_used)
+        for dep in self.deps[job_run.job_index]:
+            nodes |= self.chain_nodes.get((dep, job_run.replica), set())
+        return nodes
 
     def done(self) -> bool:
         if self.force_end:
@@ -275,7 +286,8 @@ class ClusterBFTController:
     # ------------------------------------------------------------------
 
     def load_input(self, path: str, records: list[Record]) -> None:
-        """Stage an input data-set into the trusted DFS."""
+        """Stage a data-set into the trusted DFS, in place of whatever
+        is at ``path``."""
         if self.dfs.exists(path):
             self.dfs.delete(path)
         self.dfs.write_file(path, records)
@@ -358,20 +370,6 @@ class ClusterBFTController:
         prepared = self.prepare(script, explicit_points, include_output_points, cfg)
         return self._run_assured(prepared, strict=strict)
 
-    def resume_assured(
-        self,
-        prepared: PreparedScript,
-        resume: wal.RunState,
-        strict: bool = False,
-    ) -> ScriptResult:
-        """Continue a journaled run from its last settled attempt
-        boundary.  Callers (see :mod:`repro.core.recovery`) must already
-        have re-staged the journal's inputs and committed outputs into
-        this controller's DFS; the rerun-escalation loop picks up with
-        the restored replication degree/timeout and re-executes only the
-        unsettled sub-graphs."""
-        return self._run_assured(prepared, resume=resume, strict=strict)
-
     def _to_plan(self, script: str | LogicalPlan) -> LogicalPlan:
         if isinstance(script, LogicalPlan):
             return script
@@ -437,7 +435,14 @@ class ClusterBFTController:
         condition the assured state machine yields.  Event-for-event
         identical to the pre-generator controller — the service tier
         (:mod:`repro.service`) drives the same generator cooperatively
-        to multiplex runs instead."""
+        to multiplex runs instead.
+
+        ``resume`` continues a journaled run from its last settled
+        attempt boundary.  Callers (see :mod:`repro.core.recovery`) must
+        already have re-staged the journal's inputs and committed outputs
+        into this controller's DFS; the rerun-escalation loop picks up
+        with the restored replication degree/timeout and re-executes
+        only the unsettled sub-graphs."""
         steps = self._assured_steps(prepared, resume=resume, strict=strict)
         try:
             while True:
@@ -472,12 +477,10 @@ class ClusterBFTController:
         as ``resume`` when a journal is being resumed) and the
         :class:`_Attempt` in flight (DESIGN.md §19).
         """
-        if journal is None:
-            journal = self.journal
         run = resume or wal.RunState.fresh(
             script_id or self._next_script_id(), prepared.config
         )
-        run.bind(prepared, journal)
+        run.bind(prepared, self.journal if journal is None else journal)
         self._begin_run(run, span_attrs)
         for attempt_index in run.attempt_indexes():
             attempt = self._start_attempt(run, attempt_index)
@@ -642,10 +645,11 @@ class ClusterBFTController:
 
         # Commit verified, output-covered jobs; record every VERIFIED
         # sid (committable or not) as settled.  Verdict-time results
-        # land first: nothing read them while the attempt ran, and
-        # from here on rerun closures and assurance checks see what a
-        # checkpoint-free run sees.
-        run.merge(attempt.staged)
+        # land first: from here on rerun closures and assurance checks
+        # see what a checkpoint-free run sees.
+        for result in attempt.staged:
+            run.settle(*result)
+            run.checkpointed += len(result) > 1
         for sid in attempt.sid_jobs:
             if sid not in attempt.settled_sids:
                 self._settle(run, attempt, sid)
@@ -782,9 +786,6 @@ class ClusterBFTController:
     # attempt plumbing
     # ------------------------------------------------------------------
 
-    def _replica_path(self, script_id: str, attempt: int, replica: int, logical: str) -> str:
-        return f"__run/{script_id}/a{attempt}/r{replica}/{logical}"
-
     def _submit_attempt(self, run: wal.RunState, attempt: _Attempt) -> None:
         """Register the attempt's verifiable sids and submit every
         replica whose upstream jobs are not part of the attempt."""
@@ -819,12 +820,8 @@ class ClusterBFTController:
             if path in run.verified_paths:
                 mapping[path] = run.verified_paths[path]
             elif path in run.internal_paths:
-                mapping[path] = self._replica_path(
-                    run.script_id, attempt.index, replica, path
-                )
-        mapping[spec.output_path] = self._replica_path(
-            run.script_id, attempt.index, replica, spec.output_path
-        )
+                mapping[path] = attempt.replica_path(replica, path)
+        mapping[spec.output_path] = attempt.replica_path(replica, spec.output_path)
         return mapping
 
     def _on_job_complete(
@@ -835,10 +832,7 @@ class ClusterBFTController:
         attempt.plain_jobs_pending.discard(key)
         attempt.plain_final_pending.discard(key)
         self.suspicion.record_job(job_run.nodes_used)
-        chain = set(job_run.nodes_used)
-        for dep in attempt.deps[job_index]:
-            chain |= attempt.chain_nodes.get((dep, replica), set())
-        attempt.chain_nodes[key] = chain
+        chain = attempt.chain_nodes[key] = attempt.chain(job_run)
         if attempt.verifier is not None and job_index in run.verifiable:
             if run.journal is not None:
                 # Write-ahead: the digest receipt is journaled before
@@ -926,12 +920,10 @@ class ClusterBFTController:
         fsync'd ``checkpoint`` record *inside* the running attempt, so a
         crash mid-attempt resumes from the last verified sub-graph
         instead of rerunning everything.  A checkpoint is a commit taken
-        earlier and nothing else; the two differ in the record kind and
-        in where the result lands.  A verdict-time result is *staged*
-        (``attempt.staged``) and merged into the run at the boundary:
-        the in-flight attempt's path map must not change under it,
-        keeping a checkpointed uninterrupted run event-for-event
-        identical to a checkpoint-free one.
+        earlier and nothing else: only the record kind differs, and
+        where the result lands — in ``attempt.staged`` until the
+        boundary, because the in-flight attempt's path map must not
+        change under it (DESIGN.md §19).
         """
         outcome = attempt.outcomes.get(sid)
         if outcome is None:
@@ -962,11 +954,11 @@ class ClusterBFTController:
             attempt.settled_sids.add(sid)
         if outcome.status != VERIFIED:
             return
-        into = attempt.staged if staged else run
+        settle = attempt.stage if staged else run.settle
         job_index = attempt.sid_jobs[sid]
         spec = run.prepared.job_graph.jobs[job_index]
         if output_coverage(spec) is None:
-            into.settle(job_index)
+            settle(job_index)
             return
         # Equivocation defense: digests cover the *computed* stream, so
         # a node may verify yet persist different bytes.  Cross-check
@@ -976,9 +968,7 @@ class ClusterBFTController:
         winner = self._cross_checked_winner(run, attempt, outcome, job_index)
         if winner is None:
             return
-        source = self._replica_path(
-            run.script_id, attempt.index, winner, spec.output_path
-        )
+        source = attempt.replica_path(winner, spec.output_path)
         target = f"__run/{run.script_id}/verified/{spec.output_path}"
         if journal is not None:
             # The record carries the full winning content (fsync'd):
@@ -993,8 +983,8 @@ class ClusterBFTController:
                 winner=winner,
                 content=wal.records_to_json(self.dfs.read(source)),
             )
-        self._copy_file(source, target)
-        into.settle(job_index, spec.output_path, target)
+        self.load_input(target, self.dfs.read(source))
+        settle(job_index, spec.output_path, target)
         # A checkpoint is audited as a COMMIT (with a marker) so
         # coverage checks over committed sids keep seeing one kind.
         self.audit.record(
@@ -1096,9 +1086,7 @@ class ClusterBFTController:
         for replica in outcome.missing_replicas:
             job_run = attempt.submitted.get((job_index, replica))
             if job_run is not None:
-                nodes |= job_run.nodes_used
-                for dep in attempt.deps[job_index]:
-                    nodes |= attempt.chain_nodes.get((dep, replica), set())
+                nodes |= attempt.chain(job_run)
         return nodes
 
     def _cross_checked_winner(
@@ -1120,7 +1108,7 @@ class ClusterBFTController:
         logical = run.prepared.job_graph.jobs[job_index].output_path
         groups: dict[tuple, list[int]] = {}
         for replica in sorted(outcome.winners):
-            path = self._replica_path(run.script_id, attempt.index, replica, logical)
+            path = attempt.replica_path(replica, logical)
             if not self.dfs.exists(path):
                 continue
             content = tuple(
@@ -1130,11 +1118,9 @@ class ClusterBFTController:
         if not groups:
             return None
         readable = sum(len(replicas) for replicas in groups.values())
-        majority: list[int] | None = None
-        for replicas in groups.values():
-            if len(replicas) * 2 > readable:
-                majority = replicas
-                break
+        majority = next(
+            (group for group in groups.values() if len(group) * 2 > readable), None
+        )
         divergent = sorted(
             replica
             for replicas in groups.values()
@@ -1147,9 +1133,7 @@ class ClusterBFTController:
                 run, outcome.sid, ReplicaFault(replica, EQUIVOCATION, frozenset(nodes))
             )
             if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "equivocations_detected"
-                ).inc()
+                self.telemetry.metrics.counter("equivocations_detected").inc()
         if divergent:
             # Equivocation is often the first region-level signal a
             # degrading zone gives off — check for migration here too,
@@ -1261,11 +1245,9 @@ class ClusterBFTController:
             saturated_at=analyzer["saturated_at"],
         )
         for node_id in snapshot["evicted"]:
-            if not self.cluster.node(node_id).excluded:
-                self.cluster.exclude(node_id)
+            self.cluster.exclude(node_id)
         for node_id in snapshot["quarantined"]:
-            if not self.scheduler.is_quarantined(node_id):
-                self.scheduler.quarantine(node_id)
+            self.scheduler.quarantine(node_id)
 
     # ------------------------------------------------------------------
     # online reconfiguration: region-level migration
@@ -1346,9 +1328,7 @@ class ClusterBFTController:
             )
         for node_id in sorted(nodes):
             self.scheduler.quarantine(node_id)
-        moved = 0
-        for node_id in sorted(nodes):
-            moved += self.engine.evacuate_node(node_id)
+        moved = sum(self.engine.evacuate_node(node_id) for node_id in sorted(nodes))
         self.audit.record(
             self.loop.now,
             RECONFIG,
@@ -1391,32 +1371,20 @@ class ClusterBFTController:
     # output publication
     # ------------------------------------------------------------------
 
-    def _copy_file(self, source: str, target: str) -> None:
-        records = self.dfs.read(source)
-        if self.dfs.exists(target):
-            self.dfs.delete(target)
-        self.dfs.write_file(target, records)
-
     def _publish_outputs(self, run: wal.RunState) -> dict[str, list[Record]]:
         outputs: dict[str, list[Record]] = {}
         for job in run.prepared.job_graph.jobs:
             if job.output_is_temp:
                 continue
             logical = job.output_path
-            if logical in run.verified_paths:
-                source = run.verified_paths[logical]
-            else:
+            source = run.verified_paths.get(logical)
+            if source is None and run.last_attempt:
                 # Unassured fallback: best-effort replica 0 of the last
                 # attempt (flagged by ScriptResult.assured = False).
-                source = None
-                if run.last_attempt:
-                    for job_run in run.last_attempt.runs:
-                        if job_run.spec.output_path == logical and job_run.replica == 0:
-                            source = job_run.physical_path(logical)
-                            break
+                source = run.last_attempt.replica_path(0, logical)
             if source is None or not self.dfs.exists(source):
                 outputs[logical] = []
                 continue
-            self._copy_file(source, logical)
+            self.load_input(logical, self.dfs.read(source))
             outputs[logical] = self.dfs.read(logical)
         return outputs

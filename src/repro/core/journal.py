@@ -204,11 +204,8 @@ def config_from_json(data: dict) -> SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# writer
+# file-level core, shared with the service ledger
 # ---------------------------------------------------------------------------
-
-
-# -- file-level core shared with the service ledger ---------------------------
 #
 # ``Journal`` and ``repro.service.ledger.MultiplexedLedger`` are the same
 # kind of file: JSONL, sorted keys, a header at ``seq`` 0, one global seq
@@ -315,6 +312,11 @@ def read_wal(
     return records, warnings
 
 
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+
 # ``Journal`` and ``MultiplexedLedger`` each keep their own ``create`` /
 # ``append`` / ``close``, and this module keeps binding ``encode_value``
 # by name: the host-clock benchmark (``benchmarks/perf/tracing.py``)
@@ -402,8 +404,7 @@ class Journal:
         minus the torn tail a crash may have left (see
         :func:`truncate_torn_tail`)."""
         torn_bytes = truncate_torn_tail(path, JournalError, "journal")
-        handle = open(path, "a")
-        journal = cls(path, handle, next_seq=next_seq, crash_hook=crash_hook)
+        journal = cls(path, open(path, "a"), next_seq, crash_hook)
         journal.torn_bytes_truncated = torn_bytes
         return journal
 
@@ -456,11 +457,6 @@ class Journal:
 # ---------------------------------------------------------------------------
 
 
-#: Header fields :func:`repro.core.recovery.resume_run` rebuilds the
-#: deployment from.
-HEADER_REQUIRED = ("config", "inputs", "block_bytes")
-
-
 def read_journal(path: str) -> tuple[list[dict], list[str]]:
     """Read a journal back (:func:`read_wal`), then validate what only a
     journal header has before anything else is trusted: the script hash
@@ -481,10 +477,10 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
             f"journal header script hash mismatch: recorded {recorded}, "
             f"script hashes to {actual} — header tampered or corrupt"
         )
-    missing = [name for name in HEADER_REQUIRED if name not in header]
+    missing = {"config", "inputs", "block_bytes"} - header.keys()
     if missing:
         raise JournalError(
-            f"journal header (record 0) lacks {', '.join(missing)}"
+            f"journal header (record 0) lacks {', '.join(sorted(missing))}"
         )
     return records, warnings
 
@@ -495,36 +491,7 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
 
 
 @dataclasses.dataclass
-class Settled:
-    """Which jobs a verdict has settled, and where their outputs went.
-
-    ``verified_ok`` holds every job whose sid VERIFIED.  ``verified_jobs``
-    is the subset that is *committed* — the verification point covered
-    the job's output stream and the stored bytes survived the content
-    cross-check — so its output is reusable across attempts and
-    publishable, from the path ``verified_paths`` maps the job's logical
-    output to.  A run has one of these (it is a :class:`RunState`); an
-    attempt has one for what it settles at verdict time, merged into the
-    run at the attempt boundary.
-    """
-
-    verified_jobs: set[int] = dataclasses.field(default_factory=set)
-    verified_ok: set[int] = dataclasses.field(default_factory=set)
-    verified_paths: dict[str, str] = dataclasses.field(default_factory=dict)
-
-    def settle(
-        self, job_index: int, logical: str | None = None, target: str | None = None
-    ) -> None:
-        """Job ``job_index`` VERIFIED; given a ``target``, its ``logical``
-        output is committed there."""
-        self.verified_ok.add(job_index)
-        if target is not None:
-            self.verified_paths[logical] = target
-            self.verified_jobs.add(job_index)
-
-
-@dataclasses.dataclass(kw_only=True)
-class RunState(Settled):
+class RunState:
     """The control tier's state of one script (paper §4, Fig. 2): which
     sub-graphs are verified and committed, and at what replication degree
     and timeout the next attempt runs.  The paper's Table 3 saving is
@@ -545,6 +512,14 @@ class RunState(Settled):
     timeout: float
     start_attempt: int = 0
     attempts_used: int = 0
+    #: Jobs whose sid VERIFIED, and the subset that is *committed*: the
+    #: verification point covered the job's output stream and the stored
+    #: bytes survived the content cross-check, so the output is reusable
+    #: across attempts and publishable, from the verified copy
+    #: ``verified_paths`` maps its logical path to.
+    verified_ok: set[int] = dataclasses.field(default_factory=set)
+    verified_jobs: set[int] = dataclasses.field(default_factory=set)
+    verified_paths: dict[str, str] = dataclasses.field(default_factory=dict)
     reused: int = 0  # jobs skipped on reruns thanks to commits
     #: Built by :meth:`replayed`.  A resumed run writes no second
     #: ``run_start``, and its first attempt takes the rerun closure like
@@ -560,11 +535,7 @@ class RunState(Settled):
 
     @classmethod
     def fresh(cls, script_id: str, config: ClusterBFTConfig) -> "RunState":
-        return cls(
-            script_id=script_id,
-            replication=config.replication,
-            timeout=config.verifier_timeout,
-        )
+        return cls(script_id, config.replication, config.verifier_timeout)
 
     @classmethod
     def replayed(
@@ -619,6 +590,7 @@ class RunState(Settled):
         execution: what :class:`~repro.core.controller.ScriptResult`
         reports."""
         self.prepared = prepared
+        self.config: ClusterBFTConfig = prepared.config
         self.journal = journal
         graph = prepared.job_graph
         self.order = graph.topological_order()
@@ -635,10 +607,6 @@ class RunState(Settled):
         self.last_attempt = None
         self.checkpointed = 0  # verdict-time commits merged so far
         return self
-
-    @property
-    def config(self) -> ClusterBFTConfig:
-        return self.prepared.config
 
     # -- what is left to do ---------------------------------------------
 
@@ -706,13 +674,15 @@ class RunState(Settled):
 
     # -- moving on ------------------------------------------------------
 
-    def merge(self, staged: Settled) -> None:
-        """Land an attempt's verdict-time (checkpoint) results where its
-        boundary results land."""
-        self.verified_ok |= staged.verified_ok
-        self.verified_jobs |= staged.verified_jobs
-        self.verified_paths.update(staged.verified_paths)
-        self.checkpointed += len(staged.verified_jobs)
+    def settle(
+        self, job_index: int, logical: str | None = None, target: str | None = None
+    ) -> None:
+        """Job ``job_index`` VERIFIED; given a ``target``, its ``logical``
+        output is committed there."""
+        self.verified_ok.add(job_index)
+        if target is not None:
+            self.verified_paths[logical] = target
+            self.verified_jobs.add(job_index)
 
     def escalated_timeout(self) -> float:
         """Next attempt's verifier timeout: doubled, clamped to the
@@ -722,9 +692,7 @@ class RunState(Settled):
         used."""
         doubled = self.timeout * 2
         cap = self.config.max_verifier_timeout
-        if cap is not None and doubled > cap:
-            return cap
-        return doubled
+        return doubled if cap is None else min(doubled, cap)
 
     def escalate(self) -> None:
         self.replication += self.config.rerun_extra_replicas

@@ -20,7 +20,7 @@ by a crashed control tier, :func:`resume_run`
    rerunning the whole closure;
 5. re-prepares the script with the *recorded* verification points and
    hands the run state to
-   :meth:`~repro.core.controller.ClusterBFTController.resume_assured`,
+   :meth:`~repro.core.controller.ClusterBFTController._run_assured`,
    which re-enters the rerun-escalation loop for the unsettled sids.
 
 A journal that already ends in ``run_end`` is *complete*: the recorded
@@ -177,7 +177,6 @@ def resume_run(
             result=_completed_result(run_end),
             controller=None,
             warnings=warnings,
-            commits_replayed=0,
             completed=True,
         )
 
@@ -214,9 +213,8 @@ def resume_run(
         # Crashed before the run even started: nothing to restore —
         # run from scratch on the reopened journal.
         journal.append(wal.RESUME, start_attempt=0, commits_replayed=0)
-        result = controller.run_assured(script, strict=strict)
         return RecoveredRun(
-            result=result,
+            result=controller.run_assured(script, strict=strict),
             controller=controller,
             warnings=warnings,
         )
@@ -234,8 +232,7 @@ def resume_run(
     # before the last settled boundary are folded into it already).
     for reconfig in reconfigs:
         for node_id in reconfig["nodes"]:
-            if not controller.scheduler.is_quarantined(node_id):
-                controller.scheduler.quarantine(node_id)
+            controller.scheduler.quarantine(node_id)
 
     # -- replay fsync'd commits (even from the crashed attempt) ---------
     # A checkpoint is a verdict-time commit: same shape, same idempotent
@@ -249,11 +246,8 @@ def resume_run(
     commits_replayed = len(commits)
     commits.extend(checkpoints)
     for commit in commits:
-        content = wal.records_from_json(commit["content"])
         target = commit["target"]
-        if controller.dfs.exists(target):
-            controller.dfs.delete(target)
-        controller.dfs.write_file(target, content)
+        controller.load_input(target, wal.records_from_json(commit["content"]))
         run.settle(commit["job_index"], commit["path"], target)
         if commit["kind"] == wal.CHECKPOINT and controller.telemetry.enabled:
             controller.telemetry.tracer.event(
@@ -272,9 +266,8 @@ def resume_run(
     prepared = controller.prepare(
         script, list(run_start["marked"]), run_start["include_output_points"]
     )
-    result = controller.resume_assured(prepared, run, strict=strict)
     return RecoveredRun(
-        result=result,
+        result=controller._run_assured(prepared, run, strict=strict),
         controller=controller,
         warnings=warnings,
         commits_replayed=commits_replayed,

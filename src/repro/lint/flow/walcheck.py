@@ -591,29 +591,33 @@ class _ReplayReads(ast.NodeVisitor):
         }
         if not bound_args:
             return
-        for candidate in self.graph.functions.values():
-            if (
-                candidate.module != self.info.module
-                and not HANDLER_FN_RE.search(candidate.name)
-            ):
-                continue
-            if not _call_matches(call, candidate, self.info, self.graph):
-                continue
-            params = _param_names(candidate)
-            child_bindings = {}
-            for index, binding in bound_args.items():
-                if index < len(params):
-                    child_bindings[params[index]] = binding
-            if child_bindings:
-                nested = _ReplayReads(
-                    self.graph,
-                    self.surfaces,
-                    candidate,
-                    child_bindings,
-                    depth=self.depth + 1,
-                )
-                self.reads.extend(nested.run())
-            break
+        # The call graph resolved the call already — through imports,
+        # ``self`` and typed locals (``controller = Controller(...)``,
+        # then ``controller.replay(record)``).
+        target = next(
+            (site.target for site in self.info.calls if site.node is call), None
+        )
+        candidate = self.graph.functions.get(target)
+        if candidate is None or (
+            candidate.module != self.info.module
+            and not HANDLER_FN_RE.search(candidate.name)
+        ):
+            return
+        params = _param_names(candidate)
+        child_bindings = {
+            params[index]: binding
+            for index, binding in bound_args.items()
+            if index < len(params)
+        }
+        if child_bindings:
+            nested = _ReplayReads(
+                self.graph,
+                self.surfaces,
+                candidate,
+                child_bindings,
+                depth=self.depth + 1,
+            )
+            self.reads.extend(nested.run())
 
 
 def _param_names(info: FunctionInfo) -> list[str]:
@@ -624,30 +628,6 @@ def _param_names(info: FunctionInfo) -> list[str]:
     if names and names[0] in ("self", "cls"):
         names = names[1:]
     return names
-
-
-def _call_matches(
-    call: ast.Call,
-    candidate: FunctionInfo,
-    caller: FunctionInfo,
-    graph: ProjectGraph,
-) -> bool:
-    # The call graph resolved this call already — through imports,
-    # ``self`` and typed locals (``controller = Controller(...)``, then
-    # ``controller.replay(record)``): where it found a target, trust it.
-    for site in caller.calls:
-        if site.node is call and site.target is not None:
-            return site.target == candidate.qualname
-    func = call.func
-    if isinstance(func, ast.Name):
-        return (
-            func.id == candidate.name
-            and candidate.module == caller.module
-        )
-    if isinstance(func, ast.Attribute):
-        dotted = _resolve_const_ref(func, caller, graph)
-        return dotted == candidate.qualname
-    return False
 
 
 def _is_first_record_expr(expr: ast.expr) -> bool:

@@ -41,7 +41,7 @@ from repro.core import journal as wal
 
 SCHEMA_VERSION = "repro.ledger/v1"
 
-HEADER = "header"
+HEADER = wal.HEADER  # the file format's, checked by ``wal.read_wal``
 ADMIT = "admit"
 REJECT = "reject"
 ENQUEUE = "enqueue"
@@ -76,9 +76,8 @@ class LedgerStream:
 
     The controller's assured-step generator writes through the journal
     interface (``append`` / ``close``); a stream forwards each append to
-    the shared ledger tagged with its run id.
-    Closing a stream ends the run's slice — the ledger file stays open
-    for the other tenants.
+    the shared ledger tagged with its run id.  Closing a stream ends the
+    run's slice — the ledger file stays open for the other tenants.
     """
 
     __slots__ = ("ledger", "run_id", "closed")
@@ -94,9 +93,6 @@ class LedgerStream:
                 f"stream for {self.run_id} is closed — one stream, one run"
             )
         return self.ledger.append(kind, run=self.run_id, **fields)
-
-    def bind_tracer(self, tracer) -> None:
-        self.ledger.bind_tracer(tracer)
 
     def close(self) -> None:
         self.closed = True
@@ -170,35 +166,25 @@ class MultiplexedLedger:
         """Reopen a crashed service's ledger in verify-then-append mode.
 
         Truncates the torn tail (recording how many bytes were cut),
+        reads what survived the way :func:`read_ledger` does — so
+        anything but a well-formed ledger is a :class:`LedgerError` —
         then arms the ledger with the surviving lines: replayed appends
         are verified against them in order, and writing resumes only
         past the durable prefix.
         """
         torn_bytes = wal.truncate_torn_tail(path, LedgerError, "ledger")
-        with open(path) as text_handle:
-            lines = [
-                line for line in text_handle.read().splitlines() if line.strip()
-            ]
-        if not lines:
-            raise LedgerError(f"ledger {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise LedgerError(f"ledger corrupt at record 0: {exc}")
-        if (
-            not isinstance(header, dict)
-            or header.get("kind") != HEADER
-            or header.get("schema") != SCHEMA_VERSION
-        ):
-            raise LedgerError(
-                f"ledger {path} does not start with a {SCHEMA_VERSION} header"
-            )
-        recorded = header.get("trace_sha256")
-        if recorded != _trace_sha256(header.get("trace", "")):
+        header = read_ledger(path)[0][0]
+        if header.get("trace_sha256") != _trace_sha256(header.get("trace", "")):
             raise LedgerError(
                 f"ledger {path} header trace hash mismatch — the embedded "
                 "trace was altered; refusing to replay it"
             )
+        # The replay compares bytes, so it is armed with the lines as
+        # they are on disk, not with the records parsed from them.
+        with open(path) as text_handle:
+            lines = [
+                line for line in text_handle.read().splitlines() if line.strip()
+            ]
         handle = open(path, "a")
         # The header was verified above (kind, schema, trace hash), so
         # the replay is armed just past it: the run's first re-append
@@ -221,10 +207,6 @@ class MultiplexedLedger:
     @property
     def closed(self) -> bool:
         return self._handle is None
-
-    @property
-    def last_seq(self) -> int:
-        return self._seq - 1
 
     @property
     def verifying(self) -> bool:
@@ -277,12 +259,6 @@ class MultiplexedLedger:
         if self.crash_hook is not None:
             self.crash_hook(record)
         return record
-
-    def verified_prefix_len(self) -> int:
-        """Records of the durable prefix the replay has confirmed."""
-        if self._expected_lines is None:
-            return 0
-        return min(self._seq, len(self._expected_lines))
 
     def durable_prefix_len(self) -> int:
         """Records that survived the crash (the prefix a resume must

@@ -229,3 +229,34 @@ class TestReader:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(wal.JournalError):
             wal.read_journal(str(tmp_path / "absent.wal"))
+
+    @pytest.mark.parametrize("line", ["null\n", "[1]\n", '"header"\n', "7\n"])
+    def test_line_that_is_json_but_not_an_object_raises(self, tmp_path, line):
+        """Valid JSON is not enough: every record is an object.  As the
+        header, in the middle or as the last line — that is not what a
+        torn append looks like — it names the record and fails closed."""
+        path = self.write_journal(tmp_path, [line])
+        with pytest.raises(wal.JournalError, match="corrupt at record 2"):
+            wal.read_journal(path)
+        alone = tmp_path / "alone.wal"
+        alone.write_text(line)
+        with pytest.raises(wal.JournalError, match="corrupt at record 0"):
+            wal.read_journal(str(alone))
+
+    @pytest.mark.parametrize("field", ["config", "inputs", "block_bytes"])
+    def test_header_lacking_a_field_recovery_needs_raises(self, tmp_path, field):
+        """Schema and script hash can both check out on a header that
+        recovery cannot rebuild a deployment from."""
+        from repro.core.recovery import load_inputs, resume_run
+
+        path = self.write_journal(tmp_path)
+        with open(path) as handle:
+            lines = handle.readlines()
+        header = json.loads(lines[0])
+        del header[field]
+        lines[0] = json.dumps(header, sort_keys=True) + "\n"
+        with open(path, "w") as handle:
+            handle.writelines(lines)
+        for reader in (wal.read_journal, resume_run, load_inputs):
+            with pytest.raises(wal.JournalError, match=f"record 0.*{field}"):
+                reader(path)

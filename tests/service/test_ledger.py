@@ -86,6 +86,35 @@ def test_read_ledger_rejects_seq_gap(tmp_path):
         read_ledger(path)
 
 
+@pytest.mark.parametrize("line", ["null", "[1]", '"admit"'])
+def test_read_ledger_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path, ledger = make_ledger(str(tmp_path))
+    ledger.close()
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+    with pytest.raises(LedgerError, match="corrupt at record 1"):
+        read_ledger(path)
+
+
+@pytest.mark.parametrize("first_line", ["{garbled", "null", "[1]", "7"])
+def test_resume_rejects_a_garbled_header(tmp_path, first_line):
+    path = str(tmp_path / "bad.ledger")
+    with open(path, "w") as handle:
+        handle.write(first_line + '\n{"kind": "admit", "seq": 1}\n')
+    with pytest.raises(LedgerError, match="corrupt at record 0"):
+        MultiplexedLedger.resume(path)
+    # Alone in the file it is what a torn header append leaves behind.
+    with open(path, "w") as handle:
+        handle.write(first_line + "\n")
+    with pytest.raises(LedgerError, match="corrupt at record 0|is empty"):
+        MultiplexedLedger.resume(path)
+
+
+def test_resume_of_a_missing_ledger_is_a_ledger_error(tmp_path):
+    with pytest.raises(LedgerError, match="cannot read ledger"):
+        MultiplexedLedger.resume(str(tmp_path / "absent.ledger"))
+
+
 def test_resume_truncates_and_counts_torn_tail(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
     ledger.append("admit", run="script0001")

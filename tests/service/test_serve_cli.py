@@ -47,3 +47,27 @@ class TestServeSlo:
                      "--faulty-tenants", "0", "--rows", "10", "--slo"]) == 0
         out = capsys.readouterr().out
         assert "slo       :" in out
+
+
+class TestServeResumeFailsClosed:
+    """A ledger that cannot be resumed is a usage error (exit 2, one
+    ``repro serve:`` line), never a traceback."""
+
+    def check(self, capsys, ledger_path):
+        assert main(["serve", "--resume", "--ledger", str(ledger_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro serve: ")
+        assert "Traceback" not in captured.err
+
+    def test_missing_ledger(self, capsys, tmp_path):
+        self.check(capsys, tmp_path / "absent.ledger")
+
+    def test_garbled_first_line(self, capsys, tmp_path):
+        path = tmp_path / "garbled.ledger"
+        path.write_text('{"kind": "header", "sche\n')
+        self.check(capsys, path)
+
+    def test_first_line_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "null.ledger"
+        path.write_text("null\n")
+        self.check(capsys, path)
