@@ -136,8 +136,9 @@ class _Attempt:
         #: node that touched the chain, not just the last job's nodes.
         self.chain_nodes: dict[tuple[int, int], set[str]] = {}
         #: job_index -> its upstream jobs that run in this attempt too.
+        pending_set = set(pending)
         self.deps: dict[int, set[int]] = {
-            i: run.deps[i] & set(pending) for i in pending
+            i: run.deps[i] & pending_set for i in pending
         }
         #: Task results this attempt's replicas share; set only for
         #: replicated attempts and dropped when the attempt ends.
@@ -647,9 +648,9 @@ class ClusterBFTController:
         # sid (committable or not) as settled.  Verdict-time results
         # land first: from here on rerun closures and assurance checks
         # see what a checkpoint-free run sees.
-        for result in attempt.staged:
-            run.settle(*result)
-            run.checkpointed += len(result) > 1
+        for job_index, *commit in attempt.staged:
+            run.settle(job_index, *commit)
+            run.checkpointed += bool(commit)
         for sid in attempt.sid_jobs:
             if sid not in attempt.settled_sids:
                 self._settle(run, attempt, sid)
