@@ -16,10 +16,11 @@ tier-1 and to two chaos campaigns, and appends to
   each campaign in ``CHAOS_CAMPAIGNS`` (median of ``CHAOS_RUNS`` fresh
   children, interpreter start included);
 * one ``"kind": "size"`` line - physical lines and file count of
-  ``src/repro``, the lines of ``core/controller.py``, the five longest
-  functions (by ``ast``) of the tree and of the controller, and the
-  largest parameter count among ``ClusterBFTController`` methods: the
-  numbers ROADMAP aim 2 is judged by, next to the host time they cost.
+  ``src/repro``, the lines of ``core/controller.py`` and of
+  ``core/resource_manager.py``, the five longest functions (by ``ast``)
+  of the tree and of the controller, and the method count and largest
+  parameter count of ``ClusterBFTController``: the numbers ROADMAP
+  aim 2 is judged by, next to the host time they cost.
 
 A PR that touches the data path records the parent's code first and its
 own code last, so the file is the repository's host-time history.  It
@@ -54,11 +55,14 @@ CHAOS_CAMPAIGNS = {"service": 5, "smoke": 2}
 CHAOS_RUNS = 3
 SRC = ROOT / "src" / "repro"
 CONTROLLER = "core/controller.py"
+RESOURCE_MANAGER = "core/resource_manager.py"
 LONGEST_KEPT = 5
 SIZE_KEYS = {
     "sha", "src_lines", "src_files", "controller_lines", "longest_functions",
     "controller_longest_functions", "controller_max_params",
 }
+#: Counts a size line carries since PR 20; older lines do not.
+SIZE_COUNTS_SINCE_PR20 = ("controller_methods", "resource_manager_lines")
 
 
 def load_spec() -> dict:
@@ -167,6 +171,7 @@ def size_line() -> dict:
     lines = {}
     lengths = {}
     max_params = (0, "")
+    methods = 0
     for path in sorted(SRC.rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
         text = path.read_text()
@@ -174,6 +179,7 @@ def size_line() -> dict:
         for qualname, node in functions_in(ast.parse(text)):
             lengths[f"{name}:{qualname}"] = node.end_lineno - node.lineno + 1
             if name == CONTROLLER and qualname.startswith("ClusterBFTController."):
+                methods += qualname.count(".") == 1  # not a def nested in a method
                 args = node.args
                 count = len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
                 max_params = max(max_params, (count, qualname))
@@ -192,6 +198,8 @@ def size_line() -> dict:
             n for n in lengths if n.startswith(CONTROLLER + ":")
         ),
         "controller_max_params": {"count": max_params[0], "function": max_params[1]},
+        "controller_methods": methods,
+        "resource_manager_lines": lines[RESOURCE_MANAGER],
     }
 
 
@@ -228,6 +236,9 @@ def problems_in(line: dict, spec: dict) -> list[str]:
         ok = SIZE_KEYS <= set(line) and all(
             len(line[key]) == LONGEST_KEPT
             for key in ("longest_functions", "controller_longest_functions")
+        ) and all(
+            type(line[key]) is int and line[key] > 0
+            for key in SIZE_COUNTS_SINCE_PR20 if key in line
         )
         return [] if ok else ["size line incomplete"]
     if line.get("kind") != "workload":
