@@ -66,9 +66,9 @@ def main() -> None:
     for outcome in result.outcomes:
         losers = [(f.replica, f.kind) for f in outcome.faults]
         print(f"  {outcome.sid}: {outcome.status}, losers {losers}")
-    suspects = sorted(assured.suspicion.suspects())
+    suspects = sorted(assured.resources.suspicion.suspects())
     print(f"suspicion now covers: {suspects}")
-    print(f"fault analyzer: {assured.fault_analyzer.describe()}")
+    print(f"fault analyzer: {assured.resources.fault_analyzer.describe()}")
 
     print("\n=== 4. Optimistic replication (r = f+1 = 2): rerun on fault ===")
     optimistic = ClusterBFTController(

@@ -107,7 +107,7 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class DurabilityCell:
+class CrashCell:
     """One crash point of a control-tier crash sweep: the run was
     killed right after journal record ``seq`` became durable, then
     resumed from the WAL."""
@@ -118,51 +118,27 @@ class DurabilityCell:
     commits_replayed: int
     assured: bool
     exhausted: bool
+    checkpoints_replayed: int = 0
     #: Canonical published outputs of the resumed run (per logical
     #: path, as tuples of encoded record bytes — bag-order free).
     outputs: dict[str, tuple[bytes, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class DurabilityProbe:
-    """A full crash sweep plus its uninterrupted reference run."""
+class CrashProbe:
+    """A full crash sweep plus its uninterrupted reference run.  A
+    checkpoint-boundary sweep (``seq`` is a ``checkpoint`` record or
+    the record immediately following one) also carries a second
+    uninterrupted reference: a checkpoint-free twin of the same
+    scenario + seed."""
 
     reference_assured: bool
     reference_outputs: dict[str, tuple[bytes, ...]]
-    cells: tuple[DurabilityCell, ...] = ()
-
-
-@dataclass(frozen=True)
-class CkptCell:
-    """One crash point of a checkpoint-boundary sweep: the run was
-    killed right after journal record ``seq`` became durable (``seq``
-    is a ``checkpoint`` record or the record immediately following
-    one), then resumed from the WAL."""
-
-    seq: int
-    kind: str  # journal record kind the crash landed on
-    start_attempt: int
-    commits_replayed: int
-    checkpoints_replayed: int
-    assured: bool
-    exhausted: bool
-    #: Canonical published outputs of the resumed run.
-    outputs: dict[str, tuple[bytes, ...]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CkptProbe:
-    """A checkpoint-boundary crash sweep plus its two uninterrupted
-    reference runs: the checkpointed run itself and a checkpoint-free
-    twin of the same scenario + seed."""
-
-    reference_assured: bool
-    reference_outputs: dict[str, tuple[bytes, ...]]
-    twin_assured: bool
-    twin_outputs: dict[str, tuple[bytes, ...]]
+    cells: tuple[CrashCell, ...] = ()
     #: Number of ``checkpoint`` records the reference run journaled.
     checkpoint_records: int = 0
-    cells: tuple[CkptCell, ...] = ()
+    twin_assured: bool | None = None
+    twin_outputs: dict[str, tuple[bytes, ...]] = field(default_factory=dict)
 
 
 def canonical_outputs(outputs: dict[str, list[Record]]) -> dict[str, tuple[bytes, ...]]:
@@ -185,10 +161,10 @@ class RunContext:
     trace_name: str | None = None
     #: Control-tier crash sweep results (scenarios with
     #: ``control_crashes``); ``None`` when the sweep did not run.
-    durability: DurabilityProbe | None = None
+    durability: CrashProbe | None = None
     #: Checkpoint-boundary crash sweep results (scenarios with
     #: ``ckpt_sweep``); ``None`` when the sweep did not run.
-    ckpt: CkptProbe | None = None
+    ckpt: CrashProbe | None = None
     #: Trace records of the telemetry-enabled fault-free twin (only
     #: populated when the scenario declares ``expected_alerts``).
     twin_records: list[dict] = field(default_factory=list)
@@ -339,9 +315,10 @@ def check_live2(ctx: RunContext) -> list[Violation]:
     controller = ctx.controller
     node_ids = controller.cluster.node_ids()
     expected = {node_ids[index] for index in scenario.attributed_nodes}
-    suspects = set(controller.suspicion.suspects())
-    if controller.fault_analyzer.saturated:
-        suspects |= set(controller.fault_analyzer.suspects())
+    resources = controller.resources
+    suspects = set(resources.suspicion.suspects())
+    if resources.fault_analyzer.saturated:
+        suspects |= set(resources.fault_analyzer.suspects())
     missed = sorted(expected - suspects)
     if missed:
         return [
@@ -389,40 +366,51 @@ def check_degr1(ctx: RunContext) -> list[Violation]:
     return violations
 
 
+def _resume_divergences(
+    ctx: RunContext, invariant: str, probe: CrashProbe, cell: CrashCell
+) -> list[Violation]:
+    """A crash-resume cell against the uninterrupted run: the same
+    assured verdict and byte-identical published outputs.  (Latency and
+    attempt counts legitimately differ — the resumed controller
+    re-simulates the crashed attempt with fresh RNG streams;
+    correctness is output equivalence.)"""
+    violations = []
+    if cell.assured != probe.reference_assured:
+        violations.append(
+            Violation(
+                invariant,
+                f"crash at seq {cell.seq} ({cell.kind}): resumed run "
+                f"reported assured={cell.assured}, uninterrupted run "
+                f"reported assured={probe.reference_assured}",
+                ctx.ref(f"seq={cell.seq}"),
+            )
+        )
+    for path, expected in probe.reference_outputs.items():
+        got = cell.outputs.get(path, ())
+        if got != expected:
+            violations.append(
+                Violation(
+                    invariant,
+                    f"crash at seq {cell.seq} ({cell.kind}): resumed "
+                    f"output {path!r} diverges from the uninterrupted "
+                    f"run ({len(got)} vs {len(expected)} records)",
+                    ctx.ref(f"seq={cell.seq},sink={path}"),
+                )
+            )
+    return violations
+
+
 def check_dur1(ctx: RunContext) -> list[Violation]:
     """Every crash-resume cell must match the uninterrupted run:
-    byte-identical published outputs and the same assured verdict.
-    (Latency and attempt counts legitimately differ — the resumed
-    controller re-simulates the crashed attempt with fresh RNG
-    streams; correctness is output equivalence.)"""
+    byte-identical published outputs and the same assured verdict."""
     probe = ctx.durability
     if probe is None:
         return []
-    violations = []
-    for cell in probe.cells:
-        if cell.assured != probe.reference_assured:
-            violations.append(
-                Violation(
-                    DUR1,
-                    f"crash at seq {cell.seq} ({cell.kind}): resumed run "
-                    f"reported assured={cell.assured}, uninterrupted run "
-                    f"reported assured={probe.reference_assured}",
-                    ctx.ref(f"seq={cell.seq}"),
-                )
-            )
-        for path, expected in probe.reference_outputs.items():
-            got = cell.outputs.get(path, ())
-            if got != expected:
-                violations.append(
-                    Violation(
-                        DUR1,
-                        f"crash at seq {cell.seq} ({cell.kind}): resumed "
-                        f"output {path!r} diverges from the uninterrupted "
-                        f"run ({len(got)} vs {len(expected)} records)",
-                        ctx.ref(f"seq={cell.seq},sink={path}"),
-                    )
-                )
-    return violations
+    return [
+        violation
+        for cell in probe.cells
+        for violation in _resume_divergences(ctx, DUR1, probe, cell)
+    ]
 
 
 def check_reg1(ctx: RunContext) -> list[Violation]:
@@ -569,28 +557,7 @@ def check_ckpt1(ctx: RunContext) -> list[Violation]:
                     ctx.ref(f"seq={cell.seq}"),
                 )
             )
-        if cell.assured != probe.reference_assured:
-            violations.append(
-                Violation(
-                    CKPT1,
-                    f"crash at seq {cell.seq} ({cell.kind}): resumed run "
-                    f"reported assured={cell.assured}, uninterrupted run "
-                    f"reported assured={probe.reference_assured}",
-                    ctx.ref(f"seq={cell.seq}"),
-                )
-            )
-        for path, expected in probe.reference_outputs.items():
-            got = cell.outputs.get(path, ())
-            if got != expected:
-                violations.append(
-                    Violation(
-                        CKPT1,
-                        f"crash at seq {cell.seq} ({cell.kind}): resumed "
-                        f"output {path!r} diverges from the uninterrupted "
-                        f"run ({len(got)} vs {len(expected)} records)",
-                        ctx.ref(f"seq={cell.seq},sink={path}"),
-                    )
-                )
+        violations.extend(_resume_divergences(ctx, CKPT1, probe, cell))
     return violations
 
 

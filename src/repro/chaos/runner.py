@@ -17,10 +17,8 @@ import random
 import tempfile
 
 from repro.chaos.invariants import (
-    CkptCell,
-    CkptProbe,
-    DurabilityCell,
-    DurabilityProbe,
+    CrashCell,
+    CrashProbe,
     RunContext,
     ServiceRunContext,
     Violation,
@@ -140,83 +138,42 @@ def _journaled_run(
     return controller.run_assured(DEFAULT_SCRIPT)
 
 
-def run_durability_probe(scenario: Scenario, seed: int) -> DurabilityProbe:
-    """Control-tier crash sweep: run once journaled and uninterrupted,
-    then once per journal record with the control tier dying right
-    after that record becomes durable, resuming each crash from its
-    WAL.  Every resumed run is compared (by the ``DUR1`` checker)
-    against the uninterrupted reference."""
-    cells = []
-    with tempfile.TemporaryDirectory(prefix="repro-durability-") as tmp:
-        reference_path = os.path.join(tmp, "reference.wal")
-        reference = _journaled_run(scenario, seed, reference_path)
-        records, _ = wal.read_journal(reference_path)
-        for crash_seq in range(1, records[-1]["seq"] + 1):
-            crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
-            try:
-                _journaled_run(
-                    scenario, seed, crash_path, crash_hook=wal.crash_at(crash_seq)
-                )
-                continue  # hook never fired (run shorter than reference)
-            except wal.ControlTierCrash:
-                pass
-            recovered = resume_run(
-                crash_path,
-                fault_plan=build_fault_plan(scenario, _node_ids(scenario)),
-            )
-            cells.append(
-                DurabilityCell(
-                    seq=crash_seq,
-                    kind=records[crash_seq]["kind"],
-                    start_attempt=recovered.start_attempt,
-                    commits_replayed=recovered.commits_replayed,
-                    assured=recovered.result.assured,
-                    exhausted=recovered.result.exhausted,
-                    outputs=canonical_outputs(recovered.result.outputs),
-                )
-            )
-    return DurabilityProbe(
-        reference_assured=reference.assured,
-        reference_outputs=canonical_outputs(reference.outputs),
-        cells=tuple(cells),
+def every_record(records: list[dict]) -> list[int]:
+    """Crash after each journal record in turn."""
+    return list(range(1, records[-1]["seq"] + 1))
+
+
+def checkpoint_boundaries(records: list[dict]) -> list[int]:
+    """Crash right after every ``checkpoint`` record and the record
+    immediately following it — the boundary where the checkpoint is
+    durable but the next decision is not."""
+    last_seq = records[-1]["seq"]
+    return sorted(
+        {
+            seq
+            for record in records
+            if record["kind"] == wal.CHECKPOINT
+            for seq in (record["seq"], record["seq"] + 1)
+            if seq <= last_seq
+        }
     )
 
 
-def run_ckpt_probe(scenario: Scenario, seed: int) -> CkptProbe:
-    """Checkpoint-boundary crash sweep: run once journaled and
-    uninterrupted, run a checkpoint-free twin of the same cell, then
-    crash the control tier right after every ``checkpoint`` record
-    (and the record immediately following it — the boundary where the
-    checkpoint is durable but the next decision is not) and resume
-    each crash from its WAL.  The ``CKPT1`` checker compares every
-    resumed run against the uninterrupted reference and the reference
-    against the twin."""
+def run_crash_sweep(
+    scenario: Scenario, seed: int, crash_seqs=every_record
+) -> CrashProbe:
+    """Control-tier crash sweep: run once journaled and uninterrupted,
+    then once per ``crash_seqs(records)`` with the control tier dying
+    right after that record becomes durable, resuming each crash from
+    its WAL.  Every resumed run is compared (by the ``DUR1`` or the
+    ``CKPT1`` checker) against the uninterrupted reference."""
     fault_plan = build_fault_plan(scenario, _node_ids(scenario))
     cells = []
-    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-crash-sweep-") as tmp:
         reference_path = os.path.join(tmp, "reference.wal")
         reference = _journaled_run(scenario, seed, reference_path)
         records, _ = wal.read_journal(reference_path)
-        last_seq = records[-1]["seq"]
-        checkpoint_seqs = [
-            record["seq"] for record in records if record["kind"] == wal.CHECKPOINT
-        ]
-        boundaries = sorted(
-            {
-                seq
-                for checkpoint_seq in checkpoint_seqs
-                for seq in (checkpoint_seq, checkpoint_seq + 1)
-                if seq <= last_seq
-            }
-        )
-        # The twin differs in exactly one bit of configuration — the
-        # checkpoint tier is off — so any output difference is the
-        # checkpoint tier's fault, not placement's or the workload's.
-        twin_scenario = dataclasses.replace(
-            scenario, checkpoints=False, ckpt_sweep=False
-        )
-        twin = _journaled_run(twin_scenario, seed, os.path.join(tmp, "twin.wal"))
-        for crash_seq in boundaries:
+        for crash_seq in crash_seqs(records):
             crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
             try:
                 _journaled_run(
@@ -227,7 +184,7 @@ def run_ckpt_probe(scenario: Scenario, seed: int) -> CkptProbe:
                 pass
             recovered = resume_run(crash_path, fault_plan=fault_plan)
             cells.append(
-                CkptCell(
+                CrashCell(
                     seq=crash_seq,
                     kind=records[crash_seq]["kind"],
                     start_attempt=recovered.start_attempt,
@@ -238,13 +195,30 @@ def run_ckpt_probe(scenario: Scenario, seed: int) -> CkptProbe:
                     outputs=canonical_outputs(recovered.result.outputs),
                 )
             )
-    return CkptProbe(
+    return CrashProbe(
         reference_assured=reference.assured,
         reference_outputs=canonical_outputs(reference.outputs),
+        cells=tuple(cells),
+        checkpoint_records=sum(r["kind"] == wal.CHECKPOINT for r in records),
+    )
+
+
+def run_ckpt_sweep(scenario: Scenario, seed: int) -> CrashProbe:
+    """Checkpoint-boundary crash sweep, plus a checkpoint-free twin of
+    the same cell.  The ``CKPT1`` checker compares every resumed run
+    against the uninterrupted reference and the reference against the
+    twin."""
+    probe = run_crash_sweep(scenario, seed, checkpoint_boundaries)
+    # The twin differs in exactly one bit of configuration — the
+    # checkpoint tier is off — so any output difference is the
+    # checkpoint tier's fault, not placement's or the workload's.
+    twin_scenario = dataclasses.replace(scenario, checkpoints=False, ckpt_sweep=False)
+    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
+        twin = _journaled_run(twin_scenario, seed, os.path.join(tmp, "twin.wal"))
+    return dataclasses.replace(
+        probe,
         twin_assured=twin.assured,
         twin_outputs=canonical_outputs(twin.outputs),
-        checkpoint_records=len(checkpoint_seqs),
-        cells=tuple(cells),
     )
 
 
@@ -283,10 +257,8 @@ def run_one(
         records = telemetry.export_records()
 
     truth = _reference_truth(scenario, seed)
-    durability = (
-        run_durability_probe(scenario, seed) if scenario.control_crashes else None
-    )
-    ckpt = run_ckpt_probe(scenario, seed) if scenario.ckpt_sweep else None
+    durability = run_crash_sweep(scenario, seed) if scenario.control_crashes else None
+    ckpt = run_ckpt_sweep(scenario, seed) if scenario.ckpt_sweep else None
     # OBS1 needs a *traced* fault-free twin: same deployment and
     # workload, no fault plan, telemetry on — expected alerts must stay
     # silent over its records.
@@ -324,6 +296,25 @@ def _fired_alerts(records: list[dict]) -> list[str]:
     return sorted({firing.rule for firing in evaluate(records)})
 
 
+def _sweep_summary(probe: CrashProbe | None, checkpoints: bool = False) -> dict | None:
+    """A crash sweep in the cell report (``None``: it did not run)."""
+    if probe is None:
+        return None
+    cells = probe.cells
+    summary = {
+        "crash_points": len(cells),
+        "commits_replayed": sum(cell.commits_replayed for cell in cells),
+        "resumed_assured": sum(1 for cell in cells if cell.assured),
+        "kinds": sorted({cell.kind for cell in cells}),
+    }
+    if checkpoints:
+        summary["checkpoint_records"] = probe.checkpoint_records
+        summary["checkpoints_replayed"] = sum(
+            cell.checkpoints_replayed for cell in cells
+        )
+    return summary
+
+
 def _cell_report(
     ctx: RunContext, violations: list[Violation], seed: int
 ) -> dict:
@@ -341,38 +332,8 @@ def _cell_report(
         "exhausted": [bool(r.exhausted) for r in ctx.results],
         "attempts": [r.attempts for r in ctx.results],
         "latency": [round(r.latency, 6) for r in ctx.results],
-        "durability": (
-            None
-            if ctx.durability is None
-            else {
-                "crash_points": len(ctx.durability.cells),
-                "commits_replayed": sum(
-                    cell.commits_replayed for cell in ctx.durability.cells
-                ),
-                "resumed_assured": sum(
-                    1 for cell in ctx.durability.cells if cell.assured
-                ),
-                "kinds": sorted({cell.kind for cell in ctx.durability.cells}),
-            }
-        ),
-        "ckpt": (
-            None
-            if ctx.ckpt is None
-            else {
-                "checkpoint_records": ctx.ckpt.checkpoint_records,
-                "crash_points": len(ctx.ckpt.cells),
-                "checkpoints_replayed": sum(
-                    cell.checkpoints_replayed for cell in ctx.ckpt.cells
-                ),
-                "commits_replayed": sum(
-                    cell.commits_replayed for cell in ctx.ckpt.cells
-                ),
-                "resumed_assured": sum(
-                    1 for cell in ctx.ckpt.cells if cell.assured
-                ),
-                "kinds": sorted({cell.kind for cell in ctx.ckpt.cells}),
-            }
-        ),
+        "durability": _sweep_summary(ctx.durability),
+        "ckpt": _sweep_summary(ctx.ckpt, checkpoints=True),
         "reruns": len(audit.events(kind=RERUN)),
         "quarantined": sorted(
             {e.subject for e in audit.events(kind=QUARANTINE)}

@@ -38,25 +38,19 @@ from repro.compiler.mr_compiler import CompileOptions
 from repro.core import journal as wal
 from repro.core.audit import (
     COMMIT,
-    EVICTION,
     EXHAUSTED,
-    FAULT,
-    QUARANTINE,
-    RECONFIG,
     RERUN,
     SUBMIT,
     TIMEOUT_CAP,
     VERDICT,
     AuditLog,
 )
-from repro.core.fault_analyzer import FaultAnalyzer
-from repro.core.gauges import publish_suspicion
 from repro.core.request_handler import (
     PreparedScript,
     RequestHandler,
     output_coverage,
 )
-from repro.core.suspicion import NodeSuspicion, SuspicionTracker
+from repro.core.resource_manager import ResourceManager
 from repro.core.verifier import (
     FAILED,
     OMISSION,
@@ -251,8 +245,6 @@ class ClusterBFTController:
             self.rng.stream("engine"),
             telemetry=self.telemetry,
         )
-        self.suspicion = SuspicionTracker()
-        self.fault_analyzer = FaultAnalyzer(f=self.config.bft.f)
         self.audit = AuditLog(tracer=self.telemetry.tracer)
         # Durable control-plane journal (write-ahead log): pure host-side
         # I/O — never schedules loop events, never draws randomness — so
@@ -266,6 +258,9 @@ class ClusterBFTController:
         #: quarantines name the tenant whose traffic triggered them.
         #: Empty outside the service tier (records are byte-identical).
         self.audit_context: dict[str, object] = {}
+        #: Everything the tier knows about the cluster, shared by every
+        #: run on this deployment (DESIGN.md §20).
+        self.resources = ResourceManager(self)
         self._script_counter = 0
         # §6.4: drop the implicit-trust assumption for the control tier —
         # request handling is ordered through 3f+1 PBFT replicas, adding
@@ -603,7 +598,9 @@ class ClusterBFTController:
             self.config.cost,
             attempt.timeout,
             on_verdict=lambda outcome: self._on_verdict(run, attempt, outcome),
-            on_late_fault=lambda sid, fault: self._on_late_fault(run, sid, fault),
+            on_late_fault=lambda sid, fault: self.resources.late_fault(
+                run.journal, sid, fault
+            ),
             telemetry=self.telemetry,
             span_parent=attempt.span_parent,
         )
@@ -663,7 +660,7 @@ class ClusterBFTController:
             comparisons=verifier.total_comparisons,
         )
         if run.journal is not None:
-            run.journal_attempt_end(attempt.index, **self._tier_snapshot())
+            run.journal_attempt_end(attempt.index, **self.resources.snapshot())
 
     def _escalate(self, run: wal.RunState, attempt: _Attempt) -> None:
         """The attempt left something unverified: more replicas and a
@@ -739,7 +736,7 @@ class ClusterBFTController:
         for job_run in run.job_runs:
             if job_run.state != "done":
                 self.engine.cancel(job_run)
-        self._evict_suspects(run)
+        self.resources.enforce(run.journal)
         for job_run in run.job_runs:
             metrics.absorb_job(job_run.metrics)
         if self.telemetry.enabled:
@@ -832,7 +829,7 @@ class ClusterBFTController:
         attempt.completed.add(key)
         attempt.plain_jobs_pending.discard(key)
         attempt.plain_final_pending.discard(key)
-        self.suspicion.record_job(job_run.nodes_used)
+        self.resources.record_job(job_run.nodes_used)
         chain = attempt.chain_nodes[key] = attempt.chain(job_run)
         if attempt.verifier is not None and job_index in run.verifiable:
             if run.journal is not None:
@@ -891,7 +888,7 @@ class ClusterBFTController:
                 self.engine.submit(job_run)
 
     # ------------------------------------------------------------------
-    # verdicts: settlement, suspicion, fault isolation, eviction
+    # verdicts: settlement, and the faults they hand the resource manager
     # ------------------------------------------------------------------
 
     def _on_verdict(
@@ -1003,57 +1000,6 @@ class ClusterBFTController:
             )
             self.telemetry.metrics.counter("checkpoint_commits").inc()
 
-    def _record_fault(
-        self,
-        run: wal.RunState,
-        sid: str,
-        fault: ReplicaFault,
-        proven: bool = True,
-        late: bool = False,
-    ) -> None:
-        """One replica's nodes implicated in a fault of ``sid``.
-
-        A *proven* fault — the digest quorum, or the content majority,
-        disagreed with this replica — is journaled, audited and, unless
-        the replica merely withheld digests, fed to the fault analyzer.
-        Faults mutate cross-run shared state (suspicion, fault analyzer)
-        inside a tenant's attribution window, so the audit record names
-        that tenant (AUD001).  Without a quorum nobody is proven wrong:
-        the nodes become suspects and that is all.  ``late``: the
-        replica finished after its sid's verdict.
-        """
-        nodes = set(fault.nodes)
-        if proven:
-            if run.journal is not None:
-                run.journal.append(
-                    wal.LATE_FAULT if late else wal.FAULT,
-                    sid=sid,
-                    replica=fault.replica,
-                    fault_kind=fault.kind,
-                    nodes=sorted(nodes),
-                )
-            self.audit.record(
-                self.loop.now,
-                FAULT,
-                sid,
-                replica=fault.replica,
-                fault_kind=fault.kind,
-                nodes=tuple(sorted(nodes)),
-                **({"late": True} if late else {}),
-                **self.audit_context,
-            )
-        self.suspicion.record_fault(nodes)
-        if proven and fault.kind != OMISSION:
-            self.fault_analyzer.observe(nodes)
-
-    def _on_late_fault(self, run: wal.RunState, sid: str, fault: ReplicaFault) -> None:
-        """A replica that finished after its sid's verdict disagreed with
-        the winning digest vector."""
-        self._record_fault(run, sid, fault, late=True)
-        self._maybe_reconfigure(run)
-        if self.telemetry.enabled:
-            self._publish_suspicion_gauges()
-
     def _apply_outcomes(self, run: wal.RunState, attempt: _Attempt) -> None:
         """Apply the attempt's verdicts to what the tier knows about the
         cluster, then act on it: exonerate, evict, quarantine, migrate."""
@@ -1069,13 +1015,11 @@ class ClusterBFTController:
                 # proved the correct digests, these replicas disagreed.
                 # FAILED: no quorum — every cluster is a suspect, none
                 # is proven.
-                self._record_fault(
-                    run, outcome.sid, fault, proven=outcome.status == VERIFIED
+                self.resources.record_fault(
+                    run.journal, outcome.sid, fault, proven=outcome.status == VERIFIED
                 )
-        self._evict_suspects(run, exonerate=True)
-        self._maybe_reconfigure(run)
-        if self.telemetry.enabled:
-            self._publish_suspicion_gauges()
+        self.resources.enforce(run.journal, exonerate=True)
+        self.resources.reconfigure(run.journal)
 
     def _missing_replica_nodes(
         self, attempt: _Attempt, outcome: VerificationOutcome
@@ -1130,8 +1074,10 @@ class ClusterBFTController:
         )
         for replica in divergent:
             nodes = attempt.chain_nodes.get((job_index, replica), set())
-            self._record_fault(
-                run, outcome.sid, ReplicaFault(replica, EQUIVOCATION, frozenset(nodes))
+            self.resources.record_fault(
+                run.journal,
+                outcome.sid,
+                ReplicaFault(replica, EQUIVOCATION, frozenset(nodes)),
             )
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter("equivocations_detected").inc()
@@ -1139,234 +1085,10 @@ class ClusterBFTController:
             # Equivocation is often the first region-level signal a
             # degrading zone gives off — check for migration here too,
             # not just at attempt boundaries.
-            self._maybe_reconfigure(run)
-            if self.telemetry.enabled:
-                self._publish_suspicion_gauges()
+            self.resources.reconfigure(run.journal)
         if majority is None:
             return None
         return min(majority)
-
-    def _evict_suspects(self, run: wal.RunState, exonerate: bool = False) -> None:
-        """Evict and quarantine the nodes over their suspicion
-        thresholds; at an attempt boundary (``exonerate``) the fault
-        analyzer's conclusion is applied first."""
-        cfg = self.config.bft
-        journal = run.journal
-        # Once the fault analyzer saturates (|D| = f), every fault must
-        # live inside its suspect set — exonerate the rest (paper §4.3).
-        if exonerate and self.fault_analyzer.saturated:
-            cleared = self.suspicion.suspects() - self.fault_analyzer.suspects()
-            if journal is not None:
-                # The analyzer's conclusion, journaled before it acts
-                # (exoneration mutates suspicion levels).
-                journal.append(
-                    wal.ANALYZER,
-                    suspects=sorted(self.fault_analyzer.suspects()),
-                    cleared=sorted(cleared),
-                )
-            if cleared:
-                self.suspicion.clear_faults(cleared)
-        for evict, threshold in (
-            (True, cfg.suspicion_threshold),
-            (False, cfg.quarantine_threshold),
-        ):
-            if threshold is None:
-                continue  # no quarantine tier configured
-            # Sorted: audit-entry order must not depend on set iteration
-            # (string hashing is salted per process — byte-identical
-            # trace replays need a canonical order).
-            for node_id in sorted(self.suspicion.over_threshold(threshold)):
-                state = self.suspicion.nodes[node_id]
-                if state.jobs_executed < cfg.suspicion_min_jobs:
-                    continue
-                if self.cluster.node(node_id).excluded:
-                    continue  # eviction supersedes quarantine
-                if not evict and self.scheduler.is_quarantined(node_id):
-                    continue
-                if journal is not None:
-                    journal.append(
-                        wal.EVICTION if evict else wal.QUARANTINE,
-                        node=node_id,
-                        suspicion=round(state.level, 3),
-                        jobs=state.jobs_executed,
-                        **self.audit_context,
-                    )
-                if evict:
-                    self.cluster.exclude(node_id)
-                else:
-                    self.scheduler.quarantine(node_id)
-                self.audit.record(
-                    self.loop.now,
-                    EVICTION if evict else QUARANTINE,
-                    node_id,
-                    suspicion=round(state.level, 3),
-                    jobs=state.jobs_executed,
-                    **self.audit_context,
-                )
-
-    def _tier_snapshot(self) -> dict:
-        """The tier half of an ``attempt_end`` record: what the control
-        tier has learned about the cluster, shared by every run on this
-        controller (the run's own half is
-        :meth:`~repro.core.journal.RunState.journal_attempt_end`'s, which
-        takes these as keyword arguments)."""
-        return {
-            "suspicion": {
-                node_id: [state.jobs_executed, state.faults_associated]
-                for node_id, state in sorted(self.suspicion.nodes.items())
-            },
-            "analyzer": {
-                "observations": self.fault_analyzer.observations,
-                "saturated_at": self.fault_analyzer.saturated_at,
-                "disjoint": [sorted(s) for s in self.fault_analyzer.disjoint],
-                "overlapping": [sorted(s) for s in self.fault_analyzer.overlapping],
-            },
-            "evicted": sorted(
-                node_id
-                for node_id, node in self.cluster.nodes.items()
-                if node.excluded
-            ),
-            "quarantined": sorted(self.scheduler.quarantined),
-        }
-
-    def _replay_tier(self, snapshot: dict) -> None:
-        """Inverse of :meth:`_tier_snapshot`, on a fresh controller:
-        suspicion levels, fault-analyzer sets, evictions, quarantine as
-        of the ``attempt_end`` record ``snapshot``."""
-        for node_id, (jobs, faults) in snapshot["suspicion"].items():
-            self.suspicion.nodes[node_id] = NodeSuspicion(
-                jobs_executed=jobs, faults_associated=faults
-            )
-        analyzer = snapshot["analyzer"]
-        self.fault_analyzer = FaultAnalyzer(
-            f=self.config.bft.f,
-            disjoint=[frozenset(s) for s in analyzer["disjoint"]],
-            overlapping=[frozenset(s) for s in analyzer["overlapping"]],
-            observations=analyzer["observations"],
-            saturated_at=analyzer["saturated_at"],
-        )
-        for node_id in snapshot["evicted"]:
-            self.cluster.exclude(node_id)
-        for node_id in snapshot["quarantined"]:
-            self.scheduler.quarantine(node_id)
-
-    # ------------------------------------------------------------------
-    # online reconfiguration: region-level migration
-    # ------------------------------------------------------------------
-
-    def _region_suspicion(self, region: str) -> tuple[float, int]:
-        """Aggregate suspicion of a region: total faults over total jobs
-        across its nodes (0.0 before any node there executed a job)."""
-        jobs = faults = 0
-        for node_id in self.cluster.region_node_ids(region):
-            state = self.suspicion.nodes.get(node_id)
-            if state is None:
-                continue
-            jobs += state.jobs_executed
-            faults += state.faults_associated
-        return (faults / jobs if jobs else 0.0, jobs)
-
-    def _schedulable_region_nodes(self, region: str) -> list[NodeId]:
-        return [
-            node_id
-            for node_id in self.cluster.region_node_ids(region)
-            if not self.cluster.node(node_id).excluded
-            and not self.scheduler.is_quarantined(node_id)
-        ]
-
-    def _maybe_reconfigure(self, run: wal.RunState) -> None:
-        """Migrate replica sets out of any region whose aggregate
-        suspicion crossed the threshold.
-
-        Invoked after every fault application; a no-op (and therefore
-        byte-identical to the seed) unless ``region_suspicion_threshold``
-        is set on a multi-region cluster.  Never drains the last
-        schedulable region — a fully-suspect cluster is the rerun
-        escalation's problem, not the topology's.
-        """
-        cfg = self.config.bft
-        threshold = cfg.region_suspicion_threshold
-        if threshold is None or not self.cluster.config.regions:
-            return
-        regions = self.cluster.regions()
-        for region in regions:
-            nodes = self._schedulable_region_nodes(region)
-            if not nodes:
-                continue  # already migrated, quarantined or evicted
-            level, jobs = self._region_suspicion(region)
-            if jobs < cfg.region_min_jobs or level <= threshold:
-                continue
-            others_alive = any(
-                self._schedulable_region_nodes(other)
-                for other in regions
-                if other != region
-            )
-            if not others_alive:
-                continue
-            self._migrate_region(run, region, level, jobs, nodes)
-
-    def _migrate_region(
-        self,
-        run: wal.RunState,
-        region: str,
-        level: float,
-        jobs: int,
-        nodes: list[NodeId],
-    ) -> None:
-        """Quarantine a degrading region wholesale and re-dispatch its
-        in-flight work; journaled write-ahead so a resumed run replays
-        the same placement decision."""
-        sids = sorted({job_run.sid for job_run in self.engine.live_runs})
-        if run.journal is not None:
-            run.journal.append(
-                wal.RECONFIG,
-                region=region,
-                suspicion=round(level, 3),
-                jobs=jobs,
-                nodes=sorted(nodes),
-                sids=sids,
-                **self.audit_context,
-            )
-        for node_id in sorted(nodes):
-            self.scheduler.quarantine(node_id)
-        moved = sum(self.engine.evacuate_node(node_id) for node_id in sorted(nodes))
-        self.audit.record(
-            self.loop.now,
-            RECONFIG,
-            region,
-            suspicion=round(level, 3),
-            jobs=jobs,
-            nodes=tuple(sorted(nodes)),
-            tasks_moved=moved,
-            **self.audit_context,
-        )
-        if self.telemetry.enabled:
-            self.telemetry.tracer.event(
-                "region.migrated",
-                region=region,
-                suspicion=round(level, 3),
-                nodes=len(nodes),
-                tasks_moved=moved,
-            )
-            self.telemetry.metrics.counter("region_migrations").inc()
-
-    def _publish_suspicion_gauges(self) -> None:
-        """One gauge-publication path for every execution surface: the
-        same series the isolation simulator emits (via the shared
-        :func:`~repro.core.gauges.publish_suspicion`), so controller
-        traces — including chaos-campaign cells — carry Fig. 12-style
-        time-series too."""
-        publish_suspicion(
-            self.telemetry.metrics,
-            self.suspicion,
-            self.fault_analyzer,
-            quarantined=len(self.scheduler.quarantined),
-        )
-        # Per-region aggregate suspicion (geo clusters only; flat
-        # clusters declare no regions, so their gauge set is unchanged).
-        for region in self.cluster.regions():
-            level, _jobs = self._region_suspicion(region)
-            self.telemetry.metrics.gauge("region_suspicion", region=region).set(level)
 
     # ------------------------------------------------------------------
     # output publication

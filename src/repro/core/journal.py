@@ -563,10 +563,11 @@ class RunState:
     ) -> None:
         """The settled attempt boundary (fsync'd): everything recovery
         needs to rebuild the control tier's state — this run's half, and
-        the tier's (keyword arguments: the controller's
-        ``_tier_snapshot``).  ``next_replication``/``next_timeout`` are
-        the deterministic escalation values, written *before* the
-        escalation runs (write-ahead)."""
+        the tier's (keyword arguments: the resource manager's
+        ``snapshot()``, read back by its ``replay()``).
+        ``next_replication``/``next_timeout`` are the deterministic
+        escalation values, written *before* the escalation runs
+        (write-ahead)."""
         self.journal.append(
             ATTEMPT_END,
             script_id=self.script_id,

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.common.ids import NodeId
 from repro.common.records import Record
 from repro.compiler.mr_compiler import CompileOptions, compile_plan
+from repro.core.audit import PROBE
 from repro.core.instrument import instrument
 from repro.dataflow import expressions as ex
 from repro.dataflow.builder import PlanBuilder
@@ -165,11 +166,25 @@ class ProbeManager:
     # ------------------------------------------------------------------
 
     def isolate(self, suspects: set[NodeId]) -> ProbeOutcome:
-        """Binary-search ``suspects`` down to individual faulty nodes.
+        """Binary-search ``suspects`` down to individual faulty nodes
+        and leave one ``probe`` audit entry for the campaign.
 
         Assumes at most one faulty node per disjoint suspect set (the
         invariant the Fig. 7 analyzer establishes once |D| = f).
         """
+        outcome = self._search(suspects)
+        before = tuple(sorted(suspects))
+        self.controller.audit.record(
+            self.controller.loop.now,
+            PROBE,
+            ",".join(before),
+            nodes=before,  # the key ``AuditLog.node_history`` looks in
+            isolated=tuple(outcome.isolated),
+            probes_run=outcome.probes_run,
+        )
+        return outcome
+
+    def _search(self, suspects: set[NodeId]) -> ProbeOutcome:
         outcome = ProbeOutcome(suspects_before=frozenset(suspects))
         clean = self._clean_nodes(set(suspects))
         if len(clean) < 2:

@@ -10,8 +10,9 @@ by a crashed control tier, :func:`resume_run`
 3. restores the state captured by the last fsync'd ``attempt_end``
    snapshot — the last *settled attempt boundary*: the run's half
    becomes a :class:`~repro.core.journal.RunState`, the tier's half
-   (suspicion levels, fault-analyzer sets, evictions, quarantine) goes
-   back into the controller;
+   (suspicion levels, fault-analyzer sets, evictions, quarantine) and
+   every journaled ``reconfig`` go back into the controller's
+   :class:`~repro.core.resource_manager.ResourceManager`;
 4. replays every fsync'd ``commit`` and ``checkpoint`` record
    (including ones from the crashed, unfinished attempt) into the DFS
    and the run state: committed VERIFIED jobs are reused, never
@@ -221,18 +222,7 @@ def resume_run(
 
     # -- restore the last settled attempt boundary ----------------------
     run = wal.RunState.replayed(run_start, snapshot, config.bft)
-    if snapshot is not None:
-        controller._replay_tier(snapshot)
-
-    # -- replay reconfigurations (region migrations) --------------------
-    # Fsync'd before the original controller acted on them, so a crash
-    # mid-migration still re-quarantines the degraded region's nodes —
-    # the resumed scheduler must not move work *back into* it.  Replay
-    # is idempotent with the snapshot's quarantine list (migrations
-    # before the last settled boundary are folded into it already).
-    for reconfig in reconfigs:
-        for node_id in reconfig["nodes"]:
-            controller.scheduler.quarantine(node_id)
+    controller.resources.replay(snapshot, reconfigs)
 
     # -- replay fsync'd commits (even from the crashed attempt) ---------
     # A checkpoint is a verdict-time commit: same shape, same idempotent

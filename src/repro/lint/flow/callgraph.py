@@ -7,7 +7,10 @@ resolved (``from repro.core import journal as wal`` → ``wal.RESUME`` is
 ``repro.core.journal.RESUME``), ``self.method(...)`` resolves through
 the enclosing class and its project base classes, local variables whose
 class is statically evident (``v = Verifier(...)`` / annotated
-parameters) resolve method calls, and callables that merely *escape* —
+parameters) resolve method calls, so do attributes whose class
+``__init__`` makes evident (``self.resources = ResourceManager(...)``,
+then ``self.resources.replay(...)`` or ``controller.resources.replay(...)``
+on a typed local), and callables that merely *escape* —
 passed as arguments, wrapped in ``functools.partial``, delegated to via
 ``yield from``, named in a decorator — contribute edges too, because a
 reference that escapes may be called.
@@ -84,6 +87,9 @@ class ClassInfo:
     #: are dropped — their methods are invisible anyway).
     bases: list[str] = field(default_factory=list)
     methods: dict[str, str] = field(default_factory=dict)
+    #: Attribute name → project class, where ``__init__`` makes it
+    #: evident: ``self.x = ClassName(...)`` or ``self.x: ClassName``.
+    attr_types: dict[str, str] = field(default_factory=dict)
 
 
 class ProjectGraph:
@@ -140,8 +146,8 @@ class ProjectGraph:
             parent, _ = tree.get(parent, (None, 0))
         return list(reversed(path))
 
-    def resolve_method(self, class_qualname: str, name: str) -> str | None:
-        """Look ``name`` up on a class and its project bases (DFS)."""
+    def _lineage(self, class_qualname: str):
+        """A class, then its project bases (DFS)."""
         seen: set[str] = set()
         stack = [class_qualname]
         while stack:
@@ -150,12 +156,21 @@ class ProjectGraph:
                 continue
             seen.add(current)
             info = self.classes.get(current)
-            if info is None:
-                continue
-            if name in info.methods:
-                return info.methods[name]
-            stack.extend(info.bases)
-        return None
+            if info is not None:
+                yield info
+                stack.extend(info.bases)
+
+    def resolve_method(self, class_qualname: str, name: str) -> str | None:
+        """Look ``name`` up on a class and its project bases."""
+        lineage = self._lineage(class_qualname)
+        return next((c.methods[name] for c in lineage if name in c.methods), None)
+
+    def resolve_attr_type(self, class_qualname: str, name: str) -> str | None:
+        """Class of attribute ``name`` of a class (or a project base)."""
+        lineage = self._lineage(class_qualname)
+        return next(
+            (c.attr_types[name] for c in lineage if name in c.attr_types), None
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -525,29 +540,53 @@ class _CallResolver(ast.NodeVisitor):
                 return resolved
         if isinstance(node, ast.Attribute):
             receiver = node.value
-            # self.method / cls.method
-            if (
-                isinstance(receiver, ast.Name)
-                and receiver.id in ("self", "cls")
-                and self.info.class_qualname is not None
-            ):
-                return self.graph.resolve_method(
-                    self.info.class_qualname, node.attr
-                )
-            # typed local: v.method where v's class is known
-            if (
-                isinstance(receiver, ast.Name)
-                and receiver.id in self.local_types
-            ):
-                return self.graph.resolve_method(
-                    self.local_types[receiver.id], node.attr
-                )
+            cls = self._receiver_class(receiver)
+            if cls is not None:
+                return self.graph.resolve_method(cls, node.attr)
             # module-local class attr: ClassName.method (unbound)
             if isinstance(receiver, ast.Name):
                 cls = self._resolve_class(receiver)
                 if cls is not None:
                     return self.graph.resolve_method(cls, node.attr)
         return None
+
+    def _receiver_class(self, receiver: ast.expr) -> str | None:
+        """Project class of a method call's receiver, when evident."""
+        if isinstance(receiver, ast.Name):
+            # self.method / cls.method
+            if receiver.id in ("self", "cls") and self.info.class_qualname:
+                return self.info.class_qualname
+            # typed local: v.method where v's class is known
+            return self.local_types.get(receiver.id)
+        if isinstance(receiver, ast.Attribute):
+            # typed attribute: self.x.method / v.x.method
+            owner = self._receiver_class(receiver.value)
+            if owner is not None:
+                return self.graph.resolve_attr_type(owner, receiver.attr)
+        return None
+
+    def self_attr_types(self) -> dict[str, str]:
+        """``{attr: class}`` for this function's ``self.attr = Class(...)``
+        and ``self.attr: Class`` statements (run on ``__init__``)."""
+        found: dict[str, str] = {}
+        for child in ast.walk(self.info.node):
+            if isinstance(child, ast.Assign) and len(child.targets) == 1:
+                target, value = child.targets[0], child.value
+                annotation = value.func if isinstance(value, ast.Call) else None
+            elif isinstance(child, ast.AnnAssign):
+                target, annotation = child.target, child.annotation
+            else:
+                continue
+            if (
+                annotation is not None
+                and isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                cls = self._resolve_class(annotation)
+                if cls is not None:
+                    found[target.attr] = cls
+        return found
 
     # -- traversal ------------------------------------------------------
 
@@ -669,6 +708,10 @@ def build_project(files: list[Path]) -> ProjectGraph:
         _Indexer(graph, index).visit(tree)
 
     _resolve_bases(graph, indexes)
+    for cls in graph.classes.values():
+        init = graph.functions.get(cls.methods.get("__init__", ""))
+        if init is not None:
+            cls.attr_types = _CallResolver(graph, indexes, init).self_attr_types()
 
     for info in list(graph.functions.values()):
         resolver = _CallResolver(graph, indexes, info)

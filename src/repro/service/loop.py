@@ -1,9 +1,9 @@
 """The service loop: multiplexed assured runs over one deployment.
 
 One :class:`~repro.core.controller.ClusterBFTController` owns the
-deployment — event loop, cluster, engine, DFS, suspicion tracker,
-fault analyzer, audit log — and the service drives *many* concurrent
-assured runs over it by advancing each run's
+deployment — event loop, cluster, engine, DFS, resource manager
+(suspicion tracker, fault analyzer), audit log — and the service drives
+*many* concurrent assured runs over it by advancing each run's
 ``_assured_steps`` generator cooperatively:
 
 * trace arrivals are scheduled as admission events at their sim times;
@@ -454,12 +454,8 @@ class ClusterBFTService:
         # run_while exit condition without a trailing tick.
         self._advance_drivers()
         self.result.makespan = self.loop.now
-        self.result.quarantined = sorted(self.scheduler.quarantined)
-        self.result.evicted = sorted(
-            node_id
-            for node_id, node in self.controller.cluster.nodes.items()
-            if node.excluded
-        )
+        self.result.quarantined = self.controller.resources.quarantined()
+        self.result.evicted = self.controller.resources.evicted()
         if self.ledger is not None:
             self.result.ledger_path = self.ledger.path
             self._ledger(

@@ -1,12 +1,12 @@
 """Chaos-harness durability tests: the DUR1 crash sweep."""
 
 from repro.chaos.invariants import (
-    DurabilityCell,
-    DurabilityProbe,
+    CrashCell,
+    CrashProbe,
     RunContext,
     check_dur1,
 )
-from repro.chaos.runner import run_durability_probe, run_one
+from repro.chaos.runner import run_crash_sweep, run_one
 from repro.chaos.scenarios import DURABILITY_CAMPAIGN, SCENARIOS
 from repro.core import journal as wal
 
@@ -56,7 +56,7 @@ class TestCtlCrashSweep:
         """ctl-crash-omission is tuned so the journal spans several
         attempts: crashes must land on attempt_end boundaries with
         commits to replay, exercising the snapshot-restore path."""
-        probe = run_durability_probe(SCENARIOS["ctl-crash-omission"], 1)
+        probe = run_crash_sweep(SCENARIOS["ctl-crash-omission"], 1)
         kinds = {cell.kind for cell in probe.cells}
         assert wal.ATTEMPT_END in kinds
         resumed_later = [c for c in probe.cells if c.start_attempt > 0]
@@ -65,7 +65,7 @@ class TestCtlCrashSweep:
 
 class TestDur1Checker:
     def probe(self, cells):
-        return DurabilityProbe(
+        return CrashProbe(
             reference_assured=True,
             reference_outputs={"out": (b"a", b"b")},
             cells=tuple(cells),
@@ -81,7 +81,7 @@ class TestDur1Checker:
         )
 
     def cell(self, assured=True, outputs=None):
-        return DurabilityCell(
+        return CrashCell(
             seq=3,
             kind=wal.VERDICT,
             start_attempt=0,

@@ -114,9 +114,11 @@ class TestLive2:
         return SimpleNamespace(
             audit=AuditLog(),
             cluster=SimpleNamespace(node_ids=lambda: [f"node_{i:04d}" for i in range(4)]),
-            suspicion=SimpleNamespace(suspects=lambda: list(suspects)),
-            fault_analyzer=SimpleNamespace(
-                saturated=saturated, suspects=lambda: list(analyzer_suspects)
+            resources=SimpleNamespace(
+                suspicion=SimpleNamespace(suspects=lambda: list(suspects)),
+                fault_analyzer=SimpleNamespace(
+                    saturated=saturated, suspects=lambda: list(analyzer_suspects)
+                ),
             ),
         )
 

@@ -1,10 +1,9 @@
-"""Late-fault audit attribution: `_on_late_fault` mutates cross-run
-shared state (suspicion, fault analyzer) inside the service's tenant
-attribution window, so it must emit an attributed FAULT audit record —
-the AUD001 contract."""
+"""Late-fault audit attribution: `ResourceManager.late_fault` mutates
+cross-run shared state (suspicion, fault analyzer) inside the service's
+tenant attribution window, so it must emit an attributed FAULT audit
+record — the AUD001 contract."""
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
-from repro.core import journal as wal
 from repro.core.audit import FAULT
 from repro.core.controller import ClusterBFTController
 from repro.core.verifier import COMMISSION, ReplicaFault
@@ -18,10 +17,9 @@ def make_controller():
     return ClusterBFTController(config, block_bytes=4096)
 
 
-def unjournaled_run(controller):
-    """The run the late replica belongs to: helpers take the run whose
-    journal their records go to (none here)."""
-    return wal.RunState.fresh("script0001", controller.config.bft)
+#: The journal of the run the late replica belongs to: tier decisions
+#: take the journal their records go to (none here).
+UNJOURNALED = None
 
 
 def test_late_fault_emits_attributed_audit_record():
@@ -31,7 +29,7 @@ def test_late_fault_emits_attributed_audit_record():
         replica=2, kind=COMMISSION, nodes=frozenset({"node01", "node02"})
     )
 
-    controller._on_late_fault(unjournaled_run(controller), "s0", fault)
+    controller.resources.late_fault(UNJOURNALED, "s0", fault)
 
     events = controller.audit.events(kind=FAULT)
     assert len(events) == 1
@@ -50,11 +48,11 @@ def test_late_fault_still_updates_shared_state():
     controller = make_controller()
     fault = ReplicaFault(replica=1, kind=COMMISSION, nodes=frozenset({"node03"}))
 
-    controller._on_late_fault(unjournaled_run(controller), "s1", fault)
+    controller.resources.late_fault(UNJOURNALED, "s1", fault)
 
-    assert controller.suspicion.nodes["node03"].faults_associated == 1
-    assert frozenset({"node03"}) in controller.fault_analyzer.overlapping + (
-        controller.fault_analyzer.disjoint
+    assert controller.resources.suspicion.nodes["node03"].faults_associated == 1
+    assert frozenset({"node03"}) in controller.resources.fault_analyzer.overlapping + (
+        controller.resources.fault_analyzer.disjoint
     )
 
 
@@ -64,7 +62,7 @@ def test_late_fault_outside_service_tier_has_empty_attribution():
     controller = make_controller()
     fault = ReplicaFault(replica=0, kind=COMMISSION, nodes=frozenset({"node04"}))
 
-    controller._on_late_fault(unjournaled_run(controller), "s2", fault)
+    controller.resources.late_fault(UNJOURNALED, "s2", fault)
 
     (event,) = controller.audit.events(kind=FAULT)
     assert "tenant" not in event.details

@@ -117,7 +117,7 @@ class TestFaultScenarios:
         assert result.assured
         assert result.outputs["out"] == reference.outputs["out"]
         # The always-faulty node must end up under suspicion.
-        assert "node_0000" in controller.suspicion.suspects()
+        assert "node_0000" in controller.resources.suspicion.suspects()
 
     def test_commission_with_minimal_replication_forces_rerun(self):
         controller = make_controller(

@@ -131,7 +131,7 @@ class TestCrossScriptState:
         levels = []
         for _ in range(3):
             controller.run_assured(SCRIPT)
-            levels.append(controller.suspicion.level("node_0000"))
+            levels.append(controller.resources.suspicion.level("node_0000"))
         assert levels[-1] > 0 or not controller.audit.events(kind="fault")
 
     def test_outputs_refresh_between_scripts(self):

@@ -62,7 +62,7 @@ class TestFaultyRun:
         suspects = gauge_series(records, "suspicion_suspects")
         assert max(value for _, value in suspects) > 0.0
         assert last_gauge_value(records, "suspicion_suspects") == float(
-            len(controller.suspicion.suspects())
+            len(controller.resources.suspicion.suspects())
         )
         assert last_gauge_value(records, "nodes_quarantined") == float(
             len(controller.scheduler.quarantined)
@@ -72,7 +72,7 @@ class TestFaultyRun:
         controller, _, records = run_controller(
             fault_plan=single_commission("node_0000")
         )
-        bands = controller.suspicion.band_counts()
+        bands = controller.resources.suspicion.band_counts()
         for band in ("none", "low", "med", "high"):
             assert last_gauge_value(
                 records, "suspicion_band_nodes", 0.0, band=band

@@ -1,6 +1,7 @@
 """Tests for dummy-job probing (active fault isolation, paper §3.3)."""
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
+from repro.core.audit import PROBE
 from repro.core.controller import ClusterBFTController
 from repro.core.probe import ProbeManager
 from repro.faults.behaviors import CommissionBehavior, FlakyCommissionBehavior
@@ -60,6 +61,15 @@ class TestIsolate:
         assert outcome.isolated == ["node_0003"]
         assert outcome.probes_run >= 3
         assert "node_0003" not in outcome.exonerated
+        # The campaign leaves one audit entry: suspects before,
+        # isolated, probes run — found by any suspect's node history.
+        (entry,) = controller.audit.events(kind=PROBE)
+        assert entry.details == {
+            "nodes": tuple(sorted(suspects)),
+            "isolated": ("node_0003",),
+            "probes_run": outcome.probes_run,
+        }
+        assert entry in controller.audit.node_history("node_0005")
 
     def test_isolates_flaky_fault_with_repeats(self):
         plan = FaultPlan({"node_0002": FlakyCommissionBehavior(probability=0.7)})
@@ -83,3 +93,5 @@ class TestIsolate:
         outcome = manager.isolate(suspects)
         assert outcome.isolated == []
         assert outcome.probes_run == 0
+        (entry,) = controller.audit.events(kind=PROBE)
+        assert entry.details["probes_run"] == 0

@@ -107,16 +107,16 @@ class TestMigrationTrigger:
 
     def test_region_suspicion_aggregates_tracker(self):
         controller = make_controller(geo_config())
-        controller.suspicion.nodes["node_0000"] = NodeSuspicion(
+        controller.resources.suspicion.nodes["node_0000"] = NodeSuspicion(
             jobs_executed=4, faults_associated=1
         )
-        controller.suspicion.nodes["node_0001"] = NodeSuspicion(
+        controller.resources.suspicion.nodes["node_0001"] = NodeSuspicion(
             jobs_executed=4, faults_associated=3
         )
-        level, jobs = controller._region_suspicion("east")
+        level, jobs = controller.resources.region_suspicion("east")
         assert jobs == 8
         assert level == pytest.approx(0.5)
-        assert controller._region_suspicion("west") == (0.0, 0)
+        assert controller.resources.region_suspicion("west") == (0.0, 0)
 
 
 class TestLastRegionGuard:
@@ -124,12 +124,10 @@ class TestLastRegionGuard:
         controller = make_controller(geo_config(min_jobs=1))
         # Every region far past the threshold: only two may migrate.
         for node_id in controller.cluster.node_ids():
-            controller.suspicion.nodes[node_id] = NodeSuspicion(
+            controller.resources.suspicion.nodes[node_id] = NodeSuspicion(
                 jobs_executed=10, faults_associated=9
             )
-        controller._maybe_reconfigure(
-            wal.RunState.fresh("script0001", controller.config.bft)
-        )
+        controller.resources.reconfigure(None)  # the run has no journal
         migrated = {e.subject for e in controller.audit.events(kind=RECONFIG)}
         assert len(migrated) == 2
         survivor = (set(controller.cluster.regions()) - migrated).pop()

@@ -60,20 +60,20 @@ class TestFaultLifecycle:
 
     def test_suspicion_lands_on_culprit_chain(self, story):
         controller, truth, results = story
-        assert controller.suspicion.level(FAULTY) > 0
+        assert controller.resources.suspicion.level(FAULTY) > 0
 
     def test_analyzer_contains_culprit(self, story):
         controller, truth, results = story
-        assert controller.fault_analyzer.observations >= 1
-        if controller.fault_analyzer.saturated:
-            assert FAULTY in controller.fault_analyzer.suspects()
+        assert controller.resources.fault_analyzer.observations >= 1
+        if controller.resources.fault_analyzer.saturated:
+            assert FAULTY in controller.resources.fault_analyzer.suspects()
 
     def test_probing_isolates_exact_node(self, story):
         controller, truth, results = story
         suspects = (
-            controller.fault_analyzer.suspects()
-            if controller.fault_analyzer.saturated
-            else controller.suspicion.suspects()
+            controller.resources.fault_analyzer.suspects()
+            if controller.resources.fault_analyzer.saturated
+            else controller.resources.suspicion.suspects()
         )
         assert FAULTY in suspects
         manager = ProbeManager(controller, repeats_per_round=4)

@@ -91,6 +91,32 @@ def unbound():
 
 def typed(arg: Child):
     return arg.run()
+
+
+class Owner:
+    def __init__(self):
+        self.part = Child()
+        self.noted: Base = make_base()
+
+    def via_self(self):
+        return self.part.run()
+
+    def via_annotation(self):
+        return self.noted.ping()
+
+
+class Heir(Owner):
+    def inherited(self):
+        return self.part.run()
+
+
+def via_typed_local():
+    owner = Owner()
+    return owner.part.run()
+
+
+def make_base():
+    return Base()
 '''
 
 
@@ -160,6 +186,18 @@ def test_unbound_method_call_resolves(tmp_path):
 def test_annotated_parameter_resolves_method(tmp_path):
     graph = build_fixture(tmp_path)
     assert "pkg.mod.Child.run" in edge_targets(graph, "pkg.mod.typed")
+
+
+def test_attribute_typed_in_init_resolves_method(tmp_path):
+    graph = build_fixture(tmp_path)
+    # `self.part = Child()` in __init__, then `self.part.run()` — on
+    # self, on a subclass's self, and on a typed local's attribute.
+    for caller in ("Owner.via_self", "Heir.inherited", "via_typed_local"):
+        assert "pkg.mod.Child.run" in edge_targets(graph, f"pkg.mod.{caller}")
+    # `self.noted: Base = ...` — the annotation names the class.
+    assert "pkg.mod.Base.ping" in edge_targets(graph, "pkg.mod.Owner.via_annotation")
+    assert graph.resolve_attr_type("pkg.mod.Heir", "part") == "pkg.mod.Child"
+    assert graph.resolve_attr_type("pkg.mod.Owner", "absent") is None
 
 
 def test_local_partial_binding(tmp_path):

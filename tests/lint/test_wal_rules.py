@@ -309,8 +309,10 @@ def test_mutation_replay_only_field_trips_wal002(real_tree):
 
 def test_mutation_dropped_attempt_end_field_trips_wal002(real_tree):
     # One append site writes `attempt_end`; a field dropped there is a
-    # field the replay (run half in journal.py, tier half in
-    # controller.py) still reads.
+    # field the replay still reads — the run half in journal.py, the
+    # tier half in `ResourceManager.replay`, which `resume_run` reaches
+    # as `controller.resources.replay(...)`: an attribute of a typed
+    # local, typed by the controller's `__init__`.
     mutate(real_tree, "core/journal.py", "            reused=self.reused,\n", "")
     mutate(real_tree, "core/journal.py", "            evicted=evicted,\n", "")
     findings = deep_findings(real_tree, "WAL002")
@@ -321,16 +323,35 @@ def test_mutation_dropped_attempt_end_field_trips_wal002(real_tree):
 
 
 def test_mutation_unaudited_fault_recorder_trips_aud001(real_tree):
-    # Merging the three fault-recording copies must not have blinded the
-    # attribution check: the one recorder still mutates suspicion and
-    # the fault analyzer, so deleting its audit record is a finding.
-    path = real_tree / "core" / "controller.py"
+    # Moving the one fault recorder behind `self.resources` must not
+    # have blinded the attribution check: it still mutates suspicion and
+    # the fault analyzer, so deleting its audit record is a finding —
+    # reached from the generator through an attribute-typed call.
+    path = real_tree / "core" / "resource_manager.py"
     source = path.read_text()
     start = source.index("            self.audit.record(\n                self.loop.now,\n                FAULT,")
     end = source.index("        self.suspicion.record_fault(nodes)")
     path.write_text(source[:start] + source[end:])
+    findings = [
+        d for d in deep_findings(real_tree, "AUD001") if "'record_fault'" in d.message
+    ]
+    assert findings, deep_findings(real_tree, "AUD001")
+    assert findings[0].chain[0].endswith("._assured_steps"), findings[0].chain
+
+
+def test_mutation_unattributed_eviction_record_trips_aud001(real_tree):
+    # The eviction/quarantine audit record names the tenant whose
+    # traffic triggered it; dropping the attribution is a finding.
+    mutate(
+        real_tree,
+        "core/resource_manager.py",
+        "                    jobs=state.jobs_executed,\n"
+        "                    **self.controller.audit_context,\n"
+        "                )\n",
+        "                    jobs=state.jobs_executed,\n                )\n",
+    )
     findings = deep_findings(real_tree, "AUD001")
-    assert any("'_record_fault'" in d.message for d in findings), findings
+    assert any("'enforce'" in d.message for d in findings), findings
 
 
 def test_mutation_wall_clock_in_digest_path_trips_flow001(real_tree):

@@ -157,7 +157,7 @@ def fingerprint(controller, result):
         "verdicts": [(o.sid, o.status, sorted(o.winners)) for o in result.outcomes],
         "audit": controller.audit.render(),
         "suspicion": {
-            node: controller.suspicion.level(node)
+            node: controller.resources.suspicion.level(node)
             for node in controller.cluster.node_ids()
         },
         "quarantined": sorted(
