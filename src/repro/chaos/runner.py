@@ -138,42 +138,27 @@ def _journaled_run(
     return controller.run_assured(DEFAULT_SCRIPT)
 
 
-def every_record(records: list[dict]) -> list[int]:
-    """Crash after each journal record in turn."""
-    return list(range(1, records[-1]["seq"] + 1))
-
-
-def checkpoint_boundaries(records: list[dict]) -> list[int]:
-    """Crash right after every ``checkpoint`` record and the record
-    immediately following it — the boundary where the checkpoint is
-    durable but the next decision is not."""
-    last_seq = records[-1]["seq"]
-    return sorted(
-        {
-            seq
-            for record in records
-            if record["kind"] == wal.CHECKPOINT
-            for seq in (record["seq"], record["seq"] + 1)
-            if seq <= last_seq
-        }
-    )
-
-
 def run_crash_sweep(
-    scenario: Scenario, seed: int, crash_seqs=every_record
+    scenario: Scenario, seed: int, around: str | None = None
 ) -> CrashProbe:
     """Control-tier crash sweep: run once journaled and uninterrupted,
-    then once per ``crash_seqs(records)`` with the control tier dying
-    right after that record becomes durable, resuming each crash from
-    its WAL.  Every resumed run is compared (by the ``DUR1`` or the
-    ``CKPT1`` checker) against the uninterrupted reference."""
+    then once per journal record with the control tier dying right
+    after that record becomes durable, resuming each crash from its
+    WAL.  ``around`` narrows the sweep to the records of that kind and
+    the record immediately following each — the boundary where the
+    record is durable but the next decision is not.  Every resumed run
+    is compared (by the ``DUR1`` or the ``CKPT1`` checker) against the
+    uninterrupted reference."""
     fault_plan = build_fault_plan(scenario, _node_ids(scenario))
     cells = []
     with tempfile.TemporaryDirectory(prefix="repro-crash-sweep-") as tmp:
         reference_path = os.path.join(tmp, "reference.wal")
         reference = _journaled_run(scenario, seed, reference_path)
         records, _ = wal.read_journal(reference_path)
-        for crash_seq in crash_seqs(records):
+        marked = {r["seq"] for r in records if r["kind"] == around}
+        for crash_seq in range(1, records[-1]["seq"] + 1):
+            if around and crash_seq not in marked and crash_seq - 1 not in marked:
+                continue
             crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
             try:
                 _journaled_run(
@@ -208,7 +193,7 @@ def run_ckpt_sweep(scenario: Scenario, seed: int) -> CrashProbe:
     the same cell.  The ``CKPT1`` checker compares every resumed run
     against the uninterrupted reference and the reference against the
     twin."""
-    probe = run_crash_sweep(scenario, seed, checkpoint_boundaries)
+    probe = run_crash_sweep(scenario, seed, around=wal.CHECKPOINT)
     # The twin differs in exactly one bit of configuration — the
     # checkpoint tier is off — so any output difference is the
     # checkpoint tier's fault, not placement's or the workload's.

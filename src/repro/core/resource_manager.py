@@ -1,19 +1,15 @@
-"""Resource manager: what the trusted tier knows about the worker cluster.
+"""Resource manager: the trusted tier's view of the worker cluster.
 
 Paper §4.2: resources are partitioned into uniform resource units; the
 resource table keeps one tuple ``(nid, #ru, (sid...), s)`` per node —
 node id, resource units, current sub-graph allocations, and suspicion
 level.  Placement policy itself lives in
 :class:`~repro.mapreduce.scheduler.ClusterBFTScheduler`; this module is
-everything else the control tier knows and decides about the cluster,
-shared by every run on one deployment: the suspicion levels and the
-fault analyzer's sets, the one fault recorder that feeds them, the
-inclusion list with threshold eviction and quarantine, region
-aggregation and migration, operator re-initialization, and the tier
-half of the ``attempt_end`` WAL record next to its inverse (DESIGN.md
-§20).  The isolation simulator keeps its own tracker and analyzer: it
-narrows attribution at fault time, where this class exonerates at the
-attempt boundary.
+everything else the tier knows and decides about the cluster (DESIGN.md
+§20): suspicion levels and the fault analyzer's sets, the one fault
+recorder that feeds them, the inclusion list with threshold eviction
+and quarantine, region migration, operator re-initialization, and the
+tier half of the ``attempt_end`` WAL record next to its inverse.
 """
 
 from __future__ import annotations
@@ -125,18 +121,10 @@ class ResourceManager:
         """Administrator intervention (paper §4.2): take the node off the
         grid, patch it, and re-insert it with a clean slate — back on
         the inclusion list, out of quarantine, no faults on record."""
-        was_evicted = self.cluster.node(node_id).excluded
-        was_quarantined = self.scheduler.is_quarantined(node_id)
         self.cluster.reinstate(node_id)
         self.scheduler.release(node_id)
         self.suspicion.clear_faults({node_id})
-        self.audit.record(
-            self.loop.now,
-            REINSTATE,
-            node_id,
-            evicted=was_evicted,
-            quarantined=was_quarantined,
-        )
+        self.audit.record(self.loop.now, REINSTATE, node_id)
 
     # ------------------------------------------------------------------
     # evidence: jobs and faults

@@ -146,8 +146,8 @@ class ProjectGraph:
             parent, _ = tree.get(parent, (None, 0))
         return list(reversed(path))
 
-    def _lineage(self, class_qualname: str):
-        """A class, then its project bases (DFS)."""
+    def resolve_method(self, class_qualname: str, name: str) -> str | None:
+        """Look ``name`` up on a class and its project bases (DFS)."""
         seen: set[str] = set()
         stack = [class_qualname]
         while stack:
@@ -156,21 +156,12 @@ class ProjectGraph:
                 continue
             seen.add(current)
             info = self.classes.get(current)
-            if info is not None:
-                yield info
-                stack.extend(info.bases)
-
-    def resolve_method(self, class_qualname: str, name: str) -> str | None:
-        """Look ``name`` up on a class and its project bases."""
-        lineage = self._lineage(class_qualname)
-        return next((c.methods[name] for c in lineage if name in c.methods), None)
-
-    def resolve_attr_type(self, class_qualname: str, name: str) -> str | None:
-        """Class of attribute ``name`` of a class (or a project base)."""
-        lineage = self._lineage(class_qualname)
-        return next(
-            (c.attr_types[name] for c in lineage if name in c.attr_types), None
-        )
+            if info is None:
+                continue
+            if name in info.methods:
+                return info.methods[name]
+            stack.extend(info.bases)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,8 @@ class _CallResolver(ast.NodeVisitor):
         #: local name → project function qualname (nested defs, aliases,
         #: lambdas, partial bindings).
         self.local_funcs: dict[str, str] = {}
-        #: local name → project class qualname (for method resolution).
+        #: local name or ``self.attr`` → project class qualname (for
+        #: method resolution).
         self.local_types: dict[str, str] = {}
         self._call_funcs: set[int] = set()  # id()s of call-func nodes
         self._prime_locals()
@@ -440,16 +432,14 @@ class _CallResolver(ast.NodeVisitor):
                         self.local_types[arg.arg] = cls
         for child in ast.walk(node):
             if isinstance(child, ast.Assign) and len(child.targets) == 1:
-                target = child.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                self._bind_local(target.id, child.value)
-            elif isinstance(child, ast.AnnAssign) and isinstance(
-                child.target, ast.Name
-            ):
+                target = _receiver_text(child.targets[0])
+                if target is not None:
+                    self._bind_local(target, child.value)
+            elif isinstance(child, ast.AnnAssign):
+                target = _receiver_text(child.target)
                 cls = self._resolve_class(child.annotation)
-                if cls is not None:
-                    self.local_types[child.target.id] = cls
+                if target is not None and cls is not None:
+                    self.local_types[target] = cls
 
     def _bind_local(self, name: str, value: ast.expr) -> None:
         if isinstance(value, ast.Call):
@@ -552,41 +542,19 @@ class _CallResolver(ast.NodeVisitor):
 
     def _receiver_class(self, receiver: ast.expr) -> str | None:
         """Project class of a method call's receiver, when evident."""
-        if isinstance(receiver, ast.Name):
-            # self.method / cls.method
-            if receiver.id in ("self", "cls") and self.info.class_qualname:
-                return self.info.class_qualname
-            # typed local: v.method where v's class is known
-            return self.local_types.get(receiver.id)
+        # typed local: v.method where v's class is known
+        text = _receiver_text(receiver)
+        if text in self.local_types:
+            return self.local_types[text]
+        # self.method / cls.method
+        if text in ("self", "cls"):
+            return self.info.class_qualname
         if isinstance(receiver, ast.Attribute):
             # typed attribute: self.x.method / v.x.method
-            owner = self._receiver_class(receiver.value)
+            owner = self.graph.classes.get(self._receiver_class(receiver.value))
             if owner is not None:
-                return self.graph.resolve_attr_type(owner, receiver.attr)
+                return owner.attr_types.get(receiver.attr)
         return None
-
-    def self_attr_types(self) -> dict[str, str]:
-        """``{attr: class}`` for this function's ``self.attr = Class(...)``
-        and ``self.attr: Class`` statements (run on ``__init__``)."""
-        found: dict[str, str] = {}
-        for child in ast.walk(self.info.node):
-            if isinstance(child, ast.Assign) and len(child.targets) == 1:
-                target, value = child.targets[0], child.value
-                annotation = value.func if isinstance(value, ast.Call) else None
-            elif isinstance(child, ast.AnnAssign):
-                target, annotation = child.target, child.annotation
-            else:
-                continue
-            if (
-                annotation is not None
-                and isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                cls = self._resolve_class(annotation)
-                if cls is not None:
-                    found[target.attr] = cls
-        return found
 
     # -- traversal ------------------------------------------------------
 
@@ -711,7 +679,10 @@ def build_project(files: list[Path]) -> ProjectGraph:
     for cls in graph.classes.values():
         init = graph.functions.get(cls.methods.get("__init__", ""))
         if init is not None:
-            cls.attr_types = _CallResolver(graph, indexes, init).self_attr_types()
+            typed = _CallResolver(graph, indexes, init).local_types
+            cls.attr_types = {
+                name[5:]: typed[name] for name in typed if name.startswith("self.")
+            }
 
     for info in list(graph.functions.values()):
         resolver = _CallResolver(graph, indexes, info)

@@ -105,11 +105,6 @@ class Owner:
         return self.noted.ping()
 
 
-class Heir(Owner):
-    def inherited(self):
-        return self.part.run()
-
-
 def via_typed_local():
     owner = Owner()
     return owner.part.run()
@@ -191,13 +186,15 @@ def test_annotated_parameter_resolves_method(tmp_path):
 def test_attribute_typed_in_init_resolves_method(tmp_path):
     graph = build_fixture(tmp_path)
     # `self.part = Child()` in __init__, then `self.part.run()` — on
-    # self, on a subclass's self, and on a typed local's attribute.
-    for caller in ("Owner.via_self", "Heir.inherited", "via_typed_local"):
+    # self and on a typed local's attribute.
+    for caller in ("Owner.via_self", "via_typed_local"):
         assert "pkg.mod.Child.run" in edge_targets(graph, f"pkg.mod.{caller}")
     # `self.noted: Base = ...` — the annotation names the class.
     assert "pkg.mod.Base.ping" in edge_targets(graph, "pkg.mod.Owner.via_annotation")
-    assert graph.resolve_attr_type("pkg.mod.Heir", "part") == "pkg.mod.Child"
-    assert graph.resolve_attr_type("pkg.mod.Owner", "absent") is None
+    assert graph.classes["pkg.mod.Owner"].attr_types == {
+        "part": "pkg.mod.Child",
+        "noted": "pkg.mod.Base",
+    }
 
 
 def test_local_partial_binding(tmp_path):
