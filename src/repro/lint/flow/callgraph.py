@@ -681,7 +681,9 @@ def build_project(files: list[Path]) -> ProjectGraph:
         if init is not None:
             typed = _CallResolver(graph, indexes, init).local_types
             cls.attr_types = {
-                name[5:]: typed[name] for name in typed if name.startswith("self.")
+                name.removeprefix("self."): cls_name
+                for name, cls_name in typed.items()
+                if name.startswith("self.")
             }
 
     for info in list(graph.functions.values()):
