@@ -169,10 +169,7 @@ def build_combiner(job: JobSpec) -> CombinerSpec | None:
             and arg.bag.name in bag_names
         ):
             return None
-        try:
-            field_index = input_schema.index_of(arg.field)
-        except Exception:
-            return None
+        field_index = input_schema.index_of(arg.field)  # resolved by plan validation
         field_type = input_schema.field(field_index).type
         if name == "COUNT":
             layout.append((AGG_FIELD, slot_for(AggregateSlot(COUNT, None))))

@@ -4,7 +4,8 @@ A :class:`JobGraph` is the unit ClusterBFT replicates: the *job
 initiator* assigns each job a sub-graph id (sid) and submits ``r``
 replicas of it (paper §4.1).  Specs are pure descriptions — execution
 state lives in the MapReduce engine — so all replicas of a job can share
-one spec object.
+one spec object, and with it one binding: each pipeline stage and each
+map branch's reduce key is bound to its schema when the spec is built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import CompileError
-from repro.dataflow.operators import BlockingOperator, StreamingOperator
+from repro.dataflow.expressions import Bound
+from repro.dataflow.operators import BlockingOperator, Stage, StreamingOperator
 from repro.dataflow.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -22,10 +24,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class PipelineOp:
-    """One streaming operator with its input schema bound at compile time."""
+    """One streaming operator bound to its input schema at compile time;
+    ``run`` maps the stage's input list to its output list."""
 
     op: StreamingOperator
     input_schema: Schema
+    run: Stage = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.run = self.op.bind(self.input_schema)
 
 
 @dataclass
@@ -34,11 +41,14 @@ class MapBranch:
 
     ``tag`` is the blocking operator's input index (0 for the left side
     of a JOIN, 1 for the right; always 0 for single-input operators).
+    ``key`` is the reduce key of one map output record, bound by the
+    :class:`JobSpec` that owns the branch (None in a map-only job).
     """
 
     input_path: str
     tag: int
     pipeline: list[PipelineOp] = field(default_factory=list)
+    key: Bound | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -59,6 +69,13 @@ class JobSpec:
     output_is_temp: bool = False
     #: Map-side combining plan (algebraic GROUP+FOREACH jobs only).
     combiner: "CombinerSpec | None" = None
+
+    def __post_init__(self) -> None:
+        if self.blocking is not None:
+            for branch in self.branches:
+                branch.key = self.blocking.bind_key(
+                    branch.tag, self.blocking_input_schemas
+                )
 
     @property
     def is_map_only(self) -> bool:

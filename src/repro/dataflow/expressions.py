@@ -1,10 +1,13 @@
 """Expression AST for FILTER predicates and FOREACH projections.
 
-Expressions evaluate against one :class:`~repro.common.records.Record`
-under a :class:`~repro.dataflow.schema.Schema`.  Aggregate functions
-(COUNT, SUM, AVG, MIN, MAX) consume *bags* — the canonically-sorted
-tuples of records produced by GROUP — so a FOREACH over grouped data is
-just ordinary expression evaluation.
+An expression is *bound* once to the
+:class:`~repro.dataflow.schema.Schema` of its input: ``bind(schema)``
+resolves every field reference to a position, picks each operator's
+function, and returns a plain function of one
+:class:`~repro.common.records.Record`.  Nothing is resolved per record.
+Aggregate functions (COUNT, SUM, AVG, MIN, MAX) consume *bags* — the
+canonically-sorted tuples of records produced by GROUP — so a FOREACH
+over grouped data is just ordinary expression evaluation.
 
 AVG is implemented as sum-then-divide, not a moving average: the paper
 (§5.4) notes that moving averages break replica determinism in the last
@@ -14,8 +17,9 @@ paper's other workaround (truncating decimals before arithmetic).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import SchemaError
 from repro.common.records import Record
@@ -23,10 +27,16 @@ from repro.dataflow import schema as sc
 from repro.dataflow.schema import Schema
 
 
+#: An expression bound to its input schema: one record in, one value out.
+Bound = Callable[[Record], Any]
+
+
 class Expr:
     """Base class for expression nodes."""
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
+    def bind(self, schema: Schema) -> Bound:
+        """Resolve against ``schema`` (raising :class:`SchemaError` on a
+        bad reference) and return the evaluator for its records."""
         raise NotImplementedError
 
     def output_type(self, schema: Schema) -> str:
@@ -38,7 +48,8 @@ class Expr:
         return "expr"
 
     def references(self) -> set[str]:
-        """Field names this expression reads (for validation)."""
+        """Field names this expression reads in its input schema (a bag
+        projection's inner field is not one; ``bind`` resolves it)."""
         return set()
 
 
@@ -46,8 +57,9 @@ class Expr:
 class Literal(Expr):
     value: Any
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
-        return self.value
+    def bind(self, schema: Schema) -> Bound:
+        value = self.value
+        return lambda record: value
 
     def output_type(self, schema: Schema) -> str:
         if isinstance(self.value, bool):
@@ -73,8 +85,9 @@ class FieldRef(Expr):
 
     name: str
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
-        return record[schema.index_of(self.name)]
+    def bind(self, schema: Schema) -> Bound:
+        index = schema.index_of(self.name)
+        return lambda record: record.fields[index]
 
     def output_type(self, schema: Schema) -> str:
         return schema.type_of(self.name)
@@ -94,28 +107,31 @@ class BagProject(Expr):
     """Project one field out of every record in a bag: ``B.temp``.
 
     Evaluates to a tuple of values, preserving the bag's canonical order.
+    The field resolves in the bag's inner schema when GROUP attached one;
+    without one, each item must be a 1-field record.
     """
 
     bag: Expr
     field: str
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
-        bag_value = self.bag.evaluate(record, schema)
-        if bag_value is None:
-            return ()
+    def bind(self, schema: Schema) -> Bound:
+        bag = self.bag.bind(schema)
         inner_schema = _bag_schema(self.bag, schema)
-        index = inner_schema.index_of(self.field) if inner_schema else None
-        out = []
-        for item in bag_value:
-            if index is not None:
-                out.append(item[index])
-            elif isinstance(item, Record) and len(item) == 1:
-                out.append(item[0])
-            else:
-                raise SchemaError(
-                    f"cannot resolve field {self.field!r} inside bag"
-                )
-        return tuple(out)
+        if not inner_schema:
+            get = self._only_field
+        else:
+            get = operator.itemgetter(inner_schema.index_of(self.field))
+
+        def project(record: Record) -> tuple:
+            items = bag(record)
+            return () if items is None else tuple([get(item) for item in items])
+
+        return project
+
+    def _only_field(self, item: Any) -> Any:
+        if isinstance(item, Record) and len(item) == 1:
+            return item[0]
+        raise SchemaError(f"cannot resolve field {self.field!r} inside bag")
 
     def output_type(self, schema: Schema) -> str:
         return sc.BAG
@@ -136,20 +152,20 @@ def _bag_schema(bag_expr: Expr, schema: Schema) -> Schema | None:
 
 
 _COMPARISONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
 }
 
 
@@ -159,26 +175,25 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
+    def bind(self, schema: Schema) -> Bound:
+        left, right = self.left.bind(schema), self.right.bind(schema)
         if self.op == "and":
-            return bool(self.left.evaluate(record, schema)) and bool(
-                self.right.evaluate(record, schema)
-            )
+            return lambda record: bool(left(record)) and bool(right(record))
         if self.op == "or":
-            return bool(self.left.evaluate(record, schema)) or bool(
-                self.right.evaluate(record, schema)
-            )
-        left = self.left.evaluate(record, schema)
-        right = self.right.evaluate(record, schema)
+            return lambda record: bool(left(record)) or bool(right(record))
+        # A None operand makes a comparison False and arithmetic None.
         if self.op in _COMPARISONS:
-            if left is None or right is None:
-                return False
-            return _COMPARISONS[self.op](left, right)
-        if self.op in _ARITHMETIC:
-            if left is None or right is None:
-                return None
-            return _ARITHMETIC[self.op](left, right)
-        raise SchemaError(f"unknown operator: {self.op!r}")
+            fn, on_null = _COMPARISONS[self.op], False
+        elif self.op in _ARITHMETIC:
+            fn, on_null = _ARITHMETIC[self.op], None
+        else:
+            raise SchemaError(f"unknown operator: {self.op!r}")
+
+        def apply(record: Record) -> Any:
+            a, b = left(record), right(record)
+            return on_null if a is None or b is None else fn(a, b)
+
+        return apply
 
     def output_type(self, schema: Schema) -> str:
         if self.op in _COMPARISONS or self.op in ("and", "or"):
@@ -203,13 +218,18 @@ class UnaryOp(Expr):
     op: str  # "not" | "neg"
     operand: Expr
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
-        value = self.operand.evaluate(record, schema)
+    def bind(self, schema: Schema) -> Bound:
+        operand = self.operand.bind(schema)
         if self.op == "not":
-            return not bool(value)
-        if self.op == "neg":
+            return lambda record: not operand(record)
+        if self.op != "neg":
+            raise SchemaError(f"unknown unary operator: {self.op!r}")
+
+        def negate(record: Record) -> Any:
+            value = operand(record)
             return None if value is None else -value
-        raise SchemaError(f"unknown unary operator: {self.op!r}")
+
+        return negate
 
     def output_type(self, schema: Schema) -> str:
         if self.op == "not":
@@ -227,9 +247,11 @@ class IsNull(Expr):
     operand: Expr
     negate: bool = False
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
-        is_null = self.operand.evaluate(record, schema) is None
-        return not is_null if self.negate else is_null
+    def bind(self, schema: Schema) -> Bound:
+        operand = self.operand.bind(schema)
+        if self.negate:
+            return lambda record: operand(record) is not None
+        return lambda record: operand(record) is None
 
     def output_type(self, schema: Schema) -> str:
         return sc.BOOLEAN
@@ -354,10 +376,10 @@ class FuncCall(Expr):
         if self.name.upper() not in FUNCTIONS:
             raise SchemaError(f"unknown function: {self.name!r}")
 
-    def evaluate(self, record: Record, schema: Schema) -> Any:
+    def bind(self, schema: Schema) -> Bound:
         fn, _, _ = FUNCTIONS[self.name.upper()]
-        values = [arg.evaluate(record, schema) for arg in self.args]
-        return fn(values)
+        args = [arg.bind(schema) for arg in self.args]
+        return lambda record: fn([arg(record) for arg in args])
 
     def output_type(self, schema: Schema) -> str:
         _, type_tag, _ = FUNCTIONS[self.name.upper()]

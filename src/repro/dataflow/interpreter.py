@@ -3,6 +3,9 @@
 Evaluates a plan directly — no MapReduce, no simulation — and is used as
 the semantic oracle in tests: the distributed execution must produce
 exactly the records (and therefore digests) this interpreter produces.
+It binds operators through the same ``bind`` / ``bind_key`` methods the
+MapReduce compiler uses; the tests check those binders against a
+reference evaluator of their own.
 """
 
 from __future__ import annotations
@@ -73,11 +76,8 @@ def interpret(
                 merged.extend(records)
             results[vid] = merged
         elif isinstance(op, StreamingOperator):
-            input_schema = plan.schema_of(parent_ids[0])
-            out: list[Record] = []
-            for record in parent_records[0]:
-                out.extend(op.process(record, input_schema))
-            results[vid] = out
+            stage = op.bind(plan.schema_of(parent_ids[0]))
+            results[vid] = stage(parent_records[0])
         elif isinstance(op, LimitOp) and _limit_preserves_order(plan, vid):
             # Mirror the MR compiler: LIMIT in the same job as an
             # upstream ORDER slices the *sorted* stream.
@@ -132,9 +132,9 @@ def _run_blocking(
     input_schemas = plan.input_schemas_of(vid)
     groups: dict = defaultdict(list)
     for input_index, records in enumerate(parent_records):
+        key_of = op.bind_key(input_index, input_schemas)
         for record in records:
-            key = op.reduce_key(record, input_index, input_schemas)
-            groups[key].append((input_index, record))
+            groups[key_of(record)].append((input_index, record))
     out: list[Record] = []
     # Deterministic key order: sort by repr of key (stable across runs).
     for key in sorted(groups, key=lambda k: (str(type(k)), str(k))):

@@ -4,11 +4,17 @@ Operators are *descriptions*: they carry no input references (the
 :class:`~repro.dataflow.plan.LogicalPlan` owns the DAG) and no schemas
 (the plan infers those).  Each operator provides:
 
-* ``derive_schema(input_schemas)`` — output schema inference;
-* per-record semantics (``process``) for streaming operators, used both
-  by the local interpreter and by map/reduce pipelines;
-* grouping semantics (``reduce_key`` / ``reduce``) for blocking
-  operators, which force a MapReduce shuffle boundary.
+* ``derive_schema(input_schemas)`` — output schema inference, which
+  binds every expression so a bad field reference fails here;
+* for streaming operators, ``bind(input_schema)`` — one function that
+  maps a stage's whole input list to its output list;
+* for blocking operators, which force a MapReduce shuffle boundary,
+  ``bind_key(input_index, input_schemas)`` — the reduce key of one
+  record — and ``reduce`` over one key group.
+
+Binding resolves field references once: the MapReduce compiler binds
+each stage when it builds a job (every replica shares that binding) and
+the local interpreter binds through the same methods.
 
 Determinism note: every blocking operator sorts the records of a key
 group by canonical encoding before producing output, implementing the
@@ -19,12 +25,13 @@ digests match bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from repro.common.errors import PlanError, SchemaError
 from repro.common.records import Record
 from repro.dataflow import schema as sc
-from repro.dataflow.expressions import Expr, FieldRef
+from repro.dataflow.expressions import Bound, Expr, FieldRef
 from repro.dataflow.schema import Field, Schema
 
 
@@ -66,17 +73,24 @@ class Operator:
         return f"<{type(self).__name__}{alias}>"
 
 
+#: A streaming operator bound to its input schema: a stage's input list
+#: in, its output list out.
+Stage = Callable[[list[Record]], list[Record]]
+
+
 class StreamingOperator(Operator):
     """Per-record operator; may emit 0..n records per input record."""
 
-    def process(self, record: Record, input_schema: Schema) -> list[Record]:
+    def bind(self, input_schema: Schema) -> Stage:
+        """Resolve against ``input_schema``; return the stage function."""
         raise NotImplementedError
 
 
 class BlockingOperator(Operator):
     """Operator requiring a shuffle: key extraction + per-key reduction."""
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
+        """The reduce key of one record of input ``input_index``."""
         raise NotImplementedError
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
@@ -150,15 +164,12 @@ class FilterOp(StreamingOperator):
     def derive_schema(self, input_schemas: list[Schema]) -> Schema:
         if len(input_schemas) != 1:
             raise PlanError("FILTER takes exactly one input")
-        schema = input_schemas[0]
-        for ref in self.predicate.references():
-            schema.index_of(ref)  # raises SchemaError on bad reference
-        return schema
+        self.predicate.bind(input_schemas[0])  # raises SchemaError on bad reference
+        return input_schemas[0]
 
-    def process(self, record: Record, input_schema: Schema) -> list[Record]:
-        if self.predicate.evaluate(record, input_schema):
-            return [record]
-        return []
+    def bind(self, input_schema: Schema) -> Stage:
+        predicate = self.predicate.bind(input_schema)
+        return lambda records: [record for record in records if predicate(record)]
 
 
 @dataclass(frozen=True)
@@ -192,8 +203,7 @@ class ForeachOp(StreamingOperator):
         schema = input_schemas[0]
         fields = []
         for projection in self.projections:
-            for ref in projection.expr.references():
-                schema.index_of(ref)
+            projection.expr.bind(schema)
             type_tag = projection.expr.output_type(schema)
             inner = None
             if type_tag == sc.BAG and isinstance(projection.expr, FieldRef):
@@ -201,9 +211,11 @@ class ForeachOp(StreamingOperator):
             fields.append(Field(projection.resolved_name(), type_tag, inner))
         return Schema(fields)
 
-    def process(self, record: Record, input_schema: Schema) -> list[Record]:
-        values = [p.expr.evaluate(record, input_schema) for p in self.projections]
-        return [Record(tuple(values))]
+    def bind(self, input_schema: Schema) -> Stage:
+        exprs = [projection.expr.bind(input_schema) for projection in self.projections]
+        return lambda records: [
+            Record(tuple([expr(record) for expr in exprs])) for record in records
+        ]
 
 
 class VerifyOp(StreamingOperator):
@@ -224,8 +236,8 @@ class VerifyOp(StreamingOperator):
             raise PlanError("VERIFY takes exactly one input")
         return input_schemas[0]
 
-    def process(self, record: Record, input_schema: Schema) -> list[Record]:
-        return [record]
+    def bind(self, input_schema: Schema) -> Stage:
+        return list
 
     def describe(self) -> str:
         return f"verify[{self.vp_id}]"
@@ -251,8 +263,8 @@ class UnionOp(StreamingOperator):
                 )
         return first
 
-    def process(self, record: Record, input_schema: Schema) -> list[Record]:
-        return [record]
+    def bind(self, input_schema: Schema) -> Stage:
+        return list
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +272,17 @@ class UnionOp(StreamingOperator):
 # ----------------------------------------------------------------------
 
 
-def _key_value(exprs: list[Expr], record: Record, schema: Schema) -> Any:
-    """Evaluate grouping keys; single expr yields a scalar, several a tuple
+def _bind_keys(exprs: list[Expr], schema: Schema) -> Bound:
+    """Bind grouping keys; a single expr yields a scalar, several a tuple
     (Pig's GROUP key convention)."""
-    if len(exprs) == 1:
-        return exprs[0].evaluate(record, schema)
-    return tuple(e.evaluate(record, schema) for e in exprs)
+    keys = [expr.bind(schema) for expr in exprs]
+    if len(keys) == 1:
+        return keys[0]
+    return lambda record: tuple([key(record) for key in keys])
+
+
+def _global_key(record: Record) -> str:
+    return OrderOp.GLOBAL_KEY
 
 
 class GroupOp(BlockingOperator):
@@ -285,9 +302,7 @@ class GroupOp(BlockingOperator):
         if len(input_schemas) != 1:
             raise PlanError("GROUP takes exactly one input")
         schema = input_schemas[0]
-        for expr in self.key_exprs:
-            for ref in expr.references():
-                schema.index_of(ref)
+        _bind_keys(self.key_exprs, schema)
         if len(self.key_exprs) == 1:
             key_type = self.key_exprs[0].output_type(schema)
         else:
@@ -297,8 +312,8 @@ class GroupOp(BlockingOperator):
             [Field("group", key_type), Field(bag_name, sc.BAG, schema)]
         )
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
-        return _key_value(self.key_exprs, record, input_schemas[0])
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
+        return _bind_keys(self.key_exprs, input_schemas[0])
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         bag = tuple(canonical_sort([record for _, record in tagged]))
@@ -329,12 +344,8 @@ class JoinOp(BlockingOperator):
         if len(input_schemas) != 2:
             raise PlanError("JOIN takes exactly two inputs")
         left, right = input_schemas
-        for expr in self.left_keys:
-            for ref in expr.references():
-                left.index_of(ref)
-        for expr in self.right_keys:
-            for ref in expr.references():
-                right.index_of(ref)
+        _bind_keys(self.left_keys, left)
+        _bind_keys(self.right_keys, right)
         if self.input_aliases:
             # Qualify as alias::name so duplicate field names stay
             # addressable downstream (Pig's join-output convention).
@@ -342,9 +353,9 @@ class JoinOp(BlockingOperator):
             right = right.qualify(self.input_aliases[1])
         return left.concat(right)
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
         exprs = self.left_keys if input_index == 0 else self.right_keys
-        return _key_value(exprs, record, input_schemas[input_index])
+        return _bind_keys(exprs, input_schemas[input_index])
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         left_rows = canonical_sort([r for tag, r in tagged if tag == 0])
@@ -366,8 +377,8 @@ class DistinctOp(BlockingOperator):
             raise PlanError("DISTINCT takes exactly one input")
         return input_schemas[0]
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
-        return record.fields
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
+        return attrgetter("fields")
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         return [tagged[0][1]]
@@ -406,8 +417,8 @@ class OrderOp(BlockingOperator):
     def preferred_reducers(self) -> int | None:
         return 1
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
-        return self.GLOBAL_KEY
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
+        return _global_key
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         schema = input_schemas[0]
@@ -452,8 +463,8 @@ class LimitOp(BlockingOperator):
     def preferred_reducers(self) -> int | None:
         return 1
 
-    def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
-        return OrderOp.GLOBAL_KEY
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
+        return _global_key
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         # Standalone LIMIT picks a *deterministic* arbitrary subset:

@@ -61,52 +61,34 @@ class TapResult:
     bytes_hashed: int
 
 
-class _Tap:
-    """Collects the records passing a VerifyOp inside a task."""
-
-    def __init__(self, vp_id: str, chunk_records: int) -> None:
-        self.vp_id = vp_id
-        self.chunk_records = chunk_records
-        self.records: list[Record] = []
-
-    def observe(self, record: Record) -> None:
-        self.records.append(record)
-
-    def finalize(self) -> TapResult:
-        # Sort canonically so chunk boundaries agree across replicas.
-        ordered = sorted(self.records, key=Record.encoded)
-        streaming = StreamingDigest(chunk_size=self.chunk_records)
-        streaming.update_all(ordered)
-        streaming.finalize()
-        return TapResult(
-            vp_id=self.vp_id,
-            digests=streaming.all_digests(),
-            record_count=len(ordered),
-            bytes_hashed=sum(r.size_bytes() for r in ordered),
-        )
+def _tap(point: VerifyOp, records: list[Record]) -> TapResult:
+    """Digest the records passing a VerifyOp inside a task."""
+    # Sort canonically so chunk boundaries agree across replicas.
+    ordered = sorted(records, key=Record.encoded)
+    streaming = StreamingDigest(chunk_size=point.chunk_records)
+    streaming.update_all(ordered)
+    streaming.finalize()
+    return TapResult(
+        vp_id=point.vp_id,
+        digests=streaming.all_digests(),
+        record_count=len(ordered),
+        bytes_hashed=sum(r.size_bytes() for r in ordered),
+    )
 
 
 def run_pipeline(
     records: list[Record], pipeline: list[PipelineOp]
 ) -> tuple[list[Record], list[TapResult]]:
-    """Stream ``records`` through a compiled pipeline, tapping VerifyOps."""
-    taps: dict[int, _Tap] = {}
-    for index, stage in enumerate(pipeline):
-        if isinstance(stage.op, VerifyOp):
-            taps[index] = _Tap(stage.op.vp_id, stage.op.chunk_records)
-
+    """Stream ``records`` through a compiled pipeline one bound stage at a
+    time, tapping VerifyOps (which are identity on the stream)."""
     current = list(records)
-    for index, stage in enumerate(pipeline):
-        if index in taps:
-            tap = taps[index]
-            for record in current:
-                tap.observe(record)
-            continue  # VerifyOp is identity on the stream
-        next_records: list[Record] = []
-        for record in current:
-            next_records.extend(stage.op.process(record, stage.input_schema))
-        current = next_records
-    return current, [taps[i].finalize() for i in sorted(taps)]
+    taps = []
+    for stage in pipeline:
+        if isinstance(stage.op, VerifyOp):
+            taps.append(_tap(stage.op, current))
+        else:
+            current = stage.run(current)
+    return current, taps
 
 
 @dataclass
@@ -150,6 +132,7 @@ def execute_map_task(
         result.bytes_out = sum(r.size_bytes() for r in out_records)
         return result
 
+    key_of = branch.key
     partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
     bytes_out = 0
     if spec.combiner is not None:
@@ -158,10 +141,7 @@ def execute_map_task(
         # is needed for replica determinism).
         per_key: dict = defaultdict(list)
         for record in out_records:
-            key = spec.blocking.reduce_key(
-                record, branch.tag, spec.blocking_input_schemas
-            )
-            per_key[key].append(record)
+            per_key[key_of(record)].append(record)
         for key, group in per_key.items():
             partial = spec.combiner.initial_partial(group)
             key_as_tuple, key_bytes = _encode_key(key)
@@ -171,9 +151,7 @@ def execute_map_task(
         result.records_out = len(per_key)
     else:
         for record in out_records:
-            key = spec.blocking.reduce_key(
-                record, branch.tag, spec.blocking_input_schemas
-            )
+            key = key_of(record)
             key_as_tuple, key_bytes = _encode_key(key)
             part = _partition_of(key_as_tuple, spec.num_reducers)
             partitions[part].append((key, branch.tag, record))

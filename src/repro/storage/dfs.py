@@ -15,7 +15,9 @@ system needs from such a layer:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from repro.common.errors import FileAlreadyExists, FileNotFound, StorageError
@@ -156,24 +158,21 @@ class TrustedDFS:
     def append(self, name: str, records: list[Record], scope: str = "") -> int:
         """Append ``records`` to ``name``; returns bytes written.
 
-        Records are packed into blocks of at most ``block_bytes``.
+        Each block takes the following records while its size stays at
+        most ``block_bytes``, and always at least one record.
         """
         file = self._get(name)
         if file.closed:
             raise StorageError(f"file is closed: {name}")
-        written = 0
-        pending: list[Record] = []
-        pending_bytes = 0
-        for record in records:
-            rec_bytes = record.size_bytes()
-            if pending and pending_bytes + rec_bytes > self.block_bytes:
-                self._flush_block(file, pending, pending_bytes)
-                pending, pending_bytes = [], 0
-            pending.append(record)
-            pending_bytes += rec_bytes
-            written += rec_bytes
-        if pending:
-            self._flush_block(file, pending, pending_bytes)
+        # ends[i]: bytes of records[:i + 1]; a block is the run of records
+        # whose end offsets fit within block_bytes of the block's start.
+        ends = list(accumulate(len(record.encoded()) for record in records))
+        start = offset = 0
+        while start < len(records):
+            stop = max(bisect_right(ends, offset + self.block_bytes, start), start + 1)
+            self._flush_block(file, records[start:stop], ends[stop - 1] - offset)
+            start, offset = stop, ends[stop - 1]
+        written = offset
         counters = self._counters(scope)
         counters.bytes_written += written
         counters.records_written += len(records)

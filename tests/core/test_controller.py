@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SchemaError
 from repro.common.records import records_from_rows
 from repro.core.controller import ClusterBFTController
 from repro.core.verifier import FAILED, TIMEOUT, VERIFIED
@@ -88,6 +88,19 @@ class TestModes:
         group = plan.find_by_alias("G")
         result = controller.run_assured(plan, explicit_points=[group])
         assert result.assured
+
+    @pytest.mark.parametrize("rows", [[], ROWS], ids=["empty", "rows"])
+    def test_unknown_bag_field_rejected_before_any_job(self, rows):
+        # An empty input once ran to assured=True with empty output, and
+        # a non-empty one failed inside the run: both now fail closed.
+        controller = make_controller()
+        controller.load_input("in", records_from_rows(rows))
+        with pytest.raises(SchemaError, match="nosuch"):
+            controller.run_assured(
+                "A = LOAD 'in' AS (k:int, v:int);\nG = GROUP A BY k;\n"
+                "M = FOREACH G GENERATE group, MAX(A.nosuch);\nSTORE M INTO 'out';"
+            )
+        assert controller.engine.runs == []
 
     @pytest.mark.parametrize("mode", ["run_plain", "run_single", "run_assured"])
     def test_script_text_is_parsed_once_per_submission(self, mode, monkeypatch):

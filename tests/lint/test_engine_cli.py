@@ -129,3 +129,16 @@ def test_cli_plan_mode_parse_error(tmp_path):
     result = repro_cli("lint", "--plan", str(script))
     assert result.returncode == 1
     assert "PLAN000" in result.stdout
+
+
+def test_cli_plan_mode_unknown_bag_field(tmp_path):
+    script = tmp_path / "bag.pig"
+    script.write_text(
+        "e = LOAD 'in' AS (user:int, follower:int);\n"
+        "g = GROUP e BY user;\n"
+        "m = FOREACH g GENERATE group, MAX(e.nosuch);\n"
+        "STORE m INTO 'out';\n"
+    )
+    result = repro_cli("lint", "--plan", str(script))
+    assert result.returncode == 1
+    assert "PLAN003" in result.stdout and "nosuch" in result.stdout

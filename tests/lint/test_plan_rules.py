@@ -6,6 +6,7 @@ import argparse
 import pytest
 
 from repro.common.config import ClusterBFTConfig
+from repro.common.errors import SchemaError
 from repro.core.request_handler import RequestHandler
 from repro.dataflow.operators import LoadOp, StoreOp, UnionOp
 from repro.dataflow.piglatin import parse_script
@@ -58,6 +59,31 @@ def test_plan003_schema_with_script_line():
     assert diags[0].path == "script.pig"
     assert diags[0].line == 2  # the FOREACH statement's source line
     assert "missing_field" in diags[0].message
+
+
+#: A bag-inner field the bag does not have (the bag's schema is GROUP's
+#: input schema); only binding the projection resolves it.
+BAD_BAG_FIELD = (
+    "e = LOAD 'in' AS (user:int, follower:int);\n"
+    "g = GROUP e BY user;\n"
+    "m = FOREACH g GENERATE group, MAX(e.nosuch);\n"
+    "STORE m INTO 'out';\n"
+)
+
+
+def test_plan003_unknown_bag_field():
+    diags = check_plan(parse_script(BAD_BAG_FIELD, validate=False), "script.pig")
+    assert rules_of(diags) == ["PLAN003"]
+    assert diags[0].line == 3
+    assert "nosuch" in diags[0].message
+
+
+def test_prepare_rejects_unknown_bag_field():
+    handler = RequestHandler(ClusterBFTConfig(f=1, replication=4))
+    with pytest.raises(SchemaError, match="nosuch"):
+        parse_script(BAD_BAG_FIELD)
+    with pytest.raises(SchemaError, match="nosuch"):
+        handler.prepare(parse_script(BAD_BAG_FIELD, validate=False), {"in": 10})
 
 
 def test_plan004_no_store():

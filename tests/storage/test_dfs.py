@@ -163,3 +163,86 @@ class TestAccounting:
     def test_invalid_block_bytes_rejected(self):
         with pytest.raises(StorageError):
             TrustedDFS(block_bytes=0)
+
+
+def reference_append(dfs, name, records, scope=""):
+    """``TrustedDFS.append`` as it was before blocks were cut from
+    cumulative sizes: one record at a time (kept verbatim)."""
+    file = dfs._get(name)
+    if file.closed:
+        raise StorageError(f"file is closed: {name}")
+    written = 0
+    pending = []
+    pending_bytes = 0
+    for record in records:
+        rec_bytes = record.size_bytes()
+        if pending and pending_bytes + rec_bytes > dfs.block_bytes:
+            dfs._flush_block(file, pending, pending_bytes)
+            pending, pending_bytes = [], 0
+        pending.append(record)
+        pending_bytes += rec_bytes
+        written += rec_bytes
+    if pending:
+        dfs._flush_block(file, pending, pending_bytes)
+    counters = dfs._counters(scope)
+    counters.bytes_written += written
+    counters.records_written += len(records)
+    dfs.global_counters.bytes_written += written
+    dfs.global_counters.records_written += len(records)
+    return written
+
+
+def dfs_state(dfs):
+    """Everything an append can change, in comparable form."""
+    files = {
+        name: [
+            (block.index, block.records, block.size_bytes, block.locations)
+            for block in dfs.file_info(name).blocks
+        ]
+        for name in dfs.list_files()
+    }
+    scoped = {scope: vars(counters) for scope, counters in dfs._scoped.items()}
+    return files, scoped, vars(dfs.global_counters), dfs._placement_cursor
+
+
+# Records from 1 to ~60 encoded bytes; a block may be smaller than one.
+sized_records = st.lists(
+    st.builds(lambda n: Record(("x" * n,)), st.integers(0, 50)), max_size=30
+)
+
+
+class TestBlockPackingEquivalence:
+    @given(
+        appends=st.lists(sized_records, min_size=1, max_size=4),
+        block_bytes=st.integers(1, 200),
+        nodes=st.integers(0, 4),
+        replication=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_blocks_counters_and_placement_as_reference(
+        self, appends, block_bytes, nodes, replication
+    ):
+        dfs, reference = (
+            TrustedDFS(block_bytes=block_bytes, replication=replication) for _ in range(2)
+        )
+        for target in (dfs, reference):
+            target.set_placement_nodes([f"n{i}" for i in range(nodes)])
+            target.create("f", scope="s")
+        for records in appends:  # repeated appends to one file
+            assert dfs.append("f", records, scope="s") == reference_append(
+                reference, "f", records, scope="s"
+            )
+            assert dfs_state(dfs) == dfs_state(reference)
+        assert dfs.file_info("f").size_bytes == reference.file_info("f").size_bytes
+
+    @pytest.mark.parametrize(
+        "sizes,block_bytes",
+        [([], 64), ([10], 4), ([10], 10), ([3, 3, 3], 6), ([100, 1, 1], 8), ([1, 1, 100], 8)],
+    )
+    def test_edge_cases(self, sizes, block_bytes):
+        records = [Record(("x" * n,)) for n in sizes]
+        dfs, reference = (TrustedDFS(block_bytes=block_bytes) for _ in range(2))
+        for target in (dfs, reference):
+            target.create("f")
+        assert dfs.append("f", records) == reference_append(reference, "f", records)
+        assert dfs_state(dfs) == dfs_state(reference)
