@@ -794,12 +794,16 @@ class MapReduceEngine:
                 rng = self._task_rngs.stream(
                     f"storage/{node.node_id}/shuffle/{run.job_id}#{index}"
                 )
-                raw = [record for _, _, record in keyed]
+                raw = [entry[2] for entry in keyed]
                 observed = node.behavior.corrupt_read(raw, rng)
                 if observed is not raw:
+                    # Bit-rot changes records, not keys: each entry keeps
+                    # the key encoding the map side made.
                     keyed = [
-                        (key, tag, new_record)
-                        for (key, tag, _), new_record in zip(keyed, observed)
+                        (key, tag, new_record, key_as_tuple, key_bytes)
+                        for (key, tag, _, key_as_tuple, key_bytes), new_record in zip(
+                            keyed, observed
+                        )
                     ]
             return execute_reduce_task(run.spec, keyed, node.behavior, node_rng)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.hashing import Digest, StreamingDigest, sha256
 from repro.common.records import Record, encode_tuple, encode_value
@@ -25,8 +26,14 @@ from repro.compiler.jobspec import JobSpec, PipelineOp
 from repro.dataflow.operators import VerifyOp
 from repro.faults.behaviors import NodeBehavior
 
-#: A shuffled record: (reduce key, input tag, record).
-KeyedRecord = tuple[object, int, Record]
+#: A shuffled record: (reduce key, input tag, record, the key's encoding
+#: as a tuple, the size of the key's own encoding).  The map side encodes
+#: the key; the reduce side reads both forms from the entry.
+KeyedRecord = tuple[object, int, Record, bytes, int]
+
+#: Key types whose equal values always encode alike, so a task may
+#: memoise them by value (``1 == 1.0 == True`` and ``0.0 == -0.0`` do not).
+_MEMO_TYPES = (int, str)
 
 
 def _encode_key(key: object) -> tuple[bytes, int]:
@@ -49,6 +56,41 @@ def _partition_of(key_as_tuple: bytes, num_reducers: int) -> int:
 def partition_for(key: object, num_reducers: int) -> int:
     """Deterministic hash partitioner (stable across processes/replicas)."""
     return _partition_of(_encode_key(key)[0], num_reducers)
+
+
+def _key_placer(
+    num_reducers: int,
+) -> Callable[[object, Record], tuple[int, bytes, int]]:
+    """One map task's ``place(key, record) -> (partition, key_as_tuple,
+    key_bytes)``, encoding each key once and hashing each partition once.
+
+    A whole-record key (``key is record.fields``) reads the record's cached
+    encoding.  Exact ``int`` / ``str`` keys are memoised by value; every
+    other key is encoded per record, so lookalikes keep their own bytes.
+    Partitions are memoised by the key's bytes.
+    """
+    by_value: dict = {}
+    by_bytes: dict[bytes, int] = {}
+
+    def place(key: object, record: Record) -> tuple[int, bytes, int]:
+        memoise = type(key) in _MEMO_TYPES
+        placed = by_value.get(key) if memoise else None
+        if placed is not None:
+            return placed
+        if key is record.fields:
+            key_as_tuple = record.encoded()
+            key_bytes = len(key_as_tuple)
+        else:
+            key_as_tuple, key_bytes = _encode_key(key)
+        part = by_bytes.get(key_as_tuple)
+        if part is None:
+            part = by_bytes[key_as_tuple] = _partition_of(key_as_tuple, num_reducers)
+        placed = part, key_as_tuple, key_bytes
+        if memoise:
+            by_value[key] = placed
+        return placed
+
+    return place
 
 
 @dataclass
@@ -133,8 +175,6 @@ def execute_map_task(
         return result
 
     key_of = branch.key
-    partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
-    bytes_out = 0
     if spec.combiner is not None:
         # Map-side combining: one partial record per key instead of the
         # whole bag (COUNT/SUM/MIN/MAX are order-insensitive, so no sort
@@ -142,20 +182,19 @@ def execute_map_task(
         per_key: dict = defaultdict(list)
         for record in out_records:
             per_key[key_of(record)].append(record)
-        for key, group in per_key.items():
-            partial = spec.combiner.initial_partial(group)
-            key_as_tuple, key_bytes = _encode_key(key)
-            part = _partition_of(key_as_tuple, spec.num_reducers)
-            partitions[part].append((key, branch.tag, partial))
-            bytes_out += partial.size_bytes() + key_bytes
-        result.records_out = len(per_key)
+        keyed = [
+            (key, spec.combiner.initial_partial(group)) for key, group in per_key.items()
+        ]
+        result.records_out = len(keyed)
     else:
-        for record in out_records:
-            key = key_of(record)
-            key_as_tuple, key_bytes = _encode_key(key)
-            part = _partition_of(key_as_tuple, spec.num_reducers)
-            partitions[part].append((key, branch.tag, record))
-            bytes_out += record.size_bytes() + key_bytes
+        keyed = [(key_of(record), record) for record in out_records]
+    place = _key_placer(spec.num_reducers)
+    partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
+    bytes_out = 0
+    for key, record in keyed:
+        part, key_as_tuple, key_bytes = place(key, record)
+        partitions[part].append((key, branch.tag, record, key_as_tuple, key_bytes))
+        bytes_out += record.size_bytes() + key_bytes
     result.partitions = dict(partitions)
     result.bytes_out = bytes_out
     return result
@@ -181,26 +220,20 @@ def execute_reduce_task(
     rng: random.Random,
 ) -> ReduceTaskOutput:
     """Run one reduce task over its shuffled partition."""
+    # A commission-faulty reducer computes on tampered values.
+    corrupted = behavior.corrupt_records([entry[2] for entry in keyed_records], rng)
     bytes_in = 0
     # Key order goes by a group's first-seen key, the one ``groups``
     # keeps; an equal key of another type (1, 1.0, True) joins that group
-    # but is charged its own size.
+    # but is charged its own size.  Both forms come from the map side.
     sort_form: dict = {}
-    for key, _, record in keyed_records:
-        key_as_tuple, key_bytes = _encode_key(key)
+    groups: dict = defaultdict(list)
+    for (key, tag, record, key_as_tuple, key_bytes), seen in zip(
+        keyed_records, corrupted
+    ):
         sort_form.setdefault(key, key_as_tuple)
         bytes_in += record.size_bytes() + key_bytes
-    # A commission-faulty reducer computes on tampered values.
-    raw_records = [record for _, _, record in keyed_records]
-    corrupted = behavior.corrupt_records(raw_records, rng)
-    keyed_records = [
-        (key, tag, new_record)
-        for (key, tag, _), new_record in zip(keyed_records, corrupted)
-    ]
-
-    groups: dict = defaultdict(list)
-    for key, tag, record in keyed_records:
-        groups[key].append((tag, record))
+        groups[key].append((tag, seen))
 
     reduced: list[Record] = []
     ordered_keys = sorted(groups, key=sort_form.__getitem__)

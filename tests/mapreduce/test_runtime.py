@@ -10,7 +10,14 @@ from repro.common.records import Record, records_from_rows
 from repro.compiler.jobspec import JobSpec, MapBranch, PipelineOp
 from repro.compiler.mr_compiler import compile_plan
 from repro.dataflow import expressions as ex
-from repro.dataflow.operators import FilterOp, ForeachOp, GroupOp, Projection, VerifyOp
+from repro.dataflow.operators import (
+    DistinctOp,
+    FilterOp,
+    ForeachOp,
+    GroupOp,
+    Projection,
+    VerifyOp,
+)
 from repro.dataflow.piglatin import parse_script
 from repro.dataflow.schema import INT, Schema
 from repro.faults.behaviors import CORRECT, CommissionBehavior
@@ -32,6 +39,18 @@ def group_spec(num_reducers=3, pipeline=None, reduce_pipeline=None):
         blocking=GroupOp([ex.field("user")], bag_name="A"),
         blocking_input_schemas=[EDGES],
         reduce_pipeline=reduce_pipeline or [],
+        output_path="out",
+        num_reducers=num_reducers,
+    )
+
+
+def distinct_spec(num_reducers):
+    """DISTINCT: the reduce key is the whole record's ``fields``."""
+    return JobSpec(
+        name="d",
+        branches=[MapBranch("in", 0, [])],
+        blocking=DistinctOp(),
+        blocking_input_schemas=[EDGES],
         output_path="out",
         num_reducers=num_reducers,
     )
@@ -63,18 +82,31 @@ def reference_partition(key, num_reducers):
 def reference_shuffle_bytes(keyed_records):
     return sum(
         len(reference_encode(record.fields)) + len(reference_encode(key))
-        for key, _, record in keyed_records
+        for key, _, record, *_ in keyed_records
     )
 
 
 def reference_key_order(keyed_records):
     """Group keys as the reducer emits them: the first-seen key of each
     group of equal keys, ordered by its encoding as a tuple."""
-    first_seen = list({key: None for key, _, _ in keyed_records})
+    first_seen = list({key: None for key, *_ in keyed_records})
     return sorted(
         first_seen,
         key=lambda k: reference_encode(k if isinstance(k, tuple) else (k,)),
     )
+
+
+def entry(key, record, tag=0):
+    """A shuffle entry as the map side builds it, its key encoded by the
+    reference encoder: (key, tag, record, key as a tuple, own size)."""
+    as_tuple = key if isinstance(key, tuple) else (key,)
+    return key, tag, record, reference_encode(as_tuple), len(reference_encode(key))
+
+
+def assert_encodings_carried(keyed_records):
+    """Every entry carries its key's reference encoding."""
+    for key, tag, record, key_as_tuple, key_bytes in keyed_records:
+        assert (key_as_tuple, key_bytes) == entry(key, record)[3:], key
 
 
 #: ``partition_for(key, n)`` for n in (1, 3, 7, 64), computed with the
@@ -132,6 +164,51 @@ class TestPartitioner:
     def test_spread_over_reducers(self):
         parts = {partition_for(i, 8) for i in range(1000)}
         assert parts == set(range(8))
+
+
+#: Scalars equal across types (``0 == 0.0 == -0.0 == False``) drawn from
+#: small pools, so one task often meets several lookalikes of one key.
+SCALAR_KEYS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["", "a", "zoë"]),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, 1.0]),
+)
+SHUFFLE_KEYS = st.one_of(
+    SCALAR_KEYS, st.tuples(SCALAR_KEYS), st.tuples(SCALAR_KEYS, SCALAR_KEYS)
+)
+
+
+class TestShuffleKeys:
+    """A key is encoded once, on the map side, and carried to the reducer;
+    what it partitions, costs and sorts by must equal the reference."""
+
+    @given(
+        st.lists(SHUFFLE_KEYS, min_size=1, max_size=24),
+        st.booleans(),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_carried_keys_match_reference(self, keys, whole_record, reducers):
+        spec = distinct_spec(reducers) if whole_record else group_spec(reducers)
+        records = records_from_rows([(key, n % 2) for n, key in enumerate(keys)])
+        out = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
+        keyed = [k for part in out.partitions.values() for k in part]
+        assert len(keyed) == len(records)
+        assert out.bytes_out == reference_shuffle_bytes(keyed)
+        assert_encodings_carried(keyed)
+        for part, entries in out.partitions.items():
+            for key, _, record, *_ in entries:
+                assert part == reference_partition(key, reducers)
+                assert (key is record.fields) == whole_record
+            reduced = execute_reduce_task(spec, entries, CORRECT, random.Random(0))
+            assert reduced.bytes_in == reference_shuffle_bytes(entries)
+            emitted = [
+                r.fields if whole_record else r[0] for r in reduced.output_records
+            ]
+            assert [reference_encode(k) for k in emitted] == [
+                reference_encode(k) for k in reference_key_order(entries)
+            ]
 
 
 class TestRunPipeline:
@@ -206,9 +283,10 @@ class TestMapTask:
         total = sum(len(v) for v in out.partitions.values())
         assert total == 20
         for part, keyed in out.partitions.items():
-            for key, tag, record in keyed:
+            for key, tag, record, *_ in keyed:
                 assert partition_for(key, 4) == part
                 assert tag == 0 and key == record[0]
+            assert_encodings_carried(keyed)
 
     def test_bytes_out_matches_reference_formula(self):
         records = records_from_rows([(i % 7, i * 1000) for i in range(40)])
@@ -217,6 +295,7 @@ class TestMapTask:
             keyed = [k for part in out.partitions.values() for k in part]
             assert len(keyed) == (40 if spec.combiner is None else 7)
             assert out.bytes_out == reference_shuffle_bytes(keyed)
+            assert_encodings_carried(keyed)
 
     def test_lookalike_keys_partition_and_account_by_their_own_encoding(self):
         records = records_from_rows([(key, 5) for key in LOOKALIKES + (2,)])
@@ -226,7 +305,7 @@ class TestMapTask:
         placed = {
             (type(key), key): part
             for part, keyed in out.partitions.items()
-            for key, _, _ in keyed
+            for key, *_ in keyed
         }
         assert placed == {
             (type(key), key): reference_partition(key, 64) for key in LOOKALIKES + (2,)
@@ -234,6 +313,7 @@ class TestMapTask:
         assert len(set(placed.values())) == 4
         keyed = [k for part in out.partitions.values() for k in part]
         assert out.bytes_out == reference_shuffle_bytes(keyed)
+        assert_encodings_carried(keyed)
 
     def test_combiner_groups_lookalike_keys_under_the_first_seen(self):
         spec = combining_spec(64)
@@ -243,8 +323,9 @@ class TestMapTask:
             out = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
             ((part, keyed),) = out.partitions.items()
             assert part == reference_partition(first, 64)
-            assert same_keys([key for key, _, _ in keyed], [first])
+            assert same_keys([key for key, *_ in keyed], [first])
             assert out.bytes_out == reference_shuffle_bytes(keyed)
+            assert_encodings_carried(keyed)
 
     def test_commission_behavior_corrupts_stream(self):
         spec = group_spec()
@@ -254,10 +335,10 @@ class TestMapTask:
             spec, 0, records, 100, CommissionBehavior(probability=1.0), random.Random(0)
         )
         clean_keys = sorted(
-            str(k) for keyed in clean.partitions.values() for k, _, _ in keyed
+            str(k) for keyed in clean.partitions.values() for k, *_ in keyed
         )
         dirty_keys = sorted(
-            str(k) for keyed in dirty.partitions.values() for k, _, _ in keyed
+            str(k) for keyed in dirty.partitions.values() for k, *_ in keyed
         )
         assert clean_keys != dirty_keys
 
@@ -265,7 +346,9 @@ class TestMapTask:
 class TestReduceTask:
     def test_groups_and_reduces_sorted_by_key(self):
         spec = group_spec(reduce_pipeline=[])
-        keyed = [(2, 0, Record((2, 9))), (1, 0, Record((1, 8))), (1, 0, Record((1, 7)))]
+        keyed = [
+            entry(2, Record((2, 9))), entry(1, Record((1, 8))), entry(1, Record((1, 7)))
+        ]
         out = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
         assert [r[0] for r in out.output_records] == [1, 2]
         bag = out.output_records[0][1]
@@ -273,13 +356,13 @@ class TestReduceTask:
 
     def test_reduce_output_independent_of_arrival_order(self):
         spec = group_spec()
-        keyed = [(k, 0, Record((k, v))) for k, v in [(1, 1), (2, 2), (1, 3)]]
+        keyed = [entry(k, Record((k, v))) for k, v in [(1, 1), (2, 2), (1, 3)]]
         a = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
         b = execute_reduce_task(spec, keyed[::-1], CORRECT, random.Random(0))
         assert a.output_records == b.output_records
 
     def test_bytes_in_matches_reference_formula(self):
-        keyed = [(k % 5, 0, Record((k % 5, k * 1000))) for k in range(30)]
+        keyed = [entry(k % 5, Record((k % 5, k * 1000))) for k in range(30)]
         out = execute_reduce_task(group_spec(), keyed, CORRECT, random.Random(0))
         assert out.bytes_in == reference_shuffle_bytes(keyed)
 
@@ -287,7 +370,7 @@ class TestReduceTask:
         for first in LOOKALIKES:
             rest = [key for key in LOOKALIKES if key is not first]
             keys = [2, first, 0] + rest + [first]
-            keyed = [(key, 0, Record((key, n))) for n, key in enumerate(keys)]
+            keyed = [entry(key, Record((key, n))) for n, key in enumerate(keys)]
             out = execute_reduce_task(group_spec(), keyed, CORRECT, random.Random(0))
             # One group for the three lookalikes, under the first-seen
             # key, sorted by *its* encoding; each key charged its own size.
@@ -298,8 +381,8 @@ class TestReduceTask:
             assert out.bytes_in == reference_shuffle_bytes(keyed)
         # The first-seen key decides the order: b"t3:b1;;" sorts before
         # b"t5:i1:0;;", which sorts before b"t5:i1:1;;".
-        assert reference_key_order([(True, 0, None), (0, 0, None)]) == [True, 0]
-        assert reference_key_order([(1, 0, None), (0, 0, None)]) == [0, 1]
+        assert reference_key_order([entry(True, None), entry(0, None)]) == [True, 0]
+        assert reference_key_order([entry(1, None), entry(0, None)]) == [0, 1]
 
     def test_combining_reducer_orders_lookalike_keys_as_before(self):
         spec = combining_spec(1)
@@ -308,6 +391,7 @@ class TestReduceTask:
             records = records_from_rows([(key, 5) for key in [2, first, 0] + rest])
             mapped = execute_map_task(spec, 0, records, 100, CORRECT, random.Random(0))
             keyed = mapped.partitions[0]
+            assert_encodings_carried(keyed)
             out = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
             assert same_keys(
                 [r[0] for r in out.output_records], reference_key_order(keyed)
@@ -317,7 +401,7 @@ class TestReduceTask:
     def test_fused_limit_slices_output(self):
         spec = group_spec()
         spec.fused_limit = 1
-        keyed = [(k, 0, Record((k, k))) for k in range(5)]
+        keyed = [entry(k, Record((k, k))) for k in range(5)]
         out = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
         assert len(out.output_records) == 1
 
@@ -326,7 +410,7 @@ class TestReduceTask:
         spec = group_spec(
             reduce_pipeline=[PipelineOp(VerifyOp("vp"), schema)]
         )
-        keyed = [(1, 0, Record((1, 1)))]
+        keyed = [entry(1, Record((1, 1)))]
         out = execute_reduce_task(spec, keyed, CORRECT, random.Random(0))
         assert len(out.taps) == 1
         assert out.taps[0].record_count == 1
