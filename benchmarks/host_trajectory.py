@@ -19,8 +19,9 @@ tier-1 and to two chaos campaigns, and appends to
   ``src/repro``, the lines of ``core/controller.py`` and of
   ``core/resource_manager.py``, the five longest functions (by ``ast``)
   of the tree and of the controller, and the method count and largest
-  parameter count of ``ClusterBFTController``: the numbers ROADMAP
-  aim 2 is judged by, next to the host time they cost.
+  parameter count of ``ClusterBFTController``, and the lines and job
+  count of ``.github/workflows/ci.yml``: the numbers ROADMAP aim 2 is
+  judged by, next to the host time they cost.
 
 A PR that touches the data path records the parent's code first and its
 own code last, so the file is the repository's host-time history.  It
@@ -61,8 +62,10 @@ SIZE_KEYS = {
     "sha", "src_lines", "src_files", "controller_lines", "longest_functions",
     "controller_longest_functions", "controller_max_params",
 }
-#: Counts a size line carries since PR 20; older lines do not.
-SIZE_COUNTS_SINCE_PR20 = ("controller_methods", "resource_manager_lines")
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+#: Counts a size line carries since PR 20 (the first two) and PR 23 (the
+#: CI pair); older lines do not.
+SIZE_COUNTS_SINCE = ("controller_methods", "resource_manager_lines", "ci_lines", "ci_jobs")
 
 
 def load_spec() -> dict:
@@ -200,6 +203,19 @@ def size_line() -> dict:
         "controller_max_params": {"count": max_params[0], "function": max_params[1]},
         "controller_methods": methods,
         "resource_manager_lines": lines[RESOURCE_MANAGER],
+        **ci_size(),
+    }
+
+
+def ci_size() -> dict[str, int]:
+    """Physical lines of the CI workflow and its job count: the keys
+    indented two spaces in the block of the top-level ``jobs:`` key."""
+    lines = CI.read_text().splitlines()
+    block = lines[lines.index("jobs:") + 1:]
+    block = block[: next((i for i, line in enumerate(block) if line[:1].strip()), len(block))]
+    return {
+        "ci_lines": len(lines),
+        "ci_jobs": sum(bool(re.fullmatch(r"  [\w-]+:", line)) for line in block),
     }
 
 
@@ -238,7 +254,7 @@ def problems_in(line: dict, spec: dict) -> list[str]:
             for key in ("longest_functions", "controller_longest_functions")
         ) and all(
             type(line[key]) is int and line[key] > 0
-            for key in SIZE_COUNTS_SINCE_PR20 if key in line
+            for key in SIZE_COUNTS_SINCE if key in line
         )
         return [] if ok else ["size line incomplete"]
     if line.get("kind") != "workload":
