@@ -8,14 +8,14 @@ out: a synced ``reconfig`` WAL record, quarantined members, evacuated
 in-flight tasks — while the run still ends assured.  See DESIGN.md
 section 13.
 
-``repro run`` has no region flags, so CI's geo kill-and-resume job
-drives this script instead::
+``repro run`` has no region flags, so the geo kill-and-resume pair of
+``benchmarks/twin.py`` drives this script instead::
 
     python examples/geo_migration.py run ref.wal ref.json
-    python examples/geo_migration.py reconfig-seq ref.wal   # -> seq
     REPRO_JOURNAL_KILL_AT=<seq> python examples/geo_migration.py run crash.wal
     python examples/geo_migration.py resume crash.wal resumed.json
 
+where ``<seq>`` is that of the first ``reconfig`` record of ``ref.wal``.
 With ``REPRO_JOURNAL_KILL_AT`` set the process SIGKILLs itself right
 after that journal record becomes durable — crashing immediately after
 the migration decision — and ``resume`` must replay into the same
@@ -108,11 +108,6 @@ def run(wal_path, outputs_path=None):
         dump_outputs(outputs_path, result.outputs)
 
 
-def reconfig_seq(wal_path):
-    records, _ = wal.read_journal(wal_path)
-    print(next(r["seq"] for r in records if r["kind"] == wal.RECONFIG))
-
-
 def resume(wal_path, outputs_path):
     recovered = resume_run(wal_path, fault_plan=fault_plan())
     print(f"resumed assured={recovered.result.assured}")
@@ -125,8 +120,6 @@ def main(argv):
     mode, wal_path = argv[1], argv[2]
     if mode == "run":
         run(wal_path, argv[3] if len(argv) > 3 else None)
-    elif mode == "reconfig-seq":
-        reconfig_seq(wal_path)
     elif mode == "resume":
         resume(wal_path, argv[3])
     else:

@@ -142,11 +142,26 @@ class CrashProbe:
 
 
 def canonical_outputs(outputs: dict[str, list[Record]]) -> dict[str, tuple[bytes, ...]]:
-    """Encode published outputs for order-insensitive byte comparison."""
+    """Encode published outputs for order-insensitive byte comparison: a
+    sorted tuple of encoded records per path, so two outputs compare
+    equal exactly when they hold the same multiset of records (the
+    semantics of the verifier's AdHash digest)."""
     return {
-        path: tuple(encode_record(record) for record in records)
+        path: tuple(sorted(encode_record(record) for record in records))
         for path, records in outputs.items()
     }
+
+
+def _diverging(
+    expected: dict[str, tuple[bytes, ...]], got: dict[str, tuple[bytes, ...]]
+) -> list[tuple[str, int, int]]:
+    """``(path, records got, records expected)`` for every path of
+    ``expected`` whose canonical outputs ``got`` does not equal."""
+    return [
+        (path, len(got.get(path, ())), len(records))
+        for path, records in expected.items()
+        if got.get(path, ()) != records
+    ]
 
 
 @dataclass
@@ -177,23 +192,18 @@ class RunContext:
 
 def check_safe1(ctx: RunContext) -> list[Violation]:
     """Assured outputs must be byte-for-byte the fault-free truth."""
-    violations = []
-    for run_index, result in enumerate(ctx.results):
-        if not result.assured:
-            continue
-        for path, expected in ctx.truth.items():
-            got = result.outputs.get(path, [])
-            if got != expected:
-                violations.append(
-                    Violation(
-                        SAFE1,
-                        f"run {run_index}: verified sink {path!r} diverges "
-                        f"from reference ({len(got)} vs {len(expected)} "
-                        f"records)",
-                        ctx.ref(f"run={run_index},sink={path}"),
-                    )
-                )
-    return violations
+    truth = canonical_outputs(ctx.truth)
+    return [
+        Violation(
+            SAFE1,
+            f"run {run_index}: verified sink {path!r} diverges "
+            f"from reference ({got} vs {expected} records)",
+            ctx.ref(f"run={run_index},sink={path}"),
+        )
+        for run_index, result in enumerate(ctx.results)
+        if result.assured
+        for path, got, expected in _diverging(truth, canonical_outputs(result.outputs))
+    ]
 
 
 def _committed_sids(ctx: RunContext) -> list[tuple[str, str, int]]:
@@ -385,18 +395,16 @@ def _resume_divergences(
                 ctx.ref(f"seq={cell.seq}"),
             )
         )
-    for path, expected in probe.reference_outputs.items():
-        got = cell.outputs.get(path, ())
-        if got != expected:
-            violations.append(
-                Violation(
-                    invariant,
-                    f"crash at seq {cell.seq} ({cell.kind}): resumed "
-                    f"output {path!r} diverges from the uninterrupted "
-                    f"run ({len(got)} vs {len(expected)} records)",
-                    ctx.ref(f"seq={cell.seq},sink={path}"),
-                )
+    for path, got, expected in _diverging(probe.reference_outputs, cell.outputs):
+        violations.append(
+            Violation(
+                invariant,
+                f"crash at seq {cell.seq} ({cell.kind}): resumed "
+                f"output {path!r} diverges from the uninterrupted "
+                f"run ({got} vs {expected} records)",
+                ctx.ref(f"seq={cell.seq},sink={path}"),
             )
+        )
     return violations
 
 
@@ -534,18 +542,16 @@ def check_ckpt1(ctx: RunContext) -> list[Violation]:
                 ctx.ref("twin,assured"),
             )
         )
-    for path, expected in probe.twin_outputs.items():
-        got = probe.reference_outputs.get(path, ())
-        if sorted(got) != sorted(expected):
-            violations.append(
-                Violation(
-                    CKPT1,
-                    f"checkpointed output {path!r} diverges from the "
-                    f"checkpoint-free twin ({len(got)} vs {len(expected)} "
-                    f"records) — checkpoints changed the results",
-                    ctx.ref(f"twin,sink={path}"),
-                )
+    for path, got, expected in _diverging(probe.twin_outputs, probe.reference_outputs):
+        violations.append(
+            Violation(
+                CKPT1,
+                f"checkpointed output {path!r} diverges from the "
+                f"checkpoint-free twin ({got} vs {expected} "
+                f"records) — checkpoints changed the results",
+                ctx.ref(f"twin,sink={path}"),
             )
+        )
     for cell in probe.cells:
         if cell.kind == "checkpoint" and cell.checkpoints_replayed < 1:
             violations.append(
@@ -632,17 +638,16 @@ def check_ten1(ctx: ServiceRunContext) -> list[Violation]:
         if truth is None:
             continue
         got = canonical_outputs(ctx.result.outputs.get(run.run_id, {}))
-        for path, expected in truth.items():
-            if sorted(got.get(path, ())) != sorted(expected):
-                violations.append(
-                    Violation(
-                        TEN1,
-                        f"honest tenant {run.tenant} run {run.run_id} "
-                        f"published output {path!r} diverging from the "
-                        "fault-free truth",
-                        ctx.ref(f"run={run.run_id},sink={path}"),
-                    )
+        for path, _got, _expected in _diverging(truth, got):
+            violations.append(
+                Violation(
+                    TEN1,
+                    f"honest tenant {run.tenant} run {run.run_id} "
+                    f"published output {path!r} diverging from the "
+                    "fault-free truth",
+                    ctx.ref(f"run={run.run_id},sink={path}"),
                 )
+            )
     for reject in ctx.result.rejects:
         if reject.tenant in ctx.honest:
             violations.append(

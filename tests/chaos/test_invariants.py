@@ -7,19 +7,31 @@ hand-built stand-ins — no cluster required.
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+import pytest
+
 from repro.chaos.invariants import (
+    CKPT1,
     DEGR1,
+    DUR1,
     LIVE1,
     LIVE2,
     REG1,
     SAFE1,
+    TEN1,
+    CrashCell,
+    CrashProbe,
     RunContext,
+    ServiceRunContext,
     Violation,
+    canonical_outputs,
+    check_ckpt1,
     check_degr1,
+    check_dur1,
     check_live1,
     check_live2,
     check_reg1,
     check_safe1,
+    check_ten1,
 )
 from repro.chaos.scenarios import Scenario
 from repro.common.records import records_from_rows
@@ -367,3 +379,78 @@ class TestObs1:
         from repro.chaos.invariants import check_obs1
 
         assert check_obs1(self.ctx([], [self.suspicion_sample()])) == []
+
+
+# SAFE1, DUR1, CKPT1 and TEN1 compare published outputs one way: as
+# multisets of encoded records (``canonical_outputs``), the semantics of
+# the verifier's AdHash digest.  Each helper below builds the smallest
+# context in which ``got`` is checked against ``expected`` rows.
+
+ROWS = [(1, 2), (3, 4), (5, 6)]
+
+
+def canonical(rows):
+    return canonical_outputs({"out": records_from_rows(rows)})
+
+
+def safe1(expected, got):
+    return check_safe1(
+        make_ctx(
+            results=[FakeResult(outputs={"out": records_from_rows(got)})],
+            truth={"out": records_from_rows(expected)},
+        )
+    )
+
+
+def dur1(expected, got):
+    ctx = make_ctx()
+    cell = CrashCell(
+        seq=4, kind="commit", start_attempt=0, commits_replayed=1,
+        assured=True, exhausted=False, outputs=canonical(got),
+    )
+    ctx.durability = CrashProbe(
+        reference_assured=True, reference_outputs=canonical(expected), cells=(cell,)
+    )
+    return check_dur1(ctx)
+
+
+def ckpt1(expected, got):
+    ctx = make_ctx()
+    ctx.ckpt = CrashProbe(
+        reference_assured=True, reference_outputs=canonical(got),
+        checkpoint_records=1, twin_assured=True, twin_outputs=canonical(expected),
+    )
+    return check_ckpt1(ctx)
+
+
+def ten1(expected, got):
+    run = SimpleNamespace(
+        tenant="t", run_id="r1", assured=True, exhausted=False, latency=1.0
+    )
+    result = SimpleNamespace(
+        runs=[run], outputs={"r1": {"out": records_from_rows(got)}}, rejects=[]
+    )
+    return check_ten1(
+        ServiceRunContext(
+            scenario=SimpleNamespace(honest_p99_bound=None, expect_rejections=False),
+            service=None,
+            result=result,
+            honest=frozenset({"t"}),
+            truths={"r1": canonical(expected)},
+        )
+    )
+
+
+OUTPUT_CHECKS = [(SAFE1, safe1), (DUR1, dur1), (CKPT1, ckpt1), (TEN1, ten1)]
+
+
+@pytest.mark.parametrize("invariant, check", OUTPUT_CHECKS)
+def test_permuted_output_is_not_a_violation(invariant, check):
+    assert check(ROWS, ROWS[::-1]) == []
+
+
+@pytest.mark.parametrize("invariant, check", OUTPUT_CHECKS)
+def test_one_changed_record_is_a_violation(invariant, check):
+    [violation] = check(ROWS, [(1, 2), (3, 4), (5, 7)])
+    assert violation.invariant == invariant
+    assert "'out'" in violation.detail
