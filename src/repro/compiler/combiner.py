@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.records import Record
-from repro.compiler.jobspec import JobSpec
+from repro.compiler.jobspec import MapBranch, PipelineOp
 from repro.dataflow import schema as sc
 from repro.dataflow.expressions import BagProject, FieldRef, FuncCall
-from repro.dataflow.operators import ForeachOp, GroupOp
+from repro.dataflow.operators import BlockingOperator, ForeachOp, GroupOp
 
 COUNT = "count"
 SUM = "sum"
@@ -45,7 +45,9 @@ class AggregateSlot:
     """One partial-state accumulator."""
 
     kind: str  # COUNT | SUM | MIN | MAX
-    field_index: int | None  # index into the group *input* schema
+    #: Index into the group *input* schema; None for a COUNT of records
+    #: (an AVG's COUNT counts its field's non-null values).
+    field_index: int | None
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,12 @@ class CombinerSpec:
 
     slots: tuple[AggregateSlot, ...]
     layout: tuple[tuple, ...]  # one entry per original projection
+
+    @property
+    def counts_only(self) -> bool:
+        """True when the one partial is the key's record count, so a map
+        task counts keys instead of grouping records (DESIGN.md §24)."""
+        return self.slots == (AggregateSlot(COUNT, None),)
 
     # ------------------------------------------------------------------
     # map side
@@ -67,13 +75,15 @@ class CombinerSpec:
         return Record(tuple(values))
 
     def _aggregate(self, slot: AggregateSlot, records: list[Record]):
-        if slot.kind == COUNT:
+        if slot.field_index is None:
             return len(records)
         column = [
             record[slot.field_index]
             for record in records
             if record[slot.field_index] is not None
         ]
+        if slot.kind == COUNT:
+            return len(column)
         if not column:
             return None
         if slot.kind == SUM:
@@ -121,18 +131,21 @@ def _exact_type(type_tag: str) -> bool:
     return type_tag in (sc.INT, sc.LONG)
 
 
-def build_combiner(job: JobSpec) -> CombinerSpec | None:
-    """Return a combiner plan for ``job`` if it is eligible, else None."""
-    if not isinstance(job.blocking, GroupOp):
+def build_combiner(
+    blocking: BlockingOperator | None, branches: list[MapBranch], reduce_pipeline: list[PipelineOp]
+) -> CombinerSpec | None:
+    """A combiner plan for a job of these parts if it is eligible, else
+    None; built before the :class:`JobSpec`, whose branches depend on it."""
+    if not isinstance(blocking, GroupOp):
         return None
-    if any(branch.tag != 0 for branch in job.branches):
+    if any(branch.tag != 0 for branch in branches):
         return None
-    if not job.reduce_pipeline:
+    if not reduce_pipeline:
         return None
-    foreach = job.reduce_pipeline[0].op
+    foreach = reduce_pipeline[0].op
     if not isinstance(foreach, ForeachOp):
         return None
-    group_schema = job.reduce_pipeline[0].input_schema  # (group, bag)
+    group_schema = reduce_pipeline[0].input_schema  # (group, bag)
     bag_field = group_schema.field(1)
     input_schema = bag_field.inner
     if input_schema is None:
@@ -185,7 +198,7 @@ def build_combiner(job: JobSpec) -> CombinerSpec | None:
             if not _exact_type(field_type):
                 return None
             sum_slot = slot_for(AggregateSlot(SUM, field_index))
-            count_slot = slot_for(AggregateSlot(COUNT, None))
+            count_slot = slot_for(AggregateSlot(COUNT, field_index))
             layout.append((AVG_FIELD, sum_slot, count_slot))
     if not any(entry[0] != GROUP_FIELD for entry in layout):
         return None  # nothing aggregated; combining would be pointless

@@ -4,18 +4,20 @@ A :class:`JobGraph` is the unit ClusterBFT replicates: the *job
 initiator* assigns each job a sub-graph id (sid) and submits ``r``
 replicas of it (paper §4.1).  Specs are pure descriptions — execution
 state lives in the MapReduce engine — so all replicas of a job can share
-one spec object, and with it one binding: each pipeline stage and each
-map branch's reduce key is bound to its schema when the spec is built.
+one spec object, and with it one binding: each map branch is generated
+as one function when the spec is built, and each reduce-side stage is
+bound to its schema the first time it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import CompileError
-from repro.dataflow.expressions import Bound
-from repro.dataflow.operators import BlockingOperator, Stage, StreamingOperator
+from repro.dataflow.expressions import Emitter
+from repro.dataflow.operators import BlockingOperator, Stage, StreamingOperator, VerifyOp
 from repro.dataflow.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -24,15 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class PipelineOp:
-    """One streaming operator bound to its input schema at compile time;
-    ``run`` maps the stage's input list to its output list."""
+    """One streaming operator and its input schema."""
 
     op: StreamingOperator
     input_schema: Schema
-    run: Stage = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.run = self.op.bind(self.input_schema)
+    @cached_property
+    def run(self) -> Stage:
+        """The stage's input list to its output list, bound on first use
+        (a map stage fused into its branch is never bound on its own)."""
+        return self.op.bind(self.input_schema)
 
 
 @dataclass
@@ -41,14 +44,35 @@ class MapBranch:
 
     ``tag`` is the blocking operator's input index (0 for the left side
     of a JOIN, 1 for the right; always 0 for single-input operators).
-    ``key`` is the reduce key of one map output record, bound by the
-    :class:`JobSpec` that owns the branch (None in a map-only job).
+    The :class:`JobSpec` that owns the branch binds it: ``staged`` is the
+    pipeline up to its last VerifyOp, whose taps need the stream, and
+    ``run`` the one generated function for the rest (DESIGN.md §24).
     """
 
     input_path: str
     tag: int
     pipeline: list[PipelineOp] = field(default_factory=list)
-    key: Bound | None = field(default=None, repr=False, compare=False)
+    staged: list[PipelineOp] = field(default_factory=list, init=False, repr=False, compare=False)
+    run: Callable[[list], list] = field(init=False, repr=False, compare=False)
+
+    def bind(self, blocking: BlockingOperator | None, schemas: list[Schema], counts_only: bool) -> None:
+        """Generate ``run``: the stages after the last VerifyOp as one
+        comprehension yielding each output record (map-only job), its
+        ``(key, record)`` (shuffle) or its key alone (``counts_only``)."""
+        stages = enumerate(self.pipeline, 1)
+        split = max((n for n, stage in stages if isinstance(stage.op, VerifyOp)), default=0)
+        self.staged = self.pipeline[:split]
+        emitter = Emitter(Schema([]))  # each stage and the key set theirs
+        clauses = ""
+        for stage in self.pipeline[split:]:
+            emitter.schema = stage.input_schema
+            clauses += stage.op.clause(emitter)
+        head = "r"
+        if blocking is not None:
+            emitter.schema = schemas[self.tag]
+            key = blocking.emit_key(emitter, self.tag)
+            head = key if counts_only else f"({key}, r)"
+        self.run = emitter.function(f"lambda records: [{head} for r in records{clauses}]")
 
 
 @dataclass
@@ -67,15 +91,14 @@ class JobSpec:
     output_path: str = ""
     num_reducers: int = 1
     output_is_temp: bool = False
-    #: Map-side combining plan (algebraic GROUP+FOREACH jobs only).
+    #: Map-side combining plan (algebraic GROUP+FOREACH jobs only); the
+    #: branches are generated for it, so it is fixed at construction.
     combiner: "CombinerSpec | None" = None
 
     def __post_init__(self) -> None:
-        if self.blocking is not None:
-            for branch in self.branches:
-                branch.key = self.blocking.bind_key(
-                    branch.tag, self.blocking_input_schemas
-                )
+        counts_only = self.combiner is not None and self.combiner.counts_only
+        for branch in self.branches:
+            branch.bind(self.blocking, self.blocking_input_schemas, counts_only)
 
     @property
     def is_map_only(self) -> bool:

@@ -31,6 +31,7 @@ from repro.dataflow.operators import (
 )
 from repro.dataflow.plan import LogicalPlan, VertexId
 from repro.dataflow.schema import Schema
+from repro.compiler.combiner import build_combiner
 from repro.compiler.jobspec import JobGraph, JobSpec, MapBranch, PipelineOp
 
 
@@ -234,6 +235,9 @@ class MRCompiler:
                 segment.blocking.preferred_reducers() or self.options.num_reducers
             )
         name = "+".join(segment.name_parts) or "job"
+        combiner = None
+        if self.options.enable_combiners:
+            combiner = build_combiner(segment.blocking, segment.branches, segment.reduce_pipeline)
         spec = JobSpec(
             name=f"{name}@{len(self.graph.jobs)}",
             branches=segment.branches,
@@ -245,11 +249,8 @@ class MRCompiler:
             output_path=output_path,
             num_reducers=max(reducers, 0) if segment.blocking is None else reducers,
             output_is_temp=temp,
+            combiner=combiner,
         )
-        if self.options.enable_combiners:
-            from repro.compiler.combiner import build_combiner
-
-            spec.combiner = build_combiner(spec)
         self.graph.jobs.append(spec)
 
     def _fresh_temp(self) -> str:

@@ -6,17 +6,18 @@ Operators are *descriptions*: they carry no input references (the
 
 * ``derive_schema(input_schemas)`` — output schema inference, which
   binds every expression so a bad field reference fails here;
-* for streaming operators, ``bind(input_schema)`` — one function that
-  maps a stage's whole input list to its output list;
+* for streaming operators, ``bind(input_schema)`` — one function from a
+  stage's input list to its output list — and ``clause``, the same stage
+  as comprehension clauses over one record;
 * for blocking operators, which force a MapReduce shuffle boundary,
-  ``bind_key(input_index, input_schemas)`` — the reduce key of one
-  record — and ``reduce`` over one key group.
+  ``emit_key`` / ``bind_key`` — the reduce key of one record — and
+  ``reduce`` over one key group.
 
-Binding resolves field references once and generates each FILTER,
-FOREACH and reduce key as one function (``expressions.Emitter``): the
-MapReduce compiler binds each stage when it builds a job (every replica
-shares that binding) and the local interpreter binds through the same
-methods.
+Binding resolves field references once and generates source for one
+function (``expressions.Emitter``): the MapReduce compiler makes each
+map branch's stages and key one function (``MapBranch.bind``) and binds
+reduce-side stages one by one; the interpreter binds every operator on
+its own, the reference.
 
 Determinism note: every blocking operator sorts the records of a key
 group by canonical encoding before producing output, implementing the
@@ -27,7 +28,6 @@ digests match bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable
 
 from repro.common.errors import PlanError, SchemaError
@@ -87,13 +87,24 @@ class StreamingOperator(Operator):
         """Resolve against ``input_schema``; return the stage function."""
         raise NotImplementedError
 
+    def clause(self, emitter: Emitter) -> str:
+        """This stage as comprehension clauses over the record ``r``,
+        resolved in ``emitter.schema`` (a fused map branch, §24)."""
+        raise NotImplementedError
+
 
 class BlockingOperator(Operator):
     """Operator requiring a shuffle: key extraction + per-key reduction."""
 
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        """Source of the reduce key of one record ``r`` of input
+        ``input_index``, resolved in ``emitter.schema`` (that input's)."""
+        raise NotImplementedError
+
     def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
         """The reduce key of one record of input ``input_index``."""
-        raise NotImplementedError
+        emitter = Emitter(input_schemas[input_index])
+        return emitter.function(f"lambda r: {self.emit_key(emitter, input_index)}")
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         """Produce output records for one key group.
@@ -169,10 +180,12 @@ class FilterOp(StreamingOperator):
         self.predicate.resolve(input_schemas[0])  # raises SchemaError on bad reference
         return input_schemas[0]
 
+    def clause(self, emitter: Emitter) -> str:
+        return f" if {emitter.expr(self.predicate)}"
+
     def bind(self, input_schema: Schema) -> Stage:
         emitter = Emitter(input_schema)
-        predicate = emitter.expr(self.predicate)
-        return emitter.function(f"lambda records: [r for r in records if {predicate}]")
+        return emitter.function(f"lambda records: [r for r in records{self.clause(emitter)}]")
 
 
 @dataclass(frozen=True)
@@ -214,10 +227,19 @@ class ForeachOp(StreamingOperator):
             fields.append(Field(projection.resolved_name(), type_tag, inner))
         return Schema(fields)
 
+    def _record(self, emitter: Emitter) -> str:
+        fields = "".join(f"{emitter.expr(p.expr)}, " for p in self.projections)
+        return f"Record(({fields}))"
+
+    def clause(self, emitter: Emitter) -> str:
+        # CPython refuses `:=` in a comprehension's iterable, so the record
+        # is named in a condition; the one-item loop compiles to a store.
+        record = emitter.temp()
+        return f" if ({record} := {self._record(emitter)}) is not None for r in ({record},)"
+
     def bind(self, input_schema: Schema) -> Stage:
         emitter = Emitter(input_schema)
-        fields = "".join(f"{emitter.expr(p.expr)}, " for p in self.projections)
-        return emitter.function(f"lambda records: [Record(({fields})) for r in records]")
+        return emitter.function(f"lambda records: [{self._record(emitter)} for r in records]")
 
 
 class VerifyOp(StreamingOperator):
@@ -274,17 +296,16 @@ class UnionOp(StreamingOperator):
 # ----------------------------------------------------------------------
 
 
-def _bind_keys(exprs: list[Expr], schema: Schema) -> Bound:
-    """Bind grouping keys; a single expr yields a scalar, several a tuple
+def _emit_keys(exprs: list[Expr], emitter: Emitter) -> str:
+    """Grouping keys: a single expr yields a scalar, several a tuple
     (Pig's GROUP key convention)."""
-    emitter = Emitter(schema)
     keys = [emitter.expr(expr) for expr in exprs]
-    key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
-    return emitter.function(f"lambda r: {key}")
+    return keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
 
 
-def _global_key(record: Record) -> str:
-    return OrderOp.GLOBAL_KEY
+def _global_key(emitter: Emitter) -> str:
+    """One key for every record: a global sort or limit has one group."""
+    return emitter.slot(OrderOp.GLOBAL_KEY)
 
 
 class GroupOp(BlockingOperator):
@@ -315,8 +336,8 @@ class GroupOp(BlockingOperator):
             [Field("group", key_type), Field(bag_name, sc.BAG, schema)]
         )
 
-    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
-        return _bind_keys(self.key_exprs, input_schemas[0])
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        return _emit_keys(self.key_exprs, emitter)
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         bag = tuple(canonical_sort([record for _, record in tagged]))
@@ -358,9 +379,8 @@ class JoinOp(BlockingOperator):
             right = right.qualify(self.input_aliases[1])
         return left.concat(right)
 
-    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
-        exprs = self.left_keys if input_index == 0 else self.right_keys
-        return _bind_keys(exprs, input_schemas[input_index])
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        return _emit_keys(self.left_keys if input_index == 0 else self.right_keys, emitter)
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         left_rows = canonical_sort([r for tag, r in tagged if tag == 0])
@@ -382,8 +402,8 @@ class DistinctOp(BlockingOperator):
             raise PlanError("DISTINCT takes exactly one input")
         return input_schemas[0]
 
-    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
-        return attrgetter("fields")
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        return "r.fields"  # the record's own tuple: its encoding is cached
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         return [tagged[0][1]]
@@ -422,8 +442,8 @@ class OrderOp(BlockingOperator):
     def preferred_reducers(self) -> int | None:
         return 1
 
-    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
-        return _global_key
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        return _global_key(emitter)
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         schema = input_schemas[0]
@@ -468,8 +488,8 @@ class LimitOp(BlockingOperator):
     def preferred_reducers(self) -> int | None:
         return 1
 
-    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Bound:
-        return _global_key
+    def emit_key(self, emitter: Emitter, input_index: int) -> str:
+        return _global_key(emitter)
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         # Standalone LIMIT picks a *deterministic* arbitrary subset:

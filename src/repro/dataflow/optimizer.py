@@ -3,7 +3,7 @@
 Semantics-preserving rewrites applied before compilation:
 
 * **merge-filters** — ``FILTER p1`` feeding only ``FILTER p2`` becomes
-  ``FILTER (p1 AND p2)``;
+  ``FILTER (p1 AND p2)`` while that stays within the depth cap;
 * **filter-before-order** — a filter after a global sort runs *before*
   it (sorting records that are about to be dropped is pure waste, and
   the filter preserves relative order);
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import SchemaError
+from repro.common.errors import PlanError, SchemaError
 from repro.dataflow import expressions as ex
 from repro.dataflow.expressions import (
     BagProject,
@@ -123,10 +123,12 @@ class Optimizer:
             return False
         if self.plan.outputs(parent) != [vid]:
             return False  # parent feeds someone else too
-        merged = FilterOp(
-            ex.and_(parent_op.predicate, op.predicate),
-            alias=op.alias or parent_op.alias,
-        )
+        predicate = ex.and_(parent_op.predicate, op.predicate)
+        try:  # stop where the `and` chain would pass expressions.MAX_DEPTH
+            predicate.resolve(self.plan.schema_of(self.plan.inputs(parent)[0]))
+        except PlanError:
+            return False
+        merged = FilterOp(predicate, alias=op.alias or parent_op.alias)
         self.plan.replace_op(vid, merged)
         self.plan.set_inputs(vid, self.plan.inputs(parent))
         self.plan.remove_vertex(parent)

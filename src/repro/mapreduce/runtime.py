@@ -16,7 +16,7 @@ comparable:
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -155,39 +155,36 @@ def execute_map_task(
     behavior: NodeBehavior,
     rng: random.Random,
 ) -> MapTaskOutput:
-    """Run one map task over one input block."""
+    """Run one map task over one input block: the branch's stages up to
+    its last VerifyOp one by one, then its one generated function."""
     branch = spec.branches[branch_index]
     records = behavior.corrupt_records(records, rng)
-    out_records, taps = run_pipeline(records, branch.pipeline)
-
-    result = MapTaskOutput(
-        taps=taps,
-        records_in=len(records),
-        records_out=len(out_records),
-        bytes_in=bytes_in,
-    )
+    result = MapTaskOutput(records_in=len(records), bytes_in=bytes_in)
+    if branch.staged:
+        records, result.taps = run_pipeline(records, branch.staged)
+    out = branch.run(records)
+    result.records_out = len(out)
     if spec.blocking is None:
         # Equivocation point: taps above digested the honest stream; a
         # faulty node may still persist something else entirely.
-        out_records = behavior.corrupt_stored_output(out_records, rng)
-        result.output_records = out_records
-        result.bytes_out = sum(r.size_bytes() for r in out_records)
+        out = behavior.corrupt_stored_output(out, rng)
+        result.output_records = out
+        result.bytes_out = sum(r.size_bytes() for r in out)
         return result
 
-    key_of = branch.key
-    if spec.combiner is not None:
-        # Map-side combining: one partial record per key instead of the
-        # whole bag (COUNT/SUM/MIN/MAX are order-insensitive, so no sort
-        # is needed for replica determinism).
-        per_key: dict = defaultdict(list)
-        for record in out_records:
-            per_key[key_of(record)].append(record)
-        keyed = [
-            (key, spec.combiner.initial_partial(group)) for key, group in per_key.items()
-        ]
+    keyed, combiner = out, spec.combiner
+    if combiner is not None:
+        # Map-side combining: one partial record per key, in first-seen
+        # key order, instead of the whole bag (the aggregates are order-
+        # insensitive, so no sort is needed for replica determinism).
+        if combiner.counts_only:  # `out` holds the keys; a partial is a count
+            keyed = [(key, Record((n,))) for key, n in Counter(out).items()]
+        else:
+            per_key: dict = defaultdict(list)
+            for key, record in out:
+                per_key[key].append(record)
+            keyed = [(key, combiner.initial_partial(group)) for key, group in per_key.items()]
         result.records_out = len(keyed)
-    else:
-        keyed = [(key_of(record), record) for record in out_records]
     place = _key_placer(spec.num_reducers)
     partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
     bytes_out = 0

@@ -1,7 +1,7 @@
 """Tests for map-side combining (algebraic partial aggregation)."""
 
-from repro.common.records import records_from_rows
-from repro.compiler.combiner import CombinerSpec
+from repro.common.records import Record, records_from_rows
+from repro.compiler.combiner import AggregateSlot, CombinerSpec
 from repro.compiler.mr_compiler import CompileOptions, compile_plan
 from repro.dataflow.interpreter import interpret
 from repro.dataflow.piglatin import parse_script
@@ -29,6 +29,23 @@ STORE C INTO 'out';
 """
 
 
+#: A combined AVG over an int field with a null: 15.0 for key 1, not 10.0.
+AVG_SCRIPT = """
+t = LOAD 'in' AS (k:int, v:int);
+g = GROUP t BY k;
+a = FOREACH g GENERATE group AS k, AVG(t.v) AS m;
+STORE a INTO 'out';
+"""
+AVG_ROWS = [(1, 10), (1, None), (1, 20), (2, 5)]
+
+COUNT_ONLY_SCRIPT = """
+A = LOAD 'in' AS (k:int, v:int);
+G = GROUP A BY k;
+C = FOREACH G GENERATE group AS k, COUNT(A) AS n, COUNT(A.v) AS m;
+STORE C INTO 'out';
+"""
+
+
 def combiner_of(script, **options) -> CombinerSpec | None:
     graph = compile_plan(parse_script(script), CompileOptions(**options))
     group_jobs = [j for j in graph.jobs if j.blocking is not None]
@@ -39,10 +56,12 @@ class TestEligibility:
     def test_algebraic_aggregates_combine(self):
         spec = combiner_of(COUNT_SCRIPT)
         assert spec is not None
-        # COUNT and the AVG's count share a slot; SUM shared with AVG.
+        # COUNT counts records and the AVG's count the field's non-null
+        # values, so they are two slots; SUM is shared with AVG.
         kinds = sorted(s.kind for s in spec.slots)
-        assert kinds == ["count", "max", "min", "sum"]
+        assert kinds == ["count", "count", "max", "min", "sum"]
         assert len(spec.layout) == 6
+        assert not spec.counts_only
 
     def test_float_sum_excluded(self):
         assert combiner_of(FLOAT_SCRIPT) is None
@@ -80,6 +99,19 @@ class TestEligibility:
 
 
 class TestSemantics:
+    def test_avg_divides_by_the_non_null_count(self):
+        spec = combiner_of(AVG_SCRIPT)
+        assert spec.slots == (AggregateSlot("sum", 1), AggregateSlot("count", 1))
+        rows = records_from_rows(AVG_ROWS)
+        partials = [spec.initial_partial(rows[:2]), spec.initial_partial(rows[2:3])]
+        assert spec.finalize(1, spec.merge(partials)) == Record((1, 15.0))
+        expected = interpret(parse_script(AVG_SCRIPT), inputs={"in": rows})["out"]
+        assert sorted(r.fields for r in expected) == [(1, 15.0), (2, 5.0)]
+
+    def test_count_only_combiners_are_flagged(self):
+        spec = combiner_of(COUNT_ONLY_SCRIPT)
+        assert spec.counts_only and spec.slots == (AggregateSlot("count", None),)
+
     def test_partial_merge_finalize_roundtrip(self):
         spec = combiner_of(COUNT_SCRIPT)
         records = records_from_rows([(1, 5), (1, 7), (1, None)])
@@ -150,6 +182,21 @@ class TestEndToEnd:
         _, combined_run = self.run_engine(COUNT_SCRIPT, rows, True)
         _, plain_run = self.run_engine(COUNT_SCRIPT, rows, False)
         assert combined_run.metrics.file_write < plain_run.metrics.file_write / 5
+
+    def test_avg_with_nulls_runs_to_the_interpreters_output(self):
+        from repro.common.config import SystemConfig
+        from repro.core.controller import ClusterBFTController
+
+        rows = records_from_rows(AVG_ROWS)
+        expected = interpret(parse_script(AVG_SCRIPT), inputs={"in": rows})["out"]
+        for run in ("run_plain", "run_assured"):
+            controller = ClusterBFTController(SystemConfig())
+            controller.load_input("in", rows)
+            result = getattr(controller, run)(AVG_SCRIPT)
+            assert result.assured == (run == "run_assured")
+            assert sorted(r.fields for r in result.outputs["out"]) == sorted(
+                r.fields for r in expected
+            ), run
 
     def test_combined_replicas_still_verify(self):
         from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig

@@ -37,6 +37,31 @@ ROWS = [
     (3, None, 7, 1, 1),
     (3, "z", 7, 4, None),
 ]
+#: Fields named like a fused branch's own words (``records``, ``r``,
+#: ``Record``) and like what counts its keys (``Counter``).
+FUSED_HOSTILE = """
+A = LOAD 'in' AS (records:int, r:int, Record:chararray, Counter:int);
+B = FILTER A BY Record != '); import os; (' AND records IS NOT NULL;
+C = FOREACH B GENERATE r AS Counter, CONCAT(Record, '"') AS records, records * 2 AS r;
+G = GROUP C BY (Counter, records);
+D = FOREACH G GENERATE group, COUNT(C) AS n;
+H = GROUP C BY Counter;
+E = FOREACH H GENERATE group, SUM(C.r) AS total, MAX(C.records) AS m;
+M = LOAD 'in' AS (records:int, r:int, Record:chararray, Counter:int);
+N = FILTER M BY Counter IS NOT NULL;
+P = FOREACH N GENERATE Counter AS records, CONCAT(Record, '"') AS Counter;
+STORE D INTO 'counts';
+STORE E INTO 'sums';
+STORE P INTO 'rows';
+"""
+FUSED_ROWS = [
+    (1, 2, "); import os; (", 0),
+    (1, 2, "x", 0),
+    (None, 2, "y", 1),
+    (3, 7, "x", None),
+    (4, 7, None, 2),
+    (5, 7, "z", 3),
+]
 #: Names a generated source may use besides ``_<n>`` slots and locals.
 TEMPLATE_NAMES = {
     "lambda", "r", "records", "for", "in", "if", "else", "is", "not", "None",
@@ -115,9 +140,7 @@ class TestGeneratedSource:
             graph = compile_plan(parse_script(template.format(**values)))
             stages = []
             for job in graph.jobs:
-                for branch in job.branches:
-                    stages += [stage.run for stage in branch.pipeline]
-                    stages.append(branch.key)
+                stages += [branch.run for branch in job.branches]  # one each (§24)
                 stages += [stage.run for stage in job.reduce_pipeline]
             return [getattr(stage, "__code__", stage) for stage in stages if stage]
 
@@ -125,6 +148,28 @@ class TestGeneratedSource:
         other = codes(src="x/y", low=9.5, key="'k'", scale=0, dst="z")
         assert one and len(one) == len(other)
         assert all(a is b for a, b in zip(one, other))
+
+    def test_fused_branches_hold_no_script_text(self, monkeypatch):
+        """A fused map branch (§24) is one source per branch: a map-only
+        FILTER + FOREACH, a COUNT-only key count and a SUM shuffle, over
+        fields named like the function's own words."""
+        monkeypatch.setattr(ex, "CODE", {})
+        plan = parse_script(FUSED_HOSTILE)
+        records = records_from_rows(FUSED_ROWS)
+        expected = interpret(plan, inputs={"in": records})
+        controller = ClusterBFTController(SystemConfig())
+        controller.load_input("in", records)
+        result = controller.run_assured(FUSED_HOSTILE)
+        assert result.assured
+        for path in ("counts", "sums", "rows"):
+            assert sorted_rows(result.outputs[path]) == sorted_rows(expected[path]), path
+            assert expected[path]
+        fused = [text for text in ex.CODE if text.startswith("lambda records: [")]
+        assert any(" for r in (_" in text for text in fused)  # a FOREACH rebinds r
+        assert "lambda records: [(r.fields[0], r.fields[1]) for r in records]" in fused
+        for text in ex.CODE:
+            assert_only_shape(text)
+            assert "import" not in text and "Counter" not in text
 
     def test_plan_validation_compiles_nothing(self, monkeypatch):
         monkeypatch.setattr(ex, "CODE", {})

@@ -9,7 +9,9 @@ data for the full rule pipeline.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import SystemConfig
 from repro.common.records import records_from_rows
+from repro.core.controller import ClusterBFTController
 from repro.dataflow.interpreter import interpret
 from repro.dataflow.operators import FilterOp, JoinOp, OrderOp, UnionOp
 from repro.dataflow.optimizer import optimize, rewrite_refs
@@ -49,6 +51,26 @@ class TestMergeFilters:
         )
         assert report.count("merge-filters") == 1
         assert len(ops_of(plan, FilterOp)) == 1
+
+    def test_merging_stops_at_the_depth_cap(self):
+        # Sixty FILTERs whose predicates are 35 levels deep: fifteen
+        # merges reach MAX_DEPTH (50); one more would be a PlanError.
+        deep = " + ".join(["v"] * 34)
+        lines = ["A0 = LOAD 'in' AS (k:int, v:int);"]
+        lines += [f"A{i} = FILTER A{i - 1} BY {deep} != {i};" for i in range(1, 61)]
+        script = "\n".join(lines + ["STORE A60 INTO 'out';"])
+        rows = records_from_rows([(k, v) for k in range(3) for v in (None, 0, 1, 2)])
+        plan, report = check_equivalent(script, {"in": rows})
+        assert report.count("merge-filters") > 0
+        expected = interpret(parse_script(script), inputs={"in": rows})["out"]
+        controller = ClusterBFTController(SystemConfig())
+        controller.load_input("in", rows)
+        result = controller.run_assured(plan)
+        assert result.assured
+        assert sorted(r.fields for r in result.outputs["out"]) == sorted(
+            r.fields for r in expected
+        )
+        assert len(expected) == 6  # v = 1 sums to 34 and fails FILTER 34
 
     def test_no_merge_when_parent_shared(self):
         script = """

@@ -13,6 +13,9 @@ about two calls per edge on the follower run).
 
 A run of ``examples/tenants.json`` through the service binds many jobs
 from three templates and compiles each distinct stage source once.
+
+Since map branches are fused (DESIGN.md §24) each map branch is one
+generated function: the map side binds no stage and no key on its own.
 """
 
 import os
@@ -21,9 +24,11 @@ import pytest
 
 from repro.common.config import ClusterBFTConfig, SystemConfig
 from repro.common.rng import RngRegistry
+from repro.compiler.jobspec import JobSpec, MapBranch
 from repro.core.controller import ClusterBFTController
 from repro.core.journal import Journal
 from repro.dataflow import expressions as ex
+from repro.dataflow.operators import BlockingOperator
 from repro.dataflow.schema import Schema
 from repro.service.loop import run_trace
 from repro.service.tenants import parse_trace
@@ -53,11 +58,18 @@ HARDENED = SystemConfig(
 )
 
 
+#: ``emit`` calls per compiled job over a run of ``examples/tenants.json``
+#: with the code before map branches were fused: 140 over 16 jobs.
+PARENT_EMITS_PER_JOB = 140 / 16
+
+
 @pytest.fixture
 def resolutions(monkeypatch):
-    """``{"index_of": n, "emit": m, "compile": c}`` calls so far, with
-    a code table of the test's own (``ex.CODE``)."""
-    counts = {"index_of": 0, "emit": 0, "compile": 0}
+    """``{"index_of": n, "emit": m, "compile": c}`` calls so far, and of
+    ``Emitter.function`` ("function"), ``MapBranch.bind`` ("branch"),
+    ``BlockingOperator.bind_key`` ("key") and ``JobSpec`` builds ("job"),
+    with a code table of the test's own (``ex.CODE``)."""
+    counts = dict.fromkeys(("index_of", "emit", "compile", "function", "branch", "key", "job"), 0)
 
     def counting(original, name):
         def wrapper(*args):
@@ -71,6 +83,13 @@ def resolutions(monkeypatch):
         monkeypatch.setattr(cls, "emit", counting(vars(cls)["emit"], "emit"))
     monkeypatch.setattr(ex, "compile", counting(compile, "compile"), raising=False)
     monkeypatch.setattr(ex, "CODE", {})
+    for owner, attribute, name in (
+        (ex.Emitter, "function", "function"),
+        (MapBranch, "bind", "branch"),
+        (BlockingOperator, "bind_key", "key"),
+        (JobSpec, "__post_init__", "job"),
+    ):
+        monkeypatch.setattr(owner, attribute, counting(getattr(owner, attribute), name))
     return counts
 
 
@@ -127,3 +146,20 @@ def test_service_compiles_each_stage_source_once(resolutions, tmp_path):
     assert 0 < compiled < len(result.runs)
     run_trace(parse_trace(text, name="tenants.json"), str(tmp_path / "b.ledger"))
     assert resolutions["compile"] == compiled
+
+
+def test_each_map_branch_is_one_generated_function(resolutions, tmp_path):
+    # The follower script's FILTER, GROUP key and COUNT combiner are all
+    # map side, and its reduce side binds nothing: every function the run
+    # generates is a map branch, and no key is bound on its own.
+    assert follower_run(1000, tmp_path).assured
+    assert resolutions["key"] == 0
+    assert resolutions["function"] == resolutions["branch"] > 0
+
+
+def test_service_emits_no_more_per_job_than_before_fusion(resolutions, tmp_path):
+    with open(TENANTS) as handle:
+        text = handle.read()
+    run_trace(parse_trace(text, name="tenants.json"), str(tmp_path / "a.ledger"))
+    assert resolutions["job"] > 0
+    assert resolutions["emit"] / resolutions["job"] <= PARENT_EMITS_PER_JOB
