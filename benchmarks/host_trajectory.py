@@ -11,7 +11,9 @@ tier-1 and to two chaos campaigns, and appends to
 * one ``"kind": "workload"`` line per workload - git sha, seed, the
   end-to-end values, the ten largest ``*.self_s`` as shares of
   ``harness.rep_s``, and ``common.encode.calls_per_record``;
-* one ``"kind": "tier1"`` line - wall seconds and test count;
+* one ``"kind": "tier1"`` line - wall seconds, test count, the seconds
+  spent in each test directory and the ``TIER1_SLOWEST`` slowest tests
+  (from pytest's JUnit report: setup, call and teardown of each test);
 * one ``"kind": "chaos"`` line - wall seconds of ``repro chaos run`` for
   each campaign in ``CHAOS_CAMPAIGNS`` (median of ``CHAOS_RUNS`` fresh
   children, interpreter start included);
@@ -40,6 +42,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from time import perf_counter
 
@@ -58,6 +62,7 @@ SRC = ROOT / "src" / "repro"
 CONTROLLER = "core/controller.py"
 RESOURCE_MANAGER = "core/resource_manager.py"
 LONGEST_KEPT = 5
+TIER1_SLOWEST = 10
 SIZE_KEYS = {
     "sha", "src_lines", "src_files", "controller_lines", "longest_functions",
     "controller_longest_functions", "controller_max_params",
@@ -122,18 +127,47 @@ def src_env() -> dict[str, str]:
 
 def tier1_line() -> dict:
     env = src_env()
-    start = perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q"],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
-    )
-    wall = perf_counter() - start
-    if done.returncode != 0:
-        raise SystemExit("tier-1 did not pass:\n" + done.stdout[-2000:])
+    with tempfile.TemporaryDirectory() as scratch:
+        report = os.path.join(scratch, "tier1.xml")
+        start = perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", f"--junitxml={report}"],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
+        )
+        wall = perf_counter() - start
+        if done.returncode != 0:
+            raise SystemExit("tier-1 did not pass:\n" + done.stdout[-2000:])
+        cases = ET.parse(report).getroot().iter("testcase")
+        times = {f"{case.get('classname')}::{case.get('name')}": float(case.get("time"))
+                 for case in cases}
     # pyproject's addopts already carries one -q, so tier-1 runs at -qq
     # and prints no "N passed" summary: count the progress dots.
     progress = re.findall(r"^([.sxX]+) +\[ *\d+%\]$", done.stdout, re.MULTILINE)
-    return {"kind": "tier1", "wall_s": round(wall, 1), "tests": "".join(progress).count(".")}
+    return {
+        "kind": "tier1",
+        "wall_s": round(wall, 1),
+        "tests": "".join(progress).count("."),
+        "dir_s": {
+            name: round(seconds, 1) for name, seconds in sorted(dir_seconds(times).items())
+        },
+        "slowest": [
+            [test, round(seconds, 2)]
+            for test, seconds in sorted(times.items(), key=lambda pair: -pair[1])[:TIER1_SLOWEST]
+        ],
+    }
+
+
+def dir_seconds(times: dict[str, float]) -> dict[str, float]:
+    """Seconds per test directory: a test id's dotted parts up to its
+    ``test_*`` module (``tests.core.test_wal_golden::...`` is in
+    ``tests/core``)."""
+    totals: dict[str, float] = {}
+    for test, seconds in times.items():
+        parts = test.split("::")[0].split(".")
+        module = next(i for i, part in enumerate(parts) if part.startswith("test_"))
+        directory = "/".join(parts[:module])
+        totals[directory] = totals.get(directory, 0.0) + seconds
+    return totals
 
 
 def chaos_line() -> dict:
@@ -244,7 +278,11 @@ def command_record(args, spec: dict) -> int:
 def problems_in(line: dict, spec: dict) -> list[str]:
     """Names in one trajectory line that ``BENCHMARK.json`` does not declare."""
     if line.get("kind") == "tier1":
-        return [] if {"sha", "wall_s", "tests"} <= set(line) else ["tier1 line incomplete"]
+        ok = {"sha", "wall_s", "tests"} <= set(line) and (
+            # Attributed since PR 26; older lines carry the wall time only.
+            "dir_s" not in line or len(line["slowest"]) == TIER1_SLOWEST
+        )
+        return [] if ok else ["tier1 line incomplete"]
     if line.get("kind") == "chaos":
         ok = "sha" in line and set(line["wall_s"]) == set(CHAOS_CAMPAIGNS)
         return [] if ok else ["chaos line incomplete"]

@@ -16,6 +16,17 @@ class ConfigError(ReproError):
     """Invalid or inconsistent configuration."""
 
 
+class RulesError(ConfigError, ValueError):
+    """A malformed alert-rules document.  Also a ``ValueError``, which
+    rule parsing raised before it had a type of its own."""
+
+
+class TraceError(ReproError, ValueError):
+    """A telemetry trace that is corrupt, not merely cut off.  Also a
+    ``ValueError``, which the trace readers raised before it had a type
+    of its own."""
+
+
 class StorageError(ReproError):
     """Base class for trusted-storage errors."""
 

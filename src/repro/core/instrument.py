@@ -9,7 +9,9 @@ MapReduce runtime taps.
 
 Besides the ``n`` marker-selected points, every final output (STORE) is
 always instrumented: an output can only be *committed* once f+1 replica
-digests of it agree, so the store digest is not optional.
+digests of it agree, so the store digest is not optional.  It is taken
+by the job that writes the output, also when that job only copies a
+relation other operators read too.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ def instrument(
     """
     clone = plan.clone()
     result = InstrumentedPlan(plan=clone)
-    digested: set[VertexId] = set()
 
     for index, vid in enumerate(marked):
         vp_id = f"vp{index}_{clone.op(vid).kind}{vid}"
@@ -71,27 +72,31 @@ def instrument(
                 vp_id=vp_id, source_vertex=vid, verify_vertex=verify_vid
             )
         )
-        digested.add(vid)
 
     if include_outputs:
         for store_vid in clone.sinks():
-            parent = clone.inputs(store_vid)[0]
-            parent_op = clone.op(parent)
-            if parent in digested or isinstance(parent_op, VerifyOp):
-                continue  # already covered by a marked point
-            vp_id = f"vpout_{store_vid}"
-            verify_vid = clone.insert_after(
-                parent, VerifyOp(vp_id, chunk_records=chunk_records)
-            )
-            result.points.append(
-                VerificationPoint(
-                    vp_id=vp_id,
-                    source_vertex=parent,
-                    verify_vertex=verify_vid,
-                    is_output=True,
+            source = clone.inputs(store_vid)[0]
+            if not isinstance(clone.op(source), VerifyOp):
+                vp_id = f"vpout_{store_vid}"
+                verify_vid = clone.insert_after(
+                    source, VerifyOp(vp_id, chunk_records=chunk_records)
                 )
-            )
-            digested.add(parent)
+                result.points.append(
+                    VerificationPoint(vp_id, source, verify_vid, is_output=True)
+                )
+                source = verify_vid
+            if len(clone.outputs(source)) > 1:
+                # A relation other operators also read is materialised
+                # once, and its STORE compiles to a job copying it: that
+                # job digests what it writes, or no verdict covers it.
+                vp_id = f"vpcopy_{store_vid}"
+                verify_vid = clone.add(
+                    VerifyOp(vp_id, chunk_records=chunk_records), [source]
+                )
+                clone.set_inputs(store_vid, [verify_vid])
+                result.points.append(
+                    VerificationPoint(vp_id, source, verify_vid, is_output=True)
+                )
 
     clone.validate()
     return result

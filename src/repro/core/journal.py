@@ -25,6 +25,9 @@ Record stream layout (one JSON object per line, sorted keys)::
     {"kind": "resume", ...}           # appended when a recovery reopens
     {"kind": "run_end", ...}          # fsync'd: final outputs + status
 
+:data:`RECORDS` declares each kind's fields, for the journal and the
+service ledger alike; the readers reject any record it does not allow.
+
 Durability policy: ``header``, ``commit``, ``attempt_end``, ``resume``
 and ``run_end`` records are flushed *and fsync'd* before the writer
 returns (these are the records recovery depends on); everything else is
@@ -88,6 +91,67 @@ CHECKPOINT = "checkpoint"
 ATTEMPT_END = "attempt_end"
 RESUME = "resume"
 RUN_END = "run_end"
+
+#: The service ledger (:mod:`repro.service.ledger`) holds every run's
+#: records above but ``resume``, tagged ``run``, beside its own kinds.
+LEDGER_SCHEMA = "repro.ledger/v1"
+ADMIT = "admit"
+REJECT = "reject"
+ENQUEUE = "enqueue"
+DEQUEUE = "dequeue"
+SERVICE_END = "service_end"
+
+_RUN_RECORDS = {
+    RUN_START: ("script_id", "jobs", "replication", "points", "marked",
+                "include_output_points"),
+    ATTEMPT_START: ("script_id", "attempt", "replication", "timeout", "jobs"),
+    DIGEST: ("sid", "replica", "nodes"),
+    VERDICT: ("sid", "status", "winners", "faulty_replicas"),
+    FAULT: ("sid", "replica", "fault_kind", "nodes"),
+    LATE_FAULT: ("sid", "replica", "fault_kind", "nodes"),
+    ANALYZER: ("suspects", "cleared"),
+    EVICTION: ("node", "suspicion", "jobs", "tenant?"),
+    QUARANTINE: ("node", "suspicion", "jobs", "tenant?"),
+    RECONFIG: ("region", "suspicion", "jobs", "nodes", "sids", "tenant?"),
+    COMMIT: ("sid", "job_index", "path", "target", "winner", "content"),
+    CHECKPOINT: ("sid", "job_index", "path", "target", "winner", "content"),
+    ATTEMPT_END: ("script_id", "attempt", "attempts_used", "next_replication",
+                  "next_timeout", "verified_jobs", "verified_ok",
+                  "verified_paths", "reused", "suspicion", "analyzer",
+                  "evicted", "quarantined"),
+    RUN_END: ("script_id", "assured", "exhausted", "attempts", "reused",
+              "checkpoints?", "latency", "outputs"),
+}
+
+#: Every record kind of both logs, by schema, with its fields: the one
+#: declaration of what a journal or ledger may hold.  ``kind`` and
+#: ``seq`` are on every record; the ledger also tags a run's records
+#: with ``run``.  A trailing ``?`` marks a field some v1 writers leave
+#: out: the tenant of a record appended outside a service run, the
+#: ``resume`` a recovery writes before any ``run_start``, and the
+#: ``run_end.checkpoints`` that journals older than the checkpoint tier
+#: lack.  :func:`read_wal` rejects a kind its log does not declare and a
+#: record missing a required field, so no reader meets a record it
+#: cannot act on.
+RECORDS: dict[str, dict[str, tuple[str, ...]]] = {
+    SCHEMA_VERSION: {
+        HEADER: ("schema", "seed", "script", "script_sha256", "config",
+                 "block_bytes", "inputs"),
+        **_RUN_RECORDS,
+        RESUME: ("script_id?", "start_attempt", "commits_replayed",
+                 "checkpoints_replayed?"),
+    },
+    LEDGER_SCHEMA: {
+        HEADER: ("schema", "trace", "trace_sha256"),
+        **_RUN_RECORDS,
+        ADMIT: ("tenant", "workload", "index", "t", "queued_for"),
+        REJECT: ("tenant", "workload", "index", "t", "reason"),
+        ENQUEUE: ("tenant", "workload", "index", "t", "depth"),
+        DEQUEUE: ("tenant", "workload", "index", "t", "waited"),
+        SERVICE_END: ("runs", "assured", "rejected", "quarantined", "evicted",
+                      "makespan"),
+    },
+}
 
 #: Record kinds whose loss would corrupt recovery — forced to stable
 #: storage before the append returns.
@@ -269,7 +333,8 @@ def read_wal(
     an object, no records at all, a first record that is not a
     ``schema`` header, a break in the seq chain (worded by ``gap``:
     fields ``index``, ``seq``, ``kind``) — lost durable records are
-    corruption, not crash damage.
+    corruption, not crash damage — and a record whose kind ``RECORDS``
+    does not declare for ``schema``, or that lacks a field it requires.
     """
     try:
         with open(path) as handle:
@@ -304,11 +369,17 @@ def read_wal(
             f"unsupported {noun} schema {header.get('schema')!r} "
             f"(expected {schema})"
         )
+    declared = RECORDS[schema]
     for index, record in enumerate(records):
+        kind = record.get("kind")
         if record.get("seq") != index:
-            raise error(
-                gap.format(index=index, seq=record.get("seq"), kind=record.get("kind"))
-            )
+            raise error(gap.format(index=index, seq=record.get("seq"), kind=kind))
+        fields = declared.get(kind)
+        if fields is None:
+            raise error(f"{noun} record {index} has an undeclared kind {kind!r}")
+        missing = [name for name in fields if name[-1] != "?" and name not in record]
+        if missing:
+            raise error(f"{noun} record {index} ({kind}) lacks {', '.join(missing)}")
     return records, warnings
 
 
@@ -458,9 +529,8 @@ class Journal:
 
 
 def read_journal(path: str) -> tuple[list[dict], list[str]]:
-    """Read a journal back (:func:`read_wal`), then validate what only a
-    journal header has before anything else is trusted: the script hash
-    and the fields recovery rebuilds the deployment from."""
+    """Read a journal back (:func:`read_wal`), then check the header's
+    script hash before anything else is trusted."""
     records, warnings = read_wal(
         path,
         JournalError,
@@ -470,17 +540,12 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
         gap="journal seq gap: expected {index}, got {seq} ({kind})",
     )
     header = records[0]
-    recorded = header.get("script_sha256")
-    actual = script_sha256(header.get("script", ""))
+    recorded = header["script_sha256"]
+    actual = script_sha256(header["script"])
     if recorded != actual:
         raise JournalError(
             f"journal header script hash mismatch: recorded {recorded}, "
             f"script hashes to {actual} — header tampered or corrupt"
-        )
-    missing = {"config", "inputs", "block_bytes"} - header.keys()
-    if missing:
-        raise JournalError(
-            f"journal header (record 0) lacks {', '.join(sorted(missing))}"
         )
     return records, warnings
 

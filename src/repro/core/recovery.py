@@ -56,29 +56,6 @@ from repro.mapreduce.metrics import RunMetrics
 from repro.mapreduce.scheduler import TaskScheduler
 from repro.telemetry import Telemetry
 
-#: Record kinds :func:`resume_run` deliberately does NOT replay.  The
-#: journal's recovery model restores the last *settled attempt
-#: boundary* (``attempt_end`` snapshot) and replays fsync'd ``commit``
-#: records; everything finer-grained is a marker whose effects are
-#: either folded into the next snapshot (digests, verdicts, faults,
-#: analyzer conclusions, evictions, quarantine) or meta (``resume``
-#: records mark prior recoveries).  Declaring them here keeps the
-#: WAL-coverage lint (WAL001) honest: deleting a *real* replay branch
-#: still trips it, while these stay accounted for.
-REPLAY_IGNORED = frozenset(
-    {
-        wal.ATTEMPT_START,
-        wal.DIGEST,
-        wal.VERDICT,
-        wal.FAULT,
-        wal.LATE_FAULT,
-        wal.ANALYZER,
-        wal.EVICTION,
-        wal.QUARANTINE,
-        wal.RESUME,
-    }
-)
-
 
 @dataclass
 class RecoveredRun:

@@ -1,11 +1,12 @@
 """Layer 3: whole-program assurance analysis (``repro lint --deep``).
 
-Layers 1 and 2 are per-file/per-plan pattern matchers; the properties
-that actually reached review as bugs — resume verdict flips, torn-tail
-mishandling — were *whole-program* mismatches between the journal's
-write side and the replay side, or nondeterminism leaking through a
-call chain into an assured sink.  This package analyses ``src/repro``
-as one program:
+Layers 1 and 2 are per-file/per-plan pattern matchers; some properties
+are *whole-program*: nondeterminism leaking through a call chain into
+an assured sink, or a shared-state mutation made without naming the
+tenant it is made for.  This package analyses ``src/repro`` as one
+program.  (The journal's and ledger's append/replay agreement is not a
+lint rule: :data:`repro.core.journal.RECORDS` declares every record
+kind and its fields, and the readers reject anything else.)
 
 * :mod:`repro.lint.flow.callgraph` — project model + call graph
   (modules, classes, methods, decorators, generators, lambdas,
@@ -13,10 +14,6 @@ as one program:
 * :mod:`repro.lint.flow.taint` — interprocedural nondeterminism taint
   (FLOW001–FLOW004): entropy sources propagated through the graph into
   assured sinks, reported with the full source→sink call chain;
-* :mod:`repro.lint.flow.walcheck` — WAL/replay coverage (WAL001–WAL003):
-  every journal/ledger record kind written has a replay handler or an
-  explicit no-replay declaration, no dead handlers, and replay-side
-  field reads are a subset of append-side fields;
 * :mod:`repro.lint.flow.audit_rules` — AUD001: shared-state mutations
   reachable from the cooperative ``_assured_steps`` generator carry
   audit attribution (``**self.audit_context``);

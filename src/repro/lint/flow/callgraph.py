@@ -18,7 +18,7 @@ reference that escapes may be called.
 The model is an over-approximation of the real call relation (a
 reference edge may never fire at runtime) and an under-approximation
 where Python is irreducibly dynamic (``getattr`` with a computed name).
-Both are the right trade-offs for the taint/WAL passes riding on top:
+Both are the right trade-offs for the taint/audit passes riding on top:
 reachability findings are reviewed (and waivable), so recall matters
 more than precision.
 """
@@ -98,11 +98,6 @@ class ProjectGraph:
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        #: ``module.NAME`` → string value, for module-level constants.
-        self.constants: dict[str, str] = {}
-        #: ``module.NAME`` → resolved element refs of module-level
-        #: set/frozenset/tuple literals of names (declaration tables).
-        self.const_sets: dict[str, list[str]] = {}
         self.modules: dict[str, str] = {}  # module → display path
         self.sources: dict[str, str] = {}  # display path → source text
         self.edges: dict[str, list[tuple[str, int]]] = {}
@@ -204,7 +199,7 @@ class _ModuleIndex:
 
 
 class _Indexer(ast.NodeVisitor):
-    """Phase 1: register defs/classes/constants for one module."""
+    """Phase 1: register defs and classes for one module."""
 
     def __init__(self, graph: ProjectGraph, index: _ModuleIndex) -> None:
         self.graph = graph
@@ -279,31 +274,9 @@ class _Indexer(ast.NodeVisitor):
             return
         name = node.targets[0].id
         value = node.value
-        key = f"{self.index.module}.{name}"
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            self.graph.constants[key] = value.value
-        elif isinstance(value, ast.Lambda):
+        if isinstance(value, ast.Lambda):
             info = self._register_function(value, name)
             info.lineno = node.lineno
-        elif isinstance(value, (ast.Set, ast.Tuple, ast.List)) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("frozenset", "set", "tuple")
-        ):
-            elements = (
-                value.elts
-                if isinstance(value, (ast.Set, ast.Tuple, ast.List))
-                else _literal_elements(value)
-            )
-            refs = []
-            for element in elements:
-                dotted = resolve_dotted(element, self.index.imports)
-                if dotted is None and isinstance(element, ast.Name):
-                    dotted = f"{self.index.module}.{element.id}"
-                if dotted is not None:
-                    refs.append(dotted)
-            if refs:
-                self.graph.const_sets[key] = refs
         elif isinstance(value, (ast.Name, ast.Attribute)):
             # module-level alias: resolved lazily in phase 2 via defs.
             dotted = resolve_dotted(value, self.index.imports)
@@ -329,12 +302,6 @@ def _partial_target(call: ast.Call) -> ast.expr | None:
     if is_partial and call.args:
         return call.args[0]
     return None
-
-
-def _literal_elements(call: ast.Call) -> list[ast.expr]:
-    if call.args and isinstance(call.args[0], (ast.Set, ast.Tuple, ast.List)):
-        return call.args[0].elts
-    return []
 
 
 def _is_generator(node: ast.AST) -> bool:

@@ -2,8 +2,8 @@
 
 :func:`deep_lint` is the engine behind ``repro lint --deep``: it builds
 one :class:`~repro.lint.flow.callgraph.ProjectGraph` over all the files
-on the command line, runs the interprocedural passes (taint, WAL
-coverage, audit attribution), then applies the same inline-waiver
+on the command line, runs the interprocedural passes (taint, audit
+attribution), then applies the same inline-waiver
 machinery layer 1 uses — restricted to the deep rule ids, so one
 ``# lint: allow FLOW001 <reason>`` works identically in both worlds and
 an unused deep waiver is still reported (WAIVE002).
@@ -19,7 +19,6 @@ from repro.lint.engine import iter_python_files
 from repro.lint.flow.audit_rules import run_audit_check
 from repro.lint.flow.callgraph import ProjectGraph, build_project
 from repro.lint.flow.taint import run_taint
-from repro.lint.flow.walcheck import run_walcheck
 from repro.lint.waivers import apply_waivers, collect_waivers
 
 
@@ -40,9 +39,6 @@ DEEP_RULES = [
     DeepRuleInfo(
         "FLOW004", "float accumulation inside a digest-reachable function"
     ),
-    DeepRuleInfo("WAL001", "appended record kind has no replay handler"),
-    DeepRuleInfo("WAL002", "replay reads a field no append site writes"),
-    DeepRuleInfo("WAL003", "dead or contradictory replay handler/declaration"),
     DeepRuleInfo(
         "AUD001", "shared-state mutation without tenant audit attribution"
     ),
@@ -85,7 +81,6 @@ def deep_lint(
 
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(run_taint(graph))
-    diagnostics.extend(run_walcheck(graph))
     diagnostics.extend(run_audit_check(graph))
     diagnostics = [d for d in diagnostics if d.rule in selected]
 

@@ -176,7 +176,7 @@ def _sanctioned_lines(graph: ProjectGraph) -> dict[str, set[int]]:
     already argued for that site (the telemetry wall-clock profile
     path, the seeded chaos RNG); re-reporting every caller that reaches
     it through the graph would only bury real findings.  Waivers naming
-    FLOW/WAL/AUD rules do NOT sanction the source — they waive the deep
+    FLOW/AUD rules do NOT sanction the source — they waive the deep
     finding itself, through the normal waiver machinery, so they stay
     accounted for (used/unused) like any other waiver.
     """

@@ -58,9 +58,9 @@ class Rule:
 
 #: Rule-id prefixes owned by the Layer-3 whole-program passes
 #: (:mod:`repro.lint.flow`).  Layer 1 leaves their waivers alone — a
-#: waiver naming only FLOW/WAL/AUD rules is "used"/"unused" from the
+#: waiver naming only FLOW/AUD rules is "used"/"unused" from the
 #: deep run's point of view.
-DEEP_RULE_PREFIXES = ("FLOW", "WAL", "AUD")
+DEEP_RULE_PREFIXES = ("FLOW", "AUD")
 
 
 def is_deep_rule(rule_id: str) -> bool:

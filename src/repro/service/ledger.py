@@ -39,28 +39,13 @@ from typing import IO, Callable
 from repro.common.errors import ReproError
 from repro.core import journal as wal
 
-SCHEMA_VERSION = "repro.ledger/v1"
+SCHEMA_VERSION = wal.LEDGER_SCHEMA
 
 HEADER = wal.HEADER  # the file format's, checked by ``wal.read_wal``
-ADMIT = "admit"
-REJECT = "reject"
-ENQUEUE = "enqueue"
-DEQUEUE = "dequeue"
-SERVICE_END = "service_end"
 
 #: Records recovery depends on are forced to stable storage (the
 #: journal's sync kinds plus the service-level terminal record).
-SYNC_KINDS = frozenset(wal.SYNC_KINDS) | {HEADER, SERVICE_END}
-
-#: Service-level record kinds covered by *uniform* replay: ledger
-#: resume is deterministic re-execution with byte-prefix verification
-#: (see module docstring), so no per-kind dispatch exists — every
-#: replayed append, whatever its kind, is byte-compared against the
-#: durable prefix in :meth:`MultiplexedLedger.append`.  The WAL
-#: coverage lint (WAL001) reads this declaration; run-scoped kinds
-#: multiplexed from the journal surface are accounted for on that
-#: surface instead.
-REPLAY_UNIFORM = frozenset({ADMIT, REJECT, ENQUEUE, DEQUEUE, SERVICE_END})
+SYNC_KINDS = frozenset(wal.SYNC_KINDS) | {HEADER, wal.SERVICE_END}
 
 
 class LedgerError(ReproError):
@@ -276,9 +261,10 @@ class MultiplexedLedger:
 def read_ledger(path: str) -> tuple[list[dict], list[str]]:
     """Read a ledger back, tolerating (and reporting) a torn tail.
 
-    Returns ``(records, warnings)``; validates the header and the
-    global seq chain — a gap means lost durable records, which is
-    corruption, not crash damage (:func:`repro.core.journal.read_wal`).
+    Returns ``(records, warnings)``; validates the header, the global
+    seq chain — a gap means lost durable records, which is corruption,
+    not crash damage — and every record against the ledger's kinds in
+    :data:`repro.core.journal.RECORDS` (:func:`repro.core.journal.read_wal`).
     """
     return wal.read_wal(
         path,

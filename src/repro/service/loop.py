@@ -36,15 +36,7 @@ from repro.core.controller import ClusterBFTController, ScriptResult
 from repro.mapreduce.scheduler import FairShareScheduler
 from repro.service import admission as adm
 from repro.service.admission import AdmissionController
-from repro.service.ledger import (
-    ADMIT as L_ADMIT,
-    DEQUEUE as L_DEQUEUE,
-    ENQUEUE as L_ENQUEUE,
-    REJECT as L_REJECT,
-    SERVICE_END,
-    LedgerError,
-    MultiplexedLedger,
-)
+from repro.service.ledger import LedgerError, MultiplexedLedger
 from repro.service.tenants import (
     WORKLOADS,
     JobRequest,
@@ -276,7 +268,7 @@ class ClusterBFTService:
                 depth=self.admission.queue_depth(request.tenant),
             )
             self._ledger(
-                L_ENQUEUE,
+                wal.ENQUEUE,
                 tenant=request.tenant,
                 workload=request.workload,
                 index=request.index,
@@ -303,7 +295,7 @@ class ClusterBFTService:
                 reason=decision,
             )
             self._ledger(
-                L_REJECT,
+                wal.REJECT,
                 tenant=request.tenant,
                 workload=request.workload,
                 index=request.index,
@@ -337,7 +329,7 @@ class ClusterBFTService:
             queued_for=now - request.at,
         )
         self._ledger(
-            L_ADMIT,
+            wal.ADMIT,
             run=run_id,
             tenant=request.tenant,
             workload=request.workload,
@@ -383,7 +375,7 @@ class ClusterBFTService:
                 waited=self.loop.now - pending.at,
             )
             self._ledger(
-                L_DEQUEUE,
+                wal.DEQUEUE,
                 tenant=pending.tenant,
                 workload=pending.workload,
                 index=pending.index,
@@ -459,7 +451,7 @@ class ClusterBFTService:
         if self.ledger is not None:
             self.result.ledger_path = self.ledger.path
             self._ledger(
-                SERVICE_END,
+                wal.SERVICE_END,
                 runs=len(self.result.runs),
                 assured=sum(1 for run in self.result.runs if run.assured),
                 rejected=len(self.result.rejects),

@@ -38,6 +38,7 @@ amortized across tenants).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.common.config import (
@@ -233,6 +234,50 @@ def workload_records(seed: int, tenant: str, index: int, rows: int) -> list[Reco
 # ---------------------------------------------------------------------------
 
 
+#: The numeric settings a trace may give, by section: key -> whether
+#: the value must be an integer (else any finite number).
+SETTINGS = {
+    "cluster": {"nodes": True, "slots": True, "heartbeat": False},
+    "bft": {
+        "f": True,
+        "replication": True,
+        "verifier_timeout": False,
+        "suspicion_threshold": False,
+        "quarantine_threshold": False,
+        "suspicion_min_jobs": True,
+        "max_reruns": True,
+    },
+}
+
+
+def _is_number(value: object, integer: bool = False) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if integer else math.isfinite(value)
+
+
+def _settings_problems(data: dict) -> list[str]:
+    problems = []
+    if not isinstance(data.get("name", ""), str):
+        problems.append("'name' must be a string")
+    if not _is_number(data.get("seed", 0), integer=True):
+        problems.append(f"seed={data.get('seed')!r} must be an integer")
+    for section, keys in SETTINGS.items():
+        values = data.get(section, {})
+        if not isinstance(values, dict):
+            problems.append(f"'{section}' must be an object")
+            continue
+        for key, integer in keys.items():
+            value = values.get(key, 0)
+            # A null quarantine threshold switches the quarantine tier off.
+            if value is None and key == "quarantine_threshold":
+                continue
+            if not _is_number(value, integer):
+                kind = "an integer" if integer else "a finite number"
+                problems.append(f"{section}.{key}={value!r} must be {kind}")
+    return problems
+
+
 def trace_problems(data: object) -> list[str]:
     """Structural/admission-config problems of a trace document.
 
@@ -247,6 +292,7 @@ def trace_problems(data: object) -> list[str]:
     tenants = data.get("tenants")
     if not isinstance(tenants, list) or not tenants:
         return ["trace must declare a non-empty 'tenants' list"]
+    problems.extend(_settings_problems(data))
     seen: set[str] = set()
     for position, entry in enumerate(tenants):
         if not isinstance(entry, dict):
@@ -296,14 +342,14 @@ def trace_problems(data: object) -> list[str]:
                 )
                 continue
             workload = job.get("workload")
-            if workload not in WORKLOADS:
+            if not isinstance(workload, str) or workload not in WORKLOADS:
                 known = ", ".join(sorted(WORKLOADS))
                 problems.append(
                     f"tenant {label}: jobs[{job_position}] references "
                     f"unknown workload {workload!r} (known: {known})"
                 )
             at = job.get("at", 0.0)
-            if not isinstance(at, (int, float)) or at < 0:
+            if not _is_number(at) or at < 0:
                 problems.append(
                     f"tenant {label}: jobs[{job_position}] arrival "
                     f"at={at!r} must be a number >= 0"
@@ -331,7 +377,7 @@ def trace_problems(data: object) -> list[str]:
             problems.append(f"faults[{position}] must be an object")
             continue
         kind = spec.get("kind")
-        if kind not in FAULT_BEHAVIORS:
+        if not isinstance(kind, str) or kind not in FAULT_BEHAVIORS:
             known = ", ".join(sorted(FAULT_BEHAVIORS))
             problems.append(
                 f"faults[{position}] unknown kind {kind!r} (known: {known})"
@@ -341,6 +387,8 @@ def trace_problems(data: object) -> list[str]:
             problems.append(
                 f"faults[{position}] node={node!r} must be an integer >= 0"
             )
+        if not isinstance(spec.get("params") or {}, dict):
+            problems.append(f"faults[{position}] 'params' must be an object")
     return problems
 
 
@@ -423,6 +471,10 @@ def parse_trace(text: str, name: str = "trace") -> ServiceTrace:
         text=text,
     )
     trace.system_config()  # config-level validation (fail-closed too)
+    try:
+        trace.fault_plan()
+    except TypeError as exc:
+        raise ConfigError(f"trace {name}: bad fault params: {exc}") from None
     max_node = trace.num_nodes - 1
     for kind, node_index, _ in trace.faults:
         if node_index > max_node:

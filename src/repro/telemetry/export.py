@@ -19,6 +19,8 @@ import json
 import os
 from typing import IO, Iterable
 
+from repro.common.errors import TraceError
+
 #: Span/event attributes that select a Chrome track, in priority order.
 _TRACK_ATTRS = ("node", "replica_id", "track")
 
@@ -103,16 +105,18 @@ def read_jsonl_lenient(
     """Load a possibly-truncated streaming trace, best-effort.
 
     A run that died mid-flight leaves a :class:`JsonlStreamSink` file
-    whose last line may be cut off and whose trailing metrics snapshot
-    (``Telemetry.finalize()``) never landed.  Instead of crashing the
-    analysis tools, return every parseable record plus human-readable
-    warnings describing what is missing.  A parse error anywhere *other*
-    than the tail still raises — that is a corrupt file, not a
-    truncated one.
+    whose last line may be cut off (even inside a UTF-8 character) and
+    whose trailing metrics snapshot (``Telemetry.finalize()``) never
+    landed.  Instead of crashing the analysis tools, return every
+    parseable record plus human-readable warnings describing what is
+    missing.  Any other damage — a line before the tail that does not
+    decode or parse, or a line that is not a JSON object — raises
+    :class:`~repro.common.errors.TraceError`: that is a corrupt file,
+    not a truncated one.
     """
     if isinstance(path_or_file, str):
-        with open(path_or_file) as handle:
-            lines = handle.readlines()
+        with open(path_or_file, "rb") as handle:
+            lines = handle.read().split(b"\n")
     else:
         lines = path_or_file.readlines()
     lines = [line for line in lines if line.strip()]
@@ -120,7 +124,7 @@ def read_jsonl_lenient(
     records: list[dict] = []
     for index, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            record = json.loads(line.decode() if isinstance(line, bytes) else line)
         except ValueError as exc:
             if index == len(lines) - 1:
                 warnings.append(
@@ -128,7 +132,13 @@ def read_jsonl_lenient(
                     f"(record {index + 1}): {exc}"
                 )
                 break
-            raise
+            raise TraceError(f"trace corrupt at record {index + 1}: {exc}")
+        if not isinstance(record, dict):
+            raise TraceError(
+                f"trace corrupt at record {index + 1}: "
+                f"a {type(record).__name__}, not an object"
+            )
+        records.append(record)
     if not records:
         warnings.append("trace is empty (no records)")
     elif not any(r.get("type") == "metric" for r in records):

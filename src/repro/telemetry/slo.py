@@ -39,6 +39,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from repro.common.errors import RulesError
+
 __all__ = [
     "AlertRule",
     "AlertFiring",
@@ -212,15 +214,19 @@ DEFAULT_RULES: tuple[AlertRule, ...] = (
 
 
 def parse_rules(data) -> list[AlertRule]:
-    """Build rules from parsed JSON: a list, or ``{"rules": [...]}``."""
+    """Build rules from parsed JSON: a list, or ``{"rules": [...]}``.
+
+    Fails closed: anything but a well-formed rule set raises
+    :class:`~repro.common.errors.RulesError`.
+    """
     if isinstance(data, dict):
         data = data.get("rules", [])
     if not isinstance(data, list):
-        raise ValueError("alert rules must be a list or {'rules': [...]}")
+        raise RulesError("alert rules must be a list or {'rules': [...]}")
     rules: list[AlertRule] = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
-            raise ValueError(f"rule #{i} is not an object")
+            raise RulesError(f"rule #{i} is not an object")
         unknown = set(entry) - {
             "name",
             "source",
@@ -236,42 +242,56 @@ def parse_rules(data) -> list[AlertRule]:
             "description",
         }
         if unknown:
-            raise ValueError(f"rule #{i}: unknown keys {sorted(unknown)}")
+            raise RulesError(f"rule #{i}: unknown keys {sorted(unknown)}")
         if "name" not in entry or "source" not in entry:
-            raise ValueError(f"rule #{i}: 'name' and 'source' are required")
+            raise RulesError(f"rule #{i}: 'name' and 'source' are required")
         labels = entry.get("labels", {})
         if not isinstance(labels, dict):
-            raise ValueError(f"rule #{i}: 'labels' must be an object")
-        rules.append(
-            AlertRule(
-                name=str(entry["name"]),
-                source=str(entry["source"]),
-                kind=str(entry.get("kind", "threshold")),
-                op=str(entry.get("op", ">=")),
-                threshold=float(entry.get("threshold", 1.0)),
-                labels=tuple(sorted((str(k), str(v)) for k, v in labels.items())),
-                group_by=tuple(str(g) for g in entry.get("group_by", ())),
-                window=float(entry.get("window", 0.0)),
-                budget=int(entry.get("budget", 0)),
-                percentile=(
-                    float(entry["percentile"])
-                    if entry.get("percentile") is not None
-                    else None
-                ),
-                severity=str(entry.get("severity", "warning")),
-                description=str(entry.get("description", "")),
+            raise RulesError(f"rule #{i}: 'labels' must be an object")
+        group_by = entry.get("group_by", [])
+        if not isinstance(group_by, list):
+            raise RulesError(f"rule #{i}: 'group_by' must be a list")
+        try:
+            rules.append(
+                AlertRule(
+                    name=str(entry["name"]),
+                    source=str(entry["source"]),
+                    kind=str(entry.get("kind", "threshold")),
+                    op=str(entry.get("op", ">=")),
+                    threshold=float(entry.get("threshold", 1.0)),
+                    labels=tuple(
+                        sorted((str(k), str(v)) for k, v in labels.items())
+                    ),
+                    group_by=tuple(str(g) for g in group_by),
+                    window=float(entry.get("window", 0.0)),
+                    budget=int(entry.get("budget", 0)),
+                    percentile=(
+                        float(entry["percentile"])
+                        if entry.get("percentile") is not None
+                        else None
+                    ),
+                    severity=str(entry.get("severity", "warning")),
+                    description=str(entry.get("description", "")),
+                )
             )
-        )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RulesError(f"rule #{i}: {exc}") from None
     names = [r.name for r in rules]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
-        raise ValueError(f"duplicate rule names: {dupes}")
+        raise RulesError(f"duplicate rule names: {dupes}")
     return rules
 
 
 def load_rules(path: str) -> list[AlertRule]:
+    """Rules from a JSON file (:func:`parse_rules`); a file that is not
+    UTF-8 JSON raises :class:`~repro.common.errors.RulesError`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_rules(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise RulesError(f"not a JSON rules document: {exc}") from None
+    return parse_rules(data)
 
 
 # ----------------------------------------------------------------------

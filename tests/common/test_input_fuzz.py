@@ -1,0 +1,182 @@
+"""Fail closed: truncated and garbled operator inputs raise a typed error.
+
+Three inputs come from outside the program besides scripts and WALs:
+telemetry traces (``read_jsonl_lenient``), alert-rules files
+(``slo.parse_rules`` / ``load_rules``) and tenant traces
+(``tenants.parse_trace`` / ``trace_problems``).  Each is cut at every
+byte and, under Hypothesis (derandomised, so tier-1 is repeatable),
+spliced with JSON syntax and bytes that are not UTF-8, and has values
+swapped for values of other types.  A reader may only return what it
+documents or raise a ``ReproError``.  The one documented lenient
+recovery is the trace reader's: a cut-off final line is dropped with a
+warning, so every byte prefix of a trace reads back.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.errors import ReproError
+from repro.service.tenants import parse_trace, trace_problems
+from repro.telemetry import Telemetry
+from repro.telemetry.export import read_jsonl_lenient
+from repro.telemetry.slo import AlertRule, load_rules, parse_rules
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+RULES = (EXAMPLES / "alerts.json").read_bytes()
+TENANTS = (EXAMPLES / "tenants.json").read_bytes()
+
+
+def small_trace() -> bytes:
+    telemetry = Telemetry.recording()
+    with telemetry.tracer.span("run", attrs={"script_id": "s1", "note": "é²"}):
+        telemetry.tracer.event("verify.timeout", sid="s1")
+        telemetry.metrics.gauge("suspicion_suspects").set(1.0)
+    telemetry.finalize()
+    return "".join(
+        json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        for record in telemetry.export_records()
+    ).encode()
+
+
+TRACE = small_trace()
+
+FRAGMENTS = [
+    b"{", b"}", b"[", b"]", b",", b":", b'"', b"\n", b" ", b"null", b"true",
+    b"-1", b"0", b"1e999", b"NaN", b"[]", b"{}", b'"x"', b"\xff", b"\xc3",
+    b"\x00",
+]
+VALUES = [None, True, -1, 0, 2.5, 1e999, float("nan"), "x", "", [], {}, [1], {"a": 1}]
+
+edits = st.lists(
+    st.tuples(
+        st.floats(0, 1),
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(FRAGMENTS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+swaps = st.lists(
+    st.tuples(st.floats(0, 1), st.sampled_from(VALUES)), min_size=1, max_size=3
+)
+
+
+def garble(data: bytes, edits) -> bytes:
+    for where, kind, fragment in edits:
+        at = int(where * len(data))
+        if kind == "insert":
+            data = data[:at] + fragment + data[at:]
+        elif kind == "replace":
+            data = data[:at] + fragment + data[at + len(fragment):]
+        else:
+            data = data[:at] + data[at + len(fragment):]
+    return data
+
+
+def slots(node):
+    """Every (container, key) in a parsed JSON document, in order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from slots(child)
+
+
+def swap(data: bytes, swaps) -> object:
+    """The document parsed, with values put where others were."""
+    document = json.loads(data)
+    for where, value in swaps:
+        found = list(slots(document))
+        container, key = found[int(where * (len(found) - 1))]
+        container[key] = copy.deepcopy(value)
+    return document
+
+
+def typed_or_returns(call, *args):
+    try:
+        return call(*args)
+    except ReproError:
+        return None
+
+
+# -- telemetry traces --------------------------------------------------------
+
+
+def read_trace(tmp_path, data: bytes):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    return read_jsonl_lenient(str(path))
+
+
+def test_every_prefix_of_a_trace_reads_back(tmp_path):
+    lines = TRACE.splitlines()
+    for cut in range(len(TRACE) + 1):
+        prefix = TRACE[:cut]
+        records, warnings = read_trace(tmp_path, prefix)
+        assert records == [json.loads(line) for line in lines[: len(records)]]
+        torn = prefix.splitlines()[len(records):]
+        assert len(torn) <= 1 and (torn == []) == (not any(
+            "truncated" in warning for warning in warnings
+        ))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=edits)
+def test_a_garbled_trace_fails_closed(tmp_path_factory, edits):
+    tmp_path = tmp_path_factory.mktemp("trace")
+    read = typed_or_returns(read_trace, tmp_path, garble(TRACE, edits))
+    if read is not None:
+        assert all(isinstance(record, dict) for record in read[0])
+
+
+# -- alert rules -------------------------------------------------------------
+
+
+def load(tmp_path, data: bytes):
+    path = tmp_path / "rules.json"
+    path.write_bytes(data)
+    return load_rules(str(path))
+
+
+def rules_or_typed_error(call, *args):
+    rules = typed_or_returns(call, *args)
+    assert rules is None or all(isinstance(rule, AlertRule) for rule in rules)
+
+
+def test_every_prefix_of_a_rules_file_fails_closed(tmp_path):
+    for cut in range(len(RULES) + 1):
+        rules_or_typed_error(load, tmp_path, RULES[:cut])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=edits, swaps=swaps)
+def test_a_garbled_rules_file_fails_closed(tmp_path_factory, edits, swaps):
+    rules_or_typed_error(load, tmp_path_factory.mktemp("rules"), garble(RULES, edits))
+    rules_or_typed_error(parse_rules, swap(RULES, swaps))
+
+
+# -- tenant traces -----------------------------------------------------------
+
+
+def parses_or_fails_closed(text: str) -> None:
+    typed_or_returns(parse_trace, text, "fuzzed.json")
+
+
+def test_every_prefix_of_a_tenant_trace_fails_closed():
+    text = TENANTS.decode()
+    for cut in range(len(text) + 1):
+        parses_or_fails_closed(text[:cut])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=edits, swaps=swaps)
+def test_a_garbled_tenant_trace_fails_closed(edits, swaps):
+    parses_or_fails_closed(garble(TENANTS, edits).decode(errors="replace"))
+    document = swap(TENANTS, swaps)
+    problems = trace_problems(document)
+    assert all(isinstance(problem, str) for problem in problems)
+    parses_or_fails_closed(json.dumps(document))

@@ -19,6 +19,15 @@ def small_config(seed: int = 7) -> SystemConfig:
 
 INPUTS = {"in": records_from_rows([(1, 10), (2, None), (1, 30)])}
 SCRIPT = "A = LOAD 'in' AS (k:int, v:int);\nSTORE A INTO 'out';\n"
+#: Well-formed record bodies (``wal.RECORDS``).
+RUN_START = {
+    "script_id": "script0001", "jobs": 1, "replication": 4, "points": 0,
+    "marked": [], "include_output_points": True,
+}
+ATTEMPT_START = {
+    "script_id": "script0001", "attempt": 0, "replication": 4, "timeout": 60.0,
+    "jobs": [0],
+}
 
 
 class TestValueCodec:
@@ -84,8 +93,8 @@ class TestWriter:
     def test_header_then_records_then_read_back(self, tmp_path):
         path = str(tmp_path / "run.wal")
         journal = wal.Journal.create(path, small_config(), SCRIPT, INPUTS)
-        journal.append(wal.RUN_START, script_id="script0001")
-        journal.append(wal.ATTEMPT_START, attempt=0)
+        journal.append(wal.RUN_START, **RUN_START)
+        journal.append(wal.ATTEMPT_START, **ATTEMPT_START)
         journal.close()
         records, warnings = wal.read_journal(path)
         assert warnings == []
@@ -114,9 +123,9 @@ class TestWriter:
         journal = wal.Journal.create(
             path, small_config(), SCRIPT, INPUTS, crash_hook=wal.crash_at(2)
         )
-        journal.append(wal.RUN_START)
+        journal.append(wal.RUN_START, **RUN_START)
         with pytest.raises(wal.ControlTierCrash):
-            journal.append(wal.ATTEMPT_START, attempt=0)
+            journal.append(wal.ATTEMPT_START, **ATTEMPT_START)
         # The record that triggered the crash is on disk (write-ahead).
         journal.close()
         records, _ = wal.read_journal(path)
@@ -142,12 +151,12 @@ class TestWriter:
     def test_reopen_truncates_torn_tail(self, tmp_path):
         path = str(tmp_path / "run.wal")
         journal = wal.Journal.create(path, small_config(), SCRIPT, INPUTS)
-        journal.append(wal.RUN_START, script_id="script0001")
+        journal.append(wal.RUN_START, **RUN_START)
         journal.close()
         with open(path, "a") as handle:
             handle.write('{"kind": "attempt_sta')  # crash mid-append
         reopened = wal.Journal.reopen(path, next_seq=2)
-        reopened.append(wal.RESUME, start_attempt=0)
+        reopened.append(wal.RESUME, start_attempt=0, commits_replayed=0)
         reopened.close()
         # The resume record must not merge into the partial line: the
         # journal stays readable, with the torn record simply gone.
@@ -165,7 +174,7 @@ class TestReader:
     def write_journal(self, tmp_path, extra_lines=()):
         path = str(tmp_path / "run.wal")
         journal = wal.Journal.create(path, small_config(), SCRIPT, INPUTS)
-        journal.append(wal.RUN_START, script_id="script0001")
+        journal.append(wal.RUN_START, **RUN_START)
         journal.close()
         if extra_lines:
             with open(path, "a") as handle:

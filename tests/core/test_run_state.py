@@ -24,9 +24,10 @@ from repro.faults.injection import FaultPlan
 
 from tests.core import test_checkpoint as ckpt
 
-#: Four jobs in a tree — 0 feeds 1 and 2, 1 feeds 3; 0 and 3 carry
+#: Four jobs in a tree — 0 feeds 1 and 3, 1 feeds 2; 0 and 2 carry
 #: verification points, 1 is a plain intermediate, 2 and 3 write the two
-#: user-visible outputs (2 without a point of its own).
+#: user-visible outputs (3 copies what 0 materialises, with a point of
+#: its own on what it writes).
 TREE = """
 A = LOAD 'in' AS (k:int, v:int);
 G = GROUP A BY k;
@@ -57,8 +58,8 @@ class Capture:
 
 def test_the_tree_is_the_tree_the_properties_assume():
     graph = PREPARED.job_graph
-    assert graph.dependencies() == {0: set(), 1: {0}, 2: {0}, 3: {1}}
-    assert PREPARED.jobs_with_digests() == [0, 3]
+    assert graph.dependencies() == {0: set(), 1: {0}, 2: {1}, 3: {0}}
+    assert PREPARED.jobs_with_digests() == [0, 2, 3]
     assert [job.output_is_temp for job in graph.jobs] == [True, True, False, False]
 
 
@@ -130,7 +131,7 @@ def test_rerun_closure_reuses_exactly_what_is_committed(run):
             job in run.deps[downstream] for downstream in closure
         )
     assert run.assured == (
-        {2, 3} <= run.verified_jobs and {0, 3} <= run.verified_ok
+        {2, 3} <= run.verified_jobs and {0, 2, 3} <= run.verified_ok
     )
 
 

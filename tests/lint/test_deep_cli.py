@@ -57,9 +57,11 @@ def test_deep_clean_tree_gate():
 def test_list_rules_includes_deep_catalogue():
     result = repro_cli("lint", "--list-rules")
     assert result.returncode == 0
-    for rule_id in ("FLOW001", "FLOW004", "WAL001", "WAL003", "AUD001"):
+    for rule_id in ("FLOW001", "FLOW004", "AUD001"):
         assert rule_id in result.stdout
     assert "(deep)" in result.stdout
+    # The journal/ledger record table replaced the WAL-coverage rules.
+    assert "WAL00" not in result.stdout
 
 
 def test_deep_rule_in_select_requires_deep_flag(tmp_path):
@@ -91,7 +93,7 @@ def test_select_filters_deep_rules(tmp_path):
     assert "DET002" not in result.stdout
 
     result = repro_cli(
-        "lint", "--deep", "--select", "WAL001", str(pkg), "--baseline", baseline
+        "lint", "--deep", "--select", "AUD001", str(pkg), "--baseline", baseline
     )
     assert result.returncode == 0, result.stdout
 

@@ -13,6 +13,16 @@ from repro.service.ledger import (
 )
 
 
+#: Well-formed record bodies (``repro.core.journal.RECORDS``).
+DIGEST = {"replica": 0, "nodes": ["node_0001"]}
+COMMIT = {"job_index": 0, "path": "out", "target": "t", "winner": 0, "content": []}
+VERDICT = {"sid": "s", "winners": [0, 1], "faulty_replicas": []}
+
+
+def admit(tenant="alice"):
+    return {"tenant": tenant, "workload": "w", "index": 0, "t": 0.0, "queued_for": 0.0}
+
+
 def make_ledger(tmp_path, trace='{"name": "t"}'):
     path = os.path.join(tmp_path, "svc.ledger")
     return path, MultiplexedLedger.create(path, trace)
@@ -39,9 +49,9 @@ def test_streams_tag_records_with_run_id(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
     one = ledger.stream("script0001")
     two = ledger.stream("script0002")
-    one.append("digest", sid="a")
-    two.append("digest", sid="b")
-    one.append("commit", sid="a")
+    one.append("digest", sid="a", **DIGEST)
+    two.append("digest", sid="b", **DIGEST)
+    one.append("commit", sid="a", **COMMIT)
     ledger.close()
     records, _ = read_ledger(path)
     assert [(r.get("run"), r["kind"]) for r in records[1:]] == [
@@ -63,7 +73,7 @@ def test_closed_stream_refuses_appends(tmp_path):
 
 def test_read_ledger_tolerates_torn_tail(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
-    ledger.append("admit", run="script0001")
+    ledger.append("admit", run="script0001", **admit())
     ledger.close()
     with open(path, "a") as handle:
         handle.write('{"kind": "dig')  # no newline: torn final record
@@ -74,7 +84,7 @@ def test_read_ledger_tolerates_torn_tail(tmp_path):
 
 def test_read_ledger_rejects_seq_gap(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
-    ledger.append("admit", run="script0001")
+    ledger.append("admit", run="script0001", **admit())
     ledger.close()
     lines = open(path).read().splitlines()
     doctored = json.loads(lines[1])
@@ -117,7 +127,7 @@ def test_resume_of_a_missing_ledger_is_a_ledger_error(tmp_path):
 
 def test_resume_truncates_and_counts_torn_tail(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
-    ledger.append("admit", run="script0001")
+    ledger.append("admit", run="script0001", **admit())
     ledger.close()
     with open(path, "a") as handle:
         handle.write('{"kind": "torn-tail-bytes')
@@ -132,18 +142,18 @@ def test_resume_truncates_and_counts_torn_tail(tmp_path):
 
 def test_resume_verifies_prefix_then_appends(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
-    ledger.append("admit", run="script0001", tenant="alice")
+    ledger.append("admit", run="script0001", **admit("alice"))
     ledger.close()
     fired = []
     resumed = MultiplexedLedger.resume(path, crash_hook=fired.append)
     assert resumed.verifying
     # Byte-identical replay of the durable record: verified, not
     # rewritten, and the crash hook must NOT re-fire.
-    resumed.append("admit", run="script0001", tenant="alice")
+    resumed.append("admit", run="script0001", **admit("alice"))
     assert fired == []
     assert not resumed.verifying
     # Past the prefix: genuinely new appends write and fire the hook.
-    resumed.append("verdict", run="script0001", status="ok")
+    resumed.append("verdict", run="script0001", status="ok", **VERDICT)
     assert [r["kind"] for r in fired] == ["verdict"]
     resumed.close()
     records, _ = read_ledger(path)
@@ -152,11 +162,11 @@ def test_resume_verifies_prefix_then_appends(tmp_path):
 
 def test_resume_rejects_divergent_replay(tmp_path):
     path, ledger = make_ledger(str(tmp_path))
-    ledger.append("admit", run="script0001", tenant="alice")
+    ledger.append("admit", run="script0001", **admit("alice"))
     ledger.close()
     resumed = MultiplexedLedger.resume(path)
     with pytest.raises(LedgerError, match="replay diverged"):
-        resumed.append("admit", run="script0001", tenant="eve")
+        resumed.append("admit", run="script0001", **admit("eve"))
     resumed.close()
 
 
