@@ -279,7 +279,7 @@ def problems_in(line: dict, spec: dict) -> list[str]:
     """Names in one trajectory line that ``BENCHMARK.json`` does not declare."""
     if line.get("kind") == "tier1":
         ok = {"sha", "wall_s", "tests"} <= set(line) and (
-            # Attributed since PR 26; older lines carry the wall time only.
+            # Older lines carry the wall time and test count only.
             "dir_s" not in line or len(line["slowest"]) == TIER1_SLOWEST
         )
         return [] if ok else ["tier1 line incomplete"]

@@ -234,18 +234,23 @@ def workload_records(seed: int, tenant: str, index: int, rows: int) -> list[Reco
 # ---------------------------------------------------------------------------
 
 
-#: The numeric settings a trace may give, by section: key -> whether
-#: the value must be an integer (else any finite number).
+#: The numeric settings a trace may give, by section: key -> the
+#: :class:`ServiceTrace` field it sets, and whether the value must be an
+#: integer (else any finite number).  Absent keys keep the field default.
 SETTINGS = {
-    "cluster": {"nodes": True, "slots": True, "heartbeat": False},
+    "cluster": {
+        "nodes": ("num_nodes", True),
+        "slots": ("slots_per_node", True),
+        "heartbeat": ("heartbeat_period", False),
+    },
     "bft": {
-        "f": True,
-        "replication": True,
-        "verifier_timeout": False,
-        "suspicion_threshold": False,
-        "quarantine_threshold": False,
-        "suspicion_min_jobs": True,
-        "max_reruns": True,
+        "f": ("f", True),
+        "replication": ("replication", True),
+        "verifier_timeout": ("verifier_timeout", False),
+        "suspicion_threshold": ("suspicion_threshold", False),
+        "quarantine_threshold": ("quarantine_threshold", False),
+        "suspicion_min_jobs": ("suspicion_min_jobs", True),
+        "max_reruns": ("max_reruns", True),
     },
 }
 
@@ -267,7 +272,7 @@ def _settings_problems(data: dict) -> list[str]:
         if not isinstance(values, dict):
             problems.append(f"'{section}' must be an object")
             continue
-        for key, integer in keys.items():
+        for key, (_, integer) in keys.items():
             value = values.get(key, 0)
             # A null quarantine threshold switches the quarantine tier off.
             if value is None and key == "quarantine_threshold":
@@ -409,8 +414,6 @@ def parse_trace(text: str, name: str = "trace") -> ServiceTrace:
             f"trace {name}: invalid ({'; '.join(problems[:4])}"
             + (f"; +{len(problems) - 4} more)" if len(problems) > 4 else ")")
         )
-    cluster = data.get("cluster", {})
-    bft = data.get("bft", {})
     tenants = []
     for entry in data["tenants"]:
         quota_data = entry.get("quota", {})
@@ -446,29 +449,19 @@ def parse_trace(text: str, name: str = "trace") -> ServiceTrace:
         )
         for spec in data.get("faults", [])
     )
-    defaults = ServiceTrace(name="", seed=0, tenants=())
+    settings = {
+        attribute: data[section][key]
+        for section, keys in SETTINGS.items()
+        for key, (attribute, _) in keys.items()
+        if key in data.get(section, {})
+    }
     trace = ServiceTrace(
         name=data.get("name", name),
         seed=int(data.get("seed", 20131209)),
         tenants=tuple(tenants),
-        num_nodes=cluster.get("nodes", defaults.num_nodes),
-        slots_per_node=cluster.get("slots", defaults.slots_per_node),
-        heartbeat_period=cluster.get("heartbeat", defaults.heartbeat_period),
-        f=bft.get("f", defaults.f),
-        replication=bft.get("replication", defaults.replication),
-        verifier_timeout=bft.get("verifier_timeout", defaults.verifier_timeout),
-        suspicion_threshold=bft.get(
-            "suspicion_threshold", defaults.suspicion_threshold
-        ),
-        quarantine_threshold=bft.get(
-            "quarantine_threshold", defaults.quarantine_threshold
-        ),
-        suspicion_min_jobs=bft.get(
-            "suspicion_min_jobs", defaults.suspicion_min_jobs
-        ),
-        max_reruns=bft.get("max_reruns", defaults.max_reruns),
         faults=faults,
         text=text,
+        **settings,
     )
     trace.system_config()  # config-level validation (fail-closed too)
     try:

@@ -7,8 +7,6 @@ unassured.  The interpreter, the plain run and the assured run must
 agree, and a fault-free assured run is assured at its first attempt.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
@@ -18,13 +16,8 @@ from repro.core.request_handler import RequestHandler
 from repro.dataflow.interpreter import interpret
 from repro.dataflow.operators import VerifyOp
 from repro.dataflow.piglatin import parse_script
-from repro.service.tenants import WORKLOADS as SERVICE_WORKLOADS
-from repro.workloads import (
-    AVERAGE_TEMPERATURE,
-    FOLLOWER_ANALYSIS,
-    TOP_AIRPORTS,
-    TWO_HOP_ANALYSIS,
-)
+
+from tests.dataflow.test_parser_fuzz import SCRIPTS as REPOSITORY_SCRIPTS
 
 SHARED = {
     "stored-and-grouped": """
@@ -94,20 +87,6 @@ def is_copy_job(job):
         and all(isinstance(stage.op, VerifyOp) for stage in branch.pipeline)
         for branch in job.branches
     )
-
-
-EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "follower_analysis.pig"
-REPOSITORY_SCRIPTS = {
-    "follower": FOLLOWER_ANALYSIS,
-    "two_hop": TWO_HOP_ANALYSIS,
-    "airline": TOP_AIRPORTS,
-    "weather": AVERAGE_TEMPERATURE,
-    "example": EXAMPLE.read_text(),
-    **{
-        f"service-{name}": workload.template.format(input="in", output="out")
-        for name, workload in SERVICE_WORKLOADS.items()
-    },
-}
 
 
 @pytest.mark.parametrize("points", [0, 1, 2, 3])
