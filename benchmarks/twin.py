@@ -87,6 +87,9 @@ JOB = "repro run job.pig --input in=in.csv --nodes 8"
 CKPT = "repro run ckpt.pig --input in=ckpt-in.csv --nodes 8"
 CKPT_ON = f"{CKPT} --checkpoints --checkpoint-density 1.0 -n 0"
 FOLLOW = "repro run examples/follower_analysis.pig --input twitter/followers=edges.csv"
+#: A traced chaos cell with a quarantine, a suspicion series and two
+#: firing alerts: the read side's richest input.
+OBS = "obs/obs-quarantine"
 GEO = "examples/geo_migration.py"
 EXAMPLES = (
     "airline_fault_tolerance", "fault_isolation_demo", "plan_optimizer",
@@ -121,6 +124,11 @@ RECIPE = (
     (0, "repro trace causal.jsonl --causal --chrome-flow flow.json > causal.txt"),
     (0, "repro alerts causal.jsonl --format json > alerts.json"),
     (0, "repro alerts causal.jsonl --rules examples/alerts.json > alerts-rules.txt"),
+    (0, f"{FOLLOW} --schedule-from-trace causal.jsonl --outputs-json sched.json > sched.txt"),
+    (0, f"repro trace {OBS}-s1.jsonl > obs-trace.txt"),
+    (0, f"repro trace --diff {OBS}-s1.jsonl {OBS}-s2.jsonl > obs-diff.txt"),
+    (0, f"repro report {OBS}-s1.jsonl > obs-report.txt"),
+    (0, f"repro report {OBS}-s1.jsonl --format html -o obs-report.html"),
     (0, f"{GEO} run geo.wal geo-run.json > geo-run.txt"),
     (KILLED, f"{KILL}={{reconfig@geo.wal}} {GEO} run geo-kill.wal"),
     (0, f"{GEO} resume geo-kill.wal geo-kill.json > geo-resume.txt"),

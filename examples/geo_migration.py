@@ -25,7 +25,6 @@ placement and byte-identical outputs.
 import json
 import sys
 
-from repro.cli import _env_kill_hook
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.records import encode_record, records_from_rows
 from repro.core import journal as wal
@@ -90,7 +89,7 @@ def run(wal_path, outputs_path=None):
         SCRIPT,
         {"in": records_from_rows(ROWS)},
         block_bytes=2048,
-        crash_hook=_env_kill_hook(),
+        crash_hook=wal.env_kill_hook(),
     )
     controller = ClusterBFTController(
         system, fault_plan=fault_plan(), block_bytes=2048, journal=journal

@@ -16,6 +16,7 @@ from typing import Callable
 
 from repro.telemetry import Telemetry
 from repro.telemetry.analysis import (
+    TraceModel,
     first_event,
     gauge_series,
     last_gauge_value,
@@ -54,7 +55,7 @@ def _fig12(smoke: bool) -> list[Metric]:
         f=1, commission_probability=0.8, seed=12, telemetry=telemetry
     )
     simulator.run(max_time=30 if smoke else 150)
-    records = telemetry.export_records()
+    records = TraceModel.of(telemetry.export_records())
     saturation = first_event(records, "saturation")
     return [
         metric(
@@ -481,7 +482,24 @@ def _rerun_makespan(smoke: bool) -> list[Metric]:
 def _service_traffic(smoke: bool) -> list[Metric]:
     from repro.service.bench import run_traffic_bench
 
-    return run_traffic_bench(smoke)
+    stats = run_traffic_bench(smoke)
+    return [
+        metric("jobs_total", stats["jobs_total"], "jobs"),
+        metric("admitted", stats["admitted"], "jobs"),
+        metric("rejected", stats["rejected"], "jobs"),
+        metric("assured", stats["assured"], "jobs"),
+        metric("honest_assured", stats["honest_assured"], "jobs"),
+        metric("jobs_per_second", stats["jobs_per_second"], "jobs/sim_second"),
+        metric(
+            "latency_p50", stats.get("latency_p50", 0.0), "simulated_seconds"
+        ),
+        metric(
+            "latency_p99", stats.get("latency_p99", 0.0), "simulated_seconds"
+        ),
+        metric("quarantined_nodes", stats["quarantined_nodes"], "nodes"),
+        metric("evicted_nodes", stats["evicted_nodes"], "nodes"),
+        metric("makespan", stats["makespan"], "simulated_seconds"),
+    ]
 
 
 SUITES: tuple[BenchSpec, ...] = (

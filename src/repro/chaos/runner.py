@@ -235,9 +235,9 @@ def run_one(
 
     if trace_dir is not None:
         telemetry.finalize()
-        from repro.telemetry.export import read_jsonl
+        from repro.telemetry.export import read_jsonl_lenient
 
-        records = read_jsonl(os.path.join(trace_dir, trace_name))
+        records, _warnings = read_jsonl_lenient(os.path.join(trace_dir, trace_name))
     else:
         records = telemetry.export_records()
 
@@ -358,9 +358,9 @@ def run_service_one(
 
     if trace_dir is not None:
         telemetry.finalize()
-        from repro.telemetry.export import read_jsonl
+        from repro.telemetry.export import read_jsonl_lenient
 
-        records = read_jsonl(os.path.join(trace_dir, trace_name))
+        records, _warnings = read_jsonl_lenient(os.path.join(trace_dir, trace_name))
     else:
         records = telemetry.export_records()
 

@@ -62,7 +62,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
 
 from repro.chaos.cli import add_chaos_parser, cmd_chaos
@@ -77,13 +76,9 @@ from repro.bench.cli import add_bench_parser, cmd_bench
 from repro.lint.cli import add_lint_parser, cmd_lint
 from repro.service.cli import add_serve_parser, cmd_serve
 from repro.telemetry import Telemetry
-from repro.telemetry.analysis import diff_traces, summarize
+from repro.telemetry.analysis import TraceModel, diff_traces, summarize
 from repro.telemetry.causal import build_causal, render_causal, to_chrome_flow
-from repro.telemetry.export import (
-    read_jsonl,
-    read_jsonl_lenient,
-    write_chrome_trace,
-)
+from repro.telemetry.export import read_jsonl_lenient, write_chrome_trace
 from repro.telemetry.report import build_report, render_html, render_text
 from repro.telemetry.slo import (
     DEFAULT_RULES,
@@ -394,14 +389,9 @@ def make_controller(args, telemetry=None, journal=None) -> ClusterBFTController:
     )
     prior_trace = getattr(args, "schedule_from_trace", None)
     if prior_trace:
-        from repro.telemetry.straggler import load_profile
+        from repro.telemetry.straggler import build_profile
 
-        try:
-            profile = load_profile(prior_trace)
-        except OSError as exc:
-            raise SystemExit(f"cannot read prior trace: {exc}")
-        except ValueError as exc:
-            raise SystemExit(f"not a JSONL trace: {prior_trace}: {exc}")
+        profile = build_profile(_read_trace(prior_trace)[0])
         controller.scheduler.set_straggler_profile(profile)
         if profile.stragglers:
             print(
@@ -412,28 +402,6 @@ def make_controller(args, telemetry=None, journal=None) -> ClusterBFTController:
     for dfs_path, records in inputs_from_args(args).items():
         controller.load_input(dfs_path, records)
     return controller
-
-
-def _env_kill_hook():
-    """Chaos seam for the CI kill-and-resume job: with
-    ``REPRO_JOURNAL_KILL_AT=<seq>`` in the environment, the process
-    SIGKILLs itself right after journal record ``<seq>`` becomes
-    durable — a real, unhandleable control-tier death."""
-    value = os.environ.get("REPRO_JOURNAL_KILL_AT")
-    if not value:
-        return None
-    try:
-        target = int(value)
-    except ValueError:
-        raise SystemExit(
-            f"REPRO_JOURNAL_KILL_AT needs an integer seq, got {value!r}"
-        )
-
-    def hook(record: dict) -> None:
-        if record["seq"] == target:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    return hook
 
 
 def _write_outputs_json(path: str, result) -> None:
@@ -505,7 +473,7 @@ def cmd_run(args) -> int:
                 config_from_args(args),
                 script,
                 inputs_from_args(args),
-                crash_hook=_env_kill_hook(),
+                crash_hook=wal.env_kill_hook(),
             )
         except (OSError, wal.JournalError) as exc:
             raise SystemExit(f"cannot open journal: {exc}")
@@ -520,7 +488,7 @@ def cmd_run(args) -> int:
         chrome_path = _chrome_path_for(args.trace)
         try:
             telemetry.finalize()
-            write_chrome_trace(read_jsonl(args.trace), chrome_path)
+            write_chrome_trace(read_jsonl_lenient(args.trace)[0], chrome_path)
         except OSError as exc:
             raise SystemExit(f"cannot write trace: {exc}")
         print(f"trace     : {args.trace} (+ {chrome_path})")
@@ -539,7 +507,7 @@ def cmd_resume(args) -> int:
     from repro.core.recovery import resume_run
 
     try:
-        recovered = resume_run(args.wal, crash_hook=_env_kill_hook())
+        recovered = resume_run(args.wal, crash_hook=wal.env_kill_hook())
     except wal.JournalError as exc:
         print(f"repro resume: {exc}", file=sys.stderr)
         return 2
@@ -584,17 +552,13 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _read_trace(path: str) -> list[dict]:
-    records, warnings = _read_trace_lenient(path)
-    return records
-
-
-def _read_trace_lenient(path: str) -> tuple[list[dict], list[str]]:
+def _read_trace(path: str) -> tuple[list[dict], list[str]]:
     """Read a trace, degrading gracefully on truncated streams.
 
     A streaming trace whose run died before ``finalize()`` has no
     trailing metrics snapshot and possibly a cut-off last line; both are
-    reported as warnings on stderr instead of crashing the analysis.
+    reported as warnings on stderr instead of crashing the analysis.  A
+    corrupt trace exits with one line naming the file.
     """
     try:
         records, warnings = read_jsonl_lenient(path)
@@ -613,8 +577,8 @@ def cmd_trace(args) -> int:
             raise SystemExit("repro trace --diff needs exactly two trace files")
         path_a, path_b = args.trace_file
         diff = diff_traces(
-            _read_trace(path_a),
-            _read_trace(path_b),
+            _read_trace(path_a)[0],
+            _read_trace(path_b)[0],
             label_a=path_a,
             label_b=path_b,
         )
@@ -622,16 +586,17 @@ def cmd_trace(args) -> int:
         return 0
     if len(args.trace_file) != 1:
         raise SystemExit("repro trace takes one trace file (or two with --diff)")
-    records = _read_trace(args.trace_file[0])
+    records, _warnings = _read_trace(args.trace_file[0])
     if args.chrome:
         write_chrome_trace(records, args.chrome)
         print(f"chrome trace written to {args.chrome}")
     if args.chrome_flow and not args.causal:
         raise SystemExit("--chrome-flow needs --causal")
+    trace = TraceModel.of(records)
     if args.causal:
-        graph = build_causal(records)
+        graph = build_causal(trace)
         if args.chrome_flow:
-            document = to_chrome_flow(records)
+            document = to_chrome_flow(trace)
             try:
                 write_json(args.chrome_flow, document)
             except OSError as exc:
@@ -644,12 +609,12 @@ def cmd_trace(args) -> int:
             )
         print(render_causal(graph))
         return 0
-    print(summarize(records).render(top_nodes=args.top_nodes))
+    print(summarize(trace).render(top_nodes=args.top_nodes))
     return 0
 
 
 def cmd_alerts(args) -> int:
-    records = _read_trace(args.trace_file)
+    records, _warnings = _read_trace(args.trace_file)
     if args.rules:
         try:
             rules = load_rules(args.rules)
@@ -670,7 +635,7 @@ def cmd_alerts(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, warnings = _read_trace_lenient(args.trace_file)
+    records, warnings = _read_trace(args.trace_file)
     report = build_report(
         records,
         source=args.trace_file,

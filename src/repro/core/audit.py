@@ -7,13 +7,10 @@ is the queryable record backing that: every verification verdict, fault
 attribution, suspicion change, eviction, and probe lands here with its
 simulated timestamp.
 
-With telemetry enabled the audit log is a *view* over the telemetry
-event stream rather than a second, divergent record: :meth:`record`
-emits an ``audit.<kind>`` event through the tracer, the log registers
-itself as a sink, and reconstructs its entries from the records it
-receives back — so one ordered stream (the trace) holds everything, and
-the audit API keeps working unchanged.  Without a tracer (the default),
-entries append directly and behaviour is identical.
+Entries always append to the log directly.  With telemetry enabled,
+:meth:`AuditLog.record` also emits the entry as an ``audit.<kind>``
+event, so the trace holds the same facts in the same order as every
+other record of the run.
 """
 
 from __future__ import annotations
@@ -70,46 +67,23 @@ class AuditEvent:
 class AuditLog:
     """Append-only event log with simple queries.
 
-    ``tracer``: when given (and enabled), audit entries are routed
-    through the telemetry event stream as ``audit.<kind>`` events and
-    the log consumes them back as a sink — a single ordered record of
-    the run instead of two.
+    ``tracer``: when given (and enabled), every entry is also emitted as
+    an ``audit.<kind>`` trace event with the entry's time, subject and
+    details.
     """
 
     def __init__(self, tracer=None) -> None:
         self._events: list[AuditEvent] = []
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        if self._tracer.enabled:
-            self._tracer.add_sink(self)
 
     def record(self, time: float, kind: str, subject: str, **details) -> AuditEvent:
+        event = AuditEvent(time=time, kind=kind, subject=subject, details=details)
+        self._events.append(event)
         if self._tracer.enabled:
-            # handle() appends the reconstructed entry synchronously.
             self._tracer.event(
                 _AUDIT_PREFIX + kind, time=time, subject=subject, **details
             )
-            return self._events[-1]
-        event = AuditEvent(time=time, kind=kind, subject=subject, details=details)
-        self._events.append(event)
         return event
-
-    def handle(self, record: dict) -> None:
-        """Telemetry-sink entry point: keep the audit view of the stream."""
-        if record.get("type") != "event":
-            return
-        name = record.get("name", "")
-        if not name.startswith(_AUDIT_PREFIX):
-            return
-        details = dict(record.get("attrs") or {})
-        subject = details.pop("subject", "")
-        self._events.append(
-            AuditEvent(
-                time=record["ts"],
-                kind=name[len(_AUDIT_PREFIX) :],
-                subject=subject,
-                details=details,
-            )
-        )
 
     def __len__(self) -> int:
         return len(self._events)

@@ -52,6 +52,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 from typing import IO, Callable
 
 from repro.common.config import (
@@ -184,6 +185,29 @@ def crash_at(seq: int) -> Callable[[dict], None]:
                 f"control tier crashed at journal record {seq} "
                 f"({record['kind']})"
             )
+
+    return hook
+
+
+def env_kill_hook() -> Callable[[dict], None] | None:
+    """Chaos seam for the CI kill-and-resume job: with
+    ``REPRO_JOURNAL_KILL_AT=<seq>`` in the environment, the process
+    SIGKILLs itself right after journal record ``<seq>`` becomes
+    durable — a real, unhandleable control-tier death.  ``repro run``,
+    ``repro resume`` and ``repro serve`` all install it."""
+    value = os.environ.get("REPRO_JOURNAL_KILL_AT")
+    if not value:
+        return None
+    try:
+        target = int(value)
+    except ValueError:
+        raise SystemExit(
+            f"REPRO_JOURNAL_KILL_AT needs an integer seq, got {value!r}"
+        )
+
+    def hook(record: dict) -> None:
+        if record["seq"] == target:
+            os.kill(os.getpid(), signal.SIGKILL)
 
     return hook
 

@@ -32,24 +32,16 @@ def interpret(
     plan: LogicalPlan,
     dfs: TrustedDFS | None = None,
     inputs: Mapping[str, list[Record]] | None = None,
-    precheck: bool = False,
 ) -> dict[str, list[Record]]:
     """Evaluate ``plan``; return ``{store_path: records}``.
 
     Input files resolve from ``inputs`` first, then from ``dfs``.
     When ``dfs`` is given, outputs are also written back to it.
 
-    With ``precheck=True`` the static plan checker runs first and a
-    defective plan raises :class:`repro.lint.plan_rules.PlanCheckError`
-    listing *every* defect with operator locations, instead of whichever
-    single validation error :meth:`~LogicalPlan.validate` hits first.
+    To hear of *every* defect of a plan with operator locations, rather
+    than whichever single validation error :meth:`~LogicalPlan.validate`
+    hits first, run :func:`repro.lint.plan_rules.precheck_plan` first.
     """
-    if precheck:
-        # Imported lazily: the interpreter must not depend on the lint
-        # subsystem unless the caller opts into prechecking.
-        from repro.lint.plan_rules import precheck_plan
-
-        precheck_plan(plan)
     plan.validate()
     inputs = inputs or {}
     results: dict[VertexId, list[Record]] = {}

@@ -192,8 +192,9 @@ def check_prepared(prepared, path: str = "<script>") -> list[Diagnostic]:
 def precheck_plan(plan: LogicalPlan, path: str = "<plan>") -> None:
     """Raise :class:`PlanCheckError` listing every defect, or return.
 
-    The interpreter's pre-execution hook: one aggregated, located error
-    report instead of whichever runtime crash happens first.
+    Run it before :func:`~repro.dataflow.interpreter.interpret` for one
+    aggregated, located error report instead of whichever runtime crash
+    happens first.
     """
     diagnostics = check_plan(plan, path)
     if diagnostics:

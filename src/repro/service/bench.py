@@ -164,14 +164,13 @@ def run_traffic(trace_text: str, ledger_path: str | None = None) -> tuple:
     return result, traffic_stats(result)
 
 
-def run_traffic_bench(smoke: bool) -> list[dict]:
-    """The ``service_traffic`` suite entry: an open-loop multi-tenant
+def run_traffic_bench(smoke: bool) -> dict:
+    """The ``service_traffic`` suite's run: an open-loop multi-tenant
     trace (>= 50 jobs in the full variant) with faulty tenants, run in
-    a throwaway ledger (host-side I/O — byte-identical simulation)."""
+    a throwaway ledger (host-side I/O — byte-identical simulation).
+    Returns the :func:`traffic_stats` of the run."""
     import os
     import tempfile
-
-    from repro.bench.suites import metric
 
     trace_text = synth_trace(
         tenants=3 if smoke else 6,
@@ -184,23 +183,7 @@ def run_traffic_bench(smoke: bool) -> list[dict]:
         name="service-traffic-smoke" if smoke else "service-traffic",
     )
     with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        result, stats = run_traffic(
+        _result, stats = run_traffic(
             trace_text, ledger_path=os.path.join(tmp, "service.ledger")
         )
-    return [
-        metric("jobs_total", stats["jobs_total"], "jobs"),
-        metric("admitted", stats["admitted"], "jobs"),
-        metric("rejected", stats["rejected"], "jobs"),
-        metric("assured", stats["assured"], "jobs"),
-        metric("honest_assured", stats["honest_assured"], "jobs"),
-        metric("jobs_per_second", stats["jobs_per_second"], "jobs/sim_second"),
-        metric(
-            "latency_p50", stats.get("latency_p50", 0.0), "simulated_seconds"
-        ),
-        metric(
-            "latency_p99", stats.get("latency_p99", 0.0), "simulated_seconds"
-        ),
-        metric("quarantined_nodes", stats["quarantined_nodes"], "nodes"),
-        metric("evicted_nodes", stats["evicted_nodes"], "nodes"),
-        metric("makespan", stats["makespan"], "simulated_seconds"),
-    ]
+    return stats

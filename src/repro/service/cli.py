@@ -149,12 +149,12 @@ def _summary(result, stats, slo_firings=None) -> dict:
 
 
 def cmd_serve(args) -> int:
-    from repro.cli import _env_kill_hook
+    from repro.core.journal import env_kill_hook
     from repro.service.bench import synth_trace, traffic_stats
     from repro.service.loop import run_trace
     from repro.service.tenants import parse_trace
 
-    crash_hook = _env_kill_hook()
+    crash_hook = env_kill_hook()
     telemetry = None
     if args.slo:
         from repro.telemetry import Telemetry

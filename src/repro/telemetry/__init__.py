@@ -29,7 +29,6 @@ from typing import Callable
 
 from repro.telemetry.export import (
     JsonlStreamSink,
-    read_jsonl,
     read_jsonl_lenient,
     to_chrome_trace,
     to_jsonl,
@@ -65,7 +64,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "read_jsonl",
     "read_jsonl_lenient",
     "to_jsonl",
     "to_chrome_trace",

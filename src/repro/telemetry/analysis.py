@@ -16,12 +16,96 @@ run, reconstructs:
 :func:`diff_traces` compares two traces of the same script (e.g. a
 faulty seed vs a clean one) at attempt/critical-path granularity —
 backing ``repro trace --diff a.jsonl b.jsonl``.
+
+Every reader of a trace starts from one :class:`TraceModel`, built in a
+single pass over the record list: ``summarize``, the gauge helpers, the
+SLO rules (:mod:`repro.telemetry.slo`), the straggler profile, the
+causal graph and every section of ``repro report``.  Each of them takes
+either the record list or a model, so a caller that needs several of
+them indexes the trace once and hands the model to all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+
+@dataclass
+class TraceModel:
+    """A record stream read once and indexed for every reader.
+
+    Each group keeps stream order, so a reader walking one group sees
+    its records in the order the tracer emitted them — the order every
+    deterministic rendering and alert depends on.
+    """
+
+    #: The record list the model was built from (exporters read it).
+    records: list[dict] = field(default_factory=list)
+    #: Finished spans (``end`` set) by name.
+    spans: dict[str, list[dict]] = field(default_factory=dict)
+    #: Span records seen, finished or not.
+    span_count: int = 0
+    #: Every instant event, and the same events by name.
+    events: list[dict] = field(default_factory=list)
+    events_by_name: dict[str, list[dict]] = field(default_factory=dict)
+    #: Gauge time-series points (``type: sample``) by name.
+    samples: dict[str, list[dict]] = field(default_factory=dict)
+    #: Metric snapshot rows (``type: metric``) by name.
+    metrics: dict[str, list[dict]] = field(default_factory=dict)
+    #: Record id -> span or event, finished or not: the parent and
+    #: ``mid`` links of the causal graph resolve through it.
+    ids: dict[int, dict] = field(default_factory=dict)
+    #: Span id -> span name, finished or not (see :class:`TraceDiff`).
+    span_names: dict[int, str] = field(default_factory=dict)
+    #: (first, last) simulated time of any finished span, event or sample.
+    window: tuple[float, float] = (0.0, 0.0)
+    #: (record name, host time) of every record stamped with
+    #: ``host_time`` (traces recorded with ``wall_clock=True``).
+    host_times: list[tuple[str, float]] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, records: "list[dict] | TraceModel") -> "TraceModel":
+        """The model of ``records``; a model is returned as it is."""
+        if isinstance(records, TraceModel):
+            return records
+        model = cls(records=records)
+        start = end = None
+        for record in records:
+            host = record.get("host_time")
+            if host is not None:
+                label = record.get("name", record.get("type", "?"))
+                model.host_times.append((label, host))
+            kind = record.get("type")
+            name = record.get("name", "")
+            if kind == "span":
+                model.span_count += 1
+                if "id" in record:
+                    model.ids[record["id"]] = record
+                    model.span_names[record["id"]] = name
+                if record.get("end") is None:
+                    continue
+                model.spans.setdefault(name, []).append(record)
+                first, last = record["start"], record["end"]
+            elif kind == "event":
+                if "id" in record:
+                    model.ids[record["id"]] = record
+                model.events.append(record)
+                model.events_by_name.setdefault(name, []).append(record)
+                first = last = record.get("ts", 0.0)
+            elif kind == "sample":
+                model.samples.setdefault(name, []).append(record)
+                first = last = record.get("ts", 0.0)
+            elif kind == "metric":
+                model.metrics.setdefault(name, []).append(record)
+                continue
+            else:
+                continue
+            start = first if start is None else min(start, first)
+            end = last if end is None else max(end, last)
+        if start is not None:
+            model.window = (start, end)
+        return model
 
 
 @dataclass
@@ -198,7 +282,7 @@ def _critical_path(job_spans: list[dict]) -> CriticalPath | None:
 
 
 def gauge_series(
-    records: list[dict], name: str, **labels
+    records: list[dict] | TraceModel, name: str, **labels
 ) -> list[tuple[float, float]]:
     """(ts, value) points of one gauge series, in emission order.
 
@@ -210,9 +294,7 @@ def gauge_series(
     """
     want = {k: str(v) for k, v in labels.items()}
     points: list[tuple[float, float]] = []
-    for record in records:
-        if record.get("type") != "sample" or record.get("name") != name:
-            continue
+    for record in TraceModel.of(records).samples.get(name, ()):
         have = {k: str(v) for k, v in (record.get("labels") or {}).items()}
         if all(have.get(k) == v for k, v in want.items()):
             points.append((record["ts"], record["value"]))
@@ -220,7 +302,10 @@ def gauge_series(
 
 
 def last_gauge_value(
-    records: list[dict], name: str, default: float | None = None, **labels
+    records: list[dict] | TraceModel,
+    name: str,
+    default: float | None = None,
+    **labels,
 ) -> float | None:
     """Final value of a gauge series (``default`` when never sampled)."""
     points = gauge_series(records, name, **labels)
@@ -244,12 +329,10 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def first_event(records: list[dict], name: str) -> dict | None:
+def first_event(records: list[dict] | TraceModel, name: str) -> dict | None:
     """The first ``type: event`` record with ``name``, or None."""
-    for record in records:
-        if record.get("type") == "event" and record.get("name") == name:
-            return record
-    return None
+    matches = TraceModel.of(records).events_by_name.get(name)
+    return matches[0] if matches else None
 
 
 def _fmt_delta(before: float, after: float) -> str:
@@ -404,8 +487,8 @@ class TraceDiff:
 
 
 def diff_traces(
-    records_a: list[dict],
-    records_b: list[dict],
+    records_a: list[dict] | TraceModel,
+    records_b: list[dict] | TraceModel,
     label_a: str = "a",
     label_b: str = "b",
 ) -> TraceDiff:
@@ -418,75 +501,54 @@ def diff_traces(
     )
 
 
-def summarize(records: list[dict]) -> TraceSummary:
-    summary = TraceSummary()
-    job_spans_by_attempt: dict[int, list[dict]] = {}
-    task_spans_by_attempt: dict[int, list[dict]] = {}
+def summarize(records: list[dict] | TraceModel) -> TraceSummary:
+    trace = TraceModel.of(records)
+    summary = TraceSummary(
+        run_spans=list(trace.spans.get("run", ())),
+        event_counts={
+            name: len(events) for name, events in trace.events_by_name.items()
+        },
+        metric_rows=[row for rows in trace.metrics.values() for row in rows],
+        sample_rows=[row for rows in trace.samples.values() for row in rows],
+        span_names=trace.span_names,
+    )
+
+    tasks_by_attempt: dict[int, list[dict]] = {}
     last_task_end = 0.0
+    for span in trace.spans.get("task", ()):
+        attrs = span.get("attrs") or {}
+        duration = span["end"] - span["start"]
+        summary.task_seconds += duration
+        summary.task_count += 1
+        last_task_end = max(last_task_end, span["end"])
+        node = attrs.get("node")
+        if node is not None:
+            summary.node_seconds[node] = summary.node_seconds.get(node, 0.0) + duration
+            summary.node_tasks[node] = summary.node_tasks.get(node, 0) + 1
+        tasks_by_attempt.setdefault(int(attrs.get("attempt", 0)), []).append(span)
+
     last_verify_end = 0.0
-
-    for record in records:
-        kind = record.get("type")
-        if kind == "event":
-            name = record["name"]
-            summary.event_counts[name] = summary.event_counts.get(name, 0) + 1
-            continue
-        if kind == "metric":
-            summary.metric_rows.append(record)
-            continue
-        if kind == "sample":
-            summary.sample_rows.append(record)
-            continue
-        if kind != "span":
-            continue
-        name = record["name"]
-        if "id" in record:
-            summary.span_names[record["id"]] = name
-        if record.get("end") is None:
-            continue
-        attrs = record.get("attrs") or {}
-        duration = record["end"] - record["start"]
-        if name == "run":
-            summary.run_spans.append(record)
-        elif name == "job":
-            job_spans_by_attempt.setdefault(int(attrs.get("attempt", 0)), []).append(
-                record
-            )
-        elif name == "task":
-            summary.task_seconds += duration
-            summary.task_count += 1
-            last_task_end = max(last_task_end, record["end"])
-            node = attrs.get("node")
-            if node is not None:
-                summary.node_seconds[node] = (
-                    summary.node_seconds.get(node, 0.0) + duration
-                )
-                summary.node_tasks[node] = summary.node_tasks.get(node, 0) + 1
-            task_spans_by_attempt.setdefault(
-                int(attrs.get("attempt", 0)), []
-            ).append(record)
-        elif name == "verify":
-            summary.verify_seconds += duration
-            summary.verify_count += 1
-            status = attrs.get("status", "open")
-            summary.verify_by_status[status] = (
-                summary.verify_by_status.get(status, 0) + 1
-            )
-            last_verify_end = max(last_verify_end, record["end"])
-
+    for span in trace.spans.get("verify", ()):
+        summary.verify_seconds += span["end"] - span["start"]
+        summary.verify_count += 1
+        status = (span.get("attrs") or {}).get("status", "open")
+        summary.verify_by_status[status] = summary.verify_by_status.get(status, 0) + 1
+        last_verify_end = max(last_verify_end, span["end"])
     summary.verify_tail_seconds = max(last_verify_end - last_task_end, 0.0)
 
-    for attempt in sorted(set(job_spans_by_attempt) | set(task_spans_by_attempt)):
-        jobs = job_spans_by_attempt.get(attempt, [])
-        tasks = task_spans_by_attempt.get(attempt, [])
+    jobs_by_attempt: dict[int, list[dict]] = {}
+    for span in trace.spans.get("job", ()):
+        attempt = int((span.get("attrs") or {}).get("attempt", 0))
+        jobs_by_attempt.setdefault(attempt, []).append(span)
+    for attempt in sorted(set(jobs_by_attempt) | set(tasks_by_attempt)):
+        jobs = jobs_by_attempt.get(attempt, [])
+        tasks = tasks_by_attempt.get(attempt, [])
         spans = jobs + tasks
-        start = min(s["start"] for s in spans)
-        end = max(s["end"] for s in spans)
         summary.attempts.append(
             AttemptSummary(
                 attempt=attempt,
-                start=start,
-                end=end,
+                start=min(s["start"] for s in spans),
+                end=max(s["end"] for s in spans),
                 jobs=len(jobs),
                 tasks=len(tasks),
                 task_seconds=sum(s["end"] - s["start"] for s in tasks),

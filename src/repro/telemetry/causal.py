@@ -9,7 +9,8 @@ the recv event.  Together with ordinary span parentage that yields one
 DAG per run — job submit → task dispatch → pre-prepare/prepare/commit →
 digest cross-check → commit — that this module reconstructs:
 
-* :class:`CausalGraph` — indexes the records, resolves message edges,
+* :class:`CausalGraph` — reads the trace's
+  :class:`~repro.telemetry.analysis.TraceModel`, resolves message edges,
   finds orphans (records whose parent id never appears in the trace);
 * :meth:`CausalGraph.commit_chains` — for every committed digest
   (``audit.commit``), the message-granular chain back to the run root,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.telemetry.analysis import TraceModel
 from repro.telemetry.export import to_chrome_trace
 
 #: Event names carrying a ``mid`` back-reference to their send event.
@@ -118,42 +120,33 @@ class ProtocolRound:
 class CausalGraph:
     """Index of a trace's spans/events with message edges resolved."""
 
-    def __init__(self, records: list[dict]) -> None:
-        self.records = records
+    def __init__(self, records: list[dict] | TraceModel) -> None:
+        trace = TraceModel.of(records)
+        self.trace = trace
         #: id -> record, for every span and event.
-        self.nodes: dict[int, dict] = {}
+        self.nodes: dict[int, dict] = trace.ids
         #: recv event id -> send event id (``mid`` edges).
         self.message_edge: dict[int, int] = {}
         #: sid -> verify span records (register order).
         self._verify_by_sid: dict[str, list[dict]] = {}
         #: sid -> digest.recv event records.
         self._digest_recv_by_sid: dict[str, list[dict]] = {}
-        self.commits: list[dict] = []
-        self.span_count = 0
-        self.event_count = 0
-        for record in records:
-            kind = record.get("type")
-            if kind == "span":
-                self.span_count += 1
-            elif kind == "event":
-                self.event_count += 1
-            else:
-                continue
-            self.nodes[record["id"]] = record
-            attrs = record.get("attrs") or {}
-            name = record.get("name", "")
-            if kind == "event" and name in RECV_EVENTS:
-                mid = attrs.get("mid")
-                if mid:
-                    self.message_edge[record["id"]] = mid
+        self.commits: list[dict] = trace.events_by_name.get(COMMIT_EVENT, [])
+        self.span_count = trace.span_count
+        self.event_count = len(trace.events)
+        for name in RECV_EVENTS:
+            for record in trace.events_by_name.get(name, ()):
+                attrs = record.get("attrs") or {}
+                if attrs.get("mid"):
+                    self.message_edge[record["id"]] = attrs["mid"]
                 if name == "digest.recv" and attrs.get("sid"):
-                    self._digest_recv_by_sid.setdefault(
-                        attrs["sid"], []
-                    ).append(record)
-            elif kind == "span" and name == "verify" and attrs.get("sid"):
-                self._verify_by_sid.setdefault(attrs["sid"], []).append(record)
-            elif kind == "event" and name == COMMIT_EVENT:
-                self.commits.append(record)
+                    self._digest_recv_by_sid.setdefault(attrs["sid"], []).append(
+                        record
+                    )
+        for span in trace.spans.get("verify", ()):
+            sid = (span.get("attrs") or {}).get("sid")
+            if sid:
+                self._verify_by_sid.setdefault(sid, []).append(span)
 
     # -- structural health ----------------------------------------------
 
@@ -371,7 +364,7 @@ def _round_slack(recvs: list[dict]) -> list[RoundSlack]:
     return out
 
 
-def build_causal(records: list[dict]) -> CausalGraph:
+def build_causal(records: list[dict] | TraceModel) -> CausalGraph:
     """Build the causal graph for a record stream."""
     return CausalGraph(records)
 
@@ -433,7 +426,7 @@ def render_causal(graph: CausalGraph, top_links: int = 8) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_chrome_flow(records: list[dict]) -> dict:
+def to_chrome_flow(records: list[dict] | TraceModel) -> dict:
     """Chrome ``trace_event`` document with causal flow arrows.
 
     The base document is :func:`~repro.telemetry.export.to_chrome_trace`;
@@ -441,8 +434,8 @@ def to_chrome_flow(records: list[dict]) -> dict:
     the send and a binding flow-finish (``ph: f``, ``bp: e``) at the
     delivery, so Perfetto draws the message arrows.
     """
-    document = to_chrome_trace(records)
     graph = CausalGraph(records)
+    document = to_chrome_trace(graph.trace.records)
     flow_events: list[dict] = []
     for recv_id, send_id in sorted(graph.message_edge.items()):
         recv = graph.nodes.get(recv_id)

@@ -1,8 +1,9 @@
 """Trace exporters: JSONL event stream and Chrome ``trace_event``.
 
 JSONL is the canonical on-disk form — one record per line, keys sorted,
-append-only in emission order — consumed back by
-:mod:`repro.telemetry.analysis` and the ``repro trace`` CLI.  The Chrome
+append-only in emission order.  :func:`read_jsonl_lenient` is the one
+reader of trace files; :mod:`repro.telemetry.analysis` and the
+``repro trace`` CLI consume what it returns.  The Chrome
 format is a view for humans: load it in Perfetto or ``chrome://tracing``
 to scrub through a run visually.
 
@@ -50,8 +51,8 @@ class JsonlStreamSink:
     what preserves the trace prefix if a run dies mid-flight.
 
     The line format is byte-identical to :func:`write_jsonl` over the
-    same records, so :func:`read_jsonl` and the trace analysis tools
-    consume either interchangeably.
+    same records, so :func:`read_jsonl_lenient` and the trace analysis
+    tools consume either interchangeably.
     """
 
     def __init__(self, path: str) -> None:
@@ -87,16 +88,6 @@ class JsonlStreamSink:
             self._handle.close()
             self._handle = None
         return self.records_written
-
-
-def read_jsonl(path_or_file: str | IO[str]) -> list[dict]:
-    """Load a JSONL trace (skips blank lines)."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file) as handle:
-            lines = handle.readlines()
-    else:
-        lines = path_or_file.readlines()
-    return [json.loads(line) for line in lines if line.strip()]
 
 
 def read_jsonl_lenient(

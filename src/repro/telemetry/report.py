@@ -1,7 +1,7 @@
 """Per-run dashboard from a trace: the backend of ``repro report``.
 
 Where ``repro trace`` prints a quick summary, this module renders the
-full §6-style story of one run from its JSONL record stream, in five
+full §6-style story of one run from its JSONL record stream, in eight
 sections:
 
 1. **critical path** — per-attempt durations and the slowest replica
@@ -35,8 +35,12 @@ with ``wall_clock=True``, the gaps between consecutive records' host
 timestamps are attributed to the record that closed the gap, giving a
 coarse self-profile of the simulator (the ROADMAP's wall-clock item).
 
-Everything here is a pure function of the record list — rendering the
-same trace twice is byte-identical, which CI exploits.
+:func:`build_report` indexes the records once into a
+:class:`~repro.telemetry.analysis.TraceModel` and builds every section
+from it as data, a ``(title, lines)`` pair; :func:`render_text` joins
+the pairs and :func:`render_html` wraps each in a heading and a
+``<pre>`` block.  Everything here is a pure function of the record list
+— rendering the same trace twice is byte-identical, which CI exploits.
 """
 
 from __future__ import annotations
@@ -46,7 +50,12 @@ import json
 from dataclasses import dataclass, field
 
 from repro.reporting.tables import Series, Table, render_figure
-from repro.telemetry.analysis import TraceSummary, gauge_series, summarize
+from repro.telemetry.analysis import (
+    TraceModel,
+    TraceSummary,
+    gauge_series,
+    summarize,
+)
 from repro.telemetry.slo import DEFAULT_RULES, AlertFiring, evaluate
 
 #: Verify-duration buckets (seconds, simulated) for section 3.
@@ -83,7 +92,7 @@ class NodeStrip:
 
 @dataclass
 class RunReport:
-    """All five dashboard sections, ready to render."""
+    """Every dashboard section, as data and as ``(title, lines)``."""
 
     source: str | None
     warnings: list[str]
@@ -104,6 +113,11 @@ class RunReport:
     #: SLO alert firings (built-in rules) + how many rules were evaluated.
     alert_firings: list[AlertFiring] = field(default_factory=list)
     alert_rules_evaluated: int = 0
+    #: Lines above the first section: source, window, warnings, runs.
+    overview: list[str] = field(default_factory=list)
+    #: ``(title, lines)`` of each section in order; the text and HTML
+    #: renderers only lay these out.
+    sections: list[tuple[str, list[str]]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -111,40 +125,14 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _run_window(records: list[dict]) -> tuple[float, float]:
-    start, end = None, None
-    for record in records:
-        kind = record.get("type")
-        if kind == "span" and record.get("end") is not None:
-            t0, t1 = record["start"], record["end"]
-        elif kind == "event" or kind == "sample":
-            t0 = t1 = record.get("ts", 0.0)
-        else:
-            continue
-        start = t0 if start is None else min(start, t0)
-        end = t1 if end is None else max(end, t1)
-    if start is None:
-        return (0.0, 0.0)
-    return (start, end)
-
-
-def _node_strips(
-    records: list[dict], window: tuple[float, float], top_nodes: int
-) -> list[NodeStrip]:
+def _node_strips(trace: TraceModel, top_nodes: int) -> list[NodeStrip]:
     intervals: dict[str, list[tuple[float, float]]] = {}
-    for record in records:
-        if record.get("type") != "span" or record.get("name") != "task":
-            continue
-        if record.get("end") is None:
-            continue
-        node = (record.get("attrs") or {}).get("node")
-        if node is None:
-            continue
-        intervals.setdefault(str(node), []).append(
-            (record["start"], record["end"])
-        )
+    for span in trace.spans.get("task", ()):
+        node = (span.get("attrs") or {}).get("node")
+        if node is not None:
+            intervals.setdefault(str(node), []).append((span["start"], span["end"]))
 
-    t0, t1 = window
+    t0, t1 = trace.window
     length = max(t1 - t0, 1e-12)
     cell = length / TIMELINE_CELLS
     strips: list[NodeStrip] = []
@@ -185,14 +173,10 @@ def _node_strips(
     return strips[:top_nodes]
 
 
-def _verify_histogram(summary_records: list[dict]) -> list[tuple[str, int]]:
+def _verify_histogram(trace: TraceModel) -> list[tuple[str, int]]:
     counts = [0] * (len(VERIFY_BUCKETS) + 1)
-    for record in summary_records:
-        if record.get("type") != "span" or record.get("name") != "verify":
-            continue
-        if record.get("end") is None:
-            continue
-        duration = record["end"] - record["start"]
+    for span in trace.spans.get("verify", ()):
+        duration = span["end"] - span["start"]
         for index, boundary in enumerate(VERIFY_BUCKETS):
             if duration <= boundary:
                 counts[index] += 1
@@ -208,7 +192,7 @@ def _verify_histogram(summary_records: list[dict]) -> list[tuple[str, int]]:
     return rows
 
 
-def _suspicion_rows(records: list[dict]) -> list[dict]:
+def _suspicion_rows(trace: TraceModel) -> list[dict]:
     """Time-indexed band counts, merged across gauge series."""
     by_time: dict[float, dict] = {}
 
@@ -218,16 +202,14 @@ def _suspicion_rows(records: list[dict]) -> list[dict]:
         return by_time[ts]
 
     for band in _BANDS:
-        for ts, value in gauge_series(
-            records, "suspicion_band_nodes", band=band
-        ):
+        for ts, value in gauge_series(trace, "suspicion_band_nodes", band=band):
             row(ts)[band] = value
     for name, column in (
         ("suspicion_suspects", "suspects"),
         ("fault_analyzer_disjoint_sets", "|D|"),
         ("nodes_quarantined", "quarantined"),
     ):
-        for ts, value in gauge_series(records, name):
+        for ts, value in gauge_series(trace, name):
             row(ts)[column] = value
     rows = [by_time[ts] for ts in sorted(by_time)]
     # Carry the last seen value forward so downsampling never shows
@@ -245,18 +227,14 @@ def _suspicion_rows(records: list[dict]) -> list[dict]:
     return rows
 
 
-def _event_rows(
-    records: list[dict],
-) -> tuple[list[tuple[float, str, str]], int]:
+def _event_rows(trace: TraceModel) -> tuple[list[tuple[float, str, str]], int]:
     rows: list[tuple[float, str, str]] = []
-    for record in records:
-        if record.get("type") != "event":
-            continue
-        attrs = record.get("attrs") or {}
+    for event in trace.events:
+        attrs = event.get("attrs") or {}
         detail = " ".join(
             f"{key}={_compact(value)}" for key, value in sorted(attrs.items())
         )
-        rows.append((record.get("ts", 0.0), record["name"], detail))
+        rows.append((event.get("ts", 0.0), event["name"], detail))
     truncated = max(len(rows) - MAX_EVENT_ROWS, 0)
     return rows[:MAX_EVENT_ROWS], truncated
 
@@ -269,26 +247,23 @@ def _compact(value) -> str:
     return str(value)
 
 
-def _network_rows(records: list[dict]) -> list[tuple[str, str, int]]:
+def _network_rows(trace: TraceModel) -> list[tuple[str, str, int]]:
     """Message-network counter totals from the trailing metrics
     snapshot, sorted by (name, cause) for stable rendering."""
     rows: list[tuple[str, str, int]] = []
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        if record.get("metric_kind") != "counter":
-            continue
-        name = record.get("name", "")
+    for name, metrics in trace.metrics.items():
         if not name.startswith("network_messages_"):
             continue
-        labels = record.get("labels") or {}
-        rows.append((name, str(labels.get("cause", "")), int(record["value"])))
+        for metric in metrics:
+            if metric.get("metric_kind") == "counter":
+                labels = metric.get("labels") or {}
+                rows.append((name, str(labels.get("cause", "")), int(metric["value"])))
     rows.sort()
     return rows
 
 
 def _profile_rows(
-    records: list[dict],
+    trace: TraceModel,
 ) -> tuple[list[tuple[str, float, int]], float, bool]:
     """Attribute host-time gaps between consecutive records.
 
@@ -299,90 +274,78 @@ def _profile_rows(
     """
     seconds: dict[str, float] = {}
     counts: dict[str, int] = {}
-    previous: float | None = None
-    saw_host_time = False
-    for record in records:
-        host = record.get("host_time")
-        if host is None:
-            continue
-        saw_host_time = True
-        if previous is not None:
-            name = record.get("name", record.get("type", "?"))
-            seconds[name] = seconds.get(name, 0.0) + (host - previous)
-            counts[name] = counts.get(name, 0) + 1
-        previous = host
+    for (_, previous), (name, host) in zip(trace.host_times, trace.host_times[1:]):
+        seconds[name] = seconds.get(name, 0.0) + (host - previous)
+        counts[name] = counts.get(name, 0) + 1
     rows = sorted(
         ((name, total, counts[name]) for name, total in seconds.items()),
         key=lambda item: (-item[1], item[0]),
     )[:MAX_PROFILE_ROWS]
     total = sum(seconds.values())
-    return rows, total, not saw_host_time
+    return rows, total, not trace.host_times
 
 
 def build_report(
-    records: list[dict],
+    records: list[dict] | TraceModel,
     source: str | None = None,
     warnings: list[str] | None = None,
     top_nodes: int = 16,
     profile: bool = False,
 ) -> RunReport:
     """Assemble every dashboard section from a record stream."""
-    summary = summarize(records)
-    window = _run_window(records)
+    trace = TraceModel.of(records)
     report = RunReport(
         source=source,
         warnings=list(warnings or []),
-        summary=summary,
-        window=window,
-        record_count=len(records),
-        nodes=_node_strips(records, window, top_nodes),
-        verify_buckets=_verify_histogram(records),
-        suspicion_rows=_suspicion_rows(records),
-        network_rows=_network_rows(records),
-        alert_firings=evaluate(records, DEFAULT_RULES),
+        summary=summarize(trace),
+        window=trace.window,
+        record_count=len(trace.records),
+        nodes=_node_strips(trace, top_nodes),
+        verify_buckets=_verify_histogram(trace),
+        suspicion_rows=_suspicion_rows(trace),
+        network_rows=_network_rows(trace),
+        alert_firings=evaluate(trace, DEFAULT_RULES),
         alert_rules_evaluated=len(DEFAULT_RULES),
     )
-    report.event_rows, report.events_truncated = _event_rows(records)
+    report.event_rows, report.events_truncated = _event_rows(trace)
+    report.overview = _overview(report)
+    report.sections = [(title, lines(report)) for title, lines in _SECTIONS]
     if profile:
         report.profile_rows, report.profile_total, report.profile_missing = (
-            _profile_rows(records)
+            _profile_rows(trace)
         )
+        report.sections.append(("host-time profile", _profile_section(report)))
     return report
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# sections
 # ---------------------------------------------------------------------------
 
 
-def _section(title: str) -> list[str]:
-    return ["", title, "=" * len(title)]
-
-
-def render_text(report: RunReport) -> str:
-    lines: list[str] = []
-    lines.append("repro report" + (f" — {report.source}" if report.source else ""))
+def _overview(report: RunReport) -> list[str]:
+    lines = ["repro report" + (f" — {report.source}" if report.source else "")]
     t0, t1 = report.window
     lines.append(
         f"window: {t0:.3f}s – {t1:.3f}s simulated "
         f"({report.record_count} trace records)"
     )
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
-    summary = report.summary
-    for span in summary.run_spans:
+    lines += [f"warning: {warning}" for warning in report.warnings]
+    for span in report.summary.run_spans:
         attrs = span.get("attrs") or {}
         lines.append(
             f"run {attrs.get('script_id', '?')}: "
             f"{span['end'] - span['start']:.3f}s simulated, "
             f"mode={attrs.get('mode', '?')}, assured={attrs.get('assured', '?')}"
         )
+    return lines
 
-    # 1. critical path -------------------------------------------------
-    lines += _section("1. critical path")
-    if not summary.attempts:
-        lines.append("no job/task spans in trace")
-    for attempt in summary.attempts:
+
+def _critical_path_section(report: RunReport) -> list[str]:
+    if not report.summary.attempts:
+        return ["no job/task spans in trace"]
+    lines = []
+    for attempt in report.summary.attempts:
         lines.append(
             f"attempt {attempt.attempt}: {attempt.duration:.3f}s, "
             f"{attempt.jobs} job replicas, {attempt.tasks} tasks "
@@ -394,181 +357,176 @@ def render_text(report: RunReport) -> str:
                 f"  critical path (replica {cp.replica}, {cp.duration:.3f}s): "
                 + " -> ".join(cp.job_ids)
             )
+    return lines
 
-    # 2. node timeline -------------------------------------------------
-    lines += _section("2. node timeline (busy/idle)")
+
+def _timeline_section(report: RunReport) -> list[str]:
     if not report.nodes:
-        lines.append("no per-node task spans in trace")
-    else:
-        width = max(len(strip.node) for strip in report.nodes)
-        for strip in report.nodes:
-            lines.append(
-                f"{strip.node:<{width}} |{strip.strip}| "
-                f"{strip.busy_seconds:9.3f}s busy, {strip.tasks:4d} tasks, "
-                f"{strip.utilization * 100:5.1f}%"
-            )
-        total_nodes = len(summary.node_seconds)
-        if total_nodes > len(report.nodes):
-            lines.append(f"... {total_nodes - len(report.nodes)} more nodes")
+        return ["no per-node task spans in trace"]
+    width = max(len(strip.node) for strip in report.nodes)
+    lines = [
+        f"{strip.node:<{width}} |{strip.strip}| "
+        f"{strip.busy_seconds:9.3f}s busy, {strip.tasks:4d} tasks, "
+        f"{strip.utilization * 100:5.1f}%"
+        for strip in report.nodes
+    ]
+    total_nodes = len(report.summary.node_seconds)
+    if total_nodes > len(report.nodes):
+        lines.append(f"... {total_nodes - len(report.nodes)} more nodes")
+    return lines
 
-    # 3. verification tail --------------------------------------------
-    lines += _section("3. verification tail")
+
+def _verification_section(report: RunReport) -> list[str]:
+    summary = report.summary
     if summary.verify_count == 0:
-        lines.append("no verify spans in trace")
-    else:
-        status = ", ".join(
-            f"{k}={v}" for k, v in sorted(summary.verify_by_status.items())
-        )
-        lines.append(
-            f"{summary.verify_seconds:.3f} span-seconds across "
-            f"{summary.verify_count} sids ({status})"
-        )
-        lines.append(
-            f"tail past last task: {summary.verify_tail_seconds:.3f}s "
-            f"(offline, off the critical path)"
-        )
-        table = Table("verify span durations", ["bucket", "count", ""])
-        peak = max((count for _, count in report.verify_buckets), default=0)
-        for label, count in report.verify_buckets:
-            bar = "#" * (0 if peak == 0 else round(count / peak * 30))
-            table.add_row(label, count, bar)
-        lines.append("")
-        lines.append(table.render())
+        return ["no verify spans in trace"]
+    status = ", ".join(f"{k}={v}" for k, v in sorted(summary.verify_by_status.items()))
+    table = Table("verify span durations", ["bucket", "count", ""])
+    peak = max((count for _, count in report.verify_buckets), default=0)
+    for label, count in report.verify_buckets:
+        bar = "#" * (0 if peak == 0 else round(count / peak * 30))
+        table.add_row(label, count, bar)
+    return [
+        f"{summary.verify_seconds:.3f} span-seconds across "
+        f"{summary.verify_count} sids ({status})",
+        f"tail past last task: {summary.verify_tail_seconds:.3f}s "
+        f"(offline, off the critical path)",
+        "",
+        table.render(),
+    ]
 
-    # 4. suspicion series ---------------------------------------------
-    lines += _section("4. suspicion series")
+
+def _suspicion_section(report: RunReport) -> list[str]:
     if not report.suspicion_rows:
-        lines.append(
+        return [
             "no suspicion gauge samples in trace "
             "(series are published by fault handling; a fault-free plain "
             "run carries none)"
-        )
-    else:
-        columns = ["low", "med", "high", "suspects", "|D|"]
-        if any("quarantined" in row for row in report.suspicion_rows):
-            columns.append("quarantined")
-        series = [Series(name) for name in columns]
-        for row in report.suspicion_rows:
-            for column, entry in zip(columns, series):
-                entry.add(f"{row['time']:g}", float(row.get(column, 0)))
-        lines.append(
-            render_figure("suspicion bands over time", "time", series)
-        )
+        ]
+    columns = ["low", "med", "high", "suspects", "|D|"]
+    if any("quarantined" in row for row in report.suspicion_rows):
+        columns.append("quarantined")
+    series = [Series(name) for name in columns]
+    for row in report.suspicion_rows:
+        for column, entry in zip(columns, series):
+            entry.add(f"{row['time']:g}", float(row.get(column, 0)))
+    return [render_figure("suspicion bands over time", "time", series)]
 
-    # 5. event log -----------------------------------------------------
-    lines += _section("5. event log")
+
+def _event_section(report: RunReport) -> list[str]:
     if not report.event_rows:
-        lines.append("no events in trace")
-    else:
-        counts = Table("event counts", ["event", "count"])
-        for name, count in sorted(summary.event_counts.items()):
-            counts.add_row(name, count)
-        lines.append(counts.render())
-        lines.append("")
-        for ts, name, detail in report.event_rows:
-            lines.append(f"[{ts:10.3f}] {name:<24} {detail}")
-        if report.events_truncated:
-            lines.append(f"... {report.events_truncated} more events")
+        return ["no events in trace"]
+    counts = Table("event counts", ["event", "count"])
+    for name, count in sorted(report.summary.event_counts.items()):
+        counts.add_row(name, count)
+    lines = [counts.render(), ""]
+    for ts, name, detail in report.event_rows:
+        lines.append(f"[{ts:10.3f}] {name:<24} {detail}")
+    if report.events_truncated:
+        lines.append(f"... {report.events_truncated} more events")
+    return lines
 
-    # 6. network -------------------------------------------------------
-    lines += _section("6. network")
+
+def _network_section(report: RunReport) -> list[str]:
     if not report.network_rows:
-        lines.append(
+        return [
             "no network counters in trace (runs without a replicated "
             "front-end exchange no simulated messages, and counters "
             "need the trailing metrics snapshot)"
-        )
-    else:
-        table = Table("message counters", ["counter", "cause", "count"])
-        for name, cause, value in report.network_rows:
-            table.add_row(name, cause or "-", value)
-        lines.append(table.render())
+        ]
+    table = Table("message counters", ["counter", "cause", "count"])
+    for name, cause, value in report.network_rows:
+        table.add_row(name, cause or "-", value)
+    return [table.render()]
 
-    # 7. slo alerts ----------------------------------------------------
-    lines += _section("7. slo alerts")
+
+def _alert_section(report: RunReport) -> list[str]:
+    evaluated = f"{report.alert_rules_evaluated} built-in rules evaluated"
     if not report.alert_firings:
-        lines.append(
-            f"no alerts fired ({report.alert_rules_evaluated} built-in "
-            f"rules evaluated)"
+        return [f"no alerts fired ({evaluated})"]
+    still = sum(1 for f in report.alert_firings if f.resolved_at is None)
+    table = Table(
+        "alert firings", ["severity", "rule", "fired at", "resolved at", "peak"]
+    )
+    for firing in report.alert_firings:
+        table.add_row(
+            firing.severity,
+            firing.rule + firing.group_label,
+            f"{firing.fired_at:.3f}",
+            "-" if firing.resolved_at is None else f"{firing.resolved_at:.3f}",
+            f"{firing.peak:g}",
         )
-    else:
-        still = sum(1 for f in report.alert_firings if f.resolved_at is None)
-        lines.append(
-            f"{still} firing, {len(report.alert_firings) - still} resolved "
-            f"({report.alert_rules_evaluated} built-in rules evaluated)"
-        )
-        table = Table(
-            "alert firings",
-            ["severity", "rule", "fired at", "resolved at", "peak"],
-        )
-        for firing in report.alert_firings:
-            table.add_row(
-                firing.severity,
-                firing.rule + firing.group_label,
-                f"{firing.fired_at:.3f}",
-                "-" if firing.resolved_at is None
-                else f"{firing.resolved_at:.3f}",
-                f"{firing.peak:g}",
-            )
-        lines.append(table.render())
+    return [
+        f"{still} firing, {len(report.alert_firings) - still} resolved ({evaluated})",
+        table.render(),
+    ]
 
-    # 8. rerun economics ----------------------------------------------
-    lines += _section("8. rerun economics")
+
+def _rerun_section(report: RunReport) -> list[str]:
+    summary = report.summary
     if not summary.run_spans:
-        lines.append("no run spans in trace")
-    else:
-        table = Table(
-            "per-run reuse", ["run", "attempts", "reused jobs", "checkpoints"]
+        return ["no run spans in trace"]
+    table = Table("per-run reuse", ["run", "attempts", "reused jobs", "checkpoints"])
+    for span in summary.run_spans:
+        attrs = span.get("attrs") or {}
+        table.add_row(
+            attrs.get("script_id", "?"),
+            attrs.get("attempts", "-"),
+            attrs.get("reused_jobs", 0),
+            attrs.get("checkpoints", 0),
         )
-        for span in summary.run_spans:
-            attrs = span.get("attrs") or {}
-            table.add_row(
-                attrs.get("script_id", "?"),
-                attrs.get("attempts", "-"),
-                attrs.get("reused_jobs", 0),
-                attrs.get("checkpoints", 0),
-            )
-        lines.append(table.render())
-        counts = summary.event_counts
-        lines.append("")
-        lines.append(
-            f"checkpoint commits: {counts.get('checkpoint.commit', 0)}, "
-            f"restored on resume: {counts.get('checkpoint.restore', 0)}"
-        )
-        lines.append(
-            f"timeout escalations: {counts.get('escalation', 0)} "
-            f"(capped by max_verifier_timeout: "
-            f"{counts.get('audit.timeout_cap', 0)})"
-        )
+    counts = summary.event_counts
+    return [
+        table.render(),
+        "",
+        f"checkpoint commits: {counts.get('checkpoint.commit', 0)}, "
+        f"restored on resume: {counts.get('checkpoint.restore', 0)}",
+        f"timeout escalations: {counts.get('escalation', 0)} "
+        f"(capped by max_verifier_timeout: "
+        f"{counts.get('audit.timeout_cap', 0)})",
+    ]
 
-    # host-time profile (opt-in) --------------------------------------
-    if report.profile_rows is not None:
-        lines += _section("host-time profile")
-        if report.profile_missing:
-            lines.append(
-                "trace has no host_time fields; record with "
-                "Telemetry.recording(wall_clock=True) or "
-                "`repro run --trace out.jsonl --profile-host`"
-            )
-        else:
-            lines.append(
-                f"{report.profile_total:.3f} host-seconds attributed across "
-                f"record gaps (coarse: each gap charged to the record that "
-                f"closed it)"
-            )
-            table = Table(
-                "hotspots", ["record name", "host seconds", "records", "share"]
-            )
-            for name, seconds, count in report.profile_rows:
-                share = (
-                    seconds / report.profile_total * 100
-                    if report.profile_total > 0
-                    else 0.0
-                )
-                table.add_row(name, f"{seconds:.4f}", count, f"{share:.1f}%")
-            lines.append("")
-            lines.append(table.render())
 
+def _profile_section(report: RunReport) -> list[str]:
+    if report.profile_missing:
+        return [
+            "trace has no host_time fields; record with "
+            "Telemetry.recording(wall_clock=True) or "
+            "`repro run --trace out.jsonl --profile-host`"
+        ]
+    table = Table("hotspots", ["record name", "host seconds", "records", "share"])
+    for name, seconds, count in report.profile_rows or ():
+        total = report.profile_total
+        share = seconds / total * 100 if total > 0 else 0.0
+        table.add_row(name, f"{seconds:.4f}", count, f"{share:.1f}%")
+    return [
+        f"{report.profile_total:.3f} host-seconds attributed across "
+        f"record gaps (coarse: each gap charged to the record that "
+        f"closed it)",
+        "",
+        table.render(),
+    ]
+
+
+_SUSPICION_TITLE = "4. suspicion series"
+
+#: The numbered sections of every report, in order.
+_SECTIONS = (
+    ("1. critical path", _critical_path_section),
+    ("2. node timeline (busy/idle)", _timeline_section),
+    ("3. verification tail", _verification_section),
+    (_SUSPICION_TITLE, _suspicion_section),
+    ("5. event log", _event_section),
+    ("6. network", _network_section),
+    ("7. slo alerts", _alert_section),
+    ("8. rerun economics", _rerun_section),
+)
+
+
+def render_text(report: RunReport) -> str:
+    lines = list(report.overview)
+    for title, body in report.sections:
+        lines += ["", title, "=" * len(title), *body]
     return "\n".join(lines) + "\n"
 
 
@@ -656,36 +614,32 @@ def _svg_series_chart(rows: list[dict], width: int = 640, height: int = 220) -> 
 
 
 def render_html(report: RunReport) -> str:
-    """Single-file HTML dashboard (no external assets, deterministic)."""
-    text = render_text(report)
-    # Split the text rendering back into its sections; each becomes a
-    # <pre> block so the two formats can never drift apart, with the
-    # suspicion series additionally charted as SVG.
-    sections: list[tuple[str, str]] = []
-    current_title, current_lines = "overview", []
-    for line in text.splitlines():
-        if set(line) == {"="} and current_lines:
-            title = current_lines.pop()
-            sections.append((current_title, "\n".join(current_lines)))
-            current_title, current_lines = title, []
-        else:
-            current_lines.append(line)
-    sections.append((current_title, "\n".join(current_lines)))
+    """Single-file HTML dashboard (no external assets, deterministic).
 
+    Each section's text, as :func:`render_text` lays it out, becomes one
+    ``<pre>`` block under its title, so the two formats can never drift
+    apart; the suspicion series is also charted as SVG.
+    """
+    source = f" — {report.source}" if report.source else ""
+    title = "repro report" + _html.escape(source)
     out = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
-        f"<title>repro report{_html.escape(' — ' + report.source if report.source else '')}</title>",
+        f"<title>{title}</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>repro report{_html.escape(' — ' + report.source if report.source else '')}</h1>",
+        f"<h1>{title}</h1>",
     ]
     for warning in report.warnings:
         out.append(f'<p class="warning">warning: {_html.escape(warning)}</p>')
-    for title, body in sections:
-        if title != "overview":
-            out.append(f"<h2>{_html.escape(title)}</h2>")
-        if title.startswith("4.") and report.suspicion_rows:
+    out.append(_pre(report.overview))
+    for heading, body in report.sections:
+        out.append(f"<h2>{_html.escape(heading)}</h2>")
+        if heading == _SUSPICION_TITLE and report.suspicion_rows:
             out.append(_svg_series_chart(report.suspicion_rows))
-        out.append(f"<pre>{_html.escape(body.strip(chr(10)))}</pre>")
+        out.append(_pre(body))
     out.append("</body></html>")
     return "\n".join(out) + "\n"
+
+
+def _pre(lines: list[str]) -> str:
+    return f"<pre>{_html.escape(chr(10).join(lines).strip(chr(10)))}</pre>"

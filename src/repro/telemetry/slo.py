@@ -2,9 +2,10 @@
 
 Rules are evaluated *offline* over the telemetry record stream (the
 in-memory list a :class:`~repro.telemetry.spans.Tracer` accumulates, or
-the JSONL rows ``repro trace`` reads back).  Nothing here touches the
-event loop, the RNG, or the wall clock — alert evaluation is a pure
-function of the records, so firings are deterministic for a seeded run
+the JSONL rows ``repro trace`` reads back), indexed once into a
+:class:`~repro.telemetry.analysis.TraceModel` that every rule reads.
+Nothing here touches the event loop, the RNG, or the wall clock — alert
+evaluation is a pure function of the records, so firings are deterministic for a seeded run
 and identical whether the trace was streamed to disk or kept in memory.
 
 Three record sources feed rules, addressed by a ``source`` string:
@@ -40,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 from repro.common.errors import RulesError
+from repro.telemetry.analysis import TraceModel
 
 __all__ = [
     "AlertRule",
@@ -299,13 +301,6 @@ def load_rules(path: str) -> list[AlertRule]:
 # ----------------------------------------------------------------------
 
 
-def _labels_of(record: dict) -> dict:
-    """Label view of a record: sample labels, or event/span attrs."""
-    if record.get("type") == "sample":
-        return record.get("labels") or {}
-    return record.get("attrs") or {}
-
-
 def _matches(rule: AlertRule, labels: dict) -> bool:
     return all(str(labels.get(k)) == v for k, v in rule.labels)
 
@@ -314,7 +309,7 @@ def _group_key(rule: AlertRule, labels: dict) -> tuple[tuple[str, str], ...]:
     return tuple((g, str(labels.get(g, ""))) for g in rule.group_by)
 
 
-def _points(rule: AlertRule, records: list[dict]):
+def _points(rule: AlertRule, trace: TraceModel):
     """Signal points ``(group, ts, value)`` in record order.
 
     Record order *is* the deterministic order (the tracer appends in
@@ -323,19 +318,14 @@ def _points(rule: AlertRule, records: list[dict]):
     """
     kind, name = rule.source_kind, rule.source_name
     if kind == "gauge":
-        for record in records:
-            if record.get("type") != "sample" or record.get("name") != name:
-                continue
-            labels = _labels_of(record)
-            if not _matches(rule, labels):
-                continue
-            yield _group_key(rule, labels), record["ts"], float(record["value"])
+        for record in trace.samples.get(name, ()):
+            labels = record.get("labels") or {}
+            if _matches(rule, labels):
+                yield _group_key(rule, labels), record["ts"], float(record["value"])
     elif kind == "event":
         counts: dict[tuple, int] = {}
-        for record in records:
-            if record.get("type") != "event" or record.get("name") != name:
-                continue
-            labels = _labels_of(record)
+        for record in trace.events_by_name.get(name, ()):
+            labels = record.get("attrs") or {}
             if not _matches(rule, labels):
                 continue
             group = _group_key(rule, labels)
@@ -343,10 +333,8 @@ def _points(rule: AlertRule, records: list[dict]):
             yield group, record["ts"], float(counts[group])
     else:  # span
         durations: dict[tuple, list[float]] = {}
-        for record in records:
-            if record.get("type") != "span" or record.get("name") != name:
-                continue
-            labels = _labels_of(record)
+        for record in trace.spans.get(name, ()):
+            labels = record.get("attrs") or {}
             if not _matches(rule, labels):
                 continue
             group = _group_key(rule, labels)
@@ -362,11 +350,11 @@ def _points(rule: AlertRule, records: list[dict]):
                 yield group, record["end"], ordered[rank - 1]
 
 
-def _evaluate_threshold(rule: AlertRule, records: list[dict]) -> list[AlertFiring]:
+def _evaluate_threshold(rule: AlertRule, trace: TraceModel) -> list[AlertFiring]:
     compare = _OPS[rule.op]
     open_firings: dict[tuple, AlertFiring] = {}
     firings: list[AlertFiring] = []
-    for group, ts, value in _points(rule, records):
+    for group, ts, value in _points(rule, trace):
         firing = open_firings.get(group)
         if compare(value, rule.threshold):
             if firing is None:
@@ -388,12 +376,12 @@ def _evaluate_threshold(rule: AlertRule, records: list[dict]) -> list[AlertFirin
     return firings
 
 
-def _evaluate_burn_rate(rule: AlertRule, records: list[dict]) -> list[AlertFiring]:
+def _evaluate_burn_rate(rule: AlertRule, trace: TraceModel) -> list[AlertFiring]:
     # Timeline of (ts, +1 arrival) and (ts + window, -1 expiry) deltas,
     # walked in time order (expiries before arrivals at equal ts, so a
     # window is half-open: (ts - window, ts]).
     arrivals: dict[tuple, list[float]] = {}
-    for group, ts, _value in _points(rule, records):
+    for group, ts, _value in _points(rule, trace):
         arrivals.setdefault(group, []).append(ts)
     firings: list[AlertFiring] = []
     for group in sorted(arrivals):
@@ -426,7 +414,8 @@ def _evaluate_burn_rate(rule: AlertRule, records: list[dict]) -> list[AlertFirin
 
 
 def evaluate(
-    records: list[dict], rules: list[AlertRule] | tuple[AlertRule, ...] | None = None
+    records: list[dict] | TraceModel,
+    rules: list[AlertRule] | tuple[AlertRule, ...] | None = None,
 ) -> list[AlertFiring]:
     """Evaluate ``rules`` (default: :data:`DEFAULT_RULES`) over records.
 
@@ -435,12 +424,13 @@ def evaluate(
     """
     if rules is None:
         rules = DEFAULT_RULES
+    trace = TraceModel.of(records)
     firings: list[AlertFiring] = []
     for rule in rules:
         if rule.kind == "burn_rate":
-            firings.extend(_evaluate_burn_rate(rule, records))
+            firings.extend(_evaluate_burn_rate(rule, trace))
         else:
-            firings.extend(_evaluate_threshold(rule, records))
+            firings.extend(_evaluate_threshold(rule, trace))
     firings.sort(key=lambda f: (f.fired_at, f.rule, f.group))
     return firings
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.telemetry.analysis import summarize
-from repro.telemetry.export import read_jsonl
+from repro.telemetry.analysis import TraceModel, summarize
+from repro.telemetry.export import read_jsonl_lenient
 
 #: A node is a straggler when its mean task time exceeds the run-wide
 #: mean by this factor (and it ran enough tasks to judge).
@@ -64,12 +64,13 @@ class StragglerProfile:
 
 
 def build_profile(
-    records: list[dict],
+    records: list[dict] | TraceModel,
     threshold: float = DEFAULT_THRESHOLD,
     min_tasks: int = DEFAULT_MIN_TASKS,
 ) -> StragglerProfile:
     """Distill trace records into a :class:`StragglerProfile`."""
-    summary = summarize(records)
+    trace = TraceModel.of(records)
+    summary = summarize(trace)
     if summary.task_count == 0:
         return StragglerProfile()
     overall_mean = summary.task_seconds / summary.task_count
@@ -96,15 +97,10 @@ def build_profile(
         if attempt.critical_path is not None:
             critical_job_ids.update(attempt.critical_path.job_ids)
     critical_nodes: set[str] = set()
-    if critical_job_ids:
-        for record in records:
-            if record.get("type") != "span" or record.get("name") != "task":
-                continue
-            attrs = record.get("attrs") or {}
-            if attrs.get("job_id") in critical_job_ids:
-                node = attrs.get("node")
-                if node is not None:
-                    critical_nodes.add(node)
+    for span in trace.spans.get("task", ()):
+        attrs = span.get("attrs") or {}
+        if attrs.get("job_id") in critical_job_ids and attrs.get("node") is not None:
+            critical_nodes.add(attrs["node"])
 
     return StragglerProfile(
         node_mean_seconds=means,
@@ -119,5 +115,12 @@ def load_profile(
     threshold: float = DEFAULT_THRESHOLD,
     min_tasks: int = DEFAULT_MIN_TASKS,
 ) -> StragglerProfile:
-    """Build a profile straight from a trace JSONL file."""
-    return build_profile(read_jsonl(path), threshold=threshold, min_tasks=min_tasks)
+    """Build a profile straight from a trace JSONL file.
+
+    The file is read by :func:`~repro.telemetry.export.read_jsonl_lenient`:
+    a corrupt trace raises :class:`~repro.common.errors.TraceError`, and a
+    torn final line is dropped (its warning is not returned here; read the
+    file yourself to show it).
+    """
+    records, _warnings = read_jsonl_lenient(path)
+    return build_profile(records, threshold=threshold, min_tasks=min_tasks)

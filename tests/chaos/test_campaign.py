@@ -19,7 +19,7 @@ from repro.chaos.runner import (
 )
 from repro.chaos.scenarios import SCENARIOS, resolve_scenarios
 from repro.cli import main
-from repro.telemetry.export import read_jsonl
+from repro.telemetry.export import read_jsonl_lenient
 
 
 class TestCells:
@@ -109,7 +109,7 @@ class TestCampaign:
         )
         assert violations == []
         assert ctx.trace_name == "quarantine-s1.jsonl"
-        records = read_jsonl(str(tmp_path / "traces" / ctx.trace_name))
+        records = read_jsonl_lenient(str(tmp_path / "traces" / ctx.trace_name))[0]
         assert any(r.get("name") == "task" for r in records)
         # The checkers consumed the streamed trace, not an in-memory copy.
         assert ctx.records == records

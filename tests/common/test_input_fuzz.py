@@ -16,14 +16,16 @@ import copy
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, TraceError
 from repro.service.tenants import parse_trace, trace_problems
 from repro.telemetry import Telemetry
 from repro.telemetry.export import read_jsonl_lenient
 from repro.telemetry.slo import AlertRule, load_rules, parse_rules
+from repro.telemetry.straggler import StragglerProfile, load_profile
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 RULES = (EXAMPLES / "alerts.json").read_bytes()
@@ -131,6 +133,23 @@ def test_a_garbled_trace_fails_closed(tmp_path_factory, edits):
     read = typed_or_returns(read_trace, tmp_path, garble(TRACE, edits))
     if read is not None:
         assert all(isinstance(record, dict) for record in read[0])
+
+
+def load_prior(tmp_path, data: bytes):
+    path = tmp_path / "prior.jsonl"
+    path.write_bytes(data)
+    return load_profile(str(path))
+
+
+def test_a_prior_trace_fails_closed(tmp_path):
+    """``repro run --schedule-from-trace`` reads its prior trace as
+    ``load_profile`` does: a line that is JSON but not an object is a
+    typed error, and a torn final line is dropped as every trace reader
+    drops it."""
+    with pytest.raises(TraceError, match="not an object"):
+        load_prior(tmp_path, TRACE + b"[1, 2]\n")
+    torn = TRACE + TRACE.splitlines(keepends=True)[0][:20]
+    assert isinstance(load_prior(tmp_path, torn), StragglerProfile)
 
 
 # -- alert rules -------------------------------------------------------------

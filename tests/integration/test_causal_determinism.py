@@ -98,7 +98,7 @@ class TestAlertDeterminism:
         assert evaluate(first.export_records()) == evaluate(second.export_records())
 
     def test_streamed_trace_yields_same_firings_as_memory(self, tmp_path):
-        from repro.telemetry.export import read_jsonl
+        from repro.telemetry.export import read_jsonl_lenient
         from repro.telemetry.slo import evaluate, firing_rows
 
         memory = Telemetry.recording(causal=True)
@@ -110,7 +110,7 @@ class TestAlertDeterminism:
         run_once(telemetry=streamed)
         streamed.finalize()
 
-        assert firing_rows(evaluate(read_jsonl(str(path)))) == firing_rows(
+        assert firing_rows(evaluate(read_jsonl_lenient(str(path))[0])) == firing_rows(
             evaluate(memory.export_records())
         )
 

@@ -188,4 +188,5 @@ def test_interpreter_precheck_hook():
         validate=False,
     )
     with pytest.raises(PlanCheckError):
-        interpret(plan, inputs={"in": []}, precheck=True)
+        precheck_plan(plan)
+        interpret(plan, inputs={"in": []})

@@ -5,7 +5,7 @@ import json
 from repro.simulation.events import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.export import (
-    read_jsonl,
+    read_jsonl_lenient,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
@@ -29,7 +29,7 @@ class TestJsonl:
         telemetry = recorded_telemetry()
         path = tmp_path / "trace.jsonl"
         count = telemetry.write_jsonl(str(path))
-        records = read_jsonl(str(path))
+        records = read_jsonl_lenient(str(path))[0]
         assert len(records) == count == 4
         assert records == telemetry.export_records()
 
@@ -42,7 +42,7 @@ class TestJsonl:
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
-        assert read_jsonl(str(path)) == [{"a": 1}, {"b": 2}]
+        assert read_jsonl_lenient(str(path))[0] == [{"a": 1}, {"b": 2}]
 
     def test_write_jsonl_returns_record_count(self, tmp_path):
         path = tmp_path / "out.jsonl"

@@ -1,6 +1,6 @@
 """Tests for the streaming JSONL trace sink (write-through to disk)."""
 
-from repro.telemetry import JsonlStreamSink, Telemetry, read_jsonl
+from repro.telemetry import JsonlStreamSink, Telemetry, read_jsonl_lenient
 
 
 class TestJsonlStreamSink:
@@ -10,10 +10,10 @@ class TestJsonlStreamSink:
         sink.handle({"type": "event", "name": "first", "ts": 1.0})
         sink.flush()
         # The prefix is on disk before close — a crashed run keeps it.
-        assert len(read_jsonl(path)) == 1
+        assert len(read_jsonl_lenient(path)[0]) == 1
         sink.handle({"type": "event", "name": "second", "ts": 2.0})
         assert sink.close() == 2
-        assert [r["name"] for r in read_jsonl(path)] == ["first", "second"]
+        assert [r["name"] for r in read_jsonl_lenient(path)[0]] == ["first", "second"]
 
     def test_closed_sink_drops_stragglers(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -21,7 +21,7 @@ class TestJsonlStreamSink:
         sink.close()
         sink.handle({"type": "event", "name": "late", "ts": 9.0})
         assert sink.records_written == 0
-        assert read_jsonl(path) == []
+        assert read_jsonl_lenient(path)[0] == []
 
     def test_close_is_idempotent(self, tmp_path):
         sink = JsonlStreamSink(str(tmp_path / "trace.jsonl"))
@@ -50,7 +50,7 @@ class TestStreamingTelemetry:
         emit_sample(recording)
         expected = recording.export_records()
 
-        got = read_jsonl(path)
+        got = read_jsonl_lenient(path)[0]
         assert written == len(expected)
         assert got == expected
 
@@ -65,7 +65,7 @@ class TestStreamingTelemetry:
         telemetry = Telemetry.streaming(path)
         telemetry.metrics.counter("widgets").inc()
         telemetry.finalize()
-        metrics = [r for r in read_jsonl(path) if r["type"] == "metric"]
+        metrics = [r for r in read_jsonl_lenient(path)[0] if r["type"] == "metric"]
         assert metrics and metrics[0]["name"] == "widgets"
         assert metrics[0]["metric_kind"] == "counter"
 
@@ -81,5 +81,5 @@ class TestStreamingTelemetry:
         first = telemetry.finalize()
         second = telemetry.finalize()
         assert first == second
-        metrics = [r for r in read_jsonl(path) if r["type"] == "metric"]
+        metrics = [r for r in read_jsonl_lenient(path)[0] if r["type"] == "metric"]
         assert len(metrics) == 1
