@@ -104,7 +104,8 @@ RECIPE = (
     (0, f"{CHAOS} default --report default.json > default.txt"),
     (0, f"{CHAOS} durability --seeds 1 --report durability.json > durability.txt"),
     (0, f"{CHAOS} geo --seeds 1 --report geo.json > geo.txt"),
-    (0, f"{CHAOS} service --seeds 5 --report service.json > service.txt"),
+    (0, f"{CHAOS} service --seeds 5 --report service.json"
+        " --trace-dir service > service.txt"),
     (1, f"{CHAOS} weakened-safe1 --seeds 1 --report weakened.json > weakened.txt"),
     (0, "repro lint --service-trace examples/tenants.json > tenants-lint.txt"),
     (0, f"{SERVE} --ledger serve.ledger --out serve.json > serve.txt"),

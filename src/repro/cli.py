@@ -53,8 +53,10 @@ Examples::
     python -m repro run analysis.pig --journal run.wal ...
     python -m repro resume run.wal
 
-Input CSVs are headerless; values are parsed as int, then float, then
-kept as strings; empty cells become NULL.
+Input CSVs are headerless UTF-8; values are parsed as int, then float,
+then kept as strings; empty cells become NULL.  Each line must have as
+many fields as the schema of each LOAD of its path: a script or CSV
+that cannot be read, decoded or matched exits 2 before any job runs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable, NoReturn
 
 from repro.chaos.cli import add_chaos_parser, cmd_chaos
 from repro.common.atomic_io import write_json, write_text
@@ -72,6 +75,8 @@ from repro.core import journal as wal
 from repro.core.controller import ClusterBFTController
 from repro.core.graph_analyzer import input_ratios
 from repro.core.request_handler import RequestHandler
+from repro.dataflow.operators import LoadOp
+from repro.dataflow.piglatin import parse_script
 from repro.bench.cli import add_bench_parser, cmd_bench
 from repro.lint.cli import add_lint_parser, cmd_lint
 from repro.service.cli import add_serve_parser, cmd_serve
@@ -114,15 +119,23 @@ def _parse_cell(cell: str):
         return cell
 
 
-def load_csv(path: str) -> list[Record]:
-    """Read a headerless CSV into records."""
+def load_csv(path: str, widths: Iterable[int] = ()) -> list[Record]:
+    """Read a headerless UTF-8 CSV into records.  A line whose number of
+    fields differs from any of ``widths`` is a ``ValueError``."""
     records = []
-    with open(path) as handle:
-        for line in handle:
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            records.append(Record(tuple(_parse_cell(c) for c in line.split(","))))
+            cells = line.split(",")
+            for width in widths:
+                if len(cells) != width:
+                    raise ValueError(
+                        f"line {number} has {len(cells)} field(s) but its "
+                        f"LOAD schema has {width}"
+                    )
+            records.append(Record(tuple(_parse_cell(c) for c in cells)))
     return records
 
 
@@ -373,17 +386,43 @@ def config_from_args(args) -> SystemConfig:
     )
 
 
-def inputs_from_args(args) -> dict[str, list[Record]]:
+def _unusable(prog: str, path: str, exc: Exception) -> NoReturn:
+    """A file input that cannot be used: one line naming it, exit 2."""
+    if isinstance(exc, UnicodeDecodeError):
+        reason = "not UTF-8 text"
+    else:
+        reason = getattr(exc, "strerror", None) or exc
+    print(f"{prog}: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def read_inputs(prog: str, args) -> tuple[str, dict[str, list[Record]]]:
+    """The script and every ``--input`` CSV, each read once and checked
+    before any job runs: every CSV line has as many fields as the
+    schema of each LOAD of its path."""
+    try:
+        with open(args.script, encoding="utf-8") as handle:
+            script = handle.read()
+    except (OSError, ValueError) as exc:
+        _unusable(prog, args.script, exc)
+    widths: dict[str, set[int]] = {}
+    plan = parse_script(script, validate=False)
+    for op in map(plan.op, plan.sources()):
+        if isinstance(op, LoadOp):
+            widths.setdefault(op.path, set()).add(len(op.load_schema))
     inputs: dict[str, list[Record]] = {}
     for spec in args.input:
         if "=" not in spec:
             raise SystemExit(f"--input needs PATH=CSV, got {spec!r}")
         dfs_path, csv_path = spec.split("=", 1)
-        inputs[dfs_path] = load_csv(csv_path)
-    return inputs
+        try:
+            inputs[dfs_path] = load_csv(csv_path, sorted(widths.get(dfs_path, ())))
+        except (OSError, ValueError) as exc:
+            _unusable(prog, csv_path, exc)
+    return script, inputs
 
 
-def make_controller(args, telemetry=None, journal=None) -> ClusterBFTController:
+def make_controller(args, inputs, telemetry=None, journal=None) -> ClusterBFTController:
     controller = ClusterBFTController(
         config_from_args(args), telemetry=telemetry, journal=journal
     )
@@ -399,7 +438,7 @@ def make_controller(args, telemetry=None, journal=None) -> ClusterBFTController:
                 + ", ".join(profile.stragglers)
                 + f" (from {prior_trace})"
             )
-    for dfs_path, records in inputs_from_args(args).items():
+    for dfs_path, records in inputs.items():
         controller.load_input(dfs_path, records)
     return controller
 
@@ -447,6 +486,13 @@ def _exhausted_diag(prog: str, result) -> int:
 
 
 def cmd_run(args) -> int:
+    if not args.trace and args.profile_host:
+        raise SystemExit("--profile-host needs --trace OUT.jsonl")
+    if not args.trace and args.causal:
+        raise SystemExit("--causal needs --trace OUT.jsonl")
+    if args.journal and args.mode != "assured":
+        raise SystemExit("--journal requires --mode assured")
+    script, inputs = read_inputs("repro run", args)
     telemetry = None
     if args.trace:
         # Streaming sink: records hit the file as they are emitted, so a
@@ -457,27 +503,19 @@ def cmd_run(args) -> int:
             )
         except OSError as exc:
             raise SystemExit(f"cannot open trace file: {exc}")
-    elif args.profile_host:
-        raise SystemExit("--profile-host needs --trace OUT.jsonl")
-    elif args.causal:
-        raise SystemExit("--causal needs --trace OUT.jsonl")
-    with open(args.script) as handle:
-        script = handle.read()
     journal = None
     if args.journal:
-        if args.mode != "assured":
-            raise SystemExit("--journal requires --mode assured")
         try:
             journal = wal.Journal.create(
                 args.journal,
                 config_from_args(args),
                 script,
-                inputs_from_args(args),
+                inputs,
                 crash_hook=wal.env_kill_hook(),
             )
         except (OSError, wal.JournalError) as exc:
             raise SystemExit(f"cannot open journal: {exc}")
-    controller = make_controller(args, telemetry=telemetry, journal=journal)
+    controller = make_controller(args, inputs, telemetry=telemetry, journal=journal)
     if args.mode == "plain":
         result = controller.run_plain(script)
     elif args.mode == "single":
@@ -531,9 +569,8 @@ def cmd_resume(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    controller = make_controller(args)
-    with open(args.script) as handle:
-        script = handle.read()
+    script, inputs = read_inputs("repro explain", args)
+    controller = make_controller(args, inputs)
     plan = controller._to_plan(script)
     print("Logical plan:")
     print(plan.describe())

@@ -11,6 +11,10 @@ Entries always append to the log directly.  With telemetry enabled,
 :meth:`AuditLog.record` also emits the entry as an ``audit.<kind>``
 event, so the trace holds the same facts in the same order as every
 other record of the run.
+
+Attribution is stamped here, where entries are made: while the service
+tier steps one tenant's run, :attr:`AuditLog.context` holds
+``{"tenant": ...}`` and every entry recorded meanwhile carries it.
 """
 
 from __future__ import annotations
@@ -75,8 +79,15 @@ class AuditLog:
     def __init__(self, tracer=None) -> None:
         self._events: list[AuditEvent] = []
         self._tracer = tracer if tracer is not None else NULL_TRACER
+        #: Merged last into every entry's details.  ``RunDriver.advance``
+        #: sets it to ``{"tenant": ...}`` for one step of a tenant's run
+        #: and clears it after, so a shared-state change names the
+        #: tenant whose run caused it.  Empty outside the service tier.
+        self.context: dict[str, object] = {}
 
     def record(self, time: float, kind: str, subject: str, **details) -> AuditEvent:
+        if self.context:
+            details.update(self.context)
         event = AuditEvent(time=time, kind=kind, subject=subject, details=details)
         self._events.append(event)
         if self._tracer.enabled:

@@ -252,12 +252,6 @@ class ClusterBFTController:
         self.journal = journal
         if journal is not None:
             journal.bind_tracer(self.telemetry.tracer)
-        #: Extra key/values merged into audit (and journal) records that
-        #: attribute shared-state changes — the service tier sets this to
-        #: ``{"tenant": ...}`` around each run step so evictions and
-        #: quarantines name the tenant whose traffic triggered them.
-        #: Empty outside the service tier (records are byte-identical).
-        self.audit_context: dict[str, object] = {}
         #: Everything the tier knows about the cluster, shared by every
         #: run on this deployment (DESIGN.md §20).
         self.resources = ResourceManager(self)
@@ -528,7 +522,6 @@ class ClusterBFTController:
             jobs=jobs,
             replication=cfg.replication,
             points=len(prepared.marked_vertices),
-            **self.audit_context,
         )
         if self.frontend is not None:
             # The submission is ordered by the replicated request handler
@@ -562,7 +555,6 @@ class ClusterBFTController:
                 replication=run.replication,
                 jobs_rerun=len(pending),
                 jobs_reused=len(run.order) - len(pending),
-                **self.audit_context,
             )
         if not pending:
             # Nothing left to run — e.g. every verifiable job VERIFIED
@@ -677,7 +669,6 @@ class ClusterBFTController:
                 attempt=attempt.index,
                 capped=run.timeout,
                 uncapped=uncapped,
-                **self.audit_context,
             )
         tracer = self.telemetry.tracer
         if tracer.enabled:
@@ -705,7 +696,6 @@ class ClusterBFTController:
                 script_id,
                 attempts=run.attempts_used,
                 unsettled=tuple(unsettled),
-                **self.audit_context,
             )
         run.span.end(
             end=self.loop.now,
@@ -942,7 +932,6 @@ class ClusterBFTController:
             status=outcome.status,
             winners=tuple(sorted(outcome.winners)),
             faulty_replicas=tuple(fault.replica for fault in outcome.faults),
-            **self.audit_context,
         )
         if staged:
             # Settled even when the cross-check below yields no
@@ -992,7 +981,6 @@ class ClusterBFTController:
             path=spec.output_path,
             winner=winner,
             **({"checkpoint": True} if staged else {}),
-            **self.audit_context,
         )
         if staged and self.telemetry.enabled:
             self.telemetry.tracer.event(

@@ -43,9 +43,10 @@ class ResourceManager:
     Built once by the controller that owns the deployment.  Methods
     that record a decision take the journal of the run that triggered
     it — a tier decision is journaled into that run's stream, and the
-    tier outlives every run — and read ``controller.audit_context``
-    when they are called, not when the run started: late faults fire
-    from event-loop callbacks outside any tenant's attribution window.
+    tier outlives every run.  Attribution is the audit log's
+    :attr:`~repro.core.audit.AuditLog.context` when the entry is made,
+    not when the run started: late faults fire from event-loop
+    callbacks outside any tenant's attribution window.
     """
 
     def __init__(self, controller) -> None:
@@ -149,7 +150,7 @@ class ResourceManager:
         the replica merely withheld digests, fed to the fault analyzer.
         Faults mutate cross-run shared state (suspicion, fault analyzer)
         inside a tenant's attribution window, so the audit record names
-        that tenant (AUD001).  Without a quorum nobody is proven wrong:
+        that tenant.  Without a quorum nobody is proven wrong:
         the nodes become suspects and that is all.  ``late``: the
         replica finished after its sid's verdict.
         """
@@ -171,7 +172,6 @@ class ResourceManager:
                 fault_kind=fault.kind,
                 nodes=tuple(sorted(nodes)),
                 **({"late": True} if late else {}),
-                **self.controller.audit_context,
             )
         self.suspicion.record_fault(nodes)
         if proven and fault.kind != OMISSION:
@@ -229,7 +229,7 @@ class ResourceManager:
                         node=node_id,
                         suspicion=round(state.level, 3),
                         jobs=state.jobs_executed,
-                        **self.controller.audit_context,
+                        **self.audit.context,
                     )
                 if evict:
                     self.cluster.exclude(node_id)
@@ -241,7 +241,6 @@ class ResourceManager:
                     node_id,
                     suspicion=round(state.level, 3),
                     jobs=state.jobs_executed,
-                    **self.controller.audit_context,
                 )
 
     # ------------------------------------------------------------------
@@ -314,7 +313,7 @@ class ResourceManager:
                 jobs=jobs,
                 nodes=sorted(nodes),
                 sids=sorted({job_run.sid for job_run in self.engine.live_runs}),
-                **self.controller.audit_context,
+                **self.audit.context,
             )
         for node_id in sorted(nodes):
             self.scheduler.quarantine(node_id)
@@ -327,7 +326,6 @@ class ResourceManager:
             jobs=jobs,
             nodes=tuple(sorted(nodes)),
             tasks_moved=moved,
-            **self.controller.audit_context,
         )
         if self.telemetry.enabled:
             self.telemetry.tracer.event(

@@ -9,8 +9,7 @@ Three modes share the subcommand:
   validation, prepare (marker placement + instrumentation) and report
   every defect with script-line locations.
 * ``repro lint --deep PATH…`` — Layer 3, the whole-program passes
-  (interprocedural taint FLOW001–004, audit attribution AUD001)
-  merged with Layer 1, gated by the
+  (interprocedural taint FLOW001–004) merged with Layer 1, gated by the
   committed findings baseline (``LINT_BASELINE.json``): findings not
   in the baseline exit 1, stale baseline entries exit 1 until
   ``--update-baseline`` shrinks the file.
@@ -91,7 +90,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program passes (FLOW/AUD) and gate "
+        help="also run the whole-program passes (FLOW) and gate "
         "against the findings baseline",
     )
     lint.add_argument(

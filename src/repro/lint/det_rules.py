@@ -28,7 +28,6 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.rules import (
     ModuleSource,
     Rule,
-    collect_imports,
     register,
     resolve_dotted,
 )
@@ -92,12 +91,11 @@ class DirectRandomRule(Rule):
     exempt_suffixes = ("repro/common/rng.py",)
 
     def check(self, module: ModuleSource) -> list[Diagnostic]:
-        imports = collect_imports(module.tree)
         diagnostics = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = resolve_dotted(node.func, imports)
+            dotted = resolve_dotted(node.func, module.imports)
             if dotted in RANDOM_CONSTRUCTORS:
                 diagnostics.append(
                     self.diagnostic(
@@ -127,12 +125,11 @@ class WallClockRule(Rule):
     title = "wall-clock read outside the telemetry wall-clock path"
 
     def check(self, module: ModuleSource) -> list[Diagnostic]:
-        imports = collect_imports(module.tree)
         diagnostics = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = resolve_dotted(node.func, imports)
+            dotted = resolve_dotted(node.func, module.imports)
             if dotted in WALL_CLOCK:
                 diagnostics.append(
                     self.diagnostic(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.rules import ImportMap, collect_imports, resolve_dotted
+from repro.lint.waivers import Waiver, collect_waivers
 
 #: Bare-name builtins the taint pass treats as entropy sources when
 #: called unshadowed (``id(obj)`` / default ``hash(obj)``).
@@ -43,7 +44,6 @@ class CallSite:
 
     line: int
     col: int
-    node: ast.Call
     #: External dotted path (``time.monotonic``, ``os.environ.get``,
     #: ``builtins.id``) when the callee resolves outside the project.
     dotted: str | None = None
@@ -66,7 +66,6 @@ class FunctionInfo:
     lineno: int
     node: ast.AST
     class_qualname: str | None = None
-    is_generator: bool = False
     calls: list[CallSite] = field(default_factory=list)
     #: Project functions referenced without being called at the site
     #: (callbacks, partial targets, decorator names, yield-from bases).
@@ -100,6 +99,8 @@ class ProjectGraph:
         self.classes: dict[str, ClassInfo] = {}
         self.modules: dict[str, str] = {}  # module → display path
         self.sources: dict[str, str] = {}  # display path → source text
+        #: display path → the file's inline waivers, tokenized once.
+        self.waivers: dict[str, list[Waiver]] = {}
         self.edges: dict[str, list[tuple[str, int]]] = {}
 
     # -- graph queries --------------------------------------------------
@@ -222,7 +223,6 @@ class _Indexer(ast.NodeVisitor):
             class_qualname=(
                 self.class_stack[-1].qualname if self.class_stack else None
             ),
-            is_generator=_is_generator(node),
         )
         self.graph.functions[qualname] = info
         if self.class_stack:
@@ -302,54 +302,6 @@ def _partial_target(call: ast.Call) -> ast.expr | None:
     if is_partial and call.args:
         return call.args[0]
     return None
-
-
-def _is_generator(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if child is node:
-            continue
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            # nested defs have their own generator-ness
-            continue
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            if _enclosing_is(node, child):
-                return True
-    return False
-
-
-def _enclosing_is(root: ast.AST, target: ast.AST) -> bool:
-    """True when ``target`` belongs to ``root``'s own body, not a
-    nested function's."""
-
-    class _Finder(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.found = False
-
-        def visit_FunctionDef(self, node):  # noqa: N802
-            if node is root:
-                self.generic_visit(node)
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-        visit_Lambda = visit_FunctionDef
-
-        def generic_visit(self, node):  # noqa: N802
-            if node is target:
-                self.found = True
-                return
-            if (
-                isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-                )
-                and node is not root
-            ):
-                return
-            super().generic_visit(node)
-
-    finder = _Finder()
-    finder.generic_visit(root)
-    return finder.found
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +505,7 @@ class _CallResolver(ast.NodeVisitor):
         self.visit(node.body)
 
     def visit_Call(self, node: ast.Call) -> None:
-        site = CallSite(
-            line=node.lineno,
-            col=node.col_offset,
-            node=node,
-        )
+        site = CallSite(line=node.lineno, col=node.col_offset)
         func = node.func
         self._call_funcs.add(id(func))
         site.target = self._resolve_callable(func)
@@ -640,6 +588,7 @@ def build_project(files: list[Path]) -> ProjectGraph:
         indexes[module] = index
         graph.modules[module] = display
         graph.sources[display] = source
+        graph.waivers[display] = collect_waivers(source)[0]
         _Indexer(graph, index).visit(tree)
 
     _resolve_bases(graph, indexes)

@@ -2,8 +2,8 @@
 
 :func:`deep_lint` is the engine behind ``repro lint --deep``: it builds
 one :class:`~repro.lint.flow.callgraph.ProjectGraph` over all the files
-on the command line, runs the interprocedural passes (taint, audit
-attribution), then applies the same inline-waiver
+on the command line, runs the interprocedural taint pass, then applies
+the same inline-waiver
 machinery layer 1 uses — restricted to the deep rule ids, so one
 ``# lint: allow FLOW001 <reason>`` works identically in both worlds and
 an unused deep waiver is still reported (WAIVE002).
@@ -16,10 +16,9 @@ from pathlib import Path
 
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.engine import iter_python_files
-from repro.lint.flow.audit_rules import run_audit_check
 from repro.lint.flow.callgraph import ProjectGraph, build_project
 from repro.lint.flow.taint import run_taint
-from repro.lint.waivers import apply_waivers, collect_waivers
+from repro.lint.waivers import apply_waivers
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,6 @@ DEEP_RULES = [
     ),
     DeepRuleInfo(
         "FLOW004", "float accumulation inside a digest-reachable function"
-    ),
-    DeepRuleInfo(
-        "AUD001", "shared-state mutation without tenant audit attribution"
     ),
 ]
 
@@ -79,10 +75,7 @@ def deep_lint(
     if graph is None:
         graph = build_graph(paths)
 
-    diagnostics: list[Diagnostic] = []
-    diagnostics.extend(run_taint(graph))
-    diagnostics.extend(run_audit_check(graph))
-    diagnostics = [d for d in diagnostics if d.rule in selected]
+    diagnostics = [d for d in run_taint(graph) if d.rule in selected]
 
     report = LintReport(files_checked=len(graph.sources))
     by_path: dict[str, list[Diagnostic]] = {}
@@ -92,8 +85,7 @@ def deep_lint(
     # a findings-free file is still reported (WAIVE002).  Malformed
     # waiver comments (WAIVE003) are layer 1's to report — emitting them
     # here too would double them up under --deep.
-    for path, source in sorted(graph.sources.items()):
-        waivers, _ = collect_waivers(source)
+    for path, waivers in sorted(graph.waivers.items()):
         relevant = [
             waiver
             for waiver in waivers

@@ -34,7 +34,6 @@ from repro.lint.det_rules import (
 )
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.callgraph import CallSite, FunctionInfo, ProjectGraph
-from repro.lint.waivers import collect_waivers
 
 # ---------------------------------------------------------------------------
 # source tables
@@ -176,15 +175,14 @@ def _sanctioned_lines(graph: ProjectGraph) -> dict[str, set[int]]:
     already argued for that site (the telemetry wall-clock profile
     path, the seeded chaos RNG); re-reporting every caller that reaches
     it through the graph would only bury real findings.  Waivers naming
-    FLOW/AUD rules do NOT sanction the source — they waive the deep
+    FLOW rules do NOT sanction the source — they waive the deep
     finding itself, through the normal waiver machinery, so they stay
     accounted for (used/unused) like any other waiver.
     """
     from repro.lint.rules import is_deep_rule
 
     sanctioned: dict[str, set[int]] = {}
-    for path, source in graph.sources.items():
-        waivers, _ = collect_waivers(source)
+    for path, waivers in graph.waivers.items():
         lines = {
             waiver.target_line
             for waiver in waivers

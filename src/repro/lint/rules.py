@@ -17,15 +17,18 @@ from repro.lint.diagnostics import Diagnostic
 
 @dataclass(frozen=True)
 class ModuleSource:
-    """One Python module under analysis."""
+    """One Python module under analysis, with its imports resolved once
+    for every rule."""
 
     path: str  # display path (as given on the command line)
     source: str
     tree: ast.Module
+    imports: "ImportMap"
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleSource":
-        return cls(path=path, source=source, tree=ast.parse(source, filename=path))
+        tree = ast.parse(source, filename=path)
+        return cls(path=path, source=source, tree=tree, imports=collect_imports(tree))
 
 
 class Rule:
@@ -58,9 +61,9 @@ class Rule:
 
 #: Rule-id prefixes owned by the Layer-3 whole-program passes
 #: (:mod:`repro.lint.flow`).  Layer 1 leaves their waivers alone — a
-#: waiver naming only FLOW/AUD rules is "used"/"unused" from the
-#: deep run's point of view.
-DEEP_RULE_PREFIXES = ("FLOW", "AUD")
+#: waiver naming only FLOW rules is "used"/"unused" from the deep
+#: run's point of view.
+DEEP_RULE_PREFIXES = ("FLOW",)
 
 
 def is_deep_rule(rule_id: str) -> bool:

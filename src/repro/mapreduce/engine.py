@@ -529,7 +529,9 @@ class MapReduceEngine:
         self._dead_nodes.add(node_id)
         node = self.cluster.node(node_id)
         node.alive = False
-        # lint: allow AUD001 crash detection, not a suspicion decision: a heartbeat is an event-loop callback that runs outside every tenant's attribution window, and a dead node is nobody's fault
+        # Crash detection, not a suspicion decision: a heartbeat is an
+        # event-loop callback that runs outside every tenant's
+        # attribution window, and a dead node is nobody's fault.
         self.cluster.exclude(node_id)
         redispatched = sum(run.redispatch_from(node_id) for run in self.live_runs)
         node.running.clear()

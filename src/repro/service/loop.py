@@ -171,17 +171,17 @@ class RunDriver:
         return not self._wait.pending(self.service.controller.loop)
 
     def advance(self) -> None:
-        controller = self.service.controller
+        audit = self.service.controller.audit
         # Tenant attribution only: run-scoped ledger records already
         # carry the run id via their stream tag.
-        controller.audit_context = {"tenant": self.request.tenant}
+        audit.context = {"tenant": self.request.tenant}
         try:
             self._wait = next(self._steps)
         except StopIteration as stop:
             self.result = stop.value
             self.done = True
         finally:
-            controller.audit_context = {}
+            audit.context = {}
 
 
 class ClusterBFTService:
@@ -231,6 +231,22 @@ class ClusterBFTService:
         if self.ledger is not None:
             self.ledger.append(kind, **fields)
 
+    def _record_decision(
+        self, kind: str, request: JobRequest, run: str | None = None, **fields
+    ) -> None:
+        """Write one admission decision to the audit log and the ledger
+        from one field set.  The ledger adds ``tenant`` and ``t``; an
+        admit is audited under its run id and also names it in the
+        ledger.  (Audit and ledger kinds share their names.)"""
+        now = self.loop.now
+        fields = {"workload": request.workload, "index": request.index, **fields}
+        if run is None:
+            self.audit.record(now, kind, request.tenant, **fields)
+            self._ledger(kind, tenant=request.tenant, t=now, **fields)
+        else:
+            self.audit.record(now, kind, run, tenant=request.tenant, **fields)
+            self._ledger(kind, run=run, tenant=request.tenant, t=now, **fields)
+
     def _publish_tenant_gauges(self, tenant: str) -> None:
         if not self.telemetry.enabled:
             return
@@ -259,21 +275,8 @@ class ClusterBFTService:
             self._start_run(request, queued=False)
         elif decision == adm.QUEUE:
             self.admission.enqueue(request)
-            self.audit.record(
-                now,
-                ENQUEUE,
-                request.tenant,
-                workload=request.workload,
-                index=request.index,
-                depth=self.admission.queue_depth(request.tenant),
-            )
-            self._ledger(
-                wal.ENQUEUE,
-                tenant=request.tenant,
-                workload=request.workload,
-                index=request.index,
-                t=now,
-                depth=self.admission.queue_depth(request.tenant),
+            self._record_decision(
+                ENQUEUE, request, depth=self.admission.queue_depth(request.tenant)
             )
             self._count_decision(request.tenant, "queued")
         else:
@@ -286,22 +289,7 @@ class ClusterBFTService:
                     reason=decision,
                 )
             )
-            self.audit.record(
-                now,
-                REJECT,
-                request.tenant,
-                workload=request.workload,
-                index=request.index,
-                reason=decision,
-            )
-            self._ledger(
-                wal.REJECT,
-                tenant=request.tenant,
-                workload=request.workload,
-                index=request.index,
-                t=now,
-                reason=decision,
-            )
+            self._record_decision(REJECT, request, reason=decision)
             self._count_decision(request.tenant, decision)
         self._publish_tenant_gauges(request.tenant)
 
@@ -319,24 +307,7 @@ class ClusterBFTService:
             queued=queued,
         )
         self.result.runs.append(record)
-        self.audit.record(
-            now,
-            ADMIT,
-            run_id,
-            tenant=request.tenant,
-            workload=request.workload,
-            index=request.index,
-            queued_for=now - request.at,
-        )
-        self._ledger(
-            wal.ADMIT,
-            run=run_id,
-            tenant=request.tenant,
-            workload=request.workload,
-            index=request.index,
-            t=now,
-            queued_for=now - request.at,
-        )
+        self._record_decision(ADMIT, request, run=run_id, queued_for=now - request.at)
         self._count_decision(request.tenant, "admitted")
         stream = (
             self.ledger.stream(run_id) if self.ledger is not None else None
@@ -366,22 +337,7 @@ class ClusterBFTService:
         pending = self.admission.pop_runnable(record.tenant)
         if pending is not None:
             self.admission.note_admitted(pending.tenant)
-            self.audit.record(
-                self.loop.now,
-                DEQUEUE,
-                pending.tenant,
-                workload=pending.workload,
-                index=pending.index,
-                waited=self.loop.now - pending.at,
-            )
-            self._ledger(
-                wal.DEQUEUE,
-                tenant=pending.tenant,
-                workload=pending.workload,
-                index=pending.index,
-                t=self.loop.now,
-                waited=self.loop.now - pending.at,
-            )
+            self._record_decision(DEQUEUE, pending, waited=self.loop.now - pending.at)
             self._start_run(pending, queued=True)
 
     # -- the service tick ----------------------------------------------

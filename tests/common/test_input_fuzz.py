@@ -9,7 +9,9 @@ spliced with JSON syntax and bytes that are not UTF-8, and has values
 swapped for values of other types.  A reader may only return what it
 documents or raise a ``ReproError``.  The one documented lenient
 recovery is the trace reader's: a cut-off final line is dropped with a
-warning, so every byte prefix of a trace reads back.
+warning, so every byte prefix of a trace reads back.  The file inputs
+of ``repro run`` and ``repro explain`` (the script and its CSVs) fail
+with one line naming the file and exit 2, before any job runs.
 """
 
 import copy
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.common.errors import ReproError, TraceError
 from repro.service.tenants import parse_trace, trace_problems
 from repro.telemetry import Telemetry
@@ -199,3 +202,49 @@ def test_a_garbled_tenant_trace_fails_closed(edits, swaps):
     problems = trace_problems(document)
     assert all(isinstance(problem, str) for problem in problems)
     parses_or_fails_closed(json.dumps(document))
+
+
+# -- repro run / explain file inputs -----------------------------------------
+
+LOAD = b"A = LOAD 'in' AS (a:int, b:int);\n"
+PROJECT = LOAD + b"B = FOREACH A GENERATE b;\nSTORE B INTO 'out';\n"
+STORE_ALL = LOAD + b"STORE A INTO 'out';\n"
+TOO_NARROW = "line 2 has 1 field(s) but its LOAD schema has 2"
+
+
+@pytest.mark.parametrize("command", ["run", "explain"])
+@pytest.mark.parametrize(
+    "script, csv, names, says",
+    [
+        (PROJECT, b"1,2\n3\n", "in.csv", TOO_NARROW),
+        (STORE_ALL, b"1,2\n3\n", "in.csv", TOO_NARROW),
+        (STORE_ALL, b"1,2\n\n1,2,3\n", "in.csv",
+         "line 3 has 3 field(s) but its LOAD schema has 2"),
+        (PROJECT, None, "in.csv", "No such file"),
+        (None, b"1,2\n", "job.pig", "No such file"),
+        (PROJECT, b"1,2\n\xff,3\n", "in.csv", "not UTF-8"),
+        (PROJECT + b"-- \xe9\n", b"1,2\n", "job.pig", "not UTF-8"),
+    ],
+)
+def test_run_and_explain_fail_closed_on_file_inputs(
+    tmp_path, capsys, command, script, csv, names, says
+):
+    given = {"job.pig": script, "in.csv": csv}
+    for name, data in given.items():
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+    argv = [command, str(tmp_path / "job.pig"), "--input", f"in={tmp_path / 'in.csv'}"]
+    if command == "run":
+        argv += ["--journal", str(tmp_path / "run.wal")]
+        argv += ["--trace", str(tmp_path / "run.jsonl")]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"repro {command}: ") and names in line and says in line
+    # Before any job runs: no journal or trace is even opened.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for name, data in given.items() if data is not None
+    )

@@ -1,7 +1,7 @@
 """Late-fault audit attribution: `ResourceManager.late_fault` mutates
 cross-run shared state (suspicion, fault analyzer) inside the service's
-tenant attribution window, so it must emit an attributed FAULT audit
-record — the AUD001 contract."""
+tenant attribution window, so it must emit a FAULT audit record, which
+the audit log stamps with the window's context."""
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.core.audit import FAULT
@@ -24,7 +24,7 @@ UNJOURNALED = None
 
 def test_late_fault_emits_attributed_audit_record():
     controller = make_controller()
-    controller.audit_context = {"tenant": "alice", "run": "script0001"}
+    controller.audit.context = {"tenant": "alice", "run": "script0001"}
     fault = ReplicaFault(
         replica=2, kind=COMMISSION, nodes=frozenset({"node01", "node02"})
     )
@@ -57,7 +57,7 @@ def test_late_fault_still_updates_shared_state():
 
 
 def test_late_fault_outside_service_tier_has_empty_attribution():
-    # Outside the service loop audit_context is {}: the record is still
+    # Outside the service loop the audit context is {}: the record is still
     # emitted (byte-identical across runs), just without tenant keys.
     controller = make_controller()
     fault = ReplicaFault(replica=0, kind=COMMISSION, nodes=frozenset({"node04"}))

@@ -149,6 +149,22 @@ class TestJournalAndResume:
         ) == 0
         assert resumed_json.read_bytes() == ref_json.read_bytes()
 
+    def test_journaled_run_reads_each_csv_once(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        import repro.cli
+
+        read = []
+
+        def counted(path, widths=()):
+            read.append(path)
+            return load_csv(path, widths)
+
+        monkeypatch.setattr(repro.cli, "load_csv", counted)
+        journal = str(tmp_path / "run.wal")
+        assert main(self.run_args(workspace, "--journal", journal)) == 0
+        assert read == [str(workspace[1])]
+
     def test_journal_requires_assured_mode(self, workspace, tmp_path):
         with pytest.raises(SystemExit, match="assured"):
             main(self.run_args(

@@ -57,11 +57,13 @@ def test_deep_clean_tree_gate():
 def test_list_rules_includes_deep_catalogue():
     result = repro_cli("lint", "--list-rules")
     assert result.returncode == 0
-    for rule_id in ("FLOW001", "FLOW004", "AUD001"):
+    for rule_id in ("FLOW001", "FLOW004"):
         assert rule_id in result.stdout
     assert "(deep)" in result.stdout
-    # The journal/ledger record table replaced the WAL-coverage rules.
+    # The journal/ledger record table replaced the WAL-coverage rules,
+    # and the audit log's context replaced the attribution rule.
     assert "WAL00" not in result.stdout
+    assert "AUD00" not in result.stdout
 
 
 def test_deep_rule_in_select_requires_deep_flag(tmp_path):
@@ -93,7 +95,7 @@ def test_select_filters_deep_rules(tmp_path):
     assert "DET002" not in result.stdout
 
     result = repro_cli(
-        "lint", "--deep", "--select", "AUD001", str(pkg), "--baseline", baseline
+        "lint", "--deep", "--select", "FLOW003", str(pkg), "--baseline", baseline
     )
     assert result.returncode == 0, result.stdout
 

@@ -5,11 +5,11 @@ import os
 
 import pytest
 
-from repro.core.audit import DEQUEUE, ENQUEUE, TORN_TAIL
+from repro.core.audit import ADMIT, DEQUEUE, ENQUEUE, TORN_TAIL
 from repro.service.admission import REJECT_QUEUE_FULL
 from repro.service.bench import synth_trace
 from repro.service.ledger import MultiplexedLedger
-from repro.service.loop import ClusterBFTService, run_trace
+from repro.service.loop import ClusterBFTService, RunDriver, run_trace
 from repro.service.tenants import parse_trace
 
 
@@ -144,6 +144,34 @@ def test_quarantine_is_shared_across_tenants_with_attribution():
     assert attributed, "shared-state audit events must carry tenant attribution"
     tenants = {t.name for t in trace.tenants}
     assert all(event.details["tenant"] in tenants for event in attributed)
+
+
+def test_audit_entries_name_the_tenant_of_the_step_that_made_them(monkeypatch):
+    # Over the same faulty trace: every entry made while a tenant's run
+    # steps names that tenant, and no entry made between steps names
+    # one, except an admit, which names its tenant itself.
+    text = synth_trace(
+        tenants=3, jobs_per_tenant=2, faulty_tenants=1, nodes=10, rows=20
+    )
+    service = ClusterBFTService(parse_trace(text, name="smoke"))
+    stepping = {}  # audit-log index -> tenant of the step that made it
+    advance = RunDriver.advance
+
+    def watched(driver):
+        start = len(service.audit)
+        advance(driver)
+        for index in range(start, len(service.audit)):
+            stepping[index] = driver.request.tenant
+
+    monkeypatch.setattr(RunDriver, "advance", watched)
+    assert service.run().all_assured
+    events = service.audit.events()
+    assert stepping and len(stepping) < len(events)
+    for index, event in enumerate(events):
+        if index in stepping:
+            assert event.details.get("tenant") == stepping[index], event
+        elif event.kind != ADMIT:
+            assert "tenant" not in event.details, event
 
 
 def _small_trace():
