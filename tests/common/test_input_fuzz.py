@@ -225,6 +225,10 @@ TOO_NARROW = "line 2 has 1 field(s) but its LOAD schema has 2"
         (PROJECT, b"1,2\n\xff,3\n", "in.csv", "not UTF-8"),
         (PROJECT + b"-- \xe9\n", b"1,2\n", "job.pig", "not UTF-8"),
     ],
+    ids=[
+        "narrow-row", "narrow-row-stored", "wide-row-stored", "missing-csv",
+        "missing-script", "csv-not-utf8", "script-not-utf8",
+    ],
 )
 def test_run_and_explain_fail_closed_on_file_inputs(
     tmp_path, capsys, command, script, csv, names, says
