@@ -11,6 +11,7 @@ bound to its schema the first time it runs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -118,6 +119,21 @@ class JobGraph:
     """All jobs compiled from one script, with data dependencies."""
 
     jobs: list[JobSpec] = field(default_factory=list)
+
+    def with_paths(self, mapping: dict[str, str]) -> "JobGraph":
+        """A copy whose job input and output paths are renamed by
+        ``mapping`` (temp paths it does not name stay).  Specs and
+        branches are shallow copies sharing every stage, generated
+        branch function and combiner: nothing is bound again."""
+        jobs = []
+        for job in self.jobs:
+            rebased = copy.copy(job)  # not __post_init__: branches stay bound
+            rebased.branches = [copy.copy(branch) for branch in job.branches]
+            for branch in rebased.branches:
+                branch.input_path = mapping.get(branch.input_path, branch.input_path)
+            rebased.output_path = mapping.get(job.output_path, job.output_path)
+            jobs.append(rebased)
+        return JobGraph(jobs)
 
     def internal_paths(self) -> set[str]:
         """Paths produced by jobs in this graph (replica-scoped at runtime,

@@ -8,7 +8,7 @@ instrumented, compiled job graph, and decides the replication plan
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.config import ADVERSARY_STRONG, ClusterBFTConfig
 from repro.compiler.jobspec import JobGraph, JobSpec
@@ -33,6 +33,19 @@ class PreparedScript:
     #: Whether output streams were auto-instrumented — recorded so a
     #: journal replay can re-prepare the exact same instrumented plan.
     include_output_points: bool = True
+
+    def with_paths(self, mapping: dict[str, str]) -> "PreparedScript":
+        """This script with each path it was prepared on renamed by
+        ``mapping``.  Only the LOAD/STORE ops and the job paths are
+        copied; everything else is path-independent and shared
+        (DESIGN.md §26)."""
+        plan = self.instrumented.plan.with_paths(mapping)
+        return replace(
+            self,
+            plan=self.plan.with_paths(mapping),
+            instrumented=replace(self.instrumented, plan=plan),
+            job_graph=self.job_graph.with_paths(mapping),
+        )
 
     def jobs_with_digests(self) -> list[int]:
         """Indices of jobs that emit digests (verifiable jobs)."""

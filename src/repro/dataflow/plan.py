@@ -8,6 +8,7 @@ the ``level`` function from the paper's Fig. 3 notation table.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.common.errors import PlanError, SchemaError
@@ -145,6 +146,19 @@ class LogicalPlan:
         copy._outputs = {vid: list(children) for vid, children in self._outputs.items()}
         copy._next_id = self._next_id
         return copy
+
+    def with_paths(self, mapping: dict[str, str]) -> "LogicalPlan":
+        """A clone whose LOAD and STORE paths are renamed by ``mapping``
+        (paths it does not name stay).  A renamed operator is a copy that
+        keeps its alias, schema and source line; every other operator
+        is shared."""
+        rebased = self.clone()
+        for vid, op in self._ops.items():
+            if isinstance(op, (LoadOp, StoreOp)) and op.path in mapping:
+                renamed = copy.copy(op)
+                renamed.path = mapping[op.path]
+                rebased._ops[vid] = renamed
+        return rebased
 
     # ------------------------------------------------------------------
     # structure queries

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.core import journal as wal
 from repro.core.audit import ADMIT, DEQUEUE, ENQUEUE, REJECT, TORN_TAIL
 from repro.core.controller import ClusterBFTController, ScriptResult
+from repro.core.request_handler import PreparedScript
 from repro.mapreduce.scheduler import FairShareScheduler
 from repro.service import admission as adm
 from repro.service.admission import AdmissionController
@@ -142,10 +143,8 @@ class RunDriver:
     def start(self) -> None:
         controller = self.service.controller
         run_id = self.record.run_id
-        workload = WORKLOADS[self.request.workload]
         input_path = f"__svc/{run_id}/in"
         output_path = f"__svc/{run_id}/out"
-        script = workload.template.format(input=input_path, output=output_path)
         controller.load_input(
             input_path,
             workload_records(
@@ -156,7 +155,7 @@ class RunDriver:
             ),
         )
         self._steps = controller._assured_steps(
-            controller.prepare(script),
+            self.service.prepare(self.request.workload, input_path, output_path),
             journal=self.stream,
             script_id=run_id,
             span_attrs={"tenant": self.request.tenant},
@@ -220,6 +219,9 @@ class ClusterBFTService:
         self._drivers: list[RunDriver] = []
         self._arrivals_pending = 0
         self._tick_scheduled = False
+        #: (workload, compile options) -> the first run's prepared script
+        #: and its input and output paths (DESIGN.md §26).
+        self._prepared: dict[tuple, tuple[PreparedScript, str, str]] = {}
 
     # -- bookkeeping helpers -------------------------------------------
 
@@ -246,6 +248,21 @@ class ClusterBFTService:
         else:
             self.audit.record(now, kind, run, tenant=request.tenant, **fields)
             self._ledger(kind, run=run, tenant=request.tenant, t=now, **fields)
+
+    def prepare(self, workload: str, input_path: str, output_path: str) -> PreparedScript:
+        """``workload``'s template prepared on these paths.  The first run
+        of a key prepares it; later runs rebase that script onto their
+        own paths.  The marker's input ratios need no key: every template
+        has one LOAD, so its ratio is 1 whatever the (positive) rows."""
+        key = (workload, self.controller._compile_options())
+        cached = self._prepared.get(key)
+        if cached is None:
+            script = WORKLOADS[workload].template.format(input=input_path, output=output_path)
+            prepared = self.controller.prepare(script)
+            self._prepared[key] = (prepared, input_path, output_path)
+            return prepared
+        prepared, first_input, first_output = cached
+        return prepared.with_paths({first_input: input_path, first_output: output_path})
 
     def _publish_tenant_gauges(self, tenant: str) -> None:
         if not self.telemetry.enabled:

@@ -291,109 +291,123 @@ def trace_problems(data: object) -> list[str]:
     with problems (fail-closed), and ``repro lint`` PLAN008 reports the
     same list statically.
     """
-    problems: list[str] = []
     if not isinstance(data, dict):
         return ["trace document must be a JSON object"]
     tenants = data.get("tenants")
     if not isinstance(tenants, list) or not tenants:
         return ["trace must declare a non-empty 'tenants' list"]
-    problems.extend(_settings_problems(data))
+    problems = _settings_problems(data)
     seen: set[str] = set()
     for position, entry in enumerate(tenants):
-        if not isinstance(entry, dict):
-            problems.append(f"tenants[{position}] must be an object")
-            continue
-        name = entry.get("tenant")
-        label = name if isinstance(name, str) and name else f"tenants[{position}]"
-        if not isinstance(name, str) or not name:
-            problems.append(f"tenants[{position}] missing 'tenant' name")
-        elif name in seen:
-            problems.append(f"duplicate tenant {name!r}")
-        else:
-            seen.add(name)
-        quota = entry.get("quota", {})
-        if not isinstance(quota, dict):
-            problems.append(f"tenant {label}: 'quota' must be an object")
-            quota = {}
-        max_concurrent = quota.get("max_concurrent", 1)
-        if not isinstance(max_concurrent, int) or max_concurrent <= 0:
-            problems.append(
-                f"tenant {label}: quota max_concurrent={max_concurrent!r} "
-                "admits nothing (fail-closed admission rejects every job)"
-            )
-        queue_limit = quota.get("queue_limit", 0)
-        if not isinstance(queue_limit, int) or queue_limit < 0:
-            problems.append(
-                f"tenant {label}: queue_limit={queue_limit!r} must be an "
-                "integer >= 0"
-            )
-        slot_budget = quota.get("slot_budget")
-        if slot_budget is not None and (
-            not isinstance(slot_budget, int) or slot_budget <= 0
-        ):
-            problems.append(
-                f"tenant {label}: slot_budget={slot_budget!r} must be a "
-                "positive integer or omitted"
-            )
-        jobs = entry.get("jobs", [])
-        if not isinstance(jobs, list):
-            problems.append(f"tenant {label}: 'jobs' must be a list")
-            jobs = []
-        last_at = None
-        for job_position, job in enumerate(jobs):
-            if not isinstance(job, dict):
-                problems.append(
-                    f"tenant {label}: jobs[{job_position}] must be an object"
-                )
-                continue
-            workload = job.get("workload")
-            if not isinstance(workload, str) or workload not in WORKLOADS:
-                known = ", ".join(sorted(WORKLOADS))
-                problems.append(
-                    f"tenant {label}: jobs[{job_position}] references "
-                    f"unknown workload {workload!r} (known: {known})"
-                )
-            at = job.get("at", 0.0)
-            if not _is_number(at) or at < 0:
-                problems.append(
-                    f"tenant {label}: jobs[{job_position}] arrival "
-                    f"at={at!r} must be a number >= 0"
-                )
-            elif last_at is not None and at < last_at:
-                problems.append(
-                    f"tenant {label}: jobs[{job_position}] arrives at "
-                    f"{at} before its predecessor at {last_at} (per-tenant "
-                    "arrivals must be non-decreasing — FIFO queues assume it)"
-                )
-            else:
-                last_at = at
-            rows = job.get("rows", 160)
-            if not isinstance(rows, int) or rows <= 0:
-                problems.append(
-                    f"tenant {label}: jobs[{job_position}] rows={rows!r} "
-                    "must be a positive integer"
-                )
+        problems.extend(_tenant_problems(position, entry, seen))
     faults = data.get("faults", [])
     if not isinstance(faults, list):
         problems.append("'faults' must be a list")
         faults = []
     for position, spec in enumerate(faults):
-        if not isinstance(spec, dict):
-            problems.append(f"faults[{position}] must be an object")
-            continue
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in FAULT_BEHAVIORS:
-            known = ", ".join(sorted(FAULT_BEHAVIORS))
-            problems.append(
-                f"faults[{position}] unknown kind {kind!r} (known: {known})"
-            )
-        node = spec.get("node")
-        if not isinstance(node, int) or node < 0:
-            problems.append(
-                f"faults[{position}] node={node!r} must be an integer >= 0"
-            )
-        if not isinstance(spec.get("params") or {}, dict):
-            problems.append(f"faults[{position}] 'params' must be an object")
+        problems.extend(_fault_problems(position, spec))
+    return problems
+
+
+def _tenant_problems(position: int, entry: object, seen: set[str]) -> list[str]:
+    """Problems of ``tenants[position]``: its name (added to ``seen``),
+    its quota and each of its jobs."""
+    if not isinstance(entry, dict):
+        return [f"tenants[{position}] must be an object"]
+    problems: list[str] = []
+    name = entry.get("tenant")
+    label = name if isinstance(name, str) and name else f"tenants[{position}]"
+    if not isinstance(name, str) or not name:
+        problems.append(f"tenants[{position}] missing 'tenant' name")
+    elif name in seen:
+        problems.append(f"duplicate tenant {name!r}")
+    else:
+        seen.add(name)
+    quota = entry.get("quota", {})
+    if not isinstance(quota, dict):
+        problems.append(f"tenant {label}: 'quota' must be an object")
+        quota = {}
+    max_concurrent = quota.get("max_concurrent", 1)
+    if not isinstance(max_concurrent, int) or max_concurrent <= 0:
+        problems.append(
+            f"tenant {label}: quota max_concurrent={max_concurrent!r} "
+            "admits nothing (fail-closed admission rejects every job)"
+        )
+    queue_limit = quota.get("queue_limit", 0)
+    if not isinstance(queue_limit, int) or queue_limit < 0:
+        problems.append(
+            f"tenant {label}: queue_limit={queue_limit!r} must be an "
+            "integer >= 0"
+        )
+    slot_budget = quota.get("slot_budget")
+    if slot_budget is not None and (
+        not isinstance(slot_budget, int) or slot_budget <= 0
+    ):
+        problems.append(
+            f"tenant {label}: slot_budget={slot_budget!r} must be a "
+            "positive integer or omitted"
+        )
+    jobs = entry.get("jobs", [])
+    if not isinstance(jobs, list):
+        problems.append(f"tenant {label}: 'jobs' must be a list")
+        jobs = []
+    last_at = None
+    for job_position, job in enumerate(jobs):
+        job_problems, last_at = _job_problems(label, job_position, job, last_at)
+        problems.extend(job_problems)
+    return problems
+
+
+def _job_problems(
+    label: str, position: int, job: object, last_at: float | None
+) -> tuple[list[str], float | None]:
+    """Problems of tenant ``label``'s ``jobs[position]``, and the arrival
+    time the tenant's next job may not precede."""
+    where = f"tenant {label}: jobs[{position}]"
+    if not isinstance(job, dict):
+        return [f"{where} must be an object"], last_at
+    problems: list[str] = []
+    workload = job.get("workload")
+    if not isinstance(workload, str) or workload not in WORKLOADS:
+        known = ", ".join(sorted(WORKLOADS))
+        problems.append(
+            f"{where} references unknown workload {workload!r} (known: {known})"
+        )
+    at = job.get("at", 0.0)
+    if not _is_number(at) or at < 0:
+        problems.append(f"{where} arrival at={at!r} must be a number >= 0")
+    elif last_at is not None and at < last_at:
+        problems.append(
+            f"{where} arrives at {at} before its predecessor at {last_at} "
+            "(per-tenant arrivals must be non-decreasing — FIFO queues "
+            "assume it)"
+        )
+    else:
+        last_at = at
+    rows = job.get("rows", 160)
+    if not isinstance(rows, int) or rows <= 0:
+        problems.append(f"{where} rows={rows!r} must be a positive integer")
+    return problems, last_at
+
+
+def _fault_problems(position: int, spec: object) -> list[str]:
+    """Problems of ``faults[position]``."""
+    if not isinstance(spec, dict):
+        return [f"faults[{position}] must be an object"]
+    problems: list[str] = []
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in FAULT_BEHAVIORS:
+        known = ", ".join(sorted(FAULT_BEHAVIORS))
+        problems.append(
+            f"faults[{position}] unknown kind {kind!r} (known: {known})"
+        )
+    node = spec.get("node")
+    if not isinstance(node, int) or node < 0:
+        problems.append(
+            f"faults[{position}] node={node!r} must be an integer >= 0"
+        )
+    if not isinstance(spec.get("params") or {}, dict):
+        problems.append(f"faults[{position}] 'params' must be an object")
     return problems
 
 

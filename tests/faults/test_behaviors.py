@@ -10,6 +10,7 @@ from repro.common.records import Record, records_from_rows
 from repro.faults.behaviors import (
     CORRECT,
     CommissionBehavior,
+    NodeBehavior,
     CrashBehavior,
     EquivocateBehavior,
     FlakyCommissionBehavior,
@@ -259,3 +260,37 @@ class TestFaultPlans:
     def test_describe(self):
         assert no_faults().describe() == "no faults"
         assert "n1" in single_commission("n1").describe()
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+#: Hooks through which a node can alter data (or hide that it did), so a
+#: class overriding any of them must not share replica results.
+DATA_HOOKS = ("corrupt_records", "corrupt_stored_output", "omits_completion", "omits_digest")
+
+
+class TestShareSafety:
+    """Replica sharing trusts ``faulty`` and ``corrupts_storage``
+    (DESIGN.md §16): every behaviour that overrides a hook able to alter
+    data must set the flag the sharing predicate reads."""
+
+    def test_every_subclass_that_can_alter_data_says_so(self):
+        found = set(subclasses(NodeBehavior))
+        assert {
+            CommissionBehavior, CrashBehavior, EquivocateBehavior,
+            FlakyCommissionBehavior, OmissionBehavior, SlowBehavior,
+            StorageCorruptionBehavior,
+        } <= found
+        for cls in found:
+            overrides = {
+                hook for hook in (*DATA_HOOKS, "corrupt_read")
+                if getattr(cls, hook) is not getattr(NodeBehavior, hook)
+            }
+            if overrides & set(DATA_HOOKS):
+                assert cls.faulty, f"{cls.__name__} overrides {sorted(overrides)}"
+            if "corrupt_read" in overrides:
+                assert cls.corrupts_storage, f"{cls.__name__} overrides corrupt_read"
