@@ -14,27 +14,8 @@ from dataclasses import dataclass, field
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.errors import ReproError
 from repro.common.ids import NodeId
-from repro.faults.behaviors import (
-    CommissionBehavior,
-    CrashBehavior,
-    EquivocateBehavior,
-    FlakyCommissionBehavior,
-    OmissionBehavior,
-    SlowBehavior,
-    StorageCorruptionBehavior,
-)
+from repro.faults.behaviors import FAULT_BEHAVIORS, CrashBehavior
 from repro.faults.injection import FaultPlan
-
-#: Node-level fault kinds and their behaviour constructors.
-_BEHAVIORS = {
-    "commission": CommissionBehavior,
-    "flaky-commission": FlakyCommissionBehavior,
-    "omission": OmissionBehavior,
-    "slow": SlowBehavior,
-    "crash": CrashBehavior,
-    "equivocate": EquivocateBehavior,
-    "storage-rot": StorageCorruptionBehavior,
-}
 
 #: Network-endpoint fault kinds (applied to the replicated front-end's
 #: SimNetwork, not to worker behaviours).
@@ -237,7 +218,7 @@ def build_fault_plan(scenario: Scenario, node_ids: list[NodeId]) -> FaultPlan:
                 plan.assign(node_ids[start + offset], CrashBehavior(**params))
             continue
         try:
-            behavior_cls = _BEHAVIORS[spec.kind]
+            behavior_cls = FAULT_BEHAVIORS[spec.kind]
         except KeyError:
             raise ReproError(f"unknown fault kind: {spec.kind!r}") from None
         if not 0 <= spec.node < len(node_ids):

@@ -69,42 +69,8 @@ class MapReduceError(ReproError):
     """Base class for MapReduce engine errors."""
 
 
-class SchedulingError(MapReduceError):
-    """No valid placement exists for a task (e.g. anti-collocation
-    constraints cannot be met by the available nodes)."""
-
-
-class TaskFailure(MapReduceError):
-    """A task raised during map or reduce execution."""
-
-
-class JobFailure(MapReduceError):
-    """A job exhausted retries or was aborted."""
-
-
-class BFTError(ReproError):
-    """Base class for the BFT replication library."""
-
-
-class QuorumError(BFTError):
-    """A required quorum could not be assembled."""
-
-
-class ViewChangeError(BFTError):
-    """View change protocol failed to elect a new primary."""
-
-
 class VerificationError(ReproError):
     """Digest comparison failed to find f+1 matching digests."""
-
-
-class VerificationTimeout(VerificationError):
-    """Digests did not arrive before the verifier timeout."""
-
-
-class IntegrityViolation(VerificationError):
-    """Verified output digests disagree in a way that cannot be resolved
-    by the configured replication degree."""
 
 
 class VerificationExhausted(VerificationError):

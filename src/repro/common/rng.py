@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -107,9 +107,3 @@ def shuffled(rng: random.Random, items: Sequence[T]) -> list[T]:
     copy = list(items)
     rng.shuffle(copy)
     return copy
-
-
-def stream_ints(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
-    """Infinite iterator of uniform integers in ``[lo, hi]``."""
-    while True:
-        yield rng.randint(lo, hi)

@@ -291,3 +291,16 @@ class FlakyCommissionBehavior(NodeBehavior):
 
     def describe(self) -> str:
         return f"flaky-commission(p={self.probability})"
+
+
+#: Worker fault kinds by the name chaos scenarios and tenant traces give
+#: them, and their behaviour constructors.
+FAULT_BEHAVIORS: dict[str, type[NodeBehavior]] = {
+    "commission": CommissionBehavior,
+    "flaky-commission": FlakyCommissionBehavior,
+    "omission": OmissionBehavior,
+    "slow": SlowBehavior,
+    "crash": CrashBehavior,
+    "equivocate": EquivocateBehavior,
+    "storage-rot": StorageCorruptionBehavior,
+}

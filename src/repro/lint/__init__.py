@@ -1,22 +1,28 @@
 """Static analysis for the reproduction: `repro lint`.
 
-Two layers keep the repo's load-bearing determinism invariant checkable
+Two passes keep the repo's load-bearing determinism invariant checkable
 *before* execution:
 
-* **Layer 1 — determinism linter** (:mod:`repro.lint.det_rules`): an
-  AST rule engine over Python sources that flags entropy sources which
-  bypass :class:`~repro.common.rng.RngRegistry` (DET001), wall-clock
-  reads outside the telemetry wall-clock path (DET002), order-sensitive
-  consumption of unordered sets (DET003) and floating-point accumulation
-  in digest paths (DET004).  Legitimate uses are waived inline with
-  ``# lint: allow DET002 <reason>`` so every exception stays auditable.
+* **Source lint** (``repro lint PATH…``, :func:`lint_paths`): one run
+  over Python sources.  The per-file rules (:mod:`repro.lint.det_rules`)
+  flag entropy sources which bypass
+  :class:`~repro.common.rng.RngRegistry` (DET001), wall-clock reads
+  outside the telemetry wall-clock path (DET002), order-sensitive
+  consumption of unordered sets (DET003) and floating-point
+  accumulation in digest paths (DET004).  The whole-program rules
+  (:mod:`repro.lint.flow`, FLOW001–004) follow clocks, entropy, process
+  identity and float accumulation through the call graph into digest,
+  WAL, audit, trace and scheduler sinks.  Inline waivers are the one
+  suppression mechanism: ``# lint: allow DET002 <reason>`` keeps every
+  exception auditable.
 
-* **Layer 2 — static plan checker** (:mod:`repro.lint.plan_rules`): a
-  pre-execution validation pass over logical dataflow plans — schema and
-  arity inference across operators, unused-alias detection, acyclicity,
-  verification-point coverage of every sink and replication-degree
-  invariants — that turns runtime interpreter crashes into precise
-  compile-time diagnostics with operator source locations.
+* **Static plan checker** (``repro lint --plan``,
+  :mod:`repro.lint.plan_rules`): a pre-execution validation pass over
+  logical dataflow plans — schema and arity inference across operators,
+  unused-alias detection, acyclicity, verification-point coverage of
+  every sink and replication-degree invariants — that turns runtime
+  interpreter crashes into precise compile-time diagnostics with
+  operator source locations.
 """
 
 from repro.lint.diagnostics import Diagnostic, LintReport

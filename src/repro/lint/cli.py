@@ -2,17 +2,16 @@
 
 Three modes share the subcommand:
 
-* ``repro lint PATH…`` — Layer 1, the determinism linter over Python
-  sources.  Exit 1 on any active finding (waived findings don't fail).
-* ``repro lint --plan SCRIPT [-f N] [-r N] [-n N]`` — Layer 2, the
-  static plan checker over a Pig-subset script: parse without
-  validation, prepare (marker placement + instrumentation) and report
-  every defect with script-line locations.
-* ``repro lint --deep PATH…`` — Layer 3, the whole-program passes
-  (interprocedural taint FLOW001–004) merged with Layer 1, gated by the
-  committed findings baseline (``LINT_BASELINE.json``): findings not
-  in the baseline exit 1, stale baseline entries exit 1 until
-  ``--update-baseline`` shrinks the file.
+* ``repro lint PATH…`` — source lint: the per-file determinism rules
+  (DET001–004) and the whole-program taint rules (FLOW001–004) in one
+  run, with inline waivers the one way to suppress a finding.  Exit 1
+  on any active finding (waived findings don't fail).
+* ``repro lint --plan SCRIPT [-f N] [-r N] [-n N]`` — the static plan
+  checker over a Pig-subset script: parse without validation, prepare
+  (marker placement + instrumentation) and report every defect with
+  script-line locations.
+* ``repro lint --service-trace TRACE.json`` — the admission config of a
+  service tenant trace.
 
 All modes support ``--format json``; ``--format github`` additionally
 emits GitHub workflow annotations for CI.
@@ -25,7 +24,7 @@ import json
 
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.engine import lint_paths
-from repro.lint.rules import all_rules, rules_by_id
+from repro.lint.rules import FLOW_RULES, all_rules
 
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> None:
@@ -36,13 +35,13 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint.add_argument(
         "paths",
         nargs="*",
-        help="Python files/directories to lint (Layer 1)",
+        help="Python files/directories to lint",
     )
     lint.add_argument(
         "--plan",
         metavar="SCRIPT",
         default=None,
-        help="check a Pig-subset script's plan instead (Layer 2)",
+        help="check a Pig-subset script's plan instead",
     )
     lint.add_argument(
         "--service-trace",
@@ -87,29 +86,9 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program passes (FLOW) and gate "
-        "against the findings baseline",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="findings baseline for --deep (default: LINT_BASELINE.json; "
-        "a missing file means an empty baseline)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current --deep findings",
-    )
 
 
 def _list_rules() -> int:
-    from repro.lint.flow.deep import deep_rules
-
     for rule in all_rules():
         exempt = (
             f"  (exempt: {', '.join(rule.exempt_suffixes)})"
@@ -117,8 +96,8 @@ def _list_rules() -> int:
             else ""
         )
         print(f"{rule.rule_id}  {rule.title}{exempt}")
-    for info in deep_rules():
-        print(f"{info.rule_id}  {info.title}  (deep)")
+    for rule_id, title in FLOW_RULES.items():
+        print(f"{rule_id}  {title}  (whole-program)")
     return 0
 
 
@@ -210,75 +189,6 @@ def _service_trace_report(args) -> LintReport:
     return report
 
 
-def _deep_report(args, selected: list[str] | None) -> tuple[LintReport, int]:
-    """Merged Layer 1 + Layer 3 report, gated by the baseline.
-
-    Returns ``(report, extra_exit)`` where ``extra_exit`` is 1 when the
-    baseline itself demands failure (stale entries) independently of
-    the report's own findings.
-    """
-    from repro.lint.flow.baseline import (
-        DEFAULT_PATH,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.lint.flow.deep import DEEP_RULE_IDS, deep_lint
-
-    layer1_sel = deep_sel = None
-    run_layer1 = run_deep = True
-    if selected is not None:
-        layer1_sel = [s for s in selected if s not in DEEP_RULE_IDS]
-        deep_sel = [s for s in selected if s in DEEP_RULE_IDS]
-        run_layer1 = bool(layer1_sel)
-        run_deep = bool(deep_sel)
-
-    report = LintReport()
-    if run_layer1:
-        rules = rules_by_id(layer1_sel) if layer1_sel else None
-        layer1 = lint_paths(args.paths, rules)
-        report.extend(layer1.diagnostics)
-        report.files_checked = layer1.files_checked
-    if run_deep:
-        deep = deep_lint(args.paths, deep_sel)
-        report.extend(deep.diagnostics)
-        report.files_checked = max(report.files_checked, deep.files_checked)
-
-    baseline_path = args.baseline or DEFAULT_PATH
-    baseline = load_baseline(baseline_path)
-    if args.update_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(
-            f"baseline {baseline_path} updated: "
-            f"{len(report.findings)} entr"
-            f"{'y' if len(report.findings) == 1 else 'ies'}"
-        )
-        report.diagnostics = [
-            d.waive(f"baselined ({baseline_path})") if not d.waived else d
-            for d in report.diagnostics
-        ]
-        return report, 0
-
-    new_findings, _, stale = apply_baseline(report.findings, baseline)
-    new_ids = {id(d) for d in new_findings}
-    report.diagnostics = [
-        d
-        if d.waived or id(d) in new_ids
-        else d.waive(f"baselined ({baseline_path})")
-        for d in report.diagnostics
-    ]
-    extra_exit = 0
-    if stale:
-        extra_exit = 1
-        for entry in stale:
-            print(
-                f"{baseline_path}: stale baseline entry {entry!r} — the "
-                "finding is gone; rerun with --update-baseline to shrink "
-                "the baseline"
-            )
-    return report, extra_exit
-
-
 def cmd_lint(args) -> int:
     if args.list_rules:
         return _list_rules()
@@ -291,25 +201,9 @@ def cmd_lint(args) -> int:
             "repro lint: give PATH arguments, --plan SCRIPT, or "
             "--service-trace TRACE.json"
         )
-    selected = None
-    if args.select:
-        selected = [s.strip() for s in args.select.split(",") if s.strip()]
-    if args.deep:
-        try:
-            report, extra_exit = _deep_report(args, selected)
-        except ValueError as exc:
-            raise SystemExit(f"repro lint: {exc}")
-        return max(_emit(report, args), extra_exit)
-    rules = None
-    if selected:
-        from repro.lint.flow.deep import DEEP_RULE_IDS
-
-        deep_only = [s for s in selected if s in DEEP_RULE_IDS]
-        if deep_only:
-            raise SystemExit(
-                f"repro lint: rule(s) {', '.join(deep_only)} are "
-                "whole-program rules — add --deep"
-            )
-        rules = rules_by_id(selected)
-    report = lint_paths(args.paths, rules)
+    selected = [s.strip() for s in (args.select or "").split(",") if s.strip()]
+    try:
+        report = lint_paths(args.paths, selected or None)
+    except ValueError as exc:
+        raise SystemExit(f"repro lint: {exc}")
     return _emit(report, args)

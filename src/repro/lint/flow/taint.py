@@ -15,9 +15,10 @@ dataflow (the tainted value may never flow into the sink argument), but
 every finding comes with the full source→sink call chain, so review is
 cheap, and the waiver mechanism (``# lint: allow FLOW001 <reason>``)
 records the argument for each sanctioned site.  Sources on a line that
-already carries *any* ``# lint: allow`` waiver are sanctioned at the
-source: the telemetry wall-clock profile path and the seeded chaos RNG
-do not re-taint every caller that reaches them.
+already carries a waiver naming a per-file rule (``# lint: allow
+DET002 <reason>``) are sanctioned at the source: the telemetry
+wall-clock profile path and the seeded chaos RNG do not re-taint every
+caller that reaches them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.lint.det_rules import (
 )
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.callgraph import CallSite, FunctionInfo, ProjectGraph
+from repro.lint.rules import FLOW_RULES
 
 # ---------------------------------------------------------------------------
 # source tables
@@ -169,24 +171,22 @@ def classify_sink(graph: ProjectGraph, site: CallSite) -> tuple[str, str] | None
 
 
 def _sanctioned_lines(graph: ProjectGraph) -> dict[str, set[int]]:
-    """Per display path, lines already covered by a *layer-1* waiver.
+    """Per display path, lines covered by a waiver naming a per-file rule.
 
     A ``# lint: allow DET00x`` on the source line means a reviewer has
     already argued for that site (the telemetry wall-clock profile
     path, the seeded chaos RNG); re-reporting every caller that reaches
     it through the graph would only bury real findings.  Waivers naming
-    FLOW rules do NOT sanction the source — they waive the deep
-    finding itself, through the normal waiver machinery, so they stay
-    accounted for (used/unused) like any other waiver.
+    only FLOW rules do NOT sanction the source — they waive the FLOW
+    finding itself, so they stay accounted for (used/unused) like any
+    other waiver.
     """
-    from repro.lint.rules import is_deep_rule
-
     sanctioned: dict[str, set[int]] = {}
     for path, waivers in graph.waivers.items():
         lines = {
             waiver.target_line
             for waiver in waivers
-            if any(not is_deep_rule(rule) for rule in waiver.rules)
+            if any(rule not in FLOW_RULES for rule in waiver.rules)
         }
         if lines:
             sanctioned[path] = lines
@@ -259,13 +259,6 @@ def collect_sinks(graph: ProjectGraph) -> dict[str, list[SinkSite]]:
 # the pass
 # ---------------------------------------------------------------------------
 
-_RULE_TITLES = {
-    "FLOW001": "wall-clock value can reach an assured sink",
-    "FLOW002": "unrouted entropy can reach an assured sink",
-    "FLOW003": "process identity (env/id/hash/pid) can reach an assured sink",
-    "FLOW004": "float accumulation inside a digest-reachable function",
-}
-
 
 def _chain_text(chain: list[str]) -> str:
     return " -> ".join(part.split(".", 2)[-1] for part in chain)
@@ -303,7 +296,7 @@ def run_taint(graph: ProjectGraph) -> list[Diagnostic]:
                         line=sink.line,
                         column=sink.col,
                         message=(
-                            f"{_RULE_TITLES[rule]}: {sink.category} sink "
+                            f"{FLOW_RULES[rule]}: {sink.category} sink "
                             f"{sink.detail!r} is reachable from {source.dotted} "
                             f"({source_path}:{source.line}) via "
                             f"{chain_display}"
@@ -349,7 +342,7 @@ def _run_float_taint(
                         line=line,
                         column=col,
                         message=(
-                            f"{_RULE_TITLES['FLOW004']}: {description} in "
+                            f"{FLOW_RULES['FLOW004']}: {description} in "
                             f"{info.name!r}, reachable from digest function "
                             f"{root.rsplit('.', 1)[-1]!r} via "
                             f"{_chain_text(chain)}"

@@ -1,8 +1,10 @@
-"""Rule framework for the determinism linter (Layer 1).
+"""Rule framework and catalogue for source linting.
 
 A :class:`Rule` inspects one parsed module and yields diagnostics.
 Rules register themselves with :func:`register`; the engine runs every
-registered rule (or a selected subset) over each file.  Shared helpers
+registered rule (or a selected subset) over each file.  The
+whole-program FLOW rules are not per-file; :data:`FLOW_RULES` lists
+them beside the registry.  Shared helpers
 resolve imported names to dotted paths (``_time.monotonic`` →
 ``time.monotonic``) so rules match semantics, not spellings.
 """
@@ -59,17 +61,6 @@ class Rule:
         )
 
 
-#: Rule-id prefixes owned by the Layer-3 whole-program passes
-#: (:mod:`repro.lint.flow`).  Layer 1 leaves their waivers alone — a
-#: waiver naming only FLOW rules is "used"/"unused" from the deep
-#: run's point of view.
-DEEP_RULE_PREFIXES = ("FLOW",)
-
-
-def is_deep_rule(rule_id: str) -> bool:
-    return rule_id.startswith(DEEP_RULE_PREFIXES)
-
-
 _REGISTRY: dict[str, type[Rule]] = {}
 
 
@@ -88,6 +79,16 @@ def all_rules() -> list[Rule]:
     import repro.lint.det_rules  # noqa: F401
 
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
+
+
+#: The whole-program rules, checked by :mod:`repro.lint.flow.taint` over
+#: the project call graph rather than one module at a time.
+FLOW_RULES = {
+    "FLOW001": "wall-clock value can reach an assured sink",
+    "FLOW002": "unrouted entropy can reach an assured sink",
+    "FLOW003": "process identity (env/id/hash/pid) can reach an assured sink",
+    "FLOW004": "float accumulation inside a digest-reachable function",
+}
 
 
 def rules_by_id(rule_ids: list[str]) -> list[Rule]:

@@ -51,6 +51,8 @@ def collect_waivers(source: str) -> tuple[list[Waiver], list[tuple[int, str]]]:
     """
     waivers: list[Waiver] = []
     malformed: list[tuple[int, str]] = []
+    if not MARKER_RE.search(source):
+        return waivers, malformed  # no marker anywhere: skip tokenizing
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):

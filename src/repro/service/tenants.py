@@ -49,15 +49,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigError
 from repro.common.records import Record, records_from_rows
 from repro.common.rng import RngRegistry
-from repro.faults.behaviors import (
-    CommissionBehavior,
-    CrashBehavior,
-    EquivocateBehavior,
-    FlakyCommissionBehavior,
-    OmissionBehavior,
-    SlowBehavior,
-    StorageCorruptionBehavior,
-)
+from repro.faults.behaviors import FAULT_BEHAVIORS
 from repro.faults.injection import FaultPlan
 
 
@@ -109,18 +101,6 @@ STORE C INTO '{output}';
 """,
         jobs=2,
     ),
-}
-
-#: Fault kinds a trace may assign to worker nodes (mirrors the chaos
-#: scenario vocabulary; network faults are a chaos-only concern).
-FAULT_BEHAVIORS = {
-    "commission": CommissionBehavior,
-    "flaky-commission": FlakyCommissionBehavior,
-    "omission": OmissionBehavior,
-    "slow": SlowBehavior,
-    "crash": CrashBehavior,
-    "equivocate": EquivocateBehavior,
-    "storage-rot": StorageCorruptionBehavior,
 }
 
 

@@ -32,6 +32,22 @@ def test_clean_tree_gate():
     assert report.findings == [], "\n" + report.render()
     assert report.exit_code() == 0
     assert report.files_checked > 50
+    # The FLOW rules ran too: their waivers on the two __hash__ methods
+    # were used, not reported unused.
+    waived = sorted(
+        (d.rule, d.path.rsplit("/", 2)[-2]) for d in report.waived
+        if d.rule.startswith("FLOW")
+    )
+    assert waived == [("FLOW003", "common"), ("FLOW003", "dataflow")]
+
+
+@pytest.mark.parametrize("rule", ["DET001", "FLOW001"])
+def test_cli_select_on_clean_tree(rule):
+    # A selection judges only the waivers of the rules that ran: the
+    # DET002 and FLOW003 waivers in the tree are not "unused" here.
+    result = repro_cli("lint", "--select", rule, "src/repro")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "0 findings" in result.stdout
 
 
 def test_iter_python_files_sorted_and_skips_pycache(tmp_path):

@@ -4,9 +4,10 @@ sinks through the call graph, chains are reported, and waivers behave
 
 from pathlib import Path
 
+from repro.lint import lint_paths
 from repro.lint.flow.callgraph import build_project
-from repro.lint.flow.deep import deep_lint
 from repro.lint.flow.taint import run_taint
+from repro.lint.rules import FLOW_RULES
 
 CLOCK_TO_DIGEST = '''\
 import hashlib
@@ -122,7 +123,7 @@ def test_clean_project_has_no_findings(tmp_path):
 
 def test_det_waiver_sanctions_the_source(tmp_path):
     # A layer-1 waiver at the source line is an argued-for exception
-    # (e.g. the telemetry profile path); the deep pass must not re-taint
+    # (e.g. the telemetry profile path); the FLOW pass must not re-taint
     # every caller that reaches it.
     waived = CLOCK_TO_DIGEST.replace(
         "    return time.time()",
@@ -144,7 +145,7 @@ def test_flow_waiver_waives_the_finding_not_the_source(tmp_path):
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "app.py").write_text(waived)
-    report = deep_lint([str(pkg)])
+    report = lint_paths([str(pkg)], select=list(FLOW_RULES))
     assert [d.rule for d in report.findings] == []
     assert any(d.rule == "FLOW001" and d.waived for d in report.diagnostics)
 
@@ -157,7 +158,7 @@ def test_unused_flow_waiver_is_reported(tmp_path):
         "def add(a, b):  # lint: allow FLOW001 nothing here\n"
         "    return a + b\n"
     )
-    report = deep_lint([str(pkg)])
+    report = lint_paths([str(pkg)], select=list(FLOW_RULES))
     assert [d.rule for d in report.findings] == ["WAIVE002"]
 
 

@@ -1,12 +1,12 @@
 """Seeded mutation on a copy of the real tree: a wall clock injected
-into a digest path must be caught by the deep lint."""
+into a digest path must be caught by the FLOW rules."""
 
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.lint.flow.deep import deep_lint
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -26,8 +26,8 @@ def mutate(tree: Path, rel: str, old: str, new: str) -> None:
     path.write_text(source.replace(old, new))
 
 
-def deep_findings(tree: Path, rule: str):
-    report = deep_lint([str(tree)])
+def flow_findings(tree: Path, rule: str):
+    report = lint_paths([str(tree)], select=[rule])
     return [d for d in report.findings if d.rule == rule]
 
 
@@ -45,7 +45,7 @@ def test_mutation_wall_clock_in_digest_path_trips_flow001(real_tree):
         '    """SHA-256 of a record\'s canonical encoding."""\n'
         "    _stamp = time.time()\n",
     )
-    findings = deep_findings(real_tree, "FLOW001")
+    findings = flow_findings(real_tree, "FLOW001")
     assert any(
         d.path.endswith("hashing.py") and "time.time" in d.message
         for d in findings
