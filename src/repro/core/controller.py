@@ -282,9 +282,6 @@ class ClusterBFTController:
             self.dfs.delete(path)
         self.dfs.write_file(path, records)
 
-    def read_output(self, path: str) -> list[Record]:
-        return self.dfs.read(path)
-
     def _input_sizes(self, plan: LogicalPlan) -> dict[str, int]:
         sizes = {}
         for path in plan.load_paths().values():

@@ -33,7 +33,7 @@ from math import ceil, fsum
 
 from repro.common.config import ADVERSARY_STRONG, ADVERSARY_WEAK
 from repro.common.errors import ConfigError, PlanError
-from repro.dataflow.operators import LoadOp, VerifyOp
+from repro.dataflow.operators import VerifyOp
 from repro.dataflow.plan import LogicalPlan, VertexId
 
 
@@ -242,7 +242,3 @@ def analyze(
     ratios = input_ratios(plan, input_sizes)
     candidates = candidate_vertices(plan, adversary)
     return mark(plan, n, ratios, candidates)
-
-
-def is_load(plan: LogicalPlan, vid: VertexId) -> bool:
-    return isinstance(plan.op(vid), LoadOp)

@@ -29,6 +29,10 @@ MapReduce runtime at the points where the node could deviate:
 * ``note_task_start`` / ``is_crashed`` — crash-stop lifecycle: a node
   that dies mid-run simply stops heartbeating, and every task still in
   flight on it dies too.
+
+The hooks that take an ``rng`` get the task attempt's own stream only
+when the behaviour sets ``faulty`` or ``corrupts_storage``, and None
+otherwise: a behaviour that draws must set one of the two flags.
 """
 
 from __future__ import annotations
@@ -49,21 +53,27 @@ class NodeBehavior:
     #: skip per-read RNG stream setup for the (common) correct case.
     corrupts_storage = False
 
-    def corrupt_records(self, records: list[Record], rng: random.Random) -> list[Record]:
+    def corrupt_records(
+        self, records: list[Record], rng: random.Random | None
+    ) -> list[Record]:
         return records
 
-    def corrupt_stored_output(self, records: list[Record], rng: random.Random) -> list[Record]:
+    def corrupt_stored_output(
+        self, records: list[Record], rng: random.Random | None
+    ) -> list[Record]:
         """Tamper the records a task persists, after digest taps ran."""
         return records
 
-    def corrupt_read(self, records: list[Record], rng: random.Random) -> list[Record]:
+    def corrupt_read(
+        self, records: list[Record], rng: random.Random | None
+    ) -> list[Record]:
         """Bit-rot on this node's DFS block-read path."""
         return records
 
-    def omits_completion(self, rng: random.Random) -> bool:
+    def omits_completion(self, rng: random.Random | None) -> bool:
         return False
 
-    def omits_digest(self, rng: random.Random) -> bool:
+    def omits_digest(self, rng: random.Random | None) -> bool:
         return False
 
     def slowdown(self) -> float:

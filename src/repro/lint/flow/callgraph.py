@@ -111,9 +111,6 @@ class ProjectGraph:
     def function(self, qualname: str) -> FunctionInfo | None:
         return self.functions.get(qualname)
 
-    def functions_named(self, name: str) -> list[FunctionInfo]:
-        return [f for f in self.functions.values() if f.name == name]
-
     def reachable(self, roots: list[str]) -> dict[str, tuple[str | None, int]]:
         """BFS over call/ref edges; returns ``{qualname: (parent, line)}``
         with parent ``None`` for roots — enough to rebuild call chains."""

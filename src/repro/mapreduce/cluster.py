@@ -93,6 +93,11 @@ class Cluster:
         # Membership is fixed for the cluster's lifetime; only the
         # ``excluded`` flags move, and only through exclude/reinstate.
         self._node_ids = sorted(self.nodes)
+        self._region_ids: dict[str, list[NodeId]] = {}
+        for node_id in self._node_ids:
+            self._region_ids.setdefault(self.nodes[node_id].region, []).append(
+                node_id
+            )
         self._active_ordinals: dict[str | None, dict[NodeId, int]] = {}
 
     def __len__(self) -> int:
@@ -106,11 +111,7 @@ class Cluster:
         return [str(entry[0]) for entry in self.config.regions]
 
     def region_node_ids(self, region: str) -> list[NodeId]:
-        return sorted(
-            node_id
-            for node_id, node in self.nodes.items()
-            if node.region == region
-        )
+        return list(self._region_ids.get(region, ()))
 
     def node(self, node_id: NodeId) -> WorkerNode:
         return self.nodes[node_id]
@@ -125,7 +126,7 @@ class Cluster:
         asks on every eligibility check of every heartbeat."""
         ordinals = self._active_ordinals.get(region)
         if ordinals is None:
-            ids = self._node_ids if region is None else self.region_node_ids(region)
+            ids = self._node_ids if region is None else self._region_ids.get(region, ())
             active = (node_id for node_id in ids if not self.nodes[node_id].excluded)
             ordinals = self._active_ordinals[region] = {
                 node_id: index for index, node_id in enumerate(active)

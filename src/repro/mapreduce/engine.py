@@ -15,6 +15,7 @@ identical blocks, and per-task digests are comparable across replicas.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -147,6 +148,10 @@ class JobRun:
         self.task_counts = {
             kind: dict.fromkeys(STATUSES, 0) for kind in ("map", "reduce")
         }
+        #: ``has_ready_tasks()`` as of the last status write, kept by
+        #: ``create_tasks`` and ``set_status``: what a heartbeat filters
+        #: the live runs on.
+        self.ready = False
         self.map_results: dict[int, MapTaskOutput] = {}
         self.reduce_results: dict[int, ReduceTaskOutput] = {}
         self.metrics = JobMetrics(job_id=job_id)
@@ -185,6 +190,7 @@ class JobRun:
         for kind, states in (("map", self.map_states), ("reduce", self.reduce_states)):
             counts = self.task_counts[kind] = dict.fromkeys(STATUSES, 0)
             counts[PENDING] = len(states)
+        self.ready = self.has_ready_tasks()
 
     def set_status(self, state: _TaskState, status: str) -> None:
         """The one place a task's status changes."""
@@ -192,6 +198,7 @@ class JobRun:
         counts[state.status] -= 1
         counts[status] += 1
         state.status = status
+        self.ready = self.has_ready_tasks()
 
     def maps_finished(self) -> bool:
         return self.task_counts["map"][DONE] == len(self.map_states)
@@ -368,7 +375,11 @@ class MapReduceEngine:
         self._heartbeats_running = False
         #: Last heartbeat receipt time per node — the crash detector's
         #: only input, mirroring Hadoop's TaskTracker expiry logic.
+        #: Written only through ``_note_beat``.
         self._last_heartbeat: dict[NodeId, float] = {}
+        #: At most the oldest beat of any node not declared dead: lowered
+        #: by every ``_note_beat``, reset by each full crash scan.
+        self._oldest_beat = math.inf
         self._dead_nodes: set[NodeId] = set()
         self.telemetry = telemetry if telemetry is not None else DISABLED
         self._tracer = self.telemetry.tracer
@@ -463,7 +474,7 @@ class MapReduceEngine:
         for node_id, offset in self.cluster.heartbeat_offsets().items():
             # Baseline the crash detector at each node's first expected
             # beat so an idle gap between jobs never reads as silence.
-            self._last_heartbeat[node_id] = self.loop.now + offset
+            self._note_beat(node_id, self.loop.now + offset)
             self.loop.schedule(
                 offset,
                 lambda nid=node_id: self._heartbeat(nid),
@@ -485,12 +496,10 @@ class MapReduceEngine:
             if self._tracer.enabled:
                 self._tracer.event("node.crashed", node=node_id)
             return
-        self._last_heartbeat[node_id] = self.loop.now
+        self._note_beat(node_id, self.loop.now)
         self._detect_crashes()
         if not node.excluded:
-            schedulable = [
-                run for run in self.live_runs if run.has_ready_tasks()
-            ]
+            schedulable = [run for run in self.live_runs if run.ready]
             for ref in self.scheduler.assign(node, schedulable):
                 self._start_task(node, ref)
             if self.cluster.config.speculative_execution and node.free_slots > 0:
@@ -505,25 +514,38 @@ class MapReduceEngine:
     # crash detection (graceful degradation)
     # ------------------------------------------------------------------
 
+    def _note_beat(self, node_id: NodeId, time: float) -> None:
+        self._last_heartbeat[node_id] = time
+        if time < self._oldest_beat:
+            self._oldest_beat = time
+
     def _detect_crashes(self) -> None:
         """Declare nodes whose heartbeat has been silent past the
         timeout crashed and re-dispatch their in-flight tasks.
 
         Piggybacks on live nodes' heartbeats (no dedicated timer event),
         so crash-free runs schedule the exact same event sequence as
-        before the detector existed.
+        before the detector existed.  A beat that cannot see an expiry,
+        because even the oldest-beat bound is within the timeout, skips
+        the scan; the scan declares the same nodes in the same order.
         """
         timeout = self.cluster.config.crash_timeout
         if timeout <= 0:
             return
         now = self.loop.now
+        if now - self._oldest_beat <= timeout:
+            return
+        self._oldest_beat = math.inf
         for node_id in self.cluster.node_ids():
             if node_id in self._dead_nodes:
                 continue
             last = self._last_heartbeat.get(node_id)
-            if last is None or now - last <= timeout:
+            if last is None:
                 continue
-            self._handle_dead_node(node_id, silent_for=now - last)
+            if now - last > timeout:
+                self._handle_dead_node(node_id, silent_for=now - last)
+            elif last < self._oldest_beat:
+                self._oldest_beat = last
 
     def _handle_dead_node(self, node_id: NodeId, silent_for: float) -> None:
         self._dead_nodes.add(node_id)
@@ -614,16 +636,19 @@ class MapReduceEngine:
         node.start_task(task_key)
         behavior = node.behavior
         behavior.note_task_start()
+        node_rng = None
         if behavior.faulty or behavior.corrupts_storage:
             # This node may tamper, equivocate or read rotten blocks:
             # from here on the run computes everything for real.
             run.shared = None
             run.clean = False
-        # Deterministic per-task stream: independent of scheduling order,
-        # stable across replicas only in structure (node id + task key),
-        # so a probabilistic fault on one node cannot accidentally strike
-        # the same record in every replica.
-        node_rng = self._task_rngs.stream(f"{node.node_id}/{task_key}")
+            # Deterministic per-task stream: independent of scheduling
+            # order, stable across replicas only in structure (node id +
+            # task key), so a probabilistic fault on one node cannot
+            # accidentally strike the same record in every replica.  A
+            # behaviour with neither flag never draws (DESIGN.md §18), so
+            # it gets no stream.
+            node_rng = self._task_rngs.stream(f"{node.node_id}/{task_key}")
 
         states = run.map_states if ref.kind == "map" else run.reduce_states
         state = states[ref.index]
@@ -726,7 +751,7 @@ class MapReduceEngine:
         return span
 
     def _execute_map(
-        self, node: WorkerNode, run: JobRun, index: int, node_rng: random.Random
+        self, node: WorkerNode, run: JobRun, index: int, node_rng: random.Random | None
     ) -> tuple[MapTaskOutput, TaskMetrics]:
         split = run.splits[index]
         branch = run.spec.branches[split.branch_index]
@@ -784,7 +809,7 @@ class MapReduceEngine:
         return result, metrics
 
     def _execute_reduce(
-        self, node: WorkerNode, run: JobRun, index: int, node_rng: random.Random
+        self, node: WorkerNode, run: JobRun, index: int, node_rng: random.Random | None
     ) -> tuple[ReduceTaskOutput, TaskMetrics]:
         def compute() -> ReduceTaskOutput:
             keyed = run.reduce_input(index)
@@ -844,7 +869,7 @@ class MapReduceEngine:
         ref: TaskRef,
         result: MapTaskOutput | ReduceTaskOutput,
         node: WorkerNode,
-        node_rng: random.Random,
+        node_rng: random.Random | None,
         task_span=None,
     ) -> None:
         if run.digest_sink is None or not result.taps:

@@ -153,7 +153,7 @@ def execute_map_task(
     records: list[Record],
     bytes_in: int,
     behavior: NodeBehavior,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> MapTaskOutput:
     """Run one map task over one input block: the branch's stages up to
     its last VerifyOp one by one, then its one generated function."""
@@ -214,7 +214,7 @@ def execute_reduce_task(
     spec: JobSpec,
     keyed_records: list[KeyedRecord],
     behavior: NodeBehavior,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> ReduceTaskOutput:
     """Run one reduce task over its shuffled partition."""
     # A commission-faulty reducer computes on tampered values.

@@ -107,12 +107,20 @@ class NaiveScheduler(TaskScheduler):
     def assign(self, node: WorkerNode, runs: list["JobRun"]) -> list[TaskRef]:
         assignments: list[TaskRef] = []
         free = node.free_slots
+        if free <= 0:
+            return assignments
+        # Nothing this scheduler reads changes during one call.
+        eligible = [self.eligible(node, run) for run in runs]
         while free > 0:
-            ref = _first_task(node, runs, lambda run: self.eligible(node, run))
-            if ref is None:
+            run = next(
+                (run for run, ok in zip(runs, eligible) if ok and _schedulable(run)),
+                None,
+            )
+            if run is None:
                 break
+            ref = _next_task(node, run)
             assignments.append(ref)
-            ref.run.mark_scheduled(ref.kind, ref.index, node.node_id)
+            run.mark_scheduled(ref.kind, ref.index, node.node_id)
             free -= 1
         self.record_assignments(node, assignments)
         return assignments
@@ -193,7 +201,7 @@ class ClusterBFTScheduler(TaskScheduler):
     def _live_regions(self) -> list[str]:
         """Declared regions with at least one schedulable node, in
         declaration order ([] on a flat cluster)."""
-        if self._cluster is None:
+        if self._cluster is None or not self._cluster.config.regions:
             return []
         live = []
         for region in self._cluster.regions():
@@ -270,26 +278,39 @@ class ClusterBFTScheduler(TaskScheduler):
         free = node.free_slots
         if free <= 0:
             return assignments
+        # Within one call only a new pin can change a run's eligibility,
+        # so each run is judged once, and again after a pin on its sid.
+        eligible = [self.eligible(node, run) for run in runs]
+        if not any(eligible):
+            return assignments
         jobs_on_node = {
             run.job_id for run in runs if node.node_id in run.nodes_used
         }
         while free > 0:
             # Overlap strategy: prefer a run whose job is not yet
-            # represented on this node, then fall back to any run.
-            ref = _first_task(
-                node,
-                runs,
-                lambda run: self.eligible(node, run)
-                and run.job_id not in jobs_on_node,
-            )
-            if ref is None:
-                ref = _first_task(node, runs, lambda run: self.eligible(node, run))
-            if ref is None:
+            # represented on this node, else the first schedulable run.
+            chosen = fallback = None
+            for run, ok in zip(runs, eligible):
+                if not ok or not _schedulable(run):
+                    continue
+                if run.job_id not in jobs_on_node:
+                    chosen = run
+                    break
+                if fallback is None:
+                    fallback = run
+            run = chosen if chosen is not None else fallback
+            if run is None:
                 break
+            ref = _next_task(node, run)
             self.note_assignment(node, ref)
-            jobs_on_node.add(ref.run.job_id)
+            sid = run.sid
+            eligible = [
+                self.eligible(node, other) if other.sid == sid else ok
+                for other, ok in zip(runs, eligible)
+            ]
+            jobs_on_node.add(run.job_id)
             assignments.append(ref)
-            ref.run.mark_scheduled(ref.kind, ref.index, node.node_id)
+            run.mark_scheduled(ref.kind, ref.index, node.node_id)
             free -= 1
         self.record_assignments(node, assignments)
         return assignments
@@ -451,18 +472,18 @@ class FairShareScheduler(TaskScheduler):
         return refs
 
 
-def _first_task(node: WorkerNode, runs: list["JobRun"], run_filter) -> TaskRef | None:
-    """First ready task over runs in submission order; map tasks prefer
-    blocks with a replica on this node (data locality)."""
-    for run in runs:
-        if not run_filter(run) or not run.is_active:
-            continue
-        local, remote = run.ready_map_tasks(node.node_id)
-        if local:
-            return TaskRef(run, "map", local[0])
-        if remote:
-            return TaskRef(run, "map", remote[0])
-        reduces = run.ready_reduce_tasks()
-        if reduces:
-            return TaskRef(run, "reduce", reduces[0])
-    return None
+def _schedulable(run: "JobRun") -> bool:
+    """The run is in flight and has a task ready to place."""
+    return run.ready and run.is_active
+
+
+def _next_task(node: WorkerNode, run: "JobRun") -> TaskRef:
+    """The ready task of a schedulable run to place on ``node``: map
+    tasks first, preferring blocks with a replica on this node (data
+    locality), in task order."""
+    local, remote = run.ready_map_tasks(node.node_id)
+    if local:
+        return TaskRef(run, "map", local[0])
+    if remote:
+        return TaskRef(run, "map", remote[0])
+    return TaskRef(run, "reduce", run.ready_reduce_tasks()[0])

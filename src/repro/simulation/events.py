@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import SimulationError
@@ -26,33 +25,21 @@ from repro.common.errors import SimulationError
 Callback = Callable[[], None]
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`EventLoop.schedule`; supports cancellation."""
+    """One scheduled event, as returned by :meth:`EventLoop.schedule`;
+    supports cancellation.  The queue holds ``(time, seq, handle)``
+    tuples, so heap sifts compare floats and ints in C."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("time", "callback", "label", "cancelled")
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, time: float, callback: Callback, label: str) -> None:
+        self.time = time
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+        self.cancelled = True
 
 
 class EventLoop:
@@ -70,7 +57,7 @@ class EventLoop:
     """
 
     def __init__(self) -> None:
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -98,18 +85,18 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time} (now={self._now})"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback, label=label)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        event = EventHandle(time, callback, label)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
+        return event
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def step(self) -> bool:
         """Run the single earliest event; return False if none remain."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -133,11 +120,11 @@ class EventLoop:
         for _ in range(max_events):
             if not self._queue:
                 break
-            head = self._queue[0]
+            time, _, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > deadline:
+            if time > deadline:
                 break
             self.step()
         else:

@@ -168,9 +168,6 @@ class SimNetwork:
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._handlers
-
     def set_topology(self, topology: Topology | None) -> None:
         """Attach (or clear) the region topology for WAN latency."""
         self.topology = topology
@@ -299,13 +296,6 @@ class SimNetwork:
         """
         for receiver in sorted(receivers):
             self.send(sender, receiver, message, size_bytes)
-
-    def send_sync(self, sender: str, receiver: str, message: Any) -> None:
-        """Immediate delivery (no event-loop hop) — only for test setup."""
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            raise SimulationError(f"unknown endpoint: {receiver}")
-        handler(sender, message)
 
 
 def partition(groups: list[set[str]]) -> NetworkFilter:

@@ -1,7 +1,9 @@
-"""Heartbeat cost (DESIGN.md §18): the engine's live-run list and each
-run's per-status task counts equal what a full rescan would find, after
-every event of every kind of run; and a heartbeat examines the runs in
-flight, not the runs ever submitted.
+"""Heartbeat cost (DESIGN.md §18): the engine's live-run list, each
+run's per-status task counts and its ``ready`` flag equal what a full
+rescan would find, after every event of every kind of run; a heartbeat
+examines the runs in flight, not the runs ever submitted; the crash
+detector's bound declares what a full scan would; and only a task on a
+node that can deviate gets a random stream.
 """
 
 import json
@@ -9,6 +11,7 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from repro.common.config import (
     CostModelConfig,
     SystemConfig,
 )
+from repro.common.hashing import digest_of
 from repro.common.records import records_from_rows
 from repro.compiler.mr_compiler import CompileOptions, compile_plan
 from repro.core.controller import ClusterBFTController
@@ -75,6 +79,7 @@ def recount(run):
         "maps_finished": maps_finished,
         "all_finished": maps_finished and all(s == DONE for s in reduces),
         "has_ready_tasks": PENDING in maps or (maps_finished and PENDING in reduces),
+        "ready": PENDING in maps or (maps_finished and PENDING in reduces),
         "has_omitted_task": OMITTED in maps + reduces,
         "busy_tasks": sum(s in (RUNNING, OMITTED) for s in maps + reduces),
     }
@@ -89,6 +94,7 @@ def kept(run):
         "maps_finished": run.maps_finished(),
         "all_finished": run.all_finished(),
         "has_ready_tasks": run.has_ready_tasks(),
+        "ready": run.ready,
         "has_omitted_task": run.has_omitted_task(),
         "busy_tasks": run.busy_tasks(),
     }
@@ -155,6 +161,17 @@ def make_run(name="j", replica=0, total=1):
 
 
 class TestInvariantUnderStepping:
+    @pytest.fixture(autouse=True)
+    def ready_after_every_status_write(self, monkeypatch):
+        """``ready`` is kept at the write, not caught up by an event."""
+        plain = JobRun.set_status
+
+        def set_status(run, state, status):
+            plain(run, state, status)
+            assert run.ready == run.has_ready_tasks()
+
+        monkeypatch.setattr(JobRun, "set_status", set_status)
+
     def test_clean_run_and_bounded_history(self):
         loop, dfs, cluster, engine = build_engine()
         run = make_run()
@@ -343,8 +360,8 @@ def service_trace(jobs_per_tenant):
 
 def runs_examined_per_heartbeat(monkeypatch, jobs_per_tenant):
     """Run the trace; per heartbeat, the number of distinct run objects
-    whose ``is_active`` or ``has_ready_tasks`` was read, and the number
-    of live runs when the beat began."""
+    whose ``is_active``, ``has_ready_tasks`` or ``ready`` was read, and
+    the number of live runs when the beat began."""
     examined: set[int] = set()
     per_beat: list[tuple[int, int]] = []
     plain_active = JobRun.is_active.fget
@@ -359,6 +376,13 @@ def runs_examined_per_heartbeat(monkeypatch, jobs_per_tenant):
         examined.add(id(run))
         return plain_ready(run)
 
+    def read_ready(run):
+        examined.add(id(run))
+        return run.__dict__["ready"]
+
+    def write_ready(run, value):
+        run.__dict__["ready"] = value
+
     def heartbeat(engine, node_id):
         examined.clear()
         live = len(engine.live_runs)
@@ -367,11 +391,17 @@ def runs_examined_per_heartbeat(monkeypatch, jobs_per_tenant):
 
     monkeypatch.setattr(JobRun, "is_active", property(is_active))
     monkeypatch.setattr(JobRun, "has_ready_tasks", has_ready_tasks)
+    monkeypatch.setattr(
+        JobRun, "ready", property(read_ready, write_ready), raising=False
+    )
     monkeypatch.setattr(MapReduceEngine, "_heartbeat", heartbeat)
     service = ClusterBFTService(parse_trace(service_trace(jobs_per_tenant)))
     result = service.run()
     assert len(result.runs) == 3 * jobs_per_tenant and result.all_assured
-    return per_beat, len(service.controller.engine.runs)
+    assert any(examined for examined, _ in per_beat)  # the index was read
+    # A copy: a nested call's wrappers chain through these and would
+    # append its beats to this list.
+    return list(per_beat), len(service.controller.engine.runs)
 
 
 def test_heartbeat_examines_live_runs_not_history(monkeypatch):
@@ -490,3 +520,111 @@ def test_slots_in_use_is_read_only_when_a_budget_exists():
     sched.set_slot_budget("alice", 2)
     sched.assign(full, runs)
     assert reads == [1]
+
+
+# ---------------------------------------------------------------------------
+# (e) the crash detector's bound declares what a full scan would
+# ---------------------------------------------------------------------------
+
+
+def full_scan_oracle(engine):
+    """Wrap the detector: at every call, the nodes it declares dead, in
+    order, are the ones a scan of every node would declare.  Returns the
+    list of ``(time, node)`` declarations and the number of calls the
+    bound let skip the scan."""
+    declared = []
+    skipped = [0]
+    plain_detect = engine._detect_crashes
+    plain_handle = engine._handle_dead_node
+    timeout = engine.cluster.config.crash_timeout
+
+    def handle(node_id, silent_for):
+        declared.append((engine.loop.now, node_id))
+        plain_handle(node_id, silent_for)
+
+    def detect():
+        now = engine.loop.now
+        expected = [
+            node_id
+            for node_id in engine.cluster.node_ids()
+            if node_id not in engine._dead_nodes
+            and node_id in engine._last_heartbeat
+            and now - engine._last_heartbeat[node_id] > timeout
+        ]
+        skipped[0] += now - engine._oldest_beat <= timeout
+        before = len(declared)
+        plain_detect()
+        assert [node for _, node in declared[before:]] == expected, now
+
+    engine._handle_dead_node = handle
+    engine._detect_crashes = detect
+    return declared, skipped
+
+
+def test_a_beat_written_below_the_bound_is_declared_when_a_full_scan_would():
+    loop, dfs, cluster, engine = build_engine(
+        crash_node("node_0003", after_tasks=1),
+        heartbeat_period=0.3,
+        crash_timeout=1.0,
+    )
+    declared, skipped = full_scan_oracle(engine)
+    engine.submit(make_run("j1"))
+    silent = cluster.node("node_0003")
+    while silent.alive:
+        assert loop.step()
+    # Silent and not yet declared: move its last beat below the bound.
+    assert "node_0003" not in engine._dead_nodes
+    low = engine._oldest_beat - 0.2
+    engine._note_beat("node_0003", low)
+    loop.run_until_idle()
+    assert [node for _, node in declared] == ["node_0003"]
+    # The first beat after ``low`` + timeout, not one derived from the
+    # node's real last beat.
+    when = declared[0][0]
+    assert when - low > 1.0 and when - 0.3 - low <= 1.0 + 1e-9
+    assert skipped[0] > 0
+
+    # An idle gap, then more work: the re-baseline writes every node's
+    # first expected beat, and the detector still agrees with a scan.
+    loop.run_until(loop.now + 10.0)
+    run = make_run("j2")
+    engine.submit(run)
+    loop.run_until_idle()
+    assert run.state == "done" and len(declared) == 1
+
+
+# ---------------------------------------------------------------------------
+# (f) a task gets a random stream only on a node that can deviate
+# ---------------------------------------------------------------------------
+
+
+def test_only_the_commission_nodes_tasks_get_streams():
+    controller = ClusterBFTController(
+        SystemConfig(
+            cluster=ClusterConfig(num_nodes=8, slots_per_node=2),
+            bft=ClusterBFTConfig(f=1, replication=4),
+        ),
+        fault_plan=single_commission("node_0002"),
+        block_bytes=512,
+    )
+    controller.load_input("in", records_from_rows(ROWS))
+    result = controller.run_assured(SCRIPT)
+    engine = controller.engine
+    streams = sorted(engine._task_rngs._streams)
+    on_faulty = sorted(
+        f"node_0002/{run.job_id}:{state.kind}{index}"
+        for run in engine.runs
+        for states in (run.map_states, run.reduce_states)
+        for index, state in enumerate(states)
+        if state.node == "node_0002"
+    )
+    assert streams == on_faulty and len(on_faulty) >= 2
+    assert len(streams) < sum(
+        len(run.map_states) + len(run.reduce_states) for run in engine.runs
+    )
+    # Pinned from the code that gave every task attempt a stream.
+    assert result.assured and result.attempts == 1
+    assert result.latency == 10.232008070137024
+    assert digest_of(result.outputs["out"]).value.hex() == (
+        "b9e6fe38af2a0000ec1ef2e249cdcd66456606105e55ba1d9ea0837e6818c617"
+    )
