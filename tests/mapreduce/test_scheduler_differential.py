@@ -13,7 +13,7 @@ task states and fair-share credit behind.
 
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
@@ -212,9 +212,8 @@ def build(world, make_scheduler):
     if placement:
         scheduler.set_cluster(cluster)
     if placement and world["stragglers"] is not None:
-        scheduler.set_straggler_profile(
-            SimpleNamespace(stragglers=tuple(map(node_id, sorted(world["stragglers"]))))
-        )
+        stragglers = tuple(map(node_id, sorted(world["stragglers"])))
+        scheduler.set_straggler_profile(SimpleNamespace(stragglers=stragglers))
     for index in sorted(world["quarantined"]):
         scheduler.quarantine(node_id(index))
     inner = getattr(scheduler, "inner", scheduler)
@@ -286,16 +285,46 @@ def replay(world, make_scheduler):
         "pins": dict(getattr(inner, "_pins", {})),
         "deficit": dict(getattr(scheduler, "_deficit", {})),
         "tasks": [
-            [(state.status, state.node) for state in run.map_states + run.reduce_states]
+            [(state.status, state.node) for state in states]
             for run in runs
+            for states in (run.map_states, run.reduce_states)
         ],
         "ready": [run.ready for run in runs],
         "nodes_used": [sorted(run.nodes_used) for run in runs],
     }
 
 
-@settings(max_examples=150, deadline=None)
+def probe_run(replica, job, allowed):
+    return {
+        "sid": 0, "replica": replica, "spec": 0, "job": job,
+        "maps": [(PENDING, frozenset())], "reduces": [],
+        "allowed": allowed, "used": frozenset(), "life": "active",
+    }
+
+
+#: A pin written mid-call both excludes and admits.  On node_0000 the
+#: ordinal partition admits replica 0 of the sid; two probe runs (placed
+#: by ``allowed_nodes``) are eligible whatever their replica.  Placing
+#: the replica-1 probe pins the node to replica 1: the replica-0 probe
+#: must drop out (anti-collocation) and the partition-excluded replica-1
+#: run must come in.
+PIN_MID_CALL = {
+    "nodes": 2, "slots": 3, "regions": (), "sid_totals": [2],
+    "excluded": frozenset(), "quarantined": frozenset(), "stragglers": None,
+    "pins": [], "budget": None,
+    "runs": [
+        probe_run(1, 0, frozenset({0, 1})),
+        probe_run(0, 1, frozenset({0, 1})),
+        probe_run(1, 2, None),
+    ],
+    "beats": [(0, 0, False)],
+}
+
+
+@settings(max_examples=100, deadline=None)
 @given(world=worlds(), name=st.sampled_from(sorted(PAIRS)))
+@example(world=PIN_MID_CALL, name="clusterbft")
+@example(world=PIN_MID_CALL, name="fairshare")
 def test_one_scan_selection_matches_the_two_pass_reference(world, name):
     make, make_reference = PAIRS[name]
     assert replay(world, make) == replay(world, make_reference)
@@ -306,7 +335,7 @@ def test_generated_worlds_reach_assignments():
     beats that place none, and pins that decide eligibility."""
     seen = {"placed": 0, "empty": 0, "pinned": 0}
 
-    @settings(max_examples=80, deadline=None, database=None)
+    @settings(max_examples=40, deadline=None, database=None)
     @given(world=worlds())
     def probe(world):
         outcome = replay(world, ClusterBFTScheduler)
@@ -316,3 +345,9 @@ def test_generated_worlds_reach_assignments():
 
     probe()
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_the_pin_example_places_the_admitted_run():
+    assert replay(PIN_MID_CALL, ClusterBFTScheduler)["beats"] == [
+        [(0, "map", 0), (2, "map", 0)]
+    ]
