@@ -63,22 +63,17 @@ def results(bench_config):
     return baseline, rows
 
 
-def test_fig9_report(results, reporter):
-    baseline, rows = results
+def fig9_table(baseline, rows) -> Table:
     table = Table(
         "Fig. 9 — Twitter Follower Analysis latency (seconds, simulated)",
         ["config", "#VPs", "PurePig", "Single", "BFT", "BFT-vs-Single %"],
     )
     for name, n_points, single, bft in rows:
         table.add_row(
-            name,
-            n_points,
-            baseline.latency,
-            single,
-            bft,
+            name, n_points, baseline.latency, single, bft,
             percentage_overhead(bft, single),
         )
-    reporter("\n" + table.render(), "fig9.txt")
+    return table
 
 
 def test_fig9_single_point_overhead_under_10_percent(results):
@@ -119,16 +114,8 @@ def test_fig9_benchmark(benchmark, bench_config, results, reporter, bench_json):
     assert timed.assured
 
     baseline, rows = results
-    table = Table(
-        "Fig. 9 — Twitter Follower Analysis latency (seconds, simulated)",
-        ["config", "#VPs", "PurePig", "Single", "BFT", "BFT-vs-Single %"],
-    )
-    for name, n_points, single, bft in rows:
-        table.add_row(
-            name, n_points, baseline.latency, single, bft,
-            percentage_overhead(bft, single),
-        )
-    reporter("\n" + table.render(), "fig9.txt")
+    # The one writer of fig9.txt: the reporter appends.
+    reporter("\n" + fig9_table(baseline, rows).render(), "fig9.txt")
     metrics = [("purepig_latency", baseline.latency, "simulated_seconds")]
     for name, _, single, bft in rows:
         metrics.append((f"single_latency_{name}", single, "simulated_seconds"))

@@ -56,7 +56,8 @@ Examples::
 Input CSVs are headerless UTF-8; values are parsed as int, then float,
 then kept as strings; empty cells become NULL.  Each line must have as
 many fields as the schema of each LOAD of its path: a script or CSV
-that cannot be read, decoded or matched exits 2 before any job runs.
+that cannot be read, decoded, parsed or matched, or a LOAD path with
+no ``--input``, exits 2 before any job runs.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from typing import Iterable, NoReturn
 from repro.chaos.cli import add_chaos_parser, cmd_chaos
 from repro.common.atomic_io import write_json, write_text
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
+from repro.common.errors import ParseError, ReproError
 from repro.common.records import Record
 from repro.core import journal as wal
 from repro.core.controller import ClusterBFTController
@@ -398,15 +400,16 @@ def _unusable(prog: str, path: str, exc: Exception) -> NoReturn:
 
 def read_inputs(prog: str, args) -> tuple[str, dict[str, list[Record]]]:
     """The script and every ``--input`` CSV, each read once and checked
-    before any job runs: every CSV line has as many fields as the
-    schema of each LOAD of its path."""
+    before any job runs: the script parses, every LOAD path has an
+    ``--input``, and every CSV line has as many fields as the schema of
+    each LOAD of its path."""
     try:
         with open(args.script, encoding="utf-8") as handle:
             script = handle.read()
-    except (OSError, ValueError) as exc:
+        plan = parse_script(script, validate=False)
+    except (OSError, ValueError, ParseError) as exc:
         _unusable(prog, args.script, exc)
     widths: dict[str, set[int]] = {}
-    plan = parse_script(script, validate=False)
     for op in map(plan.op, plan.sources()):
         if isinstance(op, LoadOp):
             widths.setdefault(op.path, set()).add(len(op.load_schema))
@@ -419,6 +422,9 @@ def read_inputs(prog: str, args) -> tuple[str, dict[str, list[Record]]]:
             inputs[dfs_path] = load_csv(csv_path, sorted(widths.get(dfs_path, ())))
         except (OSError, ValueError) as exc:
             _unusable(prog, csv_path, exc)
+    for dfs_path in sorted(widths.keys() - inputs.keys()):
+        missing = ReproError(f"LOAD '{dfs_path}' has no --input {dfs_path}=CSV")
+        _unusable(prog, args.script, missing)
     return script, inputs
 
 

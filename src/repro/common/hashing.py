@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Iterable
 
 from repro.common.records import Record
 
@@ -32,7 +34,7 @@ def sha256(data: bytes) -> bytes:
 
 def record_hash(record: Record) -> bytes:
     """SHA-256 of a record's canonical encoding."""
-    return sha256(record.encoded())
+    return hashlib.sha256(record.encoded()).digest()
 
 
 _MODULUS = 1 << (8 * DIGEST_SIZE)
@@ -88,28 +90,41 @@ class StreamingDigest:
     def update(self, record: Record) -> Digest | None:
         """Fold one record in; return an intermediate digest when a chunk
         boundary is crossed, else ``None``."""
-        self._acc += int.from_bytes(record_hash(record), "big")
-        self._count += 1
-        if self.chunk_size and self._count % self.chunk_size == 0:
-            digest = Digest(
-                value=self._snapshot(),
-                record_count=self._count,
-                chunk_index=self._chunk_index,
-                final=False,
-            )
-            self._chunk_index += 1
-            self._emitted.append(digest)
-            return digest
-        return None
+        emitted = self.update_all([record])
+        return emitted[0] if emitted else None
 
-    def update_all(self, records) -> list[Digest]:
-        """Fold many records; return all intermediate digests emitted."""
-        out = []
-        for record in records:
-            digest = self.update(record)
-            if digest is not None:
-                out.append(digest)
-        return out
+    def update_all(self, records: Iterable[Record]) -> list[Digest]:
+        """Fold many records; return all intermediate digests emitted.
+
+        The records up to the next chunk boundary are one run, summed in
+        one pass over their ``record_hash`` values; a chunk digest is
+        emitted wherever a run ends on a boundary, as folding one by one
+        would."""
+        if not isinstance(records, list):
+            records = list(records)  # the runs are cut by its length
+        chunk_size = self.chunk_size
+        stream = iter(records)
+        emitted = []
+        left = len(records)
+        while left:
+            run = left
+            if chunk_size:
+                run = min(run, chunk_size - self._count % chunk_size)
+            hashes = map(record_hash, islice(stream, run))
+            self._acc += sum(map(int.from_bytes, hashes, repeat("big")))
+            self._count += run
+            left -= run
+            if chunk_size and self._count % chunk_size == 0:
+                digest = Digest(
+                    value=self._snapshot(),
+                    record_count=self._count,
+                    chunk_index=self._chunk_index,
+                    final=False,
+                )
+                self._chunk_index += 1
+                self._emitted.append(digest)
+                emitted.append(digest)
+        return emitted
 
     def finalize(self) -> Digest:
         """Return the digest covering the entire stream seen so far."""

@@ -4,9 +4,10 @@ A :class:`JobGraph` is the unit ClusterBFT replicates: the *job
 initiator* assigns each job a sub-graph id (sid) and submits ``r``
 replicas of it (paper §4.1).  Specs are pure descriptions — execution
 state lives in the MapReduce engine — so all replicas of a job can share
-one spec object, and with it one binding: each map branch is generated
-as one function when the spec is built, and each reduce-side stage is
-bound to its schema the first time it runs.
+one spec object, and with it one binding: each map branch, and the
+reduce side up to its first VerifyOp, is generated as one function when
+the spec is built; a reduce-side stage left staged is bound to its
+schema the first time it runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class PipelineOp:
     @cached_property
     def run(self) -> Stage:
         """The stage's input list to its output list, bound on first use
-        (a map stage fused into its branch is never bound on its own)."""
+        (a stage fused into a generated function is never bound on its
+        own)."""
         return self.op.bind(self.input_schema)
 
 
@@ -95,11 +97,43 @@ class JobSpec:
     #: Map-side combining plan (algebraic GROUP+FOREACH jobs only); the
     #: branches are generated for it, so it is fixed at construction.
     combiner: "CombinerSpec | None" = None
+    #: A job without a combiner: the blocking operator's output and the
+    #: reduce-pipeline stages before the first VerifyOp as one generated
+    #: function of ``(ordered_keys, groups)`` (DESIGN.md §27).
+    reduce: Callable[[list, dict], list] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The reduce-pipeline stages ``run_pipeline`` runs after ``reduce``
+    #: (from the first VerifyOp on), or after the combiner's merge (all
+    #: but the FOREACH the combiner computes).
+    reduce_staged: list[PipelineOp] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         counts_only = self.combiner is not None and self.combiner.counts_only
         for branch in self.branches:
             branch.bind(self.blocking, self.blocking_input_schemas, counts_only)
+        if self.combiner is not None:
+            self.reduce_staged = self.reduce_pipeline[1:]
+        elif self.blocking is not None:
+            self._bind_reduce()
+
+    def _bind_reduce(self) -> None:
+        """Generate ``reduce``.  A tap sorts and digests the stream at its
+        position, so the split goes at the *first* VerifyOp here."""
+        stages = enumerate(self.reduce_pipeline)
+        split = next(
+            (n for n, stage in stages if isinstance(stage.op, VerifyOp)),
+            len(self.reduce_pipeline),
+        )
+        self.reduce_staged = self.reduce_pipeline[split:]
+        emitter = Emitter(Schema([]))  # each stage sets its own
+        clauses = self.blocking.reduce_clause(emitter, self.blocking_input_schemas)
+        for stage in self.reduce_pipeline[:split]:
+            emitter.schema = stage.input_schema
+            clauses += stage.op.clause(emitter)
+        self.reduce = emitter.function(f"lambda keys, groups: [r for key in keys{clauses}]")
 
     @property
     def is_map_only(self) -> bool:

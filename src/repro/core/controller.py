@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from repro.common.config import ClusterBFTConfig, SystemConfig
 from repro.common.errors import ReproError, VerificationExhausted
 from repro.common.ids import NodeId
-from repro.common.records import Record, encode_record
+from repro.common.records import Record
 from repro.common.rng import RngRegistry
 from repro.compiler.mr_compiler import CompileOptions
 from repro.core import journal as wal
@@ -1041,9 +1041,7 @@ class ClusterBFTController:
             path = attempt.replica_path(replica, logical)
             if not self.dfs.exists(path):
                 continue
-            content = tuple(
-                encode_record(r) for r in self.dfs.file_info(path).records()
-            )
+            content = tuple(map(Record.encoded, self.dfs.file_info(path).records()))
             groups.setdefault(content, []).append(replica)
         if not groups:
             return None

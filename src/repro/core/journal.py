@@ -251,15 +251,26 @@ def value_from_json(value):
 
 
 def record_to_json(record: Record) -> list:
-    return [value_to_json(v) for v in record.fields]
+    return records_to_json([record])[0]
 
 
 def record_from_json(fields: list) -> Record:
     return Record(tuple(value_from_json(v) for v in fields))
 
 
+#: Exact types ``value_to_json`` returns as they are.
+_PLAIN_TYPES = frozenset({type(None), bool, int, float, str})
+
+
 def records_to_json(records: list[Record]) -> list[list]:
-    return [record_to_json(r) for r in records]
+    """Each record's fields: a copy when every field's exact type is
+    plain (what ``value_to_json`` would return, without a call per
+    field), else through ``value_to_json`` field by field."""
+    plain = _PLAIN_TYPES.issuperset
+    return [
+        list(r.fields) if plain(map(type, r.fields)) else [value_to_json(v) for v in r.fields]
+        for r in records
+    ]
 
 
 def records_from_json(rows: list[list]) -> list[Record]:

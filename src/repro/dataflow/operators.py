@@ -10,14 +10,15 @@ Operators are *descriptions*: they carry no input references (the
   stage's input list to its output list — and ``clause``, the same stage
   as comprehension clauses over one record;
 * for blocking operators, which force a MapReduce shuffle boundary,
-  ``emit_key`` / ``bind_key`` — the reduce key of one record — and
-  ``reduce`` over one key group.
+  ``emit_key`` / ``bind_key`` — the reduce key of one record —,
+  ``reduce`` over one key group and ``reduce_clause``, the same
+  reduction as comprehension clauses.
 
 Binding resolves field references once and generates source for one
 function (``expressions.Emitter``): the MapReduce compiler makes each
-map branch's stages and key one function (``MapBranch.bind``) and binds
-reduce-side stages one by one; the interpreter binds every operator on
-its own, the reference.
+map branch's stages and key one function (``MapBranch.bind``) and each
+reduce side up to its first VerifyOp another (``JobSpec``); the
+interpreter binds every operator on its own, the reference.
 
 Determinism note: every blocking operator sorts the records of a key
 group by canonical encoding before producing output, implementing the
@@ -113,6 +114,13 @@ class BlockingOperator(Operator):
         JOIN); implementations must not rely on arrival order.
         """
         raise NotImplementedError
+
+    def reduce_clause(self, emitter: Emitter, input_schemas: list[Schema]) -> str:
+        """Comprehension clauses binding ``r`` to each output record of
+        the group ``groups[key]``, in ``reduce``'s order (a fused reduce
+        side, §27).  This default calls ``reduce`` itself."""
+        reduce = emitter.slot(self.reduce)
+        return f" for r in {reduce}(key, groups[key], {emitter.slot(input_schemas)})"
 
     def preferred_reducers(self) -> int | None:
         """Forced reducer count (e.g. 1 for global ORDER), or None."""
@@ -391,6 +399,17 @@ class JoinOp(BlockingOperator):
                 out.append(left.concat(right))
         return out
 
+    def reduce_clause(self, emitter: Emitter, input_schemas: list[Schema]) -> str:
+        # Each side sorted once per key; ``right`` is bound before the
+        # nested loops so it is not sorted again per left record.
+        encoded = emitter.slot(Record.encoded)
+        return (
+            " for tagged in (groups[key],)"
+            f" for right in (sorted([x for t, x in tagged if t == 1], key={encoded}),)"
+            f" for left in sorted([x for t, x in tagged if t == 0], key={encoded})"
+            " for each in right for r in (Record(left.fields + each.fields),)"
+        )
+
 
 class DistinctOp(BlockingOperator):
     """DISTINCT alias — deduplicate whole records."""
@@ -407,6 +426,9 @@ class DistinctOp(BlockingOperator):
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         return [tagged[0][1]]
+
+    def reduce_clause(self, emitter: Emitter, input_schemas: list[Schema]) -> str:
+        return " for r in (groups[key][0][1],)"
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from repro.common.hashing import Digest, StreamingDigest, sha256
@@ -114,7 +115,7 @@ def _tap(point: VerifyOp, records: list[Record]) -> TapResult:
         vp_id=point.vp_id,
         digests=streaming.all_digests(),
         record_count=len(ordered),
-        bytes_hashed=sum(r.size_bytes() for r in ordered),
+        bytes_hashed=sum(map(len, map(Record.encoded, ordered))),
     )
 
 
@@ -169,7 +170,7 @@ def execute_map_task(
         # faulty node may still persist something else entirely.
         out = behavior.corrupt_stored_output(out, rng)
         result.output_records = out
-        result.bytes_out = sum(r.size_bytes() for r in out)
+        result.bytes_out = sum(map(len, map(Record.encoded, out)))
         return result
 
     keyed, combiner = out, spec.combiner
@@ -188,10 +189,11 @@ def execute_map_task(
     place = _key_placer(spec.num_reducers)
     partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
     bytes_out = 0
+    tag = branch.tag
     for key, record in keyed:
         part, key_as_tuple, key_bytes = place(key, record)
-        partitions[part].append((key, branch.tag, record, key_as_tuple, key_bytes))
-        bytes_out += record.size_bytes() + key_bytes
+        partitions[part].append((key, tag, record, key_as_tuple, key_bytes))
+        bytes_out += len(record.encoded()) + key_bytes
     result.partitions = dict(partitions)
     result.bytes_out = bytes_out
     return result
@@ -216,41 +218,42 @@ def execute_reduce_task(
     behavior: NodeBehavior,
     rng: random.Random | None,
 ) -> ReduceTaskOutput:
-    """Run one reduce task over its shuffled partition."""
-    # A commission-faulty reducer computes on tampered values.
-    corrupted = behavior.corrupt_records([entry[2] for entry in keyed_records], rng)
-    bytes_in = 0
+    """Run one reduce task over its shuffled partition: the job's
+    generated reduce function (or the combiner's merge), then the
+    stages from its first VerifyOp on."""
+    # A commission-faulty reducer computes on tampered values, but the
+    # shuffle is charged what the map side sent.
+    records = [entry[2] for entry in keyed_records]
+    corrupted = behavior.corrupt_records(records, rng)
+    bytes_in = sum(map(len, map(Record.encoded, records))) + sum(
+        map(itemgetter(4), keyed_records)
+    )
     # Key order goes by a group's first-seen key, the one ``groups``
     # keeps; an equal key of another type (1, 1.0, True) joins that group
     # but is charged its own size.  Both forms come from the map side.
     sort_form: dict = {}
-    groups: dict = defaultdict(list)
-    for (key, tag, record, key_as_tuple, key_bytes), seen in zip(
-        keyed_records, corrupted
-    ):
-        sort_form.setdefault(key, key_as_tuple)
-        bytes_in += record.size_bytes() + key_bytes
-        groups[key].append((tag, seen))
+    groups: dict = {}
+    for (key, tag, _, key_as_tuple, _), seen in zip(keyed_records, corrupted):
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = []
+            sort_form[key] = key_as_tuple
+        group.append((tag, seen))
 
-    reduced: list[Record] = []
     ordered_keys = sorted(groups, key=sort_form.__getitem__)
-    if spec.combiner is not None:
+    combiner = spec.combiner
+    if combiner is not None:
         # Merge map-side partials and produce the FOREACH's output
         # directly; the remaining pipeline (after that FOREACH) applies
         # as usual.
-        for key in ordered_keys:
-            partials = [record for _, record in groups[key]]
-            merged = spec.combiner.merge(partials)
-            reduced.append(spec.combiner.finalize(key, merged))
-        pipeline = spec.reduce_pipeline[1:]
+        reduced = [
+            combiner.finalize(key, combiner.merge([record for _, record in groups[key]]))
+            for key in ordered_keys
+        ]
     else:
-        for key in ordered_keys:
-            reduced.extend(
-                spec.blocking.reduce(key, groups[key], spec.blocking_input_schemas)
-            )
-        pipeline = spec.reduce_pipeline
+        reduced = spec.reduce(ordered_keys, groups)
 
-    out_records, taps = run_pipeline(reduced, pipeline)
+    out_records, taps = run_pipeline(reduced, spec.reduce_staged)
     if spec.fused_limit is not None:
         out_records = out_records[: spec.fused_limit]
     if spec.post_limit_pipeline:
@@ -266,5 +269,5 @@ def execute_reduce_task(
         records_in=len(keyed_records),
         records_out=len(out_records),
         bytes_in=bytes_in,
-        bytes_out=sum(r.size_bytes() for r in out_records),
+        bytes_out=sum(map(len, map(Record.encoded, out_records))),
     )

@@ -166,7 +166,7 @@ class TrustedDFS:
             raise StorageError(f"file is closed: {name}")
         # ends[i]: bytes of records[:i + 1]; a block is the run of records
         # whose end offsets fit within block_bytes of the block's start.
-        ends = list(accumulate(len(record.encoded()) for record in records))
+        ends = list(accumulate(map(len, map(Record.encoded, records))))
         start = offset = 0
         while start < len(records):
             stop = max(bisect_right(ends, offset + self.block_bytes, start), start + 1)

@@ -11,7 +11,8 @@ documents or raise a ``ReproError``.  The one documented lenient
 recovery is the trace reader's: a cut-off final line is dropped with a
 warning, so every byte prefix of a trace reads back.  The file inputs
 of ``repro run`` and ``repro explain`` (the script and its CSVs) fail
-with one line naming the file and exit 2, before any job runs.
+with one line naming the file and exit 2, before any job runs; so do
+a script that does not parse and a LOAD path with no ``--input``.
 """
 
 import copy
@@ -224,10 +225,14 @@ TOO_NARROW = "line 2 has 1 field(s) but its LOAD schema has 2"
         (None, b"1,2\n", "job.pig", "No such file"),
         (PROJECT, b"1,2\n\xff,3\n", "in.csv", "not UTF-8"),
         (PROJECT + b"-- \xe9\n", b"1,2\n", "job.pig", "not UTF-8"),
+        (LOAD + b"B = FOREACH A GENERATE ;\n", b"1,2\n", "job.pig", "(line 2, column"),
+        (PROJECT + b"C = LOAD 'twitter/followers' AS (u:int);\nSTORE C INTO 'c';\n",
+         b"1,2\n", "job.pig", "LOAD 'twitter/followers' has no --input"),
     ],
     ids=[
         "narrow-row", "narrow-row-stored", "wide-row-stored", "missing-csv",
-        "missing-script", "csv-not-utf8", "script-not-utf8",
+        "missing-script", "csv-not-utf8", "script-not-utf8", "syntax-error",
+        "load-without-input",
     ],
 )
 def test_run_and_explain_fail_closed_on_file_inputs(
