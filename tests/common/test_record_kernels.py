@@ -72,7 +72,7 @@ class TestDigestFold:
         st.lists(st.integers(0, 60), max_size=6),
         st.none() | st.integers(0, 6),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_split_streams_fold_like_the_per_record_reference(
         self, data, chunk_size, cuts, generator_call
     ):
@@ -129,12 +129,12 @@ def assert_codec_alike(records):
 
 class TestRecordCodec:
     @given(st.lists(st.lists(fields, max_size=5).map(Record), max_size=8))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_records_serialise_like_the_per_field_reference(self, records):
         assert_codec_alike(records)
 
     @given(st.lists(st.lists(plain, max_size=5).map(Record), max_size=8))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_plain_records_round_trip(self, records):
         encoded = assert_codec_alike(records)
         decoded = records_from_json(json.loads(json.dumps(encoded)))

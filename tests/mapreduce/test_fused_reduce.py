@@ -201,7 +201,7 @@ class TestFusedEqualsStaged:
         st.lists(ROWS, min_size=2, max_size=2),
         BEHAVIORS,
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_reduce_output_equals_the_staged_path(
         self, shape, key_parts, ops, verify_at, chunk, limit, post_ops, reducers, inputs, behavior
     ):
