@@ -32,9 +32,9 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def record_hash(record: Record) -> bytes:
+def record_hash(encoding: bytes) -> bytes:
     """SHA-256 of a record's canonical encoding."""
-    return hashlib.sha256(record.encoded()).digest()
+    return hashlib.sha256(encoding).digest()
 
 
 _MODULUS = 1 << (8 * DIGEST_SIZE)
@@ -62,7 +62,8 @@ class Digest:
 
 
 class StreamingDigest:
-    """Order-independent streaming digest over a record stream.
+    """Order-independent streaming digest over a record stream, fed the
+    records' canonical encodings (:meth:`Record.encoded`).
 
     Parameters
     ----------
@@ -87,25 +88,26 @@ class StreamingDigest:
     def record_count(self) -> int:
         return self._count
 
-    def update(self, record: Record) -> Digest | None:
-        """Fold one record in; return an intermediate digest when a chunk
-        boundary is crossed, else ``None``."""
-        emitted = self.update_all([record])
+    def update(self, encoding: bytes) -> Digest | None:
+        """Fold one record's encoding in; return an intermediate digest
+        when a chunk boundary is crossed, else ``None``."""
+        emitted = self.update_all([encoding])
         return emitted[0] if emitted else None
 
-    def update_all(self, records: Iterable[Record]) -> list[Digest]:
-        """Fold many records; return all intermediate digests emitted.
+    def update_all(self, encodings: Iterable[bytes]) -> list[Digest]:
+        """Fold many records' encodings; return all intermediate digests
+        emitted.
 
-        The records up to the next chunk boundary are one run, summed in
-        one pass over their ``record_hash`` values; a chunk digest is
+        The encodings up to the next chunk boundary are one run, summed
+        in one pass over their ``record_hash`` values; a chunk digest is
         emitted wherever a run ends on a boundary, as folding one by one
         would."""
-        if not isinstance(records, list):
-            records = list(records)  # the runs are cut by its length
+        if not isinstance(encodings, list):
+            encodings = list(encodings)  # the runs are cut by its length
         chunk_size = self.chunk_size
-        stream = iter(records)
+        stream = iter(encodings)
         emitted = []
-        left = len(records)
+        left = len(encodings)
         while left:
             run = left
             if chunk_size:
@@ -149,10 +151,10 @@ class StreamingDigest:
         return sha256(acc + self._count.to_bytes(8, "big"))
 
 
-def digest_of(records, chunk_size: int = 0) -> Digest:
+def digest_of(records: Iterable[Record], chunk_size: int = 0) -> Digest:
     """One-shot convenience: final digest of an iterable of records."""
     streaming = StreamingDigest(chunk_size=chunk_size)
-    streaming.update_all(records)
+    streaming.update_all(list(map(Record.encoded, records)))
     return streaming.finalize()
 
 

@@ -28,6 +28,8 @@ covered by a verification point — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import is_
+from typing import Iterable
 
 from repro.common.config import ClusterBFTConfig, SystemConfig
 from repro.common.errors import ReproError, VerificationExhausted
@@ -93,6 +95,45 @@ class ScriptResult:
 #: Fault kind of a digest-quorum winner whose *stored* bytes diverged
 #: from the majority's (the verifier's kinds cover digests only).
 EQUIVOCATION = "equivocation"
+
+
+def content_groups(stored: Iterable[tuple[int, list[Record]]]) -> list[list[int]]:
+    """Replicas grouped by the bytes of the records they stored, groups
+    in order of first appearance, members in the order given.
+
+    Clean replicas store the very same record objects (DESIGN.md §28),
+    so a file first tries each group's first file element by element
+    with ``is``: the same objects have the same bytes.  Only a file that
+    matches no group that way is compared by its encodings, and a
+    group's encodings are built only once such a file needs them.
+    """
+    #: [first file's records, their encodings or None, replicas]
+    groups: list[list] = []
+    for replica, records in stored:
+        group = next((g for g in groups if _same_objects(g[0], records)), None)
+        content = None
+        if group is None and groups:
+            content = _encodings(records)
+            group = next((g for g in groups if _group_content(g) == content), None)
+        if group is None:
+            group = [records, content, []]
+            groups.append(group)
+        group[2].append(replica)
+    return [group[2] for group in groups]
+
+
+def _same_objects(left: list[Record], right: list[Record]) -> bool:
+    return len(left) == len(right) and all(map(is_, left, right))
+
+
+def _encodings(records: list[Record]) -> tuple[bytes, ...]:
+    return tuple(map(Record.encoded, records))
+
+
+def _group_content(group: list) -> tuple[bytes, ...]:
+    if group[1] is None:
+        group[1] = _encodings(group[0])
+    return group[1]
 
 
 class _Attempt:
@@ -281,6 +322,14 @@ class ClusterBFTController:
         if self.dfs.exists(path):
             self.dfs.delete(path)
         self.dfs.write_file(path, records)
+
+    def _restage(self, source: str, target: str) -> None:
+        """``load_input(target, dfs.read(source))`` as a block copy: the
+        same blocks, placement and counters, without measuring a record
+        again (DESIGN.md §28)."""
+        if self.dfs.exists(target):
+            self.dfs.delete(target)
+        self.dfs.copy(source, target)
 
     def _input_sizes(self, plan: LogicalPlan) -> dict[str, int]:
         sizes = {}
@@ -967,7 +1016,7 @@ class ClusterBFTController:
                 winner=winner,
                 content=wal.records_to_json(self.dfs.read(source)),
             )
-        self.load_input(target, self.dfs.read(source))
+        self._restage(source, target)
         settle(job_index, spec.output_path, target)
         # A checkpoint is audited as a COMMIT (with a marker) so
         # coverage checks over committed sids keep seeing one kind.
@@ -1036,22 +1085,22 @@ class ClusterBFTController:
         the sid unsettled so the rerun escalation handles it.
         """
         logical = run.prepared.job_graph.jobs[job_index].output_path
-        groups: dict[tuple, list[int]] = {}
-        for replica in sorted(outcome.winners):
-            path = attempt.replica_path(replica, logical)
-            if not self.dfs.exists(path):
-                continue
-            content = tuple(map(Record.encoded, self.dfs.file_info(path).records()))
-            groups.setdefault(content, []).append(replica)
+        paths = {
+            replica: attempt.replica_path(replica, logical)
+            for replica in sorted(outcome.winners)
+        }
+        groups = content_groups(
+            (replica, self.dfs.file_info(path).records())
+            for replica, path in paths.items()
+            if self.dfs.exists(path)
+        )
         if not groups:
             return None
-        readable = sum(len(replicas) for replicas in groups.values())
-        majority = next(
-            (group for group in groups.values() if len(group) * 2 > readable), None
-        )
+        readable = sum(map(len, groups))
+        majority = next((group for group in groups if len(group) * 2 > readable), None)
         divergent = sorted(
             replica
-            for replicas in groups.values()
+            for replicas in groups
             if replicas is not majority
             for replica in replicas
         )
@@ -1091,6 +1140,6 @@ class ClusterBFTController:
             if source is None or not self.dfs.exists(source):
                 outputs[logical] = []
                 continue
-            self.load_input(logical, self.dfs.read(source))
+            self._restage(source, logical)
             outputs[logical] = self.dfs.read(logical)
         return outputs

@@ -53,6 +53,8 @@ import hashlib
 import json
 import os
 import signal
+from itertools import chain
+from operator import attrgetter
 from typing import IO, Callable
 
 from repro.common.config import (
@@ -265,11 +267,18 @@ _PLAIN_TYPES = frozenset({type(None), bool, int, float, str})
 def records_to_json(records: list[Record]) -> list[list]:
     """Each record's fields: a copy when every field's exact type is
     plain (what ``value_to_json`` would return, without a call per
-    field), else through ``value_to_json`` field by field."""
+    field), else through ``value_to_json`` field by field.
+
+    One pass over the whole batch's fields decides the common case, in
+    which every field is plain; a batch that holds any other field
+    decides record by record."""
+    rows = list(map(attrgetter("fields"), records))
     plain = _PLAIN_TYPES.issuperset
+    if plain(map(type, chain.from_iterable(rows))):
+        return list(map(list, rows))
     return [
-        list(r.fields) if plain(map(type, r.fields)) else [value_to_json(v) for v in r.fields]
-        for r in records
+        list(fields) if plain(map(type, fields)) else [value_to_json(v) for v in fields]
+        for fields in rows
     ]
 
 

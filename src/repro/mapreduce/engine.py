@@ -89,10 +89,13 @@ class _TaskState:
 class ReplicaResults(dict):
     """Task outputs shared by one attempt's replicas (DESIGN.md §16).
 
-    Keyed ``(job_index, kind, task_index)``.  Only runs whose whole
+    Keyed ``(job_index, kind, task_index)``, and ``(job_index,
+    "output")`` for the blocks of the job's output file as the first
+    clean replica to finish wrote them (§28).  Only runs whose whole
     replica chain stayed on nodes that cannot alter data read or write
     it, and ``runtime.py`` is deterministic, so a hit is exactly the
-    value the task would have computed.
+    value the task would have computed, and the output the run would
+    have assembled from those values.
     """
 
 
@@ -958,12 +961,23 @@ class MapReduceEngine:
             return
         run.state = DONE
         self.live_runs.remove(run)
-        run.shared = None
-        records = run.assemble_output()
+        shared, run.shared = run.shared, None
         physical_out = run.physical_path(run.spec.output_path)
         if self.dfs.exists(physical_out):
             self.dfs.delete(physical_out)
-        written = self.dfs.write_file(physical_out, records, scope=run.scope)
+        # A clean run's task results are the very objects every clean
+        # replica of this job holds, so all of them assemble the same
+        # records, which pack into the same blocks: the first to finish
+        # writes them, the others lay its blocks out again (§28).
+        layout = None if shared is None else shared.get((run.job_index, "output"))
+        if layout is None:
+            written = self.dfs.write_file(
+                physical_out, run.assemble_output(), scope=run.scope
+            )
+            if shared is not None:
+                shared[run.job_index, "output"] = written.blocks
+        else:
+            written = self.dfs.write_layout(physical_out, layout, scope=run.scope)
         # History keeps a run's metrics, not every task's records.
         run.map_results.clear()
         run.reduce_results.clear()

@@ -105,17 +105,18 @@ class TapResult:
 
 
 def _tap(point: VerifyOp, records: list[Record]) -> TapResult:
-    """Digest the records passing a VerifyOp inside a task."""
+    """Digest the records passing a VerifyOp inside a task: their
+    encodings, read once, sorted, folded and sized."""
     # Sort canonically so chunk boundaries agree across replicas.
-    ordered = sorted(records, key=Record.encoded)
+    encodings = sorted(map(Record.encoded, records))
     streaming = StreamingDigest(chunk_size=point.chunk_records)
-    streaming.update_all(ordered)
+    streaming.update_all(encodings)
     streaming.finalize()
     return TapResult(
         vp_id=point.vp_id,
         digests=streaming.all_digests(),
-        record_count=len(ordered),
-        bytes_hashed=sum(map(len, map(Record.encoded, ordered))),
+        record_count=len(encodings),
+        bytes_hashed=sum(map(len, encodings)),
     )
 
 

@@ -139,8 +139,10 @@ class TrustedDFS:
         return file
 
     def delete(self, name: str) -> None:
-        """Administrative delete (used between benchmark repetitions —
-        not part of the data-path API)."""
+        """Remove a file, so that its name can be written afresh.  The
+        append-only data path never deletes: the controller's
+        ``load_input`` and the engine's ``_complete_job`` use this to
+        replace whatever an earlier run left at a path."""
         if name not in self._files:
             raise FileNotFound(name)
         del self._files[name]
@@ -159,7 +161,9 @@ class TrustedDFS:
         """Append ``records`` to ``name``; returns bytes written.
 
         Each block takes the following records while its size stays at
-        most ``block_bytes``, and always at least one record.
+        most ``block_bytes``, and always at least one record.  This is
+        the one block packer: :meth:`write_layout` and :meth:`copy` only
+        re-flush blocks that it packed.
         """
         file = self._get(name)
         if file.closed:
@@ -172,13 +176,8 @@ class TrustedDFS:
             stop = max(bisect_right(ends, offset + self.block_bytes, start), start + 1)
             self._flush_block(file, records[start:stop], ends[stop - 1] - offset)
             start, offset = stop, ends[stop - 1]
-        written = offset
-        counters = self._counters(scope)
-        counters.bytes_written += written
-        counters.records_written += len(records)
-        self.global_counters.bytes_written += written
-        self.global_counters.records_written += len(records)
-        return written
+        self._count_write(scope, offset, len(records))
+        return offset
 
     def close(self, name: str) -> None:
         """Seal a file; further appends fail."""
@@ -191,16 +190,44 @@ class TrustedDFS:
         self.close(name)
         return self._get(name)
 
+    def write_layout(self, name: str, blocks: list[Block], scope: str = "") -> DfsFile:
+        """``write_file(name, records)`` for the records of ``blocks``,
+        which :meth:`append` packed into an empty file of this DFS.
+
+        Packing depends only on the records' sizes and ``block_bytes``,
+        so the same records pack into the same blocks again: each block
+        is flushed as it is, placed like a new one (the placement cursor
+        advances once per block), and the counters move exactly as that
+        ``write_file`` would move them, without measuring a record.
+        """
+        file = self.create(name, scope=scope)
+        written = records = 0
+        for block in blocks:
+            self._flush_block(file, block.records, block.size_bytes)
+            written += block.size_bytes
+            records += len(block.records)
+        self._count_write(scope, written, records)
+        self.close(name)
+        return file
+
+    def copy(self, source: str, target: str, scope: str = "") -> DfsFile:
+        """``write_file(target, read(source, scope), scope)``, block by
+        block.
+
+        Sound because every file in this DFS was written by one
+        :meth:`append` into an empty file (``write_file`` is the only
+        writer outside tests), so its blocks are exactly how ``append``
+        packs its records; :meth:`write_layout` re-flushes them.
+        """
+        file = self._get(source)
+        self._count_read(scope, file.size_bytes, file.num_records)
+        return self.write_layout(target, file.blocks, scope)
+
     def read(self, name: str, scope: str = "") -> list[Record]:
         """Read a whole file, counting the bytes against ``scope``."""
         file = self._get(name)
         records = file.records()
-        size = file.size_bytes
-        counters = self._counters(scope)
-        counters.bytes_read += size
-        counters.records_read += len(records)
-        self.global_counters.bytes_read += size
-        self.global_counters.records_read += len(records)
+        self._count_read(scope, file.size_bytes, len(records))
         return records
 
     def read_block(
@@ -230,11 +257,7 @@ class TrustedDFS:
                     size_bytes=block.size_bytes,
                     locations=block.locations,
                 )
-        counters = self._counters(scope)
-        counters.bytes_read += block.size_bytes
-        counters.records_read += len(block.records)
-        self.global_counters.bytes_read += block.size_bytes
-        self.global_counters.records_read += len(block.records)
+        self._count_read(scope, block.size_bytes, len(block.records))
         return block
 
     def file_info(self, name: str) -> DfsFile:
@@ -258,6 +281,16 @@ class TrustedDFS:
 
     def reset_scope(self, scope: str) -> None:
         self._scoped.pop(scope, None)
+
+    def _count_read(self, scope: str, size: int, records: int) -> None:
+        for counters in (self._counters(scope), self.global_counters):
+            counters.bytes_read += size
+            counters.records_read += records
+
+    def _count_write(self, scope: str, size: int, records: int) -> None:
+        for counters in (self._counters(scope), self.global_counters):
+            counters.bytes_written += size
+            counters.records_written += records
 
     # ------------------------------------------------------------------
     # internals

@@ -61,7 +61,7 @@ class TestStreamingDigest:
 
     def test_chunking_emits_intermediate_digests(self):
         streaming = StreamingDigest(chunk_size=2)
-        chunks = streaming.update_all([Record((i,)) for i in range(5)])
+        chunks = streaming.update_all([Record((i,)).encoded() for i in range(5)])
         final = streaming.finalize()
         assert len(chunks) == 2  # after records 2 and 4
         assert all(not c.final for c in chunks)
@@ -71,7 +71,7 @@ class TestStreamingDigest:
 
     def test_chunk_size_zero_means_single_digest(self):
         streaming = StreamingDigest(chunk_size=0)
-        assert streaming.update_all([Record((i,)) for i in range(10)]) == []
+        assert streaming.update_all([Record((i,)).encoded() for i in range(10)]) == []
         assert len(streaming.all_digests()) == 0
         streaming.finalize()
         assert len(streaming.all_digests()) == 1
@@ -93,13 +93,13 @@ class TestStreamingDigest:
         bytes -> int -> bytes fold it replaced, chunk digests included."""
         records = [Record(t) for t in data]
         streaming = StreamingDigest(chunk_size=3)
-        streaming.update_all(records)
+        streaming.update_all([record.encoded() for record in records])
         streaming.finalize()
         acc = bytes(32)
         expected = []
         for count, record in enumerate(records, start=1):
             total = int.from_bytes(acc, "big") + int.from_bytes(
-                record_hash(record), "big"
+                record_hash(record.encoded()), "big"
             )
             acc = (total % (1 << 256)).to_bytes(32, "big")
             if count % 3 == 0:
@@ -127,7 +127,7 @@ class TestCorruptDigest:
 
 class TestRecordHash:
     def test_distinct_records_distinct_hashes(self):
-        assert record_hash(Record((1,))) != record_hash(Record((2,)))
+        assert record_hash(Record((1,)).encoded()) != record_hash(Record((2,)).encoded())
 
     def test_hash_is_32_bytes(self):
-        assert len(record_hash(Record(("x",)))) == 32
+        assert len(record_hash(Record(("x",)).encoded())) == 32

@@ -1,7 +1,8 @@
 """One-pass record kernels: the chunked digest fold and the WAL record
-codec each take a whole stream in one pass.  The per-record forms they
-replaced are kept here as references, and every digest, chunk boundary
-and serialised byte must equal theirs."""
+codec each take a whole stream in one pass, the fold over the records'
+encodings.  The per-record forms they replaced are kept here as
+references, and every digest, chunk boundary and serialised byte must
+equal theirs."""
 
 import hashlib
 import json
@@ -51,13 +52,15 @@ def view(digests):
 
 
 def assert_folds_alike(records, cuts, chunk_size, generator_call=None):
-    """Feed ``records`` cut at ``cuts`` to both folds, call by call; the
-    call numbered ``generator_call`` passes a generator."""
+    """Feed ``records`` cut at ``cuts`` to both folds, call by call (the
+    fold gets their encodings); the call numbered ``generator_call``
+    passes a generator."""
     fold, reference = StreamingDigest(chunk_size), ReferenceFold(chunk_size)
     bounds = [0, *sorted(cuts), len(records)]
     for call, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         piece = records[start:stop]
-        fed = (record for record in piece) if call == generator_call else piece
+        encodings = [record.encoded() for record in piece]
+        fed = iter(encodings) if call == generator_call else encodings
         assert view(fold.update_all(fed)) == reference.update_all(piece)
         assert fold.record_count == reference.count
     fold.finalize()
@@ -90,7 +93,7 @@ class TestDigestFold:
     def test_update_is_a_one_record_fold(self):
         fold, reference = StreamingDigest(7), ReferenceFold(7)
         for i in range(20):
-            emitted = fold.update(Record((i,)))
+            emitted = fold.update(Record((i,)).encoded())
             expected = reference.update_all([Record((i,))])
             assert view([emitted] if emitted else []) == expected
         assert fold.record_count == 20
@@ -139,6 +142,31 @@ class TestRecordCodec:
         encoded = assert_codec_alike(records)
         decoded = records_from_json(json.loads(json.dumps(encoded)))
         assert [r.encoded() for r in decoded] == [r.encoded() for r in records]
+
+    @given(
+        st.lists(st.lists(plain, max_size=4).map(Record), max_size=8),
+        st.lists(st.lists(fields, min_size=1, max_size=4).map(Record), min_size=1, max_size=3),
+        st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_batches_serialise_like_the_per_field_reference(
+        self, plain_records, others, positions
+    ):
+        """A batch whose type check fails as a whole still serialises
+        every plain record as a copy and every other record field by
+        field, in order."""
+        batch = list(plain_records)
+        for record, position in zip(others, positions):
+            batch.insert(min(position, len(batch)), record)
+        assert_codec_alike(batch)
+
+    def test_one_odd_field_sends_the_batch_record_by_record(self):
+        batch = [Record((1, "a")), Record((Name("b"), (2, 2.0))), Record((True, None))]
+        assert records_to_json(batch) == [
+            [1, "a"], ["b", {"t": [2, 2.0]}], [True, None]
+        ]
+        assert type(records_to_json(batch)[1][0]) is Name
+        assert assert_codec_alike(batch)
 
     def test_lookalikes_keep_their_types(self):
         record = Record((True, 1, 1.0, 0.0, -0.0, NAN, None, "1"))

@@ -141,6 +141,15 @@ STATUS = st.sampled_from((PENDING, PENDING, RUNNING, DONE))
 
 @st.composite
 def worlds(draw):
+    """A cluster, its runs and a sequence of heartbeats.
+
+    Every world has an anchor, so that placing beats and deciding pins
+    are common on every seed: its first beat lands on a node in
+    service with every slot free, and its first run is active, has a
+    pending map task, may run on that node, and is pinned there (the
+    pin names the run's own replica).  Everything else is drawn freely,
+    so most later beats still place nothing.
+    """
     nodes = draw(st.integers(min_value=1, max_value=7))
     node_ix = st.integers(min_value=0, max_value=nodes - 1)
     node_set = st.frozensets(node_ix, max_size=nodes)
@@ -152,6 +161,10 @@ def worlds(draw):
         st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
     )
     sid_ix = st.integers(min_value=0, max_value=len(sid_totals) - 1)
+    slots = draw(st.integers(min_value=1, max_value=3))
+    # At least one node stays out of quarantine: the anchor's.
+    quarantined = draw(st.frozensets(node_ix, max_size=nodes - 1))
+    anchor = draw(st.sampled_from([i for i in range(nodes) if i not in quarantined]))
 
     @st.composite
     def runs(draw):
@@ -169,27 +182,35 @@ def worlds(draw):
             "life": draw(st.sampled_from(("active",) * 4 + ("done", "cancelled"))),
         }
 
+    drawn_runs = draw(st.lists(runs(), min_size=1, max_size=8))
+    first = drawn_runs[0]
+    first["life"] = "active"
+    first["maps"] = [(PENDING, draw(node_set)), *first["maps"][1:]]
+    if first["allowed"] is not None:
+        first["allowed"] = first["allowed"] | {anchor}
+    # The anchor's pin comes last: a later pin on its key would win.
+    pins = draw(
+        st.lists(st.tuples(node_ix, sid_ix, st.integers(0, 3)), max_size=3)
+    ) + [(anchor, first["sid"], first["replica"])]
+    # (node, busy slots, pass only ready runs as the engine does)
+    beats = [(anchor, 0, False)] + draw(
+        st.lists(
+            st.tuples(node_ix, st.integers(0, slots), st.booleans()),
+            max_size=7,
+        )
+    )
     return {
         "nodes": nodes,
-        "slots": draw(st.integers(min_value=1, max_value=3)),
+        "slots": slots,
         "regions": regions,
         "sid_totals": sid_totals,
         "excluded": draw(node_set),
-        "quarantined": draw(node_set),
+        "quarantined": quarantined,
         "stragglers": draw(st.none() | node_set),
-        "pins": draw(
-            st.lists(st.tuples(node_ix, sid_ix, st.integers(0, 3)), max_size=4)
-        ),
+        "pins": pins,
         "budget": draw(st.none() | st.integers(min_value=0, max_value=3)),
-        "runs": draw(st.lists(runs(), max_size=8)),
-        # (node, busy slots, pass only ready runs as the engine does)
-        "beats": draw(
-            st.lists(
-                st.tuples(node_ix, st.integers(0, 3), st.booleans()),
-                min_size=1,
-                max_size=8,
-            )
-        ),
+        "runs": drawn_runs,
+        "beats": beats,
     }
 
 
