@@ -148,7 +148,7 @@ class TestRecordCodec:
         st.lists(st.lists(fields, min_size=1, max_size=4).map(Record), min_size=1, max_size=3),
         st.lists(st.integers(0, 8), min_size=3, max_size=3),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_mixed_batches_serialise_like_the_per_field_reference(
         self, plain_records, others, positions
     ):

@@ -73,7 +73,7 @@ def make_file(base, kind, index):
 
 class TestGroupsMatchTheBytesReference:
     @given(base_rows, st.lists(variant, min_size=1, max_size=6))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_generated_winner_sets(self, rows, variants):
         base = [Record(row) for row in rows]
         files = {

@@ -63,7 +63,7 @@ def state(dfs, name):
 
 class TestCopyEqualsRewrite:
     @given(records, block_sizes, st.integers(0, 4), st.sampled_from(["", "job"]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @example([], 7, 0, "")
     @example(OVERSIZED, 64, 1, "job")
     @example(OVERSIZED, 1, 3, "")
@@ -80,7 +80,7 @@ class TestCopyEqualsRewrite:
         )
 
     @given(records, block_sizes, st.integers(0, 4))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @example([], 1, 0)
     @example(OVERSIZED, 64, 2)
     def test_write_layout_matches_write_file(self, data, block_bytes, lead):
@@ -110,7 +110,7 @@ class TestOneAppendInvariant:
     """What makes a block copy sound."""
 
     @given(records, block_sizes)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_write_file_blocks_are_how_append_packs_the_records(self, data, block_bytes):
         dfs = dfs_with(block_bytes, data, 0)
         repacked = TrustedDFS(block_bytes=block_bytes)
