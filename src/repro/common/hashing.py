@@ -37,6 +37,16 @@ def record_hash(encoding: bytes) -> bytes:
     return hashlib.sha256(encoding).digest()
 
 
+def record_digest(record: Record) -> bytes:
+    """``record_hash`` of the record's encoding, computed on first use
+    and kept on the record: ``fields`` never changes, so every tap and
+    whole-record partition key of the record reads these bytes."""
+    digest = record._digest
+    if digest is None:
+        digest = record._digest = record_hash(record.encoded())
+    return digest
+
+
 _MODULUS = 1 << (8 * DIGEST_SIZE)
 
 
@@ -62,8 +72,8 @@ class Digest:
 
 
 class StreamingDigest:
-    """Order-independent streaming digest over a record stream, fed the
-    records' canonical encodings (:meth:`Record.encoded`).
+    """Order-independent streaming digest over a record stream: it folds
+    each record's :func:`record_digest`.
 
     Parameters
     ----------
@@ -88,31 +98,29 @@ class StreamingDigest:
     def record_count(self) -> int:
         return self._count
 
-    def update(self, encoding: bytes) -> Digest | None:
-        """Fold one record's encoding in; return an intermediate digest
-        when a chunk boundary is crossed, else ``None``."""
-        emitted = self.update_all([encoding])
+    def update(self, record: Record) -> Digest | None:
+        """Fold one record in; return an intermediate digest when a chunk
+        boundary is crossed, else ``None``."""
+        emitted = self.update_all([record])
         return emitted[0] if emitted else None
 
-    def update_all(self, encodings: Iterable[bytes]) -> list[Digest]:
-        """Fold many records' encodings; return all intermediate digests
-        emitted.
+    def update_all(self, records: Iterable[Record]) -> list[Digest]:
+        """Fold many records; return all intermediate digests emitted.
 
-        The encodings up to the next chunk boundary are one run, summed
-        in one pass over their ``record_hash`` values; a chunk digest is
-        emitted wherever a run ends on a boundary, as folding one by one
-        would."""
-        if not isinstance(encodings, list):
-            encodings = list(encodings)  # the runs are cut by its length
+        The records up to the next chunk boundary are one run, summed in
+        one pass over their digests; a chunk digest is emitted wherever a
+        run ends on a boundary, as folding one by one would."""
+        if not isinstance(records, list):
+            records = list(records)  # the runs are cut by its length
         chunk_size = self.chunk_size
-        stream = iter(encodings)
+        stream = iter(records)
         emitted = []
-        left = len(encodings)
+        left = len(records)
         while left:
             run = left
             if chunk_size:
                 run = min(run, chunk_size - self._count % chunk_size)
-            hashes = map(record_hash, islice(stream, run))
+            hashes = map(record_digest, islice(stream, run))
             self._acc += sum(map(int.from_bytes, hashes, repeat("big")))
             self._count += run
             left -= run
@@ -154,7 +162,7 @@ class StreamingDigest:
 def digest_of(records: Iterable[Record], chunk_size: int = 0) -> Digest:
     """One-shot convenience: final digest of an iterable of records."""
     streaming = StreamingDigest(chunk_size=chunk_size)
-    streaming.update_all(list(map(Record.encoded, records)))
+    streaming.update_all(records)
     return streaming.finalize()
 
 

@@ -25,11 +25,13 @@ class Record:
     3
     """
 
-    __slots__ = ("fields", "_encoded")
+    __slots__ = ("fields", "_encoded", "_digest")
 
     def __init__(self, fields: Sequence[FieldValue]) -> None:
         self.fields: tuple[FieldValue, ...] = tuple(fields)
         self._encoded: bytes | None = None
+        #: SHA-256 of the encoding, kept by ``hashing.record_digest``.
+        self._digest: bytes | None = None
 
     def __getitem__(self, index: int) -> FieldValue:
         return self.fields[index]
@@ -100,22 +102,46 @@ def _encode_str(value: str) -> bytes:
 def _encode_bag(value: Iterable[FieldValue]) -> bytes:
     # Bags are canonicalized by sorting their encodings so that replicas
     # that materialize a bag in different orders still digest equally.
-    inner = b"".join(sorted(map(encode_value, value)))
+    inner = b"".join(sorted(_encode_members(value)))
     return b"g%d:%b;" % (len(inner), inner)
 
 
-#: Exact type -> encoder; a subclass uses the first entry on its MRO.
-_ENCODERS: dict[type, Callable[[Any], bytes]] = {
-    type(None): lambda value: b"N;",
-    bool: lambda value: b"b1;" if value else b"b0;",
-    int: _encode_int,
-    float: _encode_float,
-    str: _encode_str,
-    Record: Record.encoded,
-    tuple: lambda value: encode_tuple(map(encode_value, value)),
-    list: _encode_bag,
-    frozenset: _encode_bag,
-}
+class _EncoderTable(dict):
+    """Exact type -> encoder.  A type with no entry of its own (a
+    subclass) gets the entry of the first type on its MRO that has one:
+    a namedtuple encodes as a tuple, a ``str`` subclass as a string.
+    That walk is not stored, so the table holds the supported types only."""
+
+    def __missing__(self, cls: type) -> Callable[[Any], bytes]:
+        for base in cls.__mro__[1:]:
+            encoder = self.get(base)
+            if encoder is not None:
+                return encoder
+        raise TypeError(f"unsupported field type: {cls.__name__}")
+
+
+def _encode_members(values: Iterable[FieldValue]) -> list[bytes]:
+    """Each member's encoding, with one table lookup per member."""
+    encoders = _ENCODERS
+    members = []
+    for value in values:
+        members.append(encoders[type(value)](value))
+    return members
+
+
+_ENCODERS = _EncoderTable(
+    {
+        type(None): lambda value: b"N;",
+        bool: lambda value: b"b1;" if value else b"b0;",
+        int: _encode_int,
+        float: _encode_float,
+        str: _encode_str,
+        Record: Record.encoded,
+        tuple: lambda value: encode_tuple(_encode_members(value)),
+        list: _encode_bag,
+        frozenset: _encode_bag,
+    }
+)
 
 
 def encode_value(value: FieldValue) -> bytes:
@@ -125,11 +151,7 @@ def encode_value(value: FieldValue) -> bytes:
     values never encode to the same bytes, so digest equality implies
     data equality (up to hash collisions of SHA-256 itself).
     """
-    for base in type(value).__mro__:
-        encoder = _ENCODERS.get(base)
-        if encoder is not None:
-            return encoder(value)
-    raise TypeError(f"unsupported field type: {type(value).__name__}")
+    return _ENCODERS[type(value)](value)
 
 
 def encode_record(record: Record) -> bytes:

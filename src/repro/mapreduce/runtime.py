@@ -7,7 +7,8 @@ comparable:
 
 * reduce keys are grouped and emitted in canonical key order;
 * verification taps sort their observed stream canonically before
-  chunked digesting, so chunk boundaries agree across replicas;
+  chunked digesting, so chunk boundaries agree across replicas (an
+  unchunked digest is a sum, which no order changes);
 * job outputs are assembled in task-index order by the engine, so
   intermediate files are byte-identical across correct replicas and
   block/split structure matches.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
-from repro.common.hashing import Digest, StreamingDigest, sha256
+from repro.common.hashing import Digest, StreamingDigest, record_digest, sha256
 from repro.common.records import Record, encode_tuple, encode_value
 from repro.compiler.jobspec import JobSpec, PipelineOp
 from repro.dataflow.operators import VerifyOp
@@ -50,13 +51,15 @@ def _encode_key(key: object) -> tuple[bytes, int]:
     return encode_tuple((encoded,)), len(encoded)
 
 
-def _partition_of(key_as_tuple: bytes, num_reducers: int) -> int:
-    return int.from_bytes(sha256(key_as_tuple)[:4], "big") % num_reducers
+def _partition_of(key_digest: bytes, num_reducers: int) -> int:
+    """The one partition rule: the first 4 bytes of the SHA-256 of the
+    key's encoding as a tuple, modulo the reducer count."""
+    return int.from_bytes(key_digest[:4], "big") % num_reducers
 
 
 def partition_for(key: object, num_reducers: int) -> int:
     """Deterministic hash partitioner (stable across processes/replicas)."""
-    return _partition_of(_encode_key(key)[0], num_reducers)
+    return _partition_of(sha256(_encode_key(key)[0]), num_reducers)
 
 
 def _key_placer(
@@ -65,27 +68,30 @@ def _key_placer(
     """One map task's ``place(key, record) -> (partition, key_as_tuple,
     key_bytes)``, encoding each key once and hashing each partition once.
 
-    A whole-record key (``key is record.fields``) reads the record's cached
-    encoding.  Exact ``int`` / ``str`` keys are memoised by value; every
-    other key is encoded per record, so lookalikes keep their own bytes.
-    Partitions are memoised by the key's bytes.
+    A whole-record key (``key is record.fields``) reads the record's
+    encoding and digest, which the record keeps.  Exact ``int`` / ``str``
+    keys are memoised by value; every other key is encoded per record, so
+    lookalikes keep their own bytes.  Their partitions are memoised by the
+    key's bytes.
     """
     by_value: dict = {}
     by_bytes: dict[bytes, int] = {}
 
     def place(key: object, record: Record) -> tuple[int, bytes, int]:
+        if key is record.fields:
+            key_as_tuple = record.encoded()
+            part = _partition_of(record_digest(record), num_reducers)
+            return part, key_as_tuple, len(key_as_tuple)
         memoise = type(key) in _MEMO_TYPES
         placed = by_value.get(key) if memoise else None
         if placed is not None:
             return placed
-        if key is record.fields:
-            key_as_tuple = record.encoded()
-            key_bytes = len(key_as_tuple)
-        else:
-            key_as_tuple, key_bytes = _encode_key(key)
+        key_as_tuple, key_bytes = _encode_key(key)
         part = by_bytes.get(key_as_tuple)
         if part is None:
-            part = by_bytes[key_as_tuple] = _partition_of(key_as_tuple, num_reducers)
+            part = by_bytes[key_as_tuple] = _partition_of(
+                sha256(key_as_tuple), num_reducers
+            )
         placed = part, key_as_tuple, key_bytes
         if memoise:
             by_value[key] = placed
@@ -105,18 +111,20 @@ class TapResult:
 
 
 def _tap(point: VerifyOp, records: list[Record]) -> TapResult:
-    """Digest the records passing a VerifyOp inside a task: their
-    encodings, read once, sorted, folded and sized."""
-    # Sort canonically so chunk boundaries agree across replicas.
-    encodings = sorted(map(Record.encoded, records))
-    streaming = StreamingDigest(chunk_size=point.chunk_records)
-    streaming.update_all(encodings)
+    """Digest the records passing a VerifyOp inside a task: fold their
+    kept digests and size their encodings."""
+    chunk_size = point.chunk_records
+    if chunk_size:
+        # Sort canonically so chunk boundaries agree across replicas.
+        records = sorted(records, key=Record.encoded)
+    streaming = StreamingDigest(chunk_size=chunk_size)
+    streaming.update_all(records)
     streaming.finalize()
     return TapResult(
         vp_id=point.vp_id,
         digests=streaming.all_digests(),
-        record_count=len(encodings),
-        bytes_hashed=sum(map(len, encodings)),
+        record_count=len(records),
+        bytes_hashed=sum(map(len, map(Record.encoded, records))),
     )
 
 

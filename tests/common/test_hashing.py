@@ -61,7 +61,7 @@ class TestStreamingDigest:
 
     def test_chunking_emits_intermediate_digests(self):
         streaming = StreamingDigest(chunk_size=2)
-        chunks = streaming.update_all([Record((i,)).encoded() for i in range(5)])
+        chunks = streaming.update_all([Record((i,)) for i in range(5)])
         final = streaming.finalize()
         assert len(chunks) == 2  # after records 2 and 4
         assert all(not c.final for c in chunks)
@@ -71,7 +71,7 @@ class TestStreamingDigest:
 
     def test_chunk_size_zero_means_single_digest(self):
         streaming = StreamingDigest(chunk_size=0)
-        assert streaming.update_all([Record((i,)).encoded() for i in range(10)]) == []
+        assert streaming.update_all([Record((i,)) for i in range(10)]) == []
         assert len(streaming.all_digests()) == 0
         streaming.finalize()
         assert len(streaming.all_digests()) == 1
@@ -93,7 +93,7 @@ class TestStreamingDigest:
         bytes -> int -> bytes fold it replaced, chunk digests included."""
         records = [Record(t) for t in data]
         streaming = StreamingDigest(chunk_size=3)
-        streaming.update_all([record.encoded() for record in records])
+        streaming.update_all(records)
         streaming.finalize()
         acc = bytes(32)
         expected = []

@@ -1,6 +1,6 @@
 """One-pass record kernels: the chunked digest fold and the WAL record
 codec each take a whole stream in one pass, the fold over the records'
-encodings.  The per-record forms they replaced are kept here as
+kept digests.  The per-record forms they replaced are kept here as
 references, and every digest, chunk boundary and serialised byte must
 equal theirs."""
 
@@ -52,15 +52,13 @@ def view(digests):
 
 
 def assert_folds_alike(records, cuts, chunk_size, generator_call=None):
-    """Feed ``records`` cut at ``cuts`` to both folds, call by call (the
-    fold gets their encodings); the call numbered ``generator_call``
-    passes a generator."""
+    """Feed ``records`` cut at ``cuts`` to both folds, call by call; the
+    call numbered ``generator_call`` passes the fold a generator."""
     fold, reference = StreamingDigest(chunk_size), ReferenceFold(chunk_size)
     bounds = [0, *sorted(cuts), len(records)]
     for call, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         piece = records[start:stop]
-        encodings = [record.encoded() for record in piece]
-        fed = iter(encodings) if call == generator_call else encodings
+        fed = iter(piece) if call == generator_call else piece
         assert view(fold.update_all(fed)) == reference.update_all(piece)
         assert fold.record_count == reference.count
     fold.finalize()
@@ -93,7 +91,7 @@ class TestDigestFold:
     def test_update_is_a_one_record_fold(self):
         fold, reference = StreamingDigest(7), ReferenceFold(7)
         for i in range(20):
-            emitted = fold.update(Record((i,)).encoded())
+            emitted = fold.update(Record((i,)))
             expected = reference.update_all([Record((i,))])
             assert view([emitted] if emitted else []) == expected
         assert fold.record_count == 20
