@@ -46,6 +46,7 @@ INPUTS = (
     "examples/follower_analysis.pig",
     "examples/alerts.json",
     "benchmarks/baselines",
+    "benchmarks/results",
 )
 GROUP_COUNT = """A = LOAD 'in' AS (k:int, v:int);
 G = GROUP A BY k;
@@ -141,6 +142,12 @@ RECIPE = (
     (0, "repro report quickstart.jsonl --format html -o report.html"),
     *((0, f"examples/{name}.py > {name}.txt") for name in EXAMPLES),
 )
+#: The paper tables the full ``repro bench`` run writes; each must equal
+#: its committed copy in ``benchmarks/results``.
+TABLES = (
+    "fig9", "fig10", "table3", "fig11", "fig12", "fig13", "fig14",
+    "ablation_combiner", "ablation_marker", "ablation_optimizer", "ablation_speculation",
+)
 #: (reference, twin): files that must be equal within each side.
 PAIRS = (
     ("serve.ledger", "serve-kill.ledger"),  # resumed = uninterrupted
@@ -151,6 +158,7 @@ PAIRS = (
     ("untraced.wal", "causal.wal"),  # traced = untraced: latency, winners
     ("untraced.json", "causal.json"),
     ("serve.ledger", "slo.ledger"),  # ... and on a faulty, random service
+    *((f"benchmarks/results/{name}.txt", f"bench/{name}.txt") for name in TABLES),
 )
 #: Suffixes of JSON-lines files: traces, WALs, ledgers.
 JSONL = {".jsonl", ".wal", ".ledger"}

@@ -32,7 +32,8 @@ def add_bench_parser(sub) -> None:
     bench.add_argument(
         "--results-dir",
         default=DEFAULT_RESULTS_DIR,
-        help=f"where BENCH_<name>.json lands (default: {DEFAULT_RESULTS_DIR})",
+        help="where BENCH_<name>.json and the paper tables land "
+        f"(default: {DEFAULT_RESULTS_DIR})",
     )
     bench.add_argument(
         "--baseline-dir",
@@ -45,19 +46,12 @@ def add_bench_parser(sub) -> None:
         action="store_true",
         help="rewrite the baselines from this run instead of comparing",
     )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
-        help="default relative tolerance for metrics without their own "
-        "(default 0: exact, the right gate for a deterministic simulator)",
-    )
 
 
 def cmd_bench(args) -> int:
     if args.list:
         for spec in SUITES:
-            print(f"{spec.name:<18} seed={spec.seed:<10} {spec.description}")
+            print(f"{spec.name:<20} seed={spec.seed:<10} {spec.description}")
         return 0
     return run_suite(
         names=args.names or None,
@@ -65,5 +59,4 @@ def cmd_bench(args) -> int:
         results_dir=args.results_dir,
         baseline_dir=args.baseline_dir,
         update_baselines=args.update_baselines,
-        default_tolerance=args.tolerance,
     )

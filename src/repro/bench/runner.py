@@ -3,18 +3,19 @@
 Result files are ``BENCH_<name>.json`` in ``benchmarks/results/`` —
 schema-versioned, sorted-key JSON carrying the metrics, the seed, the
 variant (full/smoke) and the git sha, so the perf trajectory accumulates
-one machine-readable point per commit.  Baselines are the same payload
-minus the git sha, committed under ``benchmarks/baselines/`` (smoke
-variants in a ``smoke/`` subdirectory).
+one machine-readable point per commit.  A figure suite's full variant
+also writes its paper table, ``<name>.txt``, next to them.  Baselines
+are the same payload minus the git sha, committed under
+``benchmarks/baselines/`` (smoke variants in a ``smoke/`` subdirectory).
 
-Comparison policy: each baseline metric may carry a relative
-``tolerance`` (fraction; 0 or absent = exact, which is the right default
-for a deterministic simulator).  A run regresses when any metric
-deviates beyond its tolerance in *either* direction — upward drift on a
-latency metric is a perf regression, downward drift on a fidelity metric
-(jobs completed, suspects isolated) is a correctness smell, and silent
+Comparison policy: every metric must equal its baseline exactly, the
+right gate for a deterministic simulator.  A run regresses when any
+metric moves in *either* direction — upward drift on a latency metric
+is a perf regression, downward drift on a fidelity metric (jobs
+completed, suspects isolated) is a correctness smell, and silent
 movement of supposedly-deterministic numbers means nondeterminism crept
-in.  Missing metrics, result files and baselines fail too.
+in.  Missing metrics, result files and baselines fail too, and so does
+a failed shape check, whose run is never pinned as a baseline.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import os
 import subprocess
 from dataclasses import dataclass
 
-from repro.bench.suites import SUITES, BenchSpec, spec_by_name
-from repro.common.atomic_io import write_json
+from repro.bench.spec import BenchSpec, Metric
+from repro.bench.suites import SUITES, spec_by_name
+from repro.common.atomic_io import write_json, write_text
 
 SCHEMA_VERSION = "repro.bench/v1"
 
@@ -39,17 +41,13 @@ class Regression:
     metric: str
     baseline: float | None
     current: float | None
-    tolerance: float
 
     def render(self) -> str:
         if self.baseline is None:
             return f"{self.benchmark}.{self.metric}: missing from baseline run"
         if self.current is None:
             return f"{self.benchmark}.{self.metric}: missing from this run"
-        return (
-            f"{self.benchmark}.{self.metric}: {self.baseline:g} -> "
-            f"{self.current:g} (tolerance {self.tolerance:g})"
-        )
+        return f"{self.benchmark}.{self.metric}: {self.baseline:g} -> {self.current:g}"
 
 
 def git_sha() -> str:
@@ -69,16 +67,16 @@ def git_sha() -> str:
 
 
 def build_payload(
-    spec: BenchSpec, smoke: bool, sha: str | None = None
+    spec: BenchSpec, smoke: bool, metrics: list[Metric], sha: str | None = None
 ) -> dict:
-    """Run one benchmark and wrap its metrics in the result schema."""
+    """Wrap one benchmark's metrics in the result schema."""
     return {
         "schema": SCHEMA_VERSION,
         "benchmark": spec.name,
         "variant": "smoke" if smoke else "full",
         "seed": spec.seed,
         "git_sha": sha if sha is not None else git_sha(),
-        "metrics": spec.run(smoke),
+        "metrics": metrics,
     }
 
 
@@ -103,38 +101,28 @@ def _as_baseline(payload: dict) -> dict:
     return baseline
 
 
-def compare_payload(
-    payload: dict, baseline: dict, default_tolerance: float = 0.0
-) -> list[Regression]:
-    """Per-metric comparison; any deviation beyond tolerance regresses."""
+def compare_payload(payload: dict, baseline: dict) -> list[Regression]:
+    """Per-metric comparison; any deviation from the baseline regresses."""
     current = {m["name"]: m for m in payload.get("metrics", [])}
     regressions: list[Regression] = []
     for row in baseline.get("metrics", []):
         name = row["name"]
-        tolerance = float(row.get("tolerance", default_tolerance))
         if name not in current:
             regressions.append(
-                Regression(payload["benchmark"], name, row["value"], None, tolerance)
+                Regression(payload["benchmark"], name, row["value"], None)
             )
             continue
         base_value = float(row["value"])
         cur_value = float(current[name]["value"])
-        limit = tolerance * max(abs(base_value), 1e-12)
-        if abs(cur_value - base_value) > limit:
+        if cur_value != base_value:
             regressions.append(
-                Regression(
-                    payload["benchmark"], name, base_value, cur_value, tolerance
-                )
+                Regression(payload["benchmark"], name, base_value, cur_value)
             )
     for name in current:
         if not any(row["name"] == name for row in baseline.get("metrics", [])):
             regressions.append(
                 Regression(
-                    payload["benchmark"],
-                    name,
-                    None,
-                    float(current[name]["value"]),
-                    0.0,
+                    payload["benchmark"], name, None, float(current[name]["value"])
                 )
             )
     return regressions
@@ -146,11 +134,10 @@ def run_suite(
     results_dir: str = DEFAULT_RESULTS_DIR,
     baseline_dir: str = DEFAULT_BASELINE_DIR,
     update_baselines: bool = False,
-    default_tolerance: float = 0.0,
     log=print,
     _suites: tuple[BenchSpec, ...] | None = None,
 ) -> int:
-    """Run benchmarks, write results, compare; returns the exit code.
+    """Run benchmarks, write results, check and compare; returns the exit code.
 
     ``_suites`` overrides the registered suite — test seam only.
     """
@@ -161,15 +148,29 @@ def run_suite(
     sha = git_sha()
     all_regressions: list[Regression] = []
     missing_baselines: list[str] = []
+    failed_checks: list[str] = []
     for spec in specs:
-        payload = build_payload(spec, smoke, sha=sha)
+        outcome = spec.run(smoke)
+        payload = build_payload(spec, smoke, outcome.metrics, sha=sha)
         result_path = write_payload(payload, results_dir)
         log(
             f"bench {spec.name} [{payload['variant']}]: "
             f"{len(payload['metrics'])} metrics -> {result_path}"
         )
+        if outcome.table is not None:
+            table_path = os.path.join(results_dir, f"{spec.name}.txt")
+            # The committed tables open with a blank line.
+            write_text(table_path, "\n" + outcome.table + "\n")
+            log(f"  table -> {table_path}")
+        failed = [name for name, holds in outcome.checks.items() if not holds]
+        for name in failed:
+            log(f"  CHECK FAILED {spec.name}.{name}")
+        failed_checks += failed
         base_path = baseline_path(spec.name, baseline_dir, smoke)
         if update_baselines:
+            if failed:
+                log(f"  baseline not updated: {spec.name} fails a check")
+                continue
             os.makedirs(os.path.dirname(base_path), exist_ok=True)
             write_json(base_path, _as_baseline(payload))
             log(f"  baseline updated: {base_path}")
@@ -180,9 +181,7 @@ def run_suite(
             continue
         with open(base_path) as handle:
             baseline = json.load(handle)
-        regressions = compare_payload(
-            payload, baseline, default_tolerance=default_tolerance
-        )
+        regressions = compare_payload(payload, baseline)
         if regressions:
             for regression in regressions:
                 log(f"  REGRESSION {regression.render()}")
@@ -196,4 +195,6 @@ def run_suite(
         )
     if missing_baselines:
         log(f"{len(missing_baselines)} benchmark(s) without a baseline")
-    return 1 if all_regressions or missing_baselines else 0
+    if failed_checks:
+        log(f"{len(failed_checks)} failed check(s)")
+    return 1 if all_regressions or missing_baselines or failed_checks else 0

@@ -1,127 +1,24 @@
 """Benchmark suite definitions.
 
-Each spec is a named, seeded, deterministic measurement.  The figure
-benchmarks are **trace-backed**: they run the workload under telemetry
-and derive their metrics from the recorded gauge series/events via
-:mod:`repro.telemetry.analysis` — the same numbers ``repro report``
-shows — rather than keeping bespoke in-benchmark bookkeeping.  The
-``smoke`` variant shrinks sizes for CI while keeping the same code
-paths.
+Each spec is a named, seeded, deterministic measurement.  The paper's
+figures and ablations live in :mod:`repro.bench.figures` and
+:mod:`repro.bench.ablations`; the suites here gate the system's own
+mechanisms (assured execution, region placement, tracing, checkpoints,
+the service tier).  They are **trace-backed** where they can be: they
+run the workload under telemetry and derive their metrics from the
+recorded records via :mod:`repro.telemetry.analysis` — the same numbers
+``repro report`` shows — rather than keeping bespoke in-benchmark
+bookkeeping.  The ``smoke`` variant shrinks sizes for CI while keeping
+the same code paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
+from repro.bench.ablations import ABLATIONS
+from repro.bench.figures import FIGURES
+from repro.bench.spec import BenchSpec, Metric, Outcome, metric
 from repro.telemetry import Telemetry
-from repro.telemetry.analysis import (
-    TraceModel,
-    first_event,
-    gauge_series,
-    last_gauge_value,
-    summarize,
-)
-
-Metric = dict
-
-
-def metric(name: str, value, units: str, tolerance: float = 0.0) -> Metric:
-    """One benchmark metric row (tolerance is relative, 0 = exact)."""
-    row = {"name": name, "value": value, "units": units}
-    if tolerance:
-        row["tolerance"] = tolerance
-    return row
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    name: str
-    description: str
-    seed: int
-    run: Callable[[bool], list[Metric]]  # run(smoke) -> metrics
-
-
-# ---------------------------------------------------------------------------
-# fig12 — suspicion saturation (isolation simulator, trace-backed)
-# ---------------------------------------------------------------------------
-
-
-def _fig12(smoke: bool) -> list[Metric]:
-    from repro.isolation.simulator import IsolationSimulator
-
-    telemetry = Telemetry.recording()
-    simulator = IsolationSimulator(
-        f=1, commission_probability=0.8, seed=12, telemetry=telemetry
-    )
-    simulator.run(max_time=30 if smoke else 150)
-    records = TraceModel.of(telemetry.export_records())
-    saturation = first_event(records, "saturation")
-    return [
-        metric(
-            "saturation_time",
-            saturation["ts"] if saturation else -1,
-            "simulated_seconds",
-        ),
-        metric(
-            "jobs_at_saturation",
-            (saturation.get("attrs") or {}).get("jobs_completed", -1)
-            if saturation
-            else -1,
-            "jobs",
-        ),
-        metric(
-            "jobs_completed",
-            last_gauge_value(records, "sim_jobs_completed", 0),
-            "jobs",
-        ),
-        metric(
-            "final_suspects",
-            last_gauge_value(records, "suspicion_suspects", 0),
-            "nodes",
-        ),
-        metric(
-            "final_high_band",
-            last_gauge_value(records, "suspicion_band_nodes", 0, band="high"),
-            "nodes",
-        ),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# fig13 — suspicion spikes (multi-seed peak, trace-backed)
-# ---------------------------------------------------------------------------
-
-_FIG13_SEEDS_FULL = (3, 5, 11, 17, 23)
-_FIG13_SEEDS_SMOKE = (3, 5)
-
-
-def _fig13(smoke: bool) -> list[Metric]:
-    from repro.isolation.simulator import IsolationSimulator
-
-    seeds = _FIG13_SEEDS_SMOKE if smoke else _FIG13_SEEDS_FULL
-    max_time = 60 if smoke else 150
-    peaks = []
-    for seed in seeds:
-        telemetry = Telemetry.recording()
-        simulator = IsolationSimulator(
-            f=2,
-            ratio=(10, 1, 1),
-            commission_probability=0.25,
-            seed=seed,
-            telemetry=telemetry,
-        )
-        simulator.run(max_time=max_time)
-        series = gauge_series(
-            telemetry.export_records(), "suspicion_suspects"
-        )
-        peaks.append(max((value for _, value in series), default=0.0))
-    return [
-        metric("peak_suspects_max", max(peaks), "nodes"),
-        metric("peak_suspects_mean", sum(peaks) / len(peaks), "nodes"),
-        metric("runs", len(peaks), "runs"),
-    ]
-
+from repro.telemetry.analysis import summarize
 
 # ---------------------------------------------------------------------------
 # exec — assured group-count execution (controller, trace-backed)
@@ -136,7 +33,7 @@ STORE C INTO 'out';
 """
 
 
-def _exec(smoke: bool) -> list[Metric]:
+def _exec(smoke: bool) -> Outcome:
     import os
     import tempfile
 
@@ -179,7 +76,7 @@ def _exec(smoke: bool) -> list[Metric]:
             controller.load_input(path, records)
         result = controller.run_assured(_EXEC_SCRIPT)
     summary = summarize(telemetry.export_records())
-    return [
+    return Outcome([
         metric("latency", round(result.latency, 6), "simulated_seconds"),
         metric("assured", int(result.assured), "bool"),
         metric("attempts", result.attempts, "attempts"),
@@ -197,7 +94,7 @@ def _exec(smoke: bool) -> list[Metric]:
             round(summary.verify_tail_seconds, 6),
             "simulated_seconds",
         ),
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +111,7 @@ _GEO_LAYOUTS = (
 )
 
 
-def _geo(smoke: bool) -> list[Metric]:
+def _geo(smoke: bool) -> Outcome:
     from repro.chaos.runner import workload
     from repro.common.config import (
         ClusterBFTConfig,
@@ -264,7 +161,7 @@ def _geo(smoke: bool) -> list[Metric]:
             "simulated_seconds",
         )
     )
-    return metrics
+    return Outcome(metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +169,7 @@ def _geo(smoke: bool) -> list[Metric]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_overhead(smoke: bool) -> list[Metric]:
+def _trace_overhead(smoke: bool) -> Outcome:
     """Same-seed run untraced, traced, and causal-traced.
 
     Telemetry (including the causal layer) observes the simulation; it
@@ -326,7 +223,7 @@ def _trace_overhead(smoke: bool) -> list[Metric]:
     traced_records = traced_telemetry.export_records()
     causal_records = causal_telemetry.export_records()
     graph = build_causal(causal_records)
-    return [
+    return Outcome([
         metric(
             "output_digest_match_traced",
             int(digest_traced == digest_untraced),
@@ -360,7 +257,7 @@ def _trace_overhead(smoke: bool) -> list[Metric]:
         ),
         metric("causal_message_edges", len(graph.message_edge), "edges"),
         metric("causal_orphans", len(graph.orphans()), "spans"),
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +277,7 @@ STORE D INTO 'out';
 """
 
 
-def _rerun_makespan(smoke: bool) -> list[Metric]:
+def _rerun_makespan(smoke: bool) -> Outcome:
     """Faulty makespan with the checkpoint tier vs full rerun.
 
     One slow node pushes the downstream job past the verifier timeout,
@@ -439,7 +336,7 @@ def _rerun_makespan(smoke: bool) -> list[Metric]:
 
     checkpointed, digest_checkpointed = one_run(True, 1.0)
     full, digest_full = one_run(False, 0.0)
-    return [
+    return Outcome([
         metric(
             "makespan_checkpointed",
             round(checkpointed.latency, 6),
@@ -471,7 +368,7 @@ def _rerun_makespan(smoke: bool) -> list[Metric]:
             "checkpoint_commits", checkpointed.checkpoint_commits, "commits"
         ),
         metric("reused_jobs", checkpointed.reused_jobs, "jobs"),
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +376,11 @@ def _rerun_makespan(smoke: bool) -> list[Metric]:
 # ---------------------------------------------------------------------------
 
 
-def _service_traffic(smoke: bool) -> list[Metric]:
+def _service_traffic(smoke: bool) -> Outcome:
     from repro.service.bench import run_traffic_bench
 
     stats = run_traffic_bench(smoke)
-    return [
+    return Outcome([
         metric("jobs_total", stats["jobs_total"], "jobs"),
         metric("admitted", stats["admitted"], "jobs"),
         metric("rejected", stats["rejected"], "jobs"),
@@ -499,22 +396,11 @@ def _service_traffic(smoke: bool) -> list[Metric]:
         metric("quarantined_nodes", stats["quarantined_nodes"], "nodes"),
         metric("evicted_nodes", stats["evicted_nodes"], "nodes"),
         metric("makespan", stats["makespan"], "simulated_seconds"),
-    ]
+    ])
 
 
 SUITES: tuple[BenchSpec, ...] = (
-    BenchSpec(
-        name="fig12",
-        description="suspicion saturation from an isolation-simulator trace",
-        seed=12,
-        run=_fig12,
-    ),
-    BenchSpec(
-        name="fig13",
-        description="suspicion spike peaks across seeds (trace-backed)",
-        seed=3,
-        run=_fig13,
-    ),
+    *FIGURES,
     BenchSpec(
         name="exec_groupcount",
         description="assured execution latency/verification split from a trace",
@@ -550,6 +436,7 @@ SUITES: tuple[BenchSpec, ...] = (
         seed=20131209,
         run=_service_traffic,
     ),
+    *ABLATIONS,
 )
 
 

@@ -46,10 +46,6 @@ class Table:
             lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def show(self) -> None:
-        print()
-        print(self.render())
-
 
 @dataclass
 class Series:

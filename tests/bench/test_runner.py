@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,22 +13,28 @@ from repro.bench.runner import (
     run_suite,
     write_payload,
 )
-from repro.bench.suites import BenchSpec, metric, spec_by_name
+from repro.bench.suites import SUITES, BenchSpec, Outcome, metric, spec_by_name
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
-def quick_spec(values=(1.0, 2.0), name="toy"):
+def quick_spec(values=(1.0, 2.0), name="toy", checks=None):
     def run(smoke):
-        return [
-            metric("alpha", values[0], "units"),
-            metric("beta", values[1], "units", tolerance=0.5),
-        ]
+        return Outcome(
+            [metric("alpha", values[0], "units"), metric("beta", values[1], "units")],
+            checks=checks or {},
+        )
 
     return BenchSpec(name=name, description="toy", seed=7, run=run)
 
 
+def payload_of(spec, smoke, sha):
+    return build_payload(spec, smoke, spec.run(smoke).metrics, sha=sha)
+
+
 class TestPayload:
     def test_schema_fields(self):
-        payload = build_payload(quick_spec(), smoke=True, sha="abc123")
+        payload = payload_of(quick_spec(), smoke=True, sha="abc123")
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["benchmark"] == "toy"
         assert payload["variant"] == "smoke"
@@ -36,7 +43,7 @@ class TestPayload:
         assert [m["name"] for m in payload["metrics"]] == ["alpha", "beta"]
 
     def test_write_is_sorted_and_stable(self, tmp_path):
-        payload = build_payload(quick_spec(), smoke=False, sha="abc")
+        payload = payload_of(quick_spec(), smoke=False, sha="abc")
         path_a = write_payload(payload, str(tmp_path / "one"))
         path_b = write_payload(payload, str(tmp_path / "two"))
         assert open(path_a, "rb").read() == open(path_b, "rb").read()
@@ -50,7 +57,7 @@ class TestCompare:
         "benchmark": "toy",
         "metrics": [
             {"name": "alpha", "value": 10.0, "units": "u"},
-            {"name": "beta", "value": 100.0, "units": "u", "tolerance": 0.1},
+            {"name": "beta", "value": 100.0, "units": "u"},
         ],
     }
 
@@ -71,14 +78,6 @@ class TestCompare:
         assert regression.metric == "alpha"
         assert "alpha" in regression.render()
 
-    def test_tolerance_absorbs_small_drift_both_directions(self):
-        assert compare_payload(self.payload(beta=109.0), self.BASE) == []
-        assert compare_payload(self.payload(beta=91.0), self.BASE) == []
-
-    def test_tolerance_exceeded_regresses_both_directions(self):
-        assert compare_payload(self.payload(beta=111.0), self.BASE)
-        assert compare_payload(self.payload(beta=89.0), self.BASE)
-
     def test_missing_metric_in_run_regresses(self):
         payload = {"benchmark": "toy", "metrics": self.payload()["metrics"][:1]}
         (regression,) = compare_payload(payload, self.BASE)
@@ -92,12 +91,6 @@ class TestCompare:
         (regression,) = compare_payload(payload, self.BASE)
         assert regression.metric == "gamma"
         assert regression.baseline is None
-
-    def test_default_tolerance_applies_to_untolerated_metrics(self):
-        regressions = compare_payload(
-            self.payload(alpha=10.5), self.BASE, default_tolerance=0.1
-        )
-        assert regressions == []
 
 
 class TestRunSuite:
@@ -140,6 +133,14 @@ class TestRunSuite:
         assert "git_sha" not in baseline
         assert baseline["schema"] == SCHEMA_VERSION
 
+    def test_failed_check_exits_one_and_pins_no_baseline(self, tmp_path):
+        spec = quick_spec(checks={"holds": True, "shape_broken": False})
+        code, logs = self.run(tmp_path, spec, update=True)
+        assert code == 1
+        assert any("CHECK FAILED toy.shape_broken" in line for line in logs)
+        assert not any("toy.holds" in line for line in logs)
+        assert not (tmp_path / "baselines" / "smoke" / "BENCH_toy.json").exists()
+
     def test_result_files_byte_identical_across_runs(self, tmp_path):
         self.run(tmp_path, quick_spec(), update=True)
         self.run(tmp_path, quick_spec())
@@ -155,9 +156,14 @@ class TestRealSuites:
         with pytest.raises(KeyError):
             spec_by_name("nope")
 
+    def test_every_suite_has_full_and_smoke_baselines(self):
+        for spec in SUITES:
+            assert (BASELINES / f"BENCH_{spec.name}.json").is_file(), spec.name
+            assert (BASELINES / "smoke" / f"BENCH_{spec.name}.json").is_file(), spec.name
+
     def test_fig12_smoke_is_deterministic_and_trace_backed(self):
-        first = spec_by_name("fig12").run(True)
-        second = spec_by_name("fig12").run(True)
+        first = spec_by_name("fig12").run(True).metrics
+        second = spec_by_name("fig12").run(True).metrics
         assert first == second
         names = [m["name"] for m in first]
         assert "saturation_time" in names
@@ -165,12 +171,12 @@ class TestRealSuites:
 
     def test_fig13_smoke_is_deterministic(self):
         spec = spec_by_name("fig13")
-        first = spec.run(True)
-        assert first == spec.run(True)
+        first = spec.run(True).metrics
+        assert first == spec.run(True).metrics
         by_name = {m["name"]: m["value"] for m in first}
         assert by_name["runs"] == 2
         assert by_name["peak_suspects_max"] >= by_name["peak_suspects_mean"]
 
     def test_payload_survives_deepcopy_comparison(self):
-        payload = build_payload(quick_spec(), smoke=True, sha="x")
+        payload = payload_of(quick_spec(), smoke=True, sha="x")
         assert compare_payload(copy.deepcopy(payload), payload) == []

@@ -23,7 +23,7 @@ class TestTraceOverheadBench:
         assert spec.seed == 20131209
 
     def test_smoke_payload_proves_zero_sim_perturbation(self):
-        rows = spec_by_name("trace_overhead").run(True)  # smoke sizes
+        rows = spec_by_name("trace_overhead").run(True).metrics  # smoke sizes
         values = metrics_by_name(rows)
         assert values["output_digest_match_traced"] == 1
         assert values["output_digest_match_causal"] == 1
@@ -35,7 +35,7 @@ class TestTraceOverheadBench:
     def test_no_host_time_metrics_in_payload(self):
         # The CI bench-smoke job byte-compares double runs; any
         # wall-clock value in the payload would break that.
-        rows = spec_by_name("trace_overhead").run(True)
+        rows = spec_by_name("trace_overhead").run(True).metrics
         for row in rows:
             assert "host" not in row["name"]
             assert "wall" not in row["name"]
