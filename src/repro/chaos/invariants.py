@@ -164,6 +164,13 @@ def _diverging(
     ]
 
 
+def _trace_ref(ctx: RunContext | ServiceRunContext, locator: str) -> str:
+    """``locator`` inside the cell's trace file (bare when untraced)."""
+    if ctx.trace_name is None:
+        return locator
+    return f"{ctx.trace_name}#{locator}"
+
+
 @dataclass
 class RunContext:
     """Everything a checker may look at for one (scenario, seed) run."""
@@ -184,10 +191,7 @@ class RunContext:
     #: populated when the scenario declares ``expected_alerts``).
     twin_records: list[dict] = field(default_factory=list)
 
-    def ref(self, locator: str) -> str | None:
-        if self.trace_name is None:
-            return locator
-        return f"{self.trace_name}#{locator}"
+    ref = _trace_ref
 
 
 def check_safe1(ctx: RunContext) -> list[Violation]:
@@ -272,8 +276,7 @@ def check_safe2(ctx: RunContext) -> list[Violation]:
 def check_live1(ctx: RunContext) -> list[Violation]:
     """Termination with an explicit verdict, inside the rerun budget."""
     violations = []
-    scenario = ctx.scenario
-    budget = scenario.max_reruns + 1
+    budget = ctx.controller.config.bft.max_reruns + 1
     for run_index, result in enumerate(ctx.results):
         if result.attempts > budget:
             violations.append(
@@ -304,7 +307,7 @@ def check_live1(ctx: RunContext) -> list[Violation]:
                         ctx.ref(f"run={run_index}"),
                     )
                 )
-            if scenario.expect_assured:
+            if ctx.scenario.expect_assured:
                 violations.append(
                     Violation(
                         LIVE1,
@@ -351,16 +354,13 @@ def check_degr1(ctx: RunContext) -> list[Violation]:
         return []
     violations = []
     for record in ctx.records:
-        node = None
-        started = None
         if record.get("type") == "span" and record.get("name") == "task":
-            attrs = record.get("attrs") or {}
-            node = attrs.get("node")
             started = record.get("start")
         elif record.get("type") == "event" and record.get("name") == "speculate":
-            attrs = record.get("attrs") or {}
-            node = attrs.get("node")
             started = record.get("ts")
+        else:
+            continue
+        node = (record.get("attrs") or {}).get("node")
         if node is None or started is None:
             continue
         cutoff = quarantined_at.get(node)
@@ -580,12 +580,9 @@ _CHECKERS = (
 )
 
 
-def check_all(ctx: RunContext) -> list[Violation]:
+def check_all(ctx: RunContext, checkers: tuple = _CHECKERS) -> list[Violation]:
     """Run every invariant checker, in declaration order."""
-    violations: list[Violation] = []
-    for _invariant, checker in _CHECKERS:
-        violations.extend(checker(ctx))
-    return violations
+    return [violation for _invariant, check in checkers for violation in check(ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +605,7 @@ class ServiceRunContext:
     records: list[dict] = field(default_factory=list)
     trace_name: str | None = None
 
-    def ref(self, locator: str) -> str | None:
-        if self.trace_name is None:
-            return locator
-        return f"{self.trace_name}#{locator}"
+    ref = _trace_ref
 
 
 def check_ten1(ctx: ServiceRunContext) -> list[Violation]:
@@ -754,7 +748,4 @@ _SERVICE_CHECKERS = (
 
 def check_service_all(ctx: ServiceRunContext) -> list[Violation]:
     """Run every service-tier invariant checker, in declaration order."""
-    violations: list[Violation] = []
-    for _invariant, checker in _SERVICE_CHECKERS:
-        violations.extend(checker(ctx))
-    return violations
+    return check_all(ctx, _SERVICE_CHECKERS)

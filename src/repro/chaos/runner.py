@@ -10,11 +10,11 @@ byte-identical across re-executions, which CI exploits.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
 import tempfile
+from dataclasses import replace
 
 from repro.chaos.invariants import (
     CrashCell,
@@ -27,14 +27,17 @@ from repro.chaos.invariants import (
     check_service_all,
 )
 from repro.chaos.scenarios import Scenario, ServiceScenario, build_fault_plan
+from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.common.records import Record, records_from_rows
 from repro.core import journal as wal
 from repro.core.audit import EVICTION, QUARANTINE, RECONFIG, RERUN
 from repro.core.controller import ClusterBFTController
 from repro.core.recovery import resume_run
+from repro.faults.injection import FaultPlan
 from repro.simulation.network import delay_spike, selective_drop
 from repro.telemetry import Telemetry
+from repro.telemetry.export import read_jsonl_lenient
 
 #: The campaign workload: a group-count with a filter — two MapReduce
 #: jobs, one internal verification point candidate, a verifiable sink.
@@ -102,24 +105,24 @@ def _apply_network_faults(
             )
 
 
-def _reference_truth(scenario: Scenario, seed: int) -> dict[str, list[Record]]:
-    """Ground truth from a fault-free twin of the deployment."""
-    reference = ClusterBFTController(
-        scenario.system_config(seed), block_bytes=_BLOCK_BYTES
-    )
-    reference.load_input("in", workload(seed))
-    return reference.run_plain(DEFAULT_SCRIPT).outputs
+def _deployment(config: SystemConfig, seed: int, **options) -> ClusterBFTController:
+    """A fresh deployment of ``config`` with the cell's workload staged;
+    ``options`` go to the controller (fault plan, telemetry, ...)."""
+    controller = ClusterBFTController(config, block_bytes=_BLOCK_BYTES, **options)
+    controller.load_input("in", workload(seed))
+    return controller
 
 
-def _node_ids(scenario: Scenario) -> list[str]:
-    return [f"node_{index:04d}" for index in range(scenario.num_nodes)]
+def _fault_plan(scenario: Scenario, config: SystemConfig) -> FaultPlan:
+    """The scenario's node faults resolved against its deployment."""
+    node_ids = [f"node_{index:04d}" for index in range(config.cluster.num_nodes)]
+    return build_fault_plan(scenario, node_ids, config.cluster.regions)
 
 
 def _journaled_run(
-    scenario: Scenario, seed: int, path: str, crash_hook=None
+    scenario: Scenario, config: SystemConfig, seed: int, path: str, crash_hook=None
 ):
     """One fresh deployment executing the campaign script with a WAL."""
-    config = scenario.system_config(seed)
     journal = wal.Journal.create(
         path,
         config,
@@ -128,13 +131,9 @@ def _journaled_run(
         block_bytes=_BLOCK_BYTES,
         crash_hook=crash_hook,
     )
-    controller = ClusterBFTController(
-        config,
-        fault_plan=build_fault_plan(scenario, _node_ids(scenario)),
-        block_bytes=_BLOCK_BYTES,
-        journal=journal,
+    controller = _deployment(
+        config, seed, fault_plan=_fault_plan(scenario, config), journal=journal
     )
-    controller.load_input("in", workload(seed))
     return controller.run_assured(DEFAULT_SCRIPT)
 
 
@@ -149,11 +148,12 @@ def run_crash_sweep(
     record is durable but the next decision is not.  Every resumed run
     is compared (by the ``DUR1`` or the ``CKPT1`` checker) against the
     uninterrupted reference."""
-    fault_plan = build_fault_plan(scenario, _node_ids(scenario))
+    config = scenario.system_config(seed)
+    fault_plan = _fault_plan(scenario, config)
     cells = []
     with tempfile.TemporaryDirectory(prefix="repro-crash-sweep-") as tmp:
         reference_path = os.path.join(tmp, "reference.wal")
-        reference = _journaled_run(scenario, seed, reference_path)
+        reference = _journaled_run(scenario, config, seed, reference_path)
         records, _ = wal.read_journal(reference_path)
         marked = {r["seq"] for r in records if r["kind"] == around}
         for crash_seq in range(1, records[-1]["seq"] + 1):
@@ -162,7 +162,7 @@ def run_crash_sweep(
             crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
             try:
                 _journaled_run(
-                    scenario, seed, crash_path, crash_hook=wal.crash_at(crash_seq)
+                    scenario, config, seed, crash_path, wal.crash_at(crash_seq)
                 )
                 continue  # hook never fired (run shorter than reference)
             except wal.ControlTierCrash:
@@ -197,51 +197,61 @@ def run_ckpt_sweep(scenario: Scenario, seed: int) -> CrashProbe:
     # The twin differs in exactly one bit of configuration — the
     # checkpoint tier is off — so any output difference is the
     # checkpoint tier's fault, not placement's or the workload's.
-    twin_scenario = dataclasses.replace(scenario, checkpoints=False, ckpt_sweep=False)
+    config = scenario.system_config(seed)
+    twin_config = replace(config, bft=replace(config.bft, checkpoints=False))
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
-        twin = _journaled_run(twin_scenario, seed, os.path.join(tmp, "twin.wal"))
-    return dataclasses.replace(
+        path = os.path.join(tmp, "twin.wal")
+        twin = _journaled_run(scenario, twin_config, seed, path)
+    return replace(
         probe,
         twin_assured=twin.assured,
         twin_outputs=canonical_outputs(twin.outputs),
     )
 
 
+def _captured(name: str, seed: int, trace_dir: str | None, execute):
+    """Run ``execute(telemetry)`` under a cell's telemetry, streamed to
+    ``trace_dir/<name>-s<seed>.jsonl`` or recorded in memory.  Returns
+    its result, the trace records and the trace file name (``None``
+    when recorded)."""
+    if trace_dir is None:
+        telemetry = Telemetry.recording()
+        return execute(telemetry), telemetry.export_records(), None
+    os.makedirs(trace_dir, exist_ok=True)
+    trace_name = f"{name}-s{seed}.jsonl"
+    telemetry = Telemetry.streaming(os.path.join(trace_dir, trace_name))
+    result = execute(telemetry)
+    telemetry.finalize()
+    records, _warnings = read_jsonl_lenient(os.path.join(trace_dir, trace_name))
+    return result, records, trace_name
+
+
 def run_one(
     scenario: Scenario, seed: int, trace_dir: str | None = None
 ) -> tuple[RunContext, list[Violation]]:
     """Execute one (scenario, seed) cell; returns context + violations."""
-    trace_name = None
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        trace_name = f"{scenario.name}-s{seed}.jsonl"
-        telemetry = Telemetry.streaming(os.path.join(trace_dir, trace_name))
-    else:
-        telemetry = Telemetry.recording()
-
     config = scenario.system_config(seed)
-    fault_plan = build_fault_plan(scenario, _node_ids(scenario))
-    controller = ClusterBFTController(
-        config,
-        fault_plan=fault_plan,
-        block_bytes=_BLOCK_BYTES,
-        replicate_frontend=scenario.uses_network_faults,
-        telemetry=telemetry,
+
+    def execute(telemetry: Telemetry, faults: bool = True):
+        """The cell's script runs on a fresh deployment, with the
+        scenario's faults or without them (the OBS1 twin)."""
+        controller = _deployment(
+            config,
+            seed,
+            fault_plan=_fault_plan(scenario, config) if faults else None,
+            replicate_frontend=scenario.uses_network_faults,
+            telemetry=telemetry,
+        )
+        if faults:
+            _apply_network_faults(scenario, controller)
+        runs = [controller.run_assured(DEFAULT_SCRIPT) for _ in range(scenario.runs)]
+        return controller, runs
+
+    (controller, results), records, trace_name = _captured(
+        scenario.name, seed, trace_dir, execute
     )
-    _apply_network_faults(scenario, controller)
-    controller.load_input("in", workload(seed))
-
-    results = [controller.run_assured(DEFAULT_SCRIPT) for _ in range(scenario.runs)]
-
-    if trace_dir is not None:
-        telemetry.finalize()
-        from repro.telemetry.export import read_jsonl_lenient
-
-        records, _warnings = read_jsonl_lenient(os.path.join(trace_dir, trace_name))
-    else:
-        records = telemetry.export_records()
-
-    truth = _reference_truth(scenario, seed)
+    # Ground truth from a fault-free twin of the deployment.
+    truth = _deployment(config, seed).run_plain(DEFAULT_SCRIPT).outputs
     durability = run_crash_sweep(scenario, seed) if scenario.control_crashes else None
     ckpt = run_ckpt_sweep(scenario, seed) if scenario.ckpt_sweep else None
     # OBS1 needs a *traced* fault-free twin: same deployment and
@@ -249,17 +259,9 @@ def run_one(
     # silent over its records.
     twin_records: list[dict] = []
     if scenario.expected_alerts:
-        twin_telemetry = Telemetry.recording()
-        twin = ClusterBFTController(
-            scenario.system_config(seed),
-            block_bytes=_BLOCK_BYTES,
-            replicate_frontend=scenario.uses_network_faults,
-            telemetry=twin_telemetry,
+        _, twin_records, _ = _captured(
+            scenario.name, seed, None, lambda telemetry: execute(telemetry, False)
         )
-        twin.load_input("in", workload(seed))
-        for _ in range(scenario.runs):
-            twin.run_assured(DEFAULT_SCRIPT)
-        twin_records = twin_telemetry.export_records()
     ctx = RunContext(
         scenario=scenario,
         controller=controller,
@@ -300,36 +302,53 @@ def _sweep_summary(probe: CrashProbe | None, checkpoints: bool = False) -> dict 
     return summary
 
 
-def _cell_report(
-    ctx: RunContext, violations: list[Violation], seed: int
+def _report(
+    ctx, violations: list[Violation], seed: int, controller, runs: list, **keys
 ) -> dict:
-    controller = ctx.controller
+    """The keys every cell report carries, batch or service, updated by
+    ``keys``; each of ``runs`` (the cell's script runs) has ``assured``,
+    ``exhausted``, ``attempts`` and ``latency``."""
     audit = controller.audit
     return {
         "scenario": ctx.scenario.name,
         "seed": seed,
         "passed": not violations,
-        "expected_violations": list(ctx.scenario.expected_violations),
-        "expected_alerts": list(ctx.scenario.expected_alerts),
+        "expected_violations": [],
+        "expected_alerts": [],
         "alerts": _fired_alerts(ctx.records),
         "violations": [v.as_dict() for v in violations],
-        "assured": [bool(r.assured) for r in ctx.results],
-        "exhausted": [bool(r.exhausted) for r in ctx.results],
-        "attempts": [r.attempts for r in ctx.results],
-        "latency": [round(r.latency, 6) for r in ctx.results],
-        "durability": _sweep_summary(ctx.durability),
-        "ckpt": _sweep_summary(ctx.ckpt, checkpoints=True),
+        "assured": [bool(run.assured) for run in runs],
+        "exhausted": [bool(run.exhausted) for run in runs],
+        "attempts": [run.attempts for run in runs],
+        "latency": [round(run.latency, 6) for run in runs],
+        "durability": None,
+        "ckpt": None,
         "reruns": len(audit.events(kind=RERUN)),
         "quarantined": sorted(
             {e.subject for e in audit.events(kind=QUARANTINE)}
         ),
         "evicted": sorted({e.subject for e in audit.events(kind=EVICTION)}),
-        "migrations": [
-            e.subject for e in audit.events(kind=RECONFIG)
-        ],
         "crashes_detected": sorted(controller.engine._dead_nodes),
         "trace": ctx.trace_name,
+        **keys,
     }
+
+
+def _cell_report(
+    ctx: RunContext, violations: list[Violation], seed: int
+) -> dict:
+    return _report(
+        ctx,
+        violations,
+        seed,
+        ctx.controller,
+        ctx.results,
+        expected_violations=list(ctx.scenario.expected_violations),
+        expected_alerts=list(ctx.scenario.expected_alerts),
+        durability=_sweep_summary(ctx.durability),
+        ckpt=_sweep_summary(ctx.ckpt, checkpoints=True),
+        migrations=[e.subject for e in ctx.controller.audit.events(kind=RECONFIG)],
+    )
 
 
 def run_service_one(
@@ -344,26 +363,15 @@ def run_service_one(
         workload_records,
     )
 
-    trace_name = None
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        trace_name = f"{scenario.name}-s{seed}.jsonl"
-        telemetry = Telemetry.streaming(os.path.join(trace_dir, trace_name))
-    else:
-        telemetry = Telemetry.recording()
-
     trace = parse_trace(scenario.trace_text(seed), name=scenario.name)
-    service = ClusterBFTService(trace, telemetry=telemetry)
-    result = service.run()
 
-    if trace_dir is not None:
-        telemetry.finalize()
-        from repro.telemetry.export import read_jsonl_lenient
+    def execute(telemetry: Telemetry):
+        service = ClusterBFTService(trace, telemetry=telemetry)
+        return service, service.run()
 
-        records, _warnings = read_jsonl_lenient(os.path.join(trace_dir, trace_name))
-    else:
-        records = telemetry.export_records()
-
+    (service, result), records, trace_name = _captured(
+        scenario.name, seed, trace_dir, execute
+    )
     honest = frozenset(
         spec.name for spec in trace.tenants if not spec.faulty
     )
@@ -406,38 +414,18 @@ def _service_cell_report(
     ctx: ServiceRunContext, violations: list[Violation], seed: int
 ) -> dict:
     result = ctx.result
-    audit = ctx.service.controller.audit
     honest_runs = [run for run in result.runs if run.tenant in ctx.honest]
-    return {
-        "scenario": ctx.scenario.name,
-        "seed": seed,
-        "passed": not violations,
-        "expected_violations": [],
-        "expected_alerts": [],
-        "alerts": _fired_alerts(ctx.records),
-        "violations": [v.as_dict() for v in violations],
-        "assured": [bool(run.assured) for run in result.runs],
-        "exhausted": [bool(run.exhausted) for run in result.runs],
-        "attempts": [run.attempts for run in result.runs],
-        "latency": [round(run.latency, 6) for run in result.runs],
-        "durability": None,
-        "ckpt": None,
-        "reruns": len(audit.events(kind=RERUN)),
-        "quarantined": sorted(
-            {e.subject for e in audit.events(kind=QUARANTINE)}
-        ),
-        "evicted": sorted({e.subject for e in audit.events(kind=EVICTION)}),
-        "crashes_detected": sorted(ctx.service.controller.engine._dead_nodes),
-        "trace": ctx.trace_name,
-        "service": {
-            "tenants": sorted({run.tenant for run in result.runs}),
-            "admitted": len(result.runs),
-            "rejected": len(result.rejects),
-            "honest_assured": sum(1 for run in honest_runs if run.assured),
-            "honest_runs": len(honest_runs),
-            "makespan": round(result.makespan, 6),
-        },
+    service = {
+        "tenants": sorted({run.tenant for run in result.runs}),
+        "admitted": len(result.runs),
+        "rejected": len(result.rejects),
+        "honest_assured": sum(1 for run in honest_runs if run.assured),
+        "honest_runs": len(honest_runs),
+        "makespan": round(result.makespan, 6),
     }
+    return _report(
+        ctx, violations, seed, ctx.service.controller, result.runs, service=service
+    )
 
 
 def run_campaign(
@@ -464,7 +452,7 @@ def run_campaign(
                 ctx, violations = run_one(scenario, seed, trace_dir=trace_dir)
                 cells.append(_cell_report(ctx, violations, seed))
     failed = [c for c in cells if not c["passed"]]
-    report = {
+    return {
         "campaign": {
             "scenarios": [s.name for s in scenarios],
             "seeds": list(seeds),
@@ -478,7 +466,6 @@ def run_campaign(
             "violations": sum(len(c["violations"]) for c in cells),
         },
     }
-    return report
 
 
 def render_report(report: dict) -> str:

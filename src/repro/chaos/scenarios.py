@@ -1,7 +1,8 @@
 """Declarative chaos scenarios.
 
-A :class:`Scenario` bundles a fault mix, the system configuration it
-runs under, and what the invariant checkers should expect from it.
+A :class:`Scenario` bundles a fault mix, the overrides of
+:data:`CHAOS_BASE` it runs under, and what the invariant checkers
+should expect from it.
 Scenarios are pure data — node targets are *indices* resolved against
 the cluster at build time, parameters are literal — so a campaign is
 reproducible from its report alone.
@@ -9,10 +10,10 @@ reproducible from its report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.common.ids import NodeId
 from repro.faults.behaviors import FAULT_BEHAVIORS, CrashBehavior
 from repro.faults.injection import FaultPlan
@@ -21,11 +22,19 @@ from repro.faults.injection import FaultPlan
 #: SimNetwork, not to worker behaviours).
 NETWORK_KINDS = ("net-drop", "net-delay")
 
-#: Region-scale fault kind: ``FaultSpec.node`` indexes the scenario's
+#: Region-scale fault kind: ``FaultSpec.node`` indexes the deployment's
 #: ``regions`` tuple (not a worker), and the spec expands to a
 #: first-heartbeat crash on every node of that region — a deterministic
 #: whole-region outage.
 REGION_LOSS = "region-loss"
+
+#: The deployment every scenario overrides: a 12-node cluster with fast
+#: heartbeats and crash detection, and a verifier timeout sized to the
+#: campaign's small jobs.  Everything else is the config default.
+CHAOS_BASE = SystemConfig(
+    cluster=ClusterConfig(num_nodes=12, heartbeat_period=0.4, crash_timeout=2.0),
+    bft=ClusterBFTConfig(verifier_timeout=60.0),
+)
 
 
 @dataclass(frozen=True)
@@ -53,27 +62,12 @@ class Scenario:
     name: str
     description: str
     faults: tuple[FaultSpec, ...] = ()
-    # -- deployment shape ------------------------------------------------
-    num_nodes: int = 12
-    slots_per_node: int = 3
-    heartbeat_period: float = 0.4
-    crash_timeout: float = 2.0
-    #: Geo layout: ``(name, node_count, speed)`` triples over
-    #: consecutive node-index ranges; ``()`` keeps the deployment flat
-    #: (byte-identical to the pre-region seed behaviour).
-    regions: tuple = ()
-    wan_latency_seconds: float = 0.08
-    #: Online reconfiguration: aggregate per-region suspicion level
-    #: above which the control tier migrates replica sets out of the
-    #: region mid-run (``None`` disables, the default).
-    region_suspicion_threshold: float | None = None
-    region_min_jobs: int = 6
-    f: int = 1
-    replication: int = 4
-    verifier_timeout: float = 60.0
-    suspicion_threshold: float = 0.95
-    quarantine_threshold: float | None = None
-    max_reruns: int = 3
+    #: Deployment overrides, applied over :data:`CHAOS_BASE` by
+    #: :meth:`system_config`: ``ClusterConfig`` fields in ``cluster``
+    #: (a geo layout in ``regions``, say), ``ClusterBFTConfig`` fields
+    #: in ``bft``.  A key that names no field fails at resolution.
+    cluster: dict = field(default_factory=dict)
+    bft: dict = field(default_factory=dict)
     #: Scripts executed back-to-back on the same deployment (suspicion
     #: and attribution accumulate across them).
     runs: int = 1
@@ -83,17 +77,6 @@ class Scenario:
     #: checking the ``DUR1`` invariant (resume ≡ uninterrupted).
     #: Durability cells imply one script run per journal (``runs=1``).
     control_crashes: bool = False
-    #: Checkpoint tier: commit verified sub-graph outputs eagerly at
-    #: verdict time (``ClusterBFTConfig.checkpoints``) so reruns and
-    #: resumes restart from the last verified checkpoint.
-    checkpoints: bool = False
-    #: Expected-rerun-cost verification-point placement density
-    #: (``ClusterBFTConfig.checkpoint_density``); 0.0 keeps the paper's
-    #: fixed-count marker.
-    checkpoint_density: float = 0.0
-    #: Cap on verifier timeout escalation
-    #: (``ClusterBFTConfig.max_verifier_timeout``).
-    max_verifier_timeout: float | None = None
     #: Checkpoint-boundary crash sweep: run the cell once journaled and
     #: uninterrupted plus a checkpoint-free twin, then crash + resume
     #: at every ``checkpoint`` WAL record (and the record after it),
@@ -127,30 +110,16 @@ class Scenario:
         return any(spec.kind in NETWORK_KINDS for spec in self.faults)
 
     def system_config(self, seed: int) -> SystemConfig:
-        return SystemConfig(
-            cluster=ClusterConfig(
-                num_nodes=self.num_nodes,
-                slots_per_node=self.slots_per_node,
-                heartbeat_period=self.heartbeat_period,
-                crash_timeout=self.crash_timeout,
-                regions=self.regions,
-                wan_latency_seconds=self.wan_latency_seconds,
-            ),
-            bft=ClusterBFTConfig(
-                f=self.f,
-                replication=self.replication,
-                verifier_timeout=self.verifier_timeout,
-                suspicion_threshold=self.suspicion_threshold,
-                quarantine_threshold=self.quarantine_threshold,
-                max_reruns=self.max_reruns,
-                region_suspicion_threshold=self.region_suspicion_threshold,
-                region_min_jobs=self.region_min_jobs,
-                checkpoints=self.checkpoints,
-                checkpoint_density=self.checkpoint_density,
-                max_verifier_timeout=self.max_verifier_timeout,
-            ),
-            seed=20131209 + seed,
-        ).validate()
+        """The deployment of this scenario at sweep seed ``seed``."""
+        try:
+            return replace(
+                CHAOS_BASE,
+                cluster=replace(CHAOS_BASE.cluster, **self.cluster),
+                bft=replace(CHAOS_BASE.bft, **self.bft),
+                seed=20131209 + seed,
+            ).validate()
+        except TypeError as exc:
+            raise ConfigError(f"scenario {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -190,21 +159,24 @@ class ServiceScenario:
         return synth_trace(**kwargs)
 
 
-def _region_node_range(scenario: Scenario, region_index: int) -> tuple[int, int]:
-    """(start, count) of node indices for a scenario region."""
-    if not 0 <= region_index < len(scenario.regions):
+def _region_node_range(
+    scenario: Scenario, regions: tuple, region_index: int
+) -> tuple[int, int]:
+    """(start, count) of node indices for a region of the deployment."""
+    if not 0 <= region_index < len(regions):
         raise ReproError(
             f"scenario {scenario.name!r}: region index {region_index} out of "
-            f"range for {len(scenario.regions)} regions"
+            f"range for {len(regions)} regions"
         )
-    start = 0
-    for _name, count, _speed in scenario.regions[:region_index]:
-        start += count
-    return start, scenario.regions[region_index][1]
+    start = sum(count for _name, count, _speed in regions[:region_index])
+    return start, regions[region_index][1]
 
 
-def build_fault_plan(scenario: Scenario, node_ids: list[NodeId]) -> FaultPlan:
-    """Resolve a scenario's node faults against concrete node ids."""
+def build_fault_plan(
+    scenario: Scenario, node_ids: list[NodeId], regions: tuple = ()
+) -> FaultPlan:
+    """Resolve a scenario's node faults against concrete node ids and
+    the deployment's ``regions`` (``ClusterConfig.regions``)."""
     plan = FaultPlan()
     for spec in scenario.faults:
         if spec.kind in NETWORK_KINDS:
@@ -212,7 +184,7 @@ def build_fault_plan(scenario: Scenario, node_ids: list[NodeId]) -> FaultPlan:
         if spec.kind == REGION_LOSS:
             # ``node`` names a region; every node of it crash-stops at
             # its first heartbeat (after_tasks=0 unless overridden).
-            start, count = _region_node_range(scenario, spec.node)
+            start, count = _region_node_range(scenario, regions, spec.node)
             params = {"after_tasks": 0, **spec.kwargs()}
             for offset in range(count):
                 plan.assign(node_ids[start + offset], CrashBehavior(**params))
@@ -253,14 +225,14 @@ def _scenario_list() -> list[Scenario]:
             description="one node withholds completions; verifier timeout "
             "and rerun escalation recover",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
-            verifier_timeout=40.0,
+            bft={"verifier_timeout": 40.0},
         ),
         Scenario(
             name="crash",
             description="one node crash-stops mid-run; heartbeat-silence "
             "detection re-dispatches its in-flight tasks",
             faults=(FaultSpec("crash", 4, (("after_tasks", 2),)),),
-            crash_timeout=1.0,
+            cluster={"crash_timeout": 1.0},
             runs=2,
         ),
         Scenario(
@@ -285,10 +257,9 @@ def _scenario_list() -> list[Scenario]:
             faults=(
                 FaultSpec("flaky-commission", 2, (("probability", 0.7),)),
             ),
-            quarantine_threshold=0.2,
             # Eviction needs level > 1.0 here: the scenario demonstrates
             # the *soft* quarantine tier, not eviction.
-            suspicion_threshold=1.0,
+            bft={"quarantine_threshold": 0.2, "suspicion_threshold": 1.0},
             runs=4,
             attributed_nodes=(2,),
         ),
@@ -315,7 +286,7 @@ def _scenario_list() -> list[Scenario]:
                 FaultSpec("crash", 7, (("after_tasks", 3),)),
                 FaultSpec("commission", 2, (("probability", 0.8),)),
             ),
-            crash_timeout=1.0,
+            cluster={"crash_timeout": 1.0},
             runs=2,
         ),
         Scenario(
@@ -324,8 +295,7 @@ def _scenario_list() -> list[Scenario]:
             "attempt times out, the rerun budget exhausts, and the run must "
             "end with an explicit unassured/exhausted verdict (LIVE-class "
             "outcome), not a crash",
-            verifier_timeout=0.05,
-            max_reruns=1,
+            bft={"verifier_timeout": 0.05, "max_reruns": 1},
             expect_assured=False,
         ),
         Scenario(
@@ -344,7 +314,7 @@ def _scenario_list() -> list[Scenario]:
             "several attempts, so crashes land after attempt boundaries "
             "and the resume path restores mid-escalation state",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
-            verifier_timeout=1.5,
+            bft={"verifier_timeout": 1.5},
             control_crashes=True,
         ),
         Scenario(
@@ -354,7 +324,7 @@ def _scenario_list() -> list[Scenario]:
             "crash between its attempt_end and run_end resumes with "
             "start_attempt past max_reruns — the fully-settled snapshot "
             "must still be judged assured (DUR1), not read as exhaustion",
-            max_reruns=0,
+            bft={"max_reruns": 0},
             control_crashes=True,
         ),
         Scenario(
@@ -365,7 +335,7 @@ def _scenario_list() -> list[Scenario]:
             "after each checkpoint record (and the record following it) "
             "and the resume must restore the committed prefix and "
             "publish bytes identical to a checkpoint-free twin (CKPT1)",
-            checkpoints=True,
+            bft={"checkpoints": True},
             ckpt_sweep=True,
         ),
         Scenario(
@@ -377,9 +347,11 @@ def _scenario_list() -> list[Scenario]:
             "escalation hits its configured cap — crash-resume at every "
             "checkpoint boundary must still equal the full rerun (CKPT1)",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
-            verifier_timeout=1.5,
-            max_verifier_timeout=6.0,
-            checkpoints=True,
+            bft={
+                "verifier_timeout": 1.5,
+                "max_verifier_timeout": 6.0,
+                "checkpoints": True,
+            },
             ckpt_sweep=True,
         ),
         Scenario(
@@ -390,9 +362,11 @@ def _scenario_list() -> list[Scenario]:
             "marker, and the checkpoint-boundary sweep must still match "
             "the checkpoint-free twin byte-for-byte (CKPT1)",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
-            verifier_timeout=1.5,
-            checkpoints=True,
-            checkpoint_density=0.5,
+            bft={
+                "verifier_timeout": 1.5,
+                "checkpoints": True,
+                "checkpoint_density": 0.5,
+            },
             ckpt_sweep=True,
         ),
         Scenario(
@@ -400,8 +374,7 @@ def _scenario_list() -> list[Scenario]:
             description="three regions behind a WAN, no faults: "
             "placement homes every replica set across at least two "
             "regions and all invariants hold trivially",
-            regions=_GEO_REGIONS,
-            wan_latency_seconds=0.25,
+            cluster={"regions": _GEO_REGIONS, "wan_latency_seconds": 0.25},
         ),
         Scenario(
             name="region-loss",
@@ -410,9 +383,11 @@ def _scenario_list() -> list[Scenario]:
             "its replicas re-home to the surviving regions, and every "
             "run still ends assured (REG1)",
             faults=(FaultSpec(REGION_LOSS, 2),),
-            regions=_GEO_REGIONS,
-            wan_latency_seconds=0.25,
-            crash_timeout=1.0,
+            cluster={
+                "regions": _GEO_REGIONS,
+                "wan_latency_seconds": 0.25,
+                "crash_timeout": 1.0,
+            },
             runs=2,
             expect_region_outage="south",
         ),
@@ -421,8 +396,10 @@ def _scenario_list() -> list[Scenario]:
             description="WAN latency an order of magnitude above "
             "baseline: cross-region digests arrive late but quorums "
             "still settle inside the verifier timeout",
-            regions=(("east", 6, 1.0), ("west", 6, 1.0)),
-            wan_latency_seconds=3.0,
+            cluster={
+                "regions": (("east", 6, 1.0), ("west", 6, 1.0)),
+                "wan_latency_seconds": 3.0,
+            },
         ),
         Scenario(
             name="slow-region-equivocate",
@@ -434,10 +411,8 @@ def _scenario_list() -> list[Scenario]:
             "never-drain-last-region guard keeps capacity (REG1 audits "
             "a reconfig record for the degraded region)",
             faults=(FaultSpec("equivocate", 8, (("probability", 1.0),)),),
-            regions=_SLOW_REGIONS,
-            wan_latency_seconds=0.25,
-            region_suspicion_threshold=0.2,
-            region_min_jobs=2,
+            cluster={"regions": _SLOW_REGIONS, "wan_latency_seconds": 0.25},
+            bft={"region_suspicion_threshold": 0.2, "region_min_jobs": 2},
             runs=2,
             attributed_nodes=(8,),
             expect_migration_from="slow",
@@ -449,10 +424,8 @@ def _scenario_list() -> list[Scenario]:
             "decision point — including mid-migration — resume from the "
             "WAL, require byte-identical outputs (DUR1)",
             faults=(FaultSpec("equivocate", 8, (("probability", 1.0),)),),
-            regions=_SLOW_REGIONS,
-            wan_latency_seconds=0.25,
-            region_suspicion_threshold=0.2,
-            region_min_jobs=2,
+            cluster={"regions": _SLOW_REGIONS, "wan_latency_seconds": 0.25},
+            bft={"region_suspicion_threshold": 0.2, "region_min_jobs": 2},
             control_crashes=True,
             attributed_nodes=(8,),
         ),
@@ -472,8 +445,7 @@ def _scenario_list() -> list[Scenario]:
             "and must fire the verification-timeout alert; the fault-free "
             "twin — same deadline, no slow node — stays silent",
             faults=(FaultSpec("slow", 0, (("factor", 20.0),)),),
-            replication=2,
-            verifier_timeout=8.0,
+            bft={"replication": 2, "verifier_timeout": 8.0},
             expected_alerts=("verification-timeout",),
         ),
         Scenario(
@@ -481,7 +453,7 @@ def _scenario_list() -> list[Scenario]:
             description="OBS1: a crash-stopped node must fire the "
             "node-crash alert; the fault-free twin stays silent",
             faults=(FaultSpec("crash", 4, (("after_tasks", 2),)),),
-            crash_timeout=1.0,
+            cluster={"crash_timeout": 1.0},
             runs=2,
             expected_alerts=("node-crash",),
         ),
@@ -493,8 +465,7 @@ def _scenario_list() -> list[Scenario]:
             faults=(
                 FaultSpec("flaky-commission", 2, (("probability", 0.7),)),
             ),
-            quarantine_threshold=0.2,
-            suspicion_threshold=1.0,
+            bft={"quarantine_threshold": 0.2, "suspicion_threshold": 1.0},
             runs=4,
             attributed_nodes=(2,),
             expected_alerts=("node-quarantine", "replica-suspicion"),
@@ -505,9 +476,8 @@ def _scenario_list() -> list[Scenario]:
             "(corrupt) replica is its own quorum, so a tampered record "
             "reaches the verified sink and SAFE1 must trip",
             faults=(FaultSpec("commission", 0, (("probability", 1.0),)),),
-            num_nodes=1,
-            f=0,
-            replication=1,
+            cluster={"num_nodes": 1},
+            bft={"f": 0, "replication": 1},
             expect_assured=True,  # the system *believes* it succeeded
             expected_violations=("SAFE1",),
         ),

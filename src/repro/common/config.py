@@ -222,7 +222,10 @@ class ClusterBFTConfig:
     suspicion_min_jobs: int = 3
     max_reruns: int = 3  # rerun attempts with escalated r
     rerun_extra_replicas: int = 1  # r increase per rerun
-    collocate_replicas: bool = False  # must stay False for safety (§5.3)
+    #: Must stay False for safety (§5.3): the controller's schedulers
+    #: never collocate two replicas of a job, so ``validate`` rejects
+    #: True.  Kept because every v1 journal header carries it.
+    collocate_replicas: bool = False
     #: Online reconfiguration: when a region's aggregate suspicion
     #: (total faults / total jobs over its nodes) crosses this
     #: threshold, in-flight replica sets migrate out of the region and
@@ -275,6 +278,11 @@ class ClusterBFTConfig:
             raise ConfigError("quarantine_threshold must be in [0, 1] or None")
         if self.max_reruns < 0:
             raise ConfigError("max_reruns must be >= 0")
+        if self.collocate_replicas:
+            raise ConfigError(
+                "collocate_replicas is not supported: replicas of a job "
+                "must run on distinct nodes (§5.3)"
+            )
         if self.region_suspicion_threshold is not None and not (
             0.0 <= self.region_suspicion_threshold <= 1.0
         ):

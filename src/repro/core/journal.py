@@ -28,9 +28,10 @@ Record stream layout (one JSON object per line, sorted keys)::
 :data:`RECORDS` declares each kind's fields, for the journal and the
 service ledger alike; the readers reject any record it does not allow.
 
-Durability policy: ``header``, ``commit``, ``attempt_end``, ``resume``
-and ``run_end`` records are flushed *and fsync'd* before the writer
-returns (these are the records recovery depends on); everything else is
+Durability policy: the :data:`SYNC_KINDS` records — ``header``,
+``reconfig``, ``commit``, ``checkpoint``, ``attempt_end``, ``resume``
+and ``run_end`` — are flushed *and fsync'd* before the writer returns
+(these are the records recovery depends on); everything else is
 flushed to the OS but not forced to stable storage — a torn tail of
 marker records degrades crash-point coverage, never correctness.
 

@@ -14,9 +14,10 @@ number, each run-scoped record tagged with its run id::
     ...
     {"kind": "service_end", "seq": N, ...}
 
-Durability policy mirrors the journal: ``header``, ``commit``,
-``attempt_end``, ``run_end`` and ``service_end`` records are fsync'd
-before the writer returns; marker records are flushed only.
+Durability policy mirrors the journal: the :data:`SYNC_KINDS` records
+(the journal's ``header``, ``reconfig``, ``commit``, ``checkpoint``,
+``attempt_end``, ``resume`` and ``run_end``, plus ``service_end``) are
+fsync'd before the writer returns; marker records are flushed only.
 
 Crash-resume is **deterministic replay with prefix verification**,
 not state reconstruction: the header embeds the full trace (and seed),

@@ -47,7 +47,7 @@ class TestCtlCrashSweep:
                 c
                 for c in probe.cells
                 if c.kind == wal.ATTEMPT_END
-                and c.start_attempt > scenario.max_reruns
+                and c.start_attempt > ctx.controller.config.bft.max_reruns
             ]
             assert past_budget, "no crash landed on the final boundary"
             assert all(c.assured and not c.exhausted for c in past_budget)

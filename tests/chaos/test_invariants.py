@@ -49,9 +49,11 @@ class FakeResult:
 
 
 def make_ctx(scenario=None, results=None, truth=None, controller=None, records=None):
+    scenario = scenario or Scenario(name="t", description="")
     return RunContext(
-        scenario=scenario or Scenario(name="t", description=""),
-        controller=controller or SimpleNamespace(audit=AuditLog()),
+        scenario=scenario,
+        controller=controller
+        or SimpleNamespace(audit=AuditLog(), config=scenario.system_config(seed=1)),
         results=results if results is not None else [],
         truth=truth or {},
         records=records or [],
@@ -89,18 +91,25 @@ class TestSafe1:
 
 class TestLive1:
     def test_within_budget_passes(self):
-        scenario = Scenario(name="t", description="", max_reruns=3)
+        scenario = Scenario(name="t", description="", bft={"max_reruns": 3})
         ctx = make_ctx(scenario=scenario, results=[FakeResult(attempts=2)])
         assert check_live1(ctx) == []
 
     def test_budget_overrun_violates(self):
-        scenario = Scenario(name="t", description="", max_reruns=1)
+        scenario = Scenario(name="t", description="", bft={"max_reruns": 1})
         ctx = make_ctx(scenario=scenario, results=[FakeResult(attempts=5)])
+        assert LIVE1 in [v.invariant for v in check_live1(ctx)]
+
+    def test_budget_is_the_deployed_max_reruns(self):
+        """Three attempts fit the default budget of four but not the
+        budget of two that this deployment runs with."""
+        scenario = Scenario(name="t", description="", bft={"max_reruns": 1})
+        ctx = make_ctx(scenario=scenario, results=[FakeResult(attempts=3)])
         assert LIVE1 in [v.invariant for v in check_live1(ctx)]
 
     def test_unassured_without_verdict_violates(self):
         scenario = Scenario(
-            name="t", description="", max_reruns=3, expect_assured=False
+            name="t", description="", bft={"max_reruns": 3}, expect_assured=False
         )
         verdictless = FakeResult(
             assured=False,

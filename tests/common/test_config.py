@@ -106,6 +106,13 @@ class TestClusterBFTConfig:
         with pytest.raises(ConfigError):
             ClusterBFTConfig(**kwargs).validate()
 
+    def test_collocated_replicas_rejected(self):
+        """The field only survives for v1 journal headers; no scheduler
+        honours True, so validation must refuse it instead of running
+        non-collocated replicas under a config that claims otherwise."""
+        with pytest.raises(ConfigError, match="collocate_replicas"):
+            ClusterBFTConfig(collocate_replicas=True).validate()
+
 
 class TestSystemConfig:
     def test_default_is_valid(self):
