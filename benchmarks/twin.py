@@ -69,6 +69,14 @@ def pairs_csv(seed: int, rows: int, keys: int, values: int) -> str:
     return "".join(f"{rng.randrange(keys)},{rng.randrange(values)}\n" for _ in range(rows))
 
 
+#: A tenant trace whose deployment masks no fault (r = 1 at f = 1):
+#: ``repro lint`` must report it and ``repro serve`` must refuse it.
+UNMASKED = json.dumps({
+    "name": "unmasked",
+    "bft": {"f": 1, "replication": 1},
+    "tenants": [{"tenant": "solo", "jobs": [{"workload": "select", "rows": 8}]}],
+}, indent=2) + "\n"
+
 #: Written into each side directory before the first step.
 GENERATED = {
     "job.pig": GROUP_COUNT,
@@ -76,6 +84,7 @@ GENERATED = {
     "ckpt.pig": TWO_GROUPS,
     "ckpt-in.csv": pairs_csv(11, 200, 6, 100),
     "edges.csv": pairs_csv(7, 2000, 50, 500),
+    "unmasked.json": UNMASKED,
 }
 
 # A step is its declared exit code and a command line run in the side
@@ -109,6 +118,8 @@ RECIPE = (
         " --trace-dir service > service.txt"),
     (1, f"{CHAOS} weakened-safe1 --seeds 1 --report weakened.json > weakened.txt"),
     (0, "repro lint --service-trace examples/tenants.json > tenants-lint.txt"),
+    (1, "repro lint --service-trace unmasked.json > unmasked-lint.txt"),
+    (2, "repro serve unmasked.json > unmasked-serve.txt"),
     (0, f"{SERVE} --ledger serve.ledger --out serve.json > serve.txt"),
     (0, f"{SERVE} --slo --ledger slo.ledger > slo.txt"),
     (KILLED, f"{KILL}=30 {SERVE} --ledger serve-kill.ledger"),

@@ -597,9 +597,9 @@ class ServiceRunContext:
 
     scenario: object  # ServiceScenario
     service: object  # ClusterBFTService
-    result: object  # ServiceResult
-    #: Honest tenants (trace tenants not flagged faulty).
-    honest: frozenset
+    #: A ServiceResult: its ``faulty_tenants`` are the flagged ones,
+    #: every other tenant is honest.
+    result: object
     #: Fault-free ground truth per run id (canonical encoded outputs).
     truths: dict = field(default_factory=dict)
     records: list[dict] = field(default_factory=list)
@@ -614,9 +614,8 @@ def check_ten1(ctx: ServiceRunContext) -> list[Violation]:
     from repro.telemetry.analysis import percentile
 
     violations = []
-    honest_runs = [
-        run for run in ctx.result.runs if run.tenant in ctx.honest
-    ]
+    faulty = ctx.result.faulty_tenants
+    honest_runs = [run for run in ctx.result.runs if run.tenant not in faulty]
     for run in honest_runs:
         if not run.assured:
             violations.append(
@@ -643,7 +642,7 @@ def check_ten1(ctx: ServiceRunContext) -> list[Violation]:
                 )
             )
     for reject in ctx.result.rejects:
-        if reject.tenant in ctx.honest:
+        if reject.tenant not in faulty:
             violations.append(
                 Violation(
                     TEN1,
@@ -685,15 +684,13 @@ def check_ten2(ctx: ServiceRunContext) -> list[Violation]:
     if not getattr(ctx.scenario, "expect_cross_tenant_quarantine", False):
         return []
     audit = ctx.service.controller.audit
-    faulty_tenants = {
-        run.tenant for run in ctx.result.runs
-    } - set(ctx.honest)
+    faulty = ctx.result.faulty_tenants
     cutoff = None
     node = None
     for event in audit.events():
         if event.kind not in (QUARANTINE, EVICTION):
             continue
-        if event.details.get("tenant") in faulty_tenants:
+        if event.details.get("tenant") in faulty:
             cutoff, node = event.time, event.subject
             break
     if cutoff is None:
@@ -709,7 +706,7 @@ def check_ten2(ctx: ServiceRunContext) -> list[Violation]:
     later_honest = [
         run
         for run in ctx.result.runs
-        if run.tenant in ctx.honest and run.started_at > cutoff
+        if run.tenant not in faulty and run.started_at > cutoff
     ]
     if not later_honest:
         violations.append(

@@ -372,15 +372,12 @@ def run_service_one(
     (service, result), records, trace_name = _captured(
         scenario.name, seed, trace_dir, execute
     )
-    honest = frozenset(
-        spec.name for spec in trace.tenants if not spec.faulty
-    )
     # Fault-free ground truth per honest run: the same workload records
     # through a plain twin deployment (same config, no fault plan).
     truths = {}
     specs = {spec.name: spec for spec in trace.tenants}
     for run in result.runs:
-        if run.tenant not in honest or not run.assured:
+        if run.tenant in result.faulty_tenants or not run.assured:
             continue
         request = specs[run.tenant].jobs[run.index]
         input_path = f"__svc/{run.run_id}/in"
@@ -402,7 +399,6 @@ def run_service_one(
         scenario=scenario,
         service=service,
         result=result,
-        honest=honest,
         truths=truths,
         records=records,
         trace_name=trace_name,
@@ -414,7 +410,9 @@ def _service_cell_report(
     ctx: ServiceRunContext, violations: list[Violation], seed: int
 ) -> dict:
     result = ctx.result
-    honest_runs = [run for run in result.runs if run.tenant in ctx.honest]
+    honest_runs = [
+        run for run in result.runs if run.tenant not in result.faulty_tenants
+    ]
     service = {
         "tenants": sorted({run.tenant for run in result.runs}),
         "admitted": len(result.runs),

@@ -10,9 +10,14 @@ reproducible from its report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
+from repro.common.config import (
+    ClusterBFTConfig,
+    ClusterConfig,
+    SystemConfig,
+    overridden,
+)
 from repro.common.errors import ConfigError, ReproError
 from repro.common.ids import NodeId
 from repro.faults.behaviors import FAULT_BEHAVIORS, CrashBehavior
@@ -112,13 +117,8 @@ class Scenario:
     def system_config(self, seed: int) -> SystemConfig:
         """The deployment of this scenario at sweep seed ``seed``."""
         try:
-            return replace(
-                CHAOS_BASE,
-                cluster=replace(CHAOS_BASE.cluster, **self.cluster),
-                bft=replace(CHAOS_BASE.bft, **self.bft),
-                seed=20131209 + seed,
-            ).validate()
-        except TypeError as exc:
+            return overridden(CHAOS_BASE, self.cluster, self.bft, 20131209 + seed)
+        except ConfigError as exc:
             raise ConfigError(f"scenario {self.name!r}: {exc}") from None
 
 

@@ -331,3 +331,20 @@ class SystemConfig:
         self.cost.validate()
         self.bft.validate()
         return self
+
+
+def overridden(base: SystemConfig, cluster: dict, bft: dict, seed: int) -> SystemConfig:
+    """``base`` with the ``ClusterConfig`` fields in ``cluster``, the
+    ``ClusterBFTConfig`` fields in ``bft`` and ``seed`` replaced, then
+    validated.  A key that names no field is a :class:`ConfigError`,
+    never silently ignored."""
+    try:
+        config = replace(
+            base,
+            cluster=replace(base.cluster, **cluster),
+            bft=replace(base.bft, **bft),
+            seed=seed,
+        )
+    except TypeError as exc:  # an unexpected keyword argument
+        raise ConfigError(f"no such config field: {exc}") from None
+    return config.validate()

@@ -147,13 +147,14 @@ def check_config(config, path: str = "<config>") -> list[Diagnostic]:
 
 
 def check_service_trace(text: str, path: str = "<trace>") -> list[Diagnostic]:
-    """PLAN008: static admission-config check over a tenant trace.
+    """PLAN008: static check of a tenant trace.
 
-    The same fail-closed validation the service applies at load time
-    (:func:`repro.service.tenants.trace_problems`) — a trace declaring
-    a zero quota, referencing an unknown workload, or carrying
-    malformed arrivals would be refused by ``repro serve``, so the
-    linter flags it before anything runs.
+    Reports :func:`repro.service.tenants.trace_problems`, the very
+    list for which ``repro serve`` refuses a trace at load time: a zero
+    quota, an unknown workload, malformed arrivals, a deployment its
+    config rejects (r < f + 1, say) or a fault the cluster cannot run.
+    So the linter flags a trace exactly when the service would refuse
+    it, before anything runs.
     """
     import json as _json
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from repro.common.errors import ConfigError
 from repro.telemetry.analysis import percentile
 
 #: Workload mix cycled across tenants (honest tenants skew toward the
@@ -53,9 +54,9 @@ def synth_trace(
     cross-tenant work to amortize.
     """
     if tenants <= 0:
-        raise ValueError(f"tenants={tenants} must be positive")
+        raise ConfigError(f"tenants={tenants} must be positive")
     if faulty_tenants < 0 or faulty_tenants > tenants:
-        raise ValueError(
+        raise ConfigError(
             f"faulty_tenants={faulty_tenants} outside [0, {tenants}]"
         )
     if faults is None:
@@ -120,7 +121,9 @@ def traffic_stats(result) -> dict:
     """Aggregate a :class:`~repro.service.loop.ServiceResult` into the
     benchmark's headline numbers."""
     latencies = result.latencies()
-    honest = [run for run in result.runs if not _tenant_faulty(result, run)]
+    honest = [
+        run for run in result.runs if run.tenant not in result.faulty_tenants
+    ]
     stats = {
         "jobs_total": len(result.runs) + len(result.rejects),
         "admitted": len(result.runs),
@@ -143,24 +146,13 @@ def traffic_stats(result) -> dict:
     return stats
 
 
-def _tenant_faulty(result, run) -> bool:
-    # ServiceResult does not carry the trace; stats callers that need
-    # the split pass it via the attribute patched on below.
-    flags = getattr(result, "_faulty_tenants", frozenset())
-    return run.tenant in flags
-
-
 def run_traffic(trace_text: str, ledger_path: str | None = None) -> tuple:
-    """Parse + run a trace text; returns ``(result, stats)`` with the
-    honest/faulty tenant split resolved from the trace."""
+    """Parse + run a trace text; returns ``(result, stats)``."""
     from repro.service.loop import run_trace
     from repro.service.tenants import parse_trace
 
     trace = parse_trace(trace_text, name="bench")
     result = run_trace(trace, ledger_path=ledger_path)
-    result._faulty_tenants = frozenset(
-        spec.name for spec in trace.tenants if spec.faulty
-    )
     return result, traffic_stats(result)
 
 

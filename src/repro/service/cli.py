@@ -161,56 +161,41 @@ def cmd_serve(args) -> int:
 
         telemetry = Telemetry.recording()
     try:
-        if args.resume:
-            if not args.ledger:
-                raise SystemExit("--resume needs --ledger FILE")
-            trace = None
-            if args.trace:
+        if args.resume and not args.ledger:
+            raise SystemExit("--resume needs --ledger FILE")
+        if args.trace:
+            try:
                 with open(args.trace) as handle:
-                    trace = parse_trace(handle.read(), name=args.trace)
-            result = run_trace(
-                trace,
-                ledger_path=args.ledger,
-                resume=True,
-                telemetry=telemetry,
-                crash_hook=crash_hook,
-            )
-            faulty = frozenset()
+                    text = handle.read()
+            except OSError as exc:
+                raise SystemExit(f"cannot read trace: {exc}")
+            trace = parse_trace(text, name=args.trace)
+        elif args.resume:
+            trace = None  # the ledger header embeds it
         else:
-            if args.trace:
-                try:
-                    with open(args.trace) as handle:
-                        text = handle.read()
-                except OSError as exc:
-                    raise SystemExit(f"cannot read trace: {exc}")
-                trace = parse_trace(text, name=args.trace)
-            else:
-                trace = parse_trace(
-                    synth_trace(
-                        tenants=args.tenants,
-                        jobs_per_tenant=args.jobs_per_tenant,
-                        quota=args.quota,
-                        queue_limit=args.queue_limit,
-                        faulty_tenants=args.faulty_tenants,
-                        nodes=args.nodes,
-                        seed=args.seed,
-                        rows=args.rows,
-                    ),
-                    name="synthetic",
-                )
-            result = run_trace(
-                trace,
-                ledger_path=args.ledger,
-                telemetry=telemetry,
-                crash_hook=crash_hook,
+            trace = parse_trace(
+                synth_trace(
+                    tenants=args.tenants,
+                    jobs_per_tenant=args.jobs_per_tenant,
+                    quota=args.quota,
+                    queue_limit=args.queue_limit,
+                    faulty_tenants=args.faulty_tenants,
+                    nodes=args.nodes,
+                    seed=args.seed,
+                    rows=args.rows,
+                ),
+                name="synthetic",
             )
-            faulty = frozenset(
-                spec.name for spec in trace.tenants if spec.faulty
-            )
+        result = run_trace(
+            trace,
+            ledger_path=args.ledger,
+            resume=args.resume,
+            telemetry=telemetry,
+            crash_hook=crash_hook,
+        )
     except ReproError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    result._faulty_tenants = faulty
     stats = traffic_stats(result)
     slo_firings = None
     if telemetry is not None:
@@ -221,7 +206,7 @@ def cmd_serve(args) -> int:
     if args.bench:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        _print_human(result, stats, faulty)
+        _print_human(result, stats)
         if slo_firings is not None:
             _print_slo(summary["tenants"])
     if args.out:
@@ -232,7 +217,7 @@ def cmd_serve(args) -> int:
     honest_failed = [
         run
         for run in result.runs
-        if run.tenant not in faulty and not run.assured
+        if run.tenant not in result.faulty_tenants and not run.assured
     ]
     return 1 if honest_failed else 0
 
@@ -247,7 +232,7 @@ def _print_slo(per_tenant: dict) -> None:
         print(f"  {tenant}: {slo['status']} (alerts: {alerts})")
 
 
-def _print_human(result, stats, faulty) -> None:
+def _print_human(result, stats) -> None:
     print(f"trace     : {result.trace_name} (seed {result.seed})")
     print(
         f"jobs      : {stats['jobs_total']} total, {stats['admitted']} "
@@ -257,7 +242,7 @@ def _print_human(result, stats, faulty) -> None:
         f"assured   : {stats['assured']}/{stats['admitted']}"
         + (
             f" ({stats['honest_assured']}/{stats['honest_runs']} honest)"
-            if faulty
+            if result.faulty_tenants
             else ""
         )
     )
@@ -283,7 +268,7 @@ def _print_human(result, stats, faulty) -> None:
         print(f"ledger    : {result.ledger_path}")
     for tenant in sorted({run.tenant for run in result.runs}):
         runs = result.runs_for(tenant)
-        marker = " (faulty)" if tenant in faulty else ""
+        marker = " (faulty)" if tenant in result.faulty_tenants else ""
         verdicts = ", ".join(
             f"{run.run_id}:{'assured' if run.assured else 'FAILED'}"
             for run in runs

@@ -85,6 +85,8 @@ class ServiceResult:
 
     trace_name: str
     seed: int
+    #: The trace's tenants flagged ``faulty``; every other tenant is honest.
+    faulty_tenants: frozenset[str] = frozenset()
     runs: list[RunRecord] = field(default_factory=list)
     rejects: list[RejectRecord] = field(default_factory=list)
     #: Published outputs per run id (logical path -> records) — what
@@ -213,7 +215,9 @@ class ClusterBFTService:
         self.telemetry = self.controller.telemetry
         if ledger is not None:
             ledger.bind_tracer(self.telemetry.tracer)
-        self.result = ServiceResult(trace_name=trace.name, seed=trace.seed)
+        self.result = ServiceResult(
+            trace.name, trace.seed, faulty_tenants=trace.faulty_tenants
+        )
         #: Unfinished drivers in admission order (``_start_run`` appends,
         #: ``_finish_run`` removes), so a tick costs the runs in flight.
         self._drivers: list[RunDriver] = []
@@ -386,9 +390,8 @@ class ClusterBFTService:
         if self._tick_scheduled or not self._busy():
             return
         self._tick_scheduled = True
-        self.loop.schedule(
-            self.trace.heartbeat_period, self._tick, label="service-tick"
-        )
+        period = self.controller.config.cluster.heartbeat_period
+        self.loop.schedule(period, self._tick, label="service-tick")
 
     # -- execution ------------------------------------------------------
 

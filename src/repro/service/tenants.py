@@ -4,9 +4,12 @@ A *tenant trace* is the service's whole input — a JSON document naming
 the deployment shape, the cluster fault mix, and per-tenant job
 streams.  Traces are pure data (absolute sim-time arrivals, named
 workloads, literal quotas) so a service run is reproducible from its
-trace and seed alone, and so ``repro lint`` can check admission
-configuration statically (PLAN008) with the same validation the
-service applies fail-closed at load time.
+trace and seed alone.  :func:`read_trace` reads a document in one walk
+that builds the trace and collects every problem; :func:`parse_trace`
+refuses a trace with any (fail-closed), and ``repro lint`` PLAN008
+reports the same list (:func:`trace_problems`), so the linter flags
+exactly what the service refuses.  The ``cluster``/``bft`` sections
+give overrides of :data:`SERVICE_BASE` (keys in :data:`SETTINGS`).
 
 Trace document shape::
 
@@ -39,12 +42,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.common.config import (
     ClusterBFTConfig,
     ClusterConfig,
     SystemConfig,
+    overridden,
 )
 from repro.common.errors import ConfigError
 from repro.common.records import Record, records_from_rows
@@ -139,6 +143,15 @@ class TenantSpec:
     faulty: bool = False
 
 
+#: The deployment every trace overrides: a 12-node cluster with fast
+#: heartbeats, a verifier timeout sized to the service's small jobs and
+#: the quarantine tier on.  Everything else is the config default.
+SERVICE_BASE = SystemConfig(
+    cluster=ClusterConfig(num_nodes=12, heartbeat_period=0.4),
+    bft=ClusterBFTConfig(verifier_timeout=60.0, quarantine_threshold=0.45),
+)
+
+
 @dataclass(frozen=True)
 class ServiceTrace:
     """A parsed, validated tenant trace."""
@@ -146,16 +159,11 @@ class ServiceTrace:
     name: str
     seed: int
     tenants: tuple[TenantSpec, ...]
-    num_nodes: int = 12
-    slots_per_node: int = 3
-    heartbeat_period: float = 0.4
-    f: int = 1
-    replication: int = 4
-    verifier_timeout: float = 60.0
-    suspicion_threshold: float = 0.95
-    quarantine_threshold: float | None = 0.45
-    suspicion_min_jobs: int = 3
-    max_reruns: int = 3
+    #: Deployment overrides of :data:`SERVICE_BASE`, by config field:
+    #: ``ClusterConfig`` fields in ``cluster``, ``ClusterBFTConfig``
+    #: fields in ``bft`` (the trace's :data:`SETTINGS` keys it gives).
+    cluster: dict = field(default_factory=dict)
+    bft: dict = field(default_factory=dict)
     #: (kind, node index, params) worker faults.
     faults: tuple[tuple[str, int, tuple[tuple[str, object], ...]], ...] = ()
     #: The raw JSON text the trace was parsed from — embedded verbatim
@@ -164,30 +172,21 @@ class ServiceTrace:
     text: str = field(default="", compare=False)
 
     def system_config(self) -> SystemConfig:
-        return SystemConfig(
-            cluster=ClusterConfig(
-                num_nodes=self.num_nodes,
-                slots_per_node=self.slots_per_node,
-                heartbeat_period=self.heartbeat_period,
-            ),
-            bft=ClusterBFTConfig(
-                f=self.f,
-                replication=self.replication,
-                verifier_timeout=self.verifier_timeout,
-                suspicion_threshold=self.suspicion_threshold,
-                quarantine_threshold=self.quarantine_threshold,
-                suspicion_min_jobs=self.suspicion_min_jobs,
-                max_reruns=self.max_reruns,
-            ),
-            seed=self.seed,
-        ).validate()
+        return overridden(SERVICE_BASE, self.cluster, self.bft, self.seed)
 
     def fault_plan(self) -> FaultPlan:
+        """Fresh behaviours on every call: a crash behaviour counts the
+        task starts of the one run it is assigned to."""
         plan = FaultPlan()
         for kind, node_index, params in self.faults:
             node_id = f"node_{node_index:04d}"
             plan.assign(node_id, FAULT_BEHAVIORS[kind](**dict(params)))
         return plan
+
+    @property
+    def faulty_tenants(self) -> frozenset[str]:
+        """Tenants flagged ``faulty`` (see the module docstring)."""
+        return frozenset(tenant.name for tenant in self.tenants if tenant.faulty)
 
     def requests(self) -> list[JobRequest]:
         """Every arrival, in deterministic service order: by time, then
@@ -210,13 +209,14 @@ def workload_records(seed: int, tenant: str, index: int, rows: int) -> list[Reco
 
 
 # ---------------------------------------------------------------------------
-# validation (shared by parse_trace and `repro lint` PLAN008)
+# reading (one walk, shared by parse_trace and `repro lint` PLAN008)
 # ---------------------------------------------------------------------------
 
 
-#: The numeric settings a trace may give, by section: key -> the
-#: :class:`ServiceTrace` field it sets, and whether the value must be an
-#: integer (else any finite number).  Absent keys keep the field default.
+#: The numeric settings a trace may give, by section: key -> the config
+#: field of that layer it overrides, and whether the value must be an
+#: integer (else any finite number).  Absent keys keep
+#: :data:`SERVICE_BASE`.
 SETTINGS = {
     "cluster": {
         "nodes": ("num_nodes", True),
@@ -241,60 +241,87 @@ def _is_number(value: object, integer: bool = False) -> bool:
     return isinstance(value, int) if integer else math.isfinite(value)
 
 
-def _settings_problems(data: dict) -> list[str]:
-    problems = []
-    if not isinstance(data.get("name", ""), str):
-        problems.append("'name' must be a string")
-    if not _is_number(data.get("seed", 0), integer=True):
-        problems.append(f"seed={data.get('seed')!r} must be an integer")
-    for section, keys in SETTINGS.items():
-        values = data.get(section, {})
-        if not isinstance(values, dict):
-            problems.append(f"'{section}' must be an object")
-            continue
-        for key, (_, integer) in keys.items():
-            value = values.get(key, 0)
-            # A null quarantine threshold switches the quarantine tier off.
-            if value is None and key == "quarantine_threshold":
-                continue
-            if not _is_number(value, integer):
-                kind = "an integer" if integer else "a finite number"
-                problems.append(f"{section}.{key}={value!r} must be {kind}")
-    return problems
-
-
-def trace_problems(data: object) -> list[str]:
-    """Structural/admission-config problems of a trace document.
-
-    Returns human-readable problem strings (empty = valid).  This is
-    the single source of truth: :func:`parse_trace` refuses any trace
-    with problems (fail-closed), and ``repro lint`` PLAN008 reports the
-    same list statically.
-    """
+def read_trace(
+    data: object, name: str = "trace", text: str = ""
+) -> tuple[ServiceTrace | None, list[str]]:
+    """Read a trace document in one walk: the trace it declares (``None``
+    unless the problem list is empty) and every problem on the way, as
+    human-readable strings.  :func:`parse_trace` refuses a trace with
+    any, and ``repro lint`` PLAN008 reports the same list."""
     if not isinstance(data, dict):
-        return ["trace document must be a JSON object"]
-    tenants = data.get("tenants")
-    if not isinstance(tenants, list) or not tenants:
-        return ["trace must declare a non-empty 'tenants' list"]
-    problems = _settings_problems(data)
+        return None, ["trace document must be a JSON object"]
+    entries = data.get("tenants")
+    if not isinstance(entries, list) or not entries:
+        return None, ["trace must declare a non-empty 'tenants' list"]
+    problems: list[str] = []
+    trace_name = data.get("name", name)
+    if not isinstance(trace_name, str):
+        problems.append("'name' must be a string")
+    seed = data.get("seed", SERVICE_BASE.seed)
+    if not _is_number(seed, integer=True):
+        problems.append(f"seed={seed!r} must be an integer")
+    cluster, bft = (_read_settings(data, section, problems) for section in SETTINGS)
+    nodes = None
+    if not problems:
+        try:
+            nodes = overridden(SERVICE_BASE, cluster, bft, seed).cluster.num_nodes
+        except ConfigError as exc:
+            problems.append(str(exc))
     seen: set[str] = set()
-    for position, entry in enumerate(tenants):
-        problems.extend(_tenant_problems(position, entry, seen))
+    tenants = tuple(
+        _read_tenant(position, entry, seen, problems)
+        for position, entry in enumerate(entries)
+    )
     faults = data.get("faults", [])
     if not isinstance(faults, list):
         problems.append("'faults' must be a list")
         faults = []
-    for position, spec in enumerate(faults):
-        problems.extend(_fault_problems(position, spec))
-    return problems
+    faults = tuple(
+        _read_fault(position, spec, nodes, problems)
+        for position, spec in enumerate(faults)
+    )
+    if problems:
+        return None, problems
+    trace = ServiceTrace(
+        trace_name, seed, tenants, cluster=cluster, bft=bft, faults=faults, text=text
+    )
+    return trace, []
 
 
-def _tenant_problems(position: int, entry: object, seen: set[str]) -> list[str]:
-    """Problems of ``tenants[position]``: its name (added to ``seen``),
-    its quota and each of its jobs."""
+def trace_problems(data: object) -> list[str]:
+    """Every problem of a trace document (empty = valid): what
+    :func:`parse_trace` refuses and ``repro lint`` PLAN008 reports."""
+    return read_trace(data)[1]
+
+
+def _read_settings(data: dict, section: str, problems: list[str]) -> dict:
+    """The config overrides ``data[section]`` gives, by config field."""
+    values = data.get(section, {})
+    if not isinstance(values, dict):
+        problems.append(f"'{section}' must be an object")
+        return {}
+    overrides = {}
+    for key, (config_field, integer) in SETTINGS[section].items():
+        if key not in values:
+            continue
+        value = overrides[config_field] = values[key]
+        # A null quarantine threshold switches the quarantine tier off.
+        if value is None and key == "quarantine_threshold":
+            continue
+        if not _is_number(value, integer):
+            kind = "an integer" if integer else "a finite number"
+            problems.append(f"{section}.{key}={value!r} must be {kind}")
+    return overrides
+
+
+def _read_tenant(
+    position: int, entry: object, seen: set[str], problems: list[str]
+) -> TenantSpec | None:
+    """``tenants[position]``: its name (added to ``seen``), its quota
+    and each of its jobs."""
     if not isinstance(entry, dict):
-        return [f"tenants[{position}] must be an object"]
-    problems: list[str] = []
+        problems.append(f"tenants[{position}] must be an object")
+        return None
     name = entry.get("tenant")
     label = name if isinstance(name, str) and name else f"tenants[{position}]"
     if not isinstance(name, str) or not name:
@@ -303,25 +330,28 @@ def _tenant_problems(position: int, entry: object, seen: set[str]) -> list[str]:
         problems.append(f"duplicate tenant {name!r}")
     else:
         seen.add(name)
+    faulty = entry.get("faulty", False)
+    if not isinstance(faulty, bool):
+        problems.append(f"tenant {label}: faulty={faulty!r} must be true or false")
     quota = entry.get("quota", {})
     if not isinstance(quota, dict):
         problems.append(f"tenant {label}: 'quota' must be an object")
         quota = {}
-    max_concurrent = quota.get("max_concurrent", 1)
-    if not isinstance(max_concurrent, int) or max_concurrent <= 0:
+    max_concurrent = quota.get("max_concurrent", TenantQuota.max_concurrent)
+    if not _is_number(max_concurrent, integer=True) or max_concurrent <= 0:
         problems.append(
             f"tenant {label}: quota max_concurrent={max_concurrent!r} "
             "admits nothing (fail-closed admission rejects every job)"
         )
-    queue_limit = quota.get("queue_limit", 0)
-    if not isinstance(queue_limit, int) or queue_limit < 0:
+    queue_limit = quota.get("queue_limit", TenantQuota.queue_limit)
+    if not _is_number(queue_limit, integer=True) or queue_limit < 0:
         problems.append(
             f"tenant {label}: queue_limit={queue_limit!r} must be an "
             "integer >= 0"
         )
-    slot_budget = quota.get("slot_budget")
+    slot_budget = quota.get("slot_budget", TenantQuota.slot_budget)
     if slot_budget is not None and (
-        not isinstance(slot_budget, int) or slot_budget <= 0
+        not _is_number(slot_budget, integer=True) or slot_budget <= 0
     ):
         problems.append(
             f"tenant {label}: slot_budget={slot_budget!r} must be a "
@@ -331,22 +361,32 @@ def _tenant_problems(position: int, entry: object, seen: set[str]) -> list[str]:
     if not isinstance(jobs, list):
         problems.append(f"tenant {label}: 'jobs' must be a list")
         jobs = []
-    last_at = None
-    for job_position, job in enumerate(jobs):
-        job_problems, last_at = _job_problems(label, job_position, job, last_at)
-        problems.extend(job_problems)
-    return problems
+    requests = []
+    for index, job in enumerate(jobs):
+        request = _read_job(label, index, job, requests, problems)
+        if request is not None:
+            requests.append(request)
+    return TenantSpec(
+        name=label,
+        quota=TenantQuota(max_concurrent, queue_limit, slot_budget),
+        jobs=tuple(requests),
+        faulty=faulty,
+    )
 
 
-def _job_problems(
-    label: str, position: int, job: object, last_at: float | None
-) -> tuple[list[str], float | None]:
-    """Problems of tenant ``label``'s ``jobs[position]``, and the arrival
-    time the tenant's next job may not precede."""
-    where = f"tenant {label}: jobs[{position}]"
+def _read_job(
+    label: str,
+    index: int,
+    job: object,
+    earlier: list[JobRequest],
+    problems: list[str],
+) -> JobRequest | None:
+    """Tenant ``label``'s ``jobs[index]``, which may not arrive before
+    the ``earlier`` jobs of the tenant."""
+    where = f"tenant {label}: jobs[{index}]"
     if not isinstance(job, dict):
-        return [f"{where} must be an object"], last_at
-    problems: list[str] = []
+        problems.append(f"{where} must be an object")
+        return None
     workload = job.get("workload")
     if not isinstance(workload, str) or workload not in WORKLOADS:
         known = ", ".join(sorted(WORKLOADS))
@@ -354,119 +394,84 @@ def _job_problems(
             f"{where} references unknown workload {workload!r} (known: {known})"
         )
     at = job.get("at", 0.0)
+    last_at = earlier[-1].at if earlier else None
     if not _is_number(at) or at < 0:
         problems.append(f"{where} arrival at={at!r} must be a number >= 0")
-    elif last_at is not None and at < last_at:
+        return None
+    if last_at is not None and at < last_at:
         problems.append(
             f"{where} arrives at {at} before its predecessor at {last_at} "
             "(per-tenant arrivals must be non-decreasing — FIFO queues "
             "assume it)"
         )
-    else:
-        last_at = at
+        return None
     rows = job.get("rows", 160)
-    if not isinstance(rows, int) or rows <= 0:
+    if not _is_number(rows, integer=True) or rows <= 0:
         problems.append(f"{where} rows={rows!r} must be a positive integer")
-    return problems, last_at
+    return JobRequest(
+        tenant=label, index=index, at=float(at), workload=workload, rows=rows
+    )
 
 
-def _fault_problems(position: int, spec: object) -> list[str]:
-    """Problems of ``faults[position]``."""
+def _read_fault(
+    position: int, spec: object, nodes: int | None, problems: list[str]
+) -> tuple | None:
+    """``faults[position]`` as (kind, node, params); ``nodes`` is the
+    cluster size when the deployment resolved."""
     if not isinstance(spec, dict):
-        return [f"faults[{position}] must be an object"]
-    problems: list[str] = []
+        problems.append(f"faults[{position}] must be an object")
+        return None
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in FAULT_BEHAVIORS:
+    behavior = FAULT_BEHAVIORS.get(kind) if isinstance(kind, str) else None
+    if behavior is None:
         known = ", ".join(sorted(FAULT_BEHAVIORS))
         problems.append(
             f"faults[{position}] unknown kind {kind!r} (known: {known})"
         )
     node = spec.get("node")
-    if not isinstance(node, int) or node < 0:
+    if not _is_number(node, integer=True) or node < 0:
         problems.append(
             f"faults[{position}] node={node!r} must be an integer >= 0"
         )
-    if not isinstance(spec.get("params") or {}, dict):
+    elif nodes is not None and node >= nodes:
+        problems.append(
+            f"faults[{position}] {kind!r} targets node {node} but the "
+            f"cluster has {nodes} nodes"
+        )
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
         problems.append(f"faults[{position}] 'params' must be an object")
-    return problems
+        return None
+    takes = {f.name for f in fields(behavior)} if behavior else set(params)
+    for key, value in params.items():
+        if key not in takes:
+            problems.append(
+                f"faults[{position}] {kind!r} takes no param {key!r} "
+                f"(takes: {', '.join(sorted(takes))})"
+            )
+        elif not _is_number(value):
+            problems.append(
+                f"faults[{position}] param {key}={value!r} must be a "
+                "finite number"
+            )
+    return kind, node, tuple(sorted(params.items()))
 
 
 def parse_trace(text: str, name: str = "trace") -> ServiceTrace:
     """Parse and validate a trace document (fail-closed).
 
-    Raises :class:`~repro.common.errors.ConfigError` on the first sign
-    of a malformed or unsafe admission configuration — a service must
-    never start admitting under a quota it cannot enforce.
+    Raises :class:`~repro.common.errors.ConfigError` naming the
+    problems of a malformed or unsafe trace — a service must never
+    start admitting under a quota or deployment it cannot enforce.
     """
     try:
         data = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"trace {name}: not valid JSON: {exc}")
-    problems = trace_problems(data)
+    trace, problems = read_trace(data, name, text)
     if problems:
         raise ConfigError(
             f"trace {name}: invalid ({'; '.join(problems[:4])}"
             + (f"; +{len(problems) - 4} more)" if len(problems) > 4 else ")")
         )
-    tenants = []
-    for entry in data["tenants"]:
-        quota_data = entry.get("quota", {})
-        quota = TenantQuota(
-            max_concurrent=quota_data.get("max_concurrent", 1),
-            queue_limit=quota_data.get("queue_limit", 0),
-            slot_budget=quota_data.get("slot_budget"),
-        )
-        tenant_name = entry["tenant"]
-        jobs = tuple(
-            JobRequest(
-                tenant=tenant_name,
-                index=index,
-                at=float(job.get("at", 0.0)),
-                workload=job["workload"],
-                rows=job.get("rows", 160),
-            )
-            for index, job in enumerate(entry.get("jobs", []))
-        )
-        tenants.append(
-            TenantSpec(
-                name=tenant_name,
-                quota=quota,
-                jobs=jobs,
-                faulty=bool(entry.get("faulty", False)),
-            )
-        )
-    faults = tuple(
-        (
-            spec["kind"],
-            spec["node"],
-            tuple(sorted((spec.get("params") or {}).items())),
-        )
-        for spec in data.get("faults", [])
-    )
-    settings = {
-        attribute: data[section][key]
-        for section, keys in SETTINGS.items()
-        for key, (attribute, _) in keys.items()
-        if key in data.get(section, {})
-    }
-    trace = ServiceTrace(
-        name=data.get("name", name),
-        seed=int(data.get("seed", 20131209)),
-        tenants=tuple(tenants),
-        faults=faults,
-        text=text,
-        **settings,
-    )
-    trace.system_config()  # config-level validation (fail-closed too)
-    try:
-        trace.fault_plan()
-    except TypeError as exc:
-        raise ConfigError(f"trace {name}: bad fault params: {exc}") from None
-    max_node = trace.num_nodes - 1
-    for kind, node_index, _ in trace.faults:
-        if node_index > max_node:
-            raise ConfigError(
-                f"trace {name}: fault {kind!r} targets node {node_index} "
-                f"but the cluster has {trace.num_nodes} nodes"
-            )
     return trace

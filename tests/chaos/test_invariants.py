@@ -437,14 +437,16 @@ def ten1(expected, got):
         tenant="t", run_id="r1", assured=True, exhausted=False, latency=1.0
     )
     result = SimpleNamespace(
-        runs=[run], outputs={"r1": {"out": records_from_rows(got)}}, rejects=[]
+        runs=[run],
+        outputs={"r1": {"out": records_from_rows(got)}},
+        rejects=[],
+        faulty_tenants=frozenset(),
     )
     return check_ten1(
         ServiceRunContext(
             scenario=SimpleNamespace(honest_p99_bound=None, expect_rejections=False),
             service=None,
             result=result,
-            honest=frozenset({"t"}),
             truths={"r1": canonical(expected)},
         )
     )

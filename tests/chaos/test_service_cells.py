@@ -8,6 +8,13 @@ quarantine hand-off.
 from repro.chaos.invariants import TEN1, TEN2
 from repro.chaos.runner import run_campaign, run_service_one
 from repro.chaos.scenarios import SCENARIOS, resolve_scenarios
+from repro.service.tenants import parse_trace
+
+
+def honest(scenario, seed):
+    """The trace's tenants not flagged faulty."""
+    trace = parse_trace(scenario.trace_text(seed))
+    return {tenant.name for tenant in trace.tenants} - trace.faulty_tenants
 
 
 class TestServiceCells:
@@ -16,23 +23,25 @@ class TestServiceCells:
         ctx, violations = run_service_one(scenario, seed=1)
         assert violations == []
         result = ctx.result
+        honest_tenants = honest(scenario, 1)
         # The flood really tripped admission control…
         assert result.rejects
         # …but every rejection landed on the flooding tenant.
-        assert all(r.tenant not in ctx.honest for r in result.rejects)
-        honest_runs = [r for r in result.runs if r.tenant in ctx.honest]
+        assert all(r.tenant not in honest_tenants for r in result.rejects)
+        honest_runs = [r for r in result.runs if r.tenant in honest_tenants]
         assert honest_runs and all(r.assured for r in honest_runs)
 
     def test_cross_tenant_quarantine_hands_off_protection(self):
         scenario = SCENARIOS["cross-tenant-quarantine"]
         ctx, violations = run_service_one(scenario, seed=1)
         assert violations == []
+        honest_tenants = honest(scenario, 1)
         audit = ctx.service.controller.audit
         handoffs = [
             event
             for kind in ("quarantine", "eviction")
             for event in audit.events(kind=kind)
-            if event.details.get("tenant") not in ctx.honest
+            if event.details.get("tenant") not in honest_tenants
         ]
         # A faulty tenant's traffic got the node contained…
         assert handoffs
@@ -42,14 +51,15 @@ class TestServiceCells:
         later = [
             run
             for run in ctx.result.runs
-            if run.tenant in ctx.honest and run.started_at > cutoff
+            if run.tenant in honest_tenants and run.started_at > cutoff
         ]
         assert later and all(run.assured for run in later)
 
     def test_truths_cover_every_assured_honest_run(self):
         ctx, _ = run_service_one(SCENARIOS["tenant-flood"], seed=2)
+        honest_tenants = honest(SCENARIOS["tenant-flood"], 2)
         for run in ctx.result.runs:
-            if run.tenant in ctx.honest and run.assured:
+            if run.tenant in honest_tenants and run.assured:
                 assert run.run_id in ctx.truths
                 assert ctx.truths[run.run_id]
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.common.errors import ReproError, TraceError
-from repro.service.tenants import parse_trace, trace_problems
+from repro.service.tenants import SETTINGS, parse_trace, trace_problems
 from repro.telemetry import Telemetry
 from repro.telemetry.export import read_jsonl_lenient
 from repro.telemetry.slo import AlertRule, load_rules, parse_rules
@@ -195,14 +195,46 @@ def test_every_prefix_of_a_tenant_trace_fails_closed():
         parses_or_fails_closed(text[:cut])
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(edits=edits, swaps=swaps)
-def test_a_garbled_tenant_trace_fails_closed(edits, swaps):
-    parses_or_fails_closed(garble(TENANTS, edits).decode(errors="replace"))
-    document = swap(TENANTS, swaps)
+#: The deployment slots of a tenant trace, (container, key) from the
+#: document root, and the values put there: those of ``VALUES`` plus
+#: numbers in and out of each setting's range.
+DEPLOYMENT = [
+    *((section, key) for section, keys in SETTINGS.items() for key in keys),
+    ("faults", "node"),
+    ("faults", "params"),
+]
+deployments = st.dictionaries(
+    st.sampled_from(DEPLOYMENT),
+    st.sampled_from([*VALUES, 1, 3, 99, 0.5]),
+    min_size=1,
+    max_size=3,
+)
+
+
+def deploy(data: bytes, overrides: dict) -> dict:
+    """The document parsed, with deployment slots set."""
+    document = json.loads(data)
+    for (section, key), value in overrides.items():
+        container = document["faults"][0] if section == "faults" else document[section]
+        container[key] = copy.deepcopy(value)
+    return document
+
+
+def lint_agrees_with_serve(document) -> None:
+    """PLAN008 (``trace_problems``) reports a problem exactly when
+    ``repro serve`` (``parse_trace``) refuses the trace."""
     problems = trace_problems(document)
     assert all(isinstance(problem, str) for problem in problems)
-    parses_or_fails_closed(json.dumps(document))
+    parsed = typed_or_returns(parse_trace, json.dumps(document), "fuzzed.json")
+    assert (problems == []) == (parsed is not None), problems
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=edits, swaps=swaps, overrides=deployments)
+def test_a_garbled_tenant_trace_fails_closed(edits, swaps, overrides):
+    parses_or_fails_closed(garble(TENANTS, edits).decode(errors="replace"))
+    lint_agrees_with_serve(swap(TENANTS, swaps))
+    lint_agrees_with_serve(deploy(TENANTS, overrides))
 
 
 # -- repro run / explain file inputs -----------------------------------------

@@ -113,14 +113,15 @@ def test_first_seq_reads_the_reference_wal(tmp_path):
 
 
 def test_recipe_is_well_formed():
-    """Every step declares its exit code; a killed step is exactly one
-    that arms the kill seam; a kill seq and every in-side pair name files
+    """Every step declares its exit code (0, 1 for a failed check, 2 for
+    a refused input, or killed); a killed step is exactly one that arms
+    the kill seam; a kill seq and every in-side pair name files
     an earlier step writes, or files in a directory that an input copies
     or a step names."""
     written = set(twin.GENERATED) | set(twin.INPUTS)
     for step in twin.RECIPE:
         code, command = step
-        assert type(code) is int and code in (0, 1, twin.KILLED), step
+        assert type(code) is int and code in (0, 1, 2, twin.KILLED), step
         assert (code == twin.KILLED) == command.startswith(twin.KILL + "="), step
         for _kind, wal in twin.FIRST_SEQ.findall(command):
             assert wal in written, f"{command}: no earlier step writes {wal}"

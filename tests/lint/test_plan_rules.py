@@ -2,11 +2,13 @@
 one known defect, with the right rule id and a useful location."""
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import ClusterBFTConfig
-from repro.common.errors import SchemaError
+from repro.common.errors import ConfigError, SchemaError
 from repro.core.request_handler import RequestHandler
 from repro.dataflow.operators import LoadOp, StoreOp, UnionOp
 from repro.dataflow.piglatin import parse_script
@@ -16,11 +18,14 @@ from repro.lint.plan_rules import (
     PlanCheckError,
     check_config,
     check_plan,
+    check_service_trace,
     check_sink_coverage,
     precheck_plan,
 )
+from repro.service.tenants import parse_trace
 
 INT_X = Schema((Field("x", "int"),))
+TENANTS = Path(__file__).resolve().parents[2] / "examples" / "tenants.json"
 
 
 def rules_of(diags):
@@ -190,3 +195,36 @@ def test_interpreter_precheck_hook():
     with pytest.raises(PlanCheckError):
         precheck_plan(plan)
         interpret(plan, inputs={"in": []})
+
+
+def with_edit(edit):
+    """``examples/tenants.json`` with one edit applied to its document."""
+    document = json.loads(TENANTS.read_text())
+    edit(document)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        (lambda d: d["bft"].update(replication=1), "cannot mask f=1"),
+        (lambda d: d["bft"].update(quarantine_threshold=2.0), "quarantine_threshold"),
+        (lambda d: d["bft"].update(verifier_timeout=0), "verifier_timeout"),
+        (lambda d: d["faults"][0].update(node=99), "targets node 99"),
+        (lambda d: d["faults"][0]["params"].update(bogus=1), "no param 'bogus'"),
+        (lambda d: d["cluster"].update(nodes=0), "num_nodes"),
+    ],
+    ids=["replication-1", "quarantine-2", "verifier-timeout-0", "fault-node-99",
+         "unknown-fault-param", "nodes-0"],
+)
+def test_plan008_reports_what_serve_refuses(edit, says):
+    text = with_edit(edit)
+    diags = check_service_trace(text, "t.json")
+    assert rules_of(diags) == ["PLAN008"]
+    assert says in diags[0].message
+    with pytest.raises(ConfigError, match=says):
+        parse_trace(text)
+
+
+def test_plan008_passes_the_example_trace():
+    assert check_service_trace(TENANTS.read_text()) == []

@@ -1,8 +1,14 @@
-"""`repro serve --slo`: per-tenant SLO status in the service summary."""
+"""`repro serve`: per-tenant SLO status in the service summary, the
+summary of a resumed service, and usage errors that fail closed."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
+
+TENANTS = Path(__file__).resolve().parents[2] / "examples" / "tenants.json"
 
 BASE = ["serve", "--tenants", "2", "--jobs", "1", "--faulty-tenants", "0",
         "--rows", "10", "--bench"]
@@ -71,3 +77,38 @@ class TestServeResumeFailsClosed:
         path = tmp_path / "null.ledger"
         path.write_text("null\n")
         self.check(capsys, path)
+
+
+class TestServeResumeSummary:
+    def test_resumed_summary_equals_uninterrupted(self, capsys, tmp_path):
+        """The resume reads the faulty tenants from the trace its ledger
+        embeds, so it splits honest from faulty runs as the
+        uninterrupted run does."""
+        full = tmp_path / "full.ledger"
+        assert main(["serve", str(TENANTS), "--ledger", str(full), "--bench"]) == 0
+        uninterrupted = summary_from(capsys)
+        # The durable prefix a control-tier death after record 30 leaves.
+        crashed = tmp_path / "crashed.ledger"
+        crashed.write_bytes(b"".join(full.read_bytes().splitlines(True)[:31]))
+        assert main(["serve", "--resume", "--ledger", str(crashed), "--bench"]) == 0
+        resumed = summary_from(capsys)
+        assert resumed["resumed_prefix"] == 31
+        assert crashed.read_bytes() == full.read_bytes()
+        for key in ("ledger", "resumed_prefix"):
+            del uninterrupted[key], resumed[key]
+        assert resumed == uninterrupted
+        assert resumed["honest_runs"] < resumed["admitted"]
+
+
+class TestSyntheticFlagsFailClosed:
+    @pytest.mark.parametrize(
+        "flags, says",
+        [
+            (["--tenants", "0"], "tenants=0 must be positive"),
+            (["--faulty-tenants", "5"], "faulty_tenants=5 outside [0, 3]"),
+        ],
+    )
+    def test_out_of_range_flag_is_one_line_and_exit_2(self, capsys, flags, says):
+        assert main(["serve", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro serve: {says}\n"

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.errors import ConfigError
+from repro.core.journal import config_to_json
 from repro.service.tenants import (
+    SETTINGS,
     WORKLOADS,
     parse_trace,
     trace_problems,
@@ -43,7 +46,7 @@ def make_doc(**overrides):
 def test_parse_valid_trace():
     trace = parse_trace(json.dumps(make_doc()), name="t")
     assert trace.seed == 5
-    assert trace.num_nodes == 8
+    assert trace.system_config().cluster.num_nodes == 8
     assert [t.name for t in trace.tenants] == ["alice", "bob"]
     assert trace.tenants[1].faulty
     assert trace.quotas()["alice"].max_concurrent == 2
@@ -134,3 +137,71 @@ def test_workload_templates_are_parseable_plans():
         script = workload.template.format(input="in", output="out")
         plan = parse_script(script)
         assert plan.sinks()
+
+
+def explicit_config(
+    seed,
+    num_nodes=12,
+    slots_per_node=3,
+    heartbeat_period=0.4,
+    f=1,
+    replication=4,
+    verifier_timeout=60.0,
+    suspicion_threshold=0.95,
+    quarantine_threshold=0.45,
+    suspicion_min_jobs=3,
+    max_reruns=3,
+):
+    """A trace's deployment with every field and default spelled out,
+    as traces built it before they stated overrides of SERVICE_BASE."""
+    return SystemConfig(
+        cluster=ClusterConfig(
+            num_nodes=num_nodes,
+            slots_per_node=slots_per_node,
+            heartbeat_period=heartbeat_period,
+        ),
+        bft=ClusterBFTConfig(
+            f=f,
+            replication=replication,
+            verifier_timeout=verifier_timeout,
+            suspicion_threshold=suspicion_threshold,
+            quarantine_threshold=quarantine_threshold,
+            suspicion_min_jobs=suspicion_min_jobs,
+            max_reruns=max_reruns,
+        ),
+        seed=seed,
+    ).validate()
+
+
+EVERY_SETTING = {
+    "cluster": {"nodes": 9, "slots": 2, "heartbeat": 1},
+    "bft": {
+        "f": 2,
+        "replication": 7,
+        "verifier_timeout": 30,
+        "suspicion_threshold": 0.9,
+        "quarantine_threshold": None,
+        "suspicion_min_jobs": 5,
+        "max_reruns": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("settings", [{}, EVERY_SETTING], ids=["none", "every"])
+def test_system_config_equals_the_explicit_constructor(settings):
+    doc = make_doc(**{"cluster": {}, "bft": {}, **settings})
+    trace = parse_trace(json.dumps(doc))
+    fields = {
+        config_field: doc[section][key]
+        for section, keys in SETTINGS.items()
+        for key, (config_field, _integer) in keys.items()
+        if key in doc[section]
+    }
+    if settings:
+        assert len(fields) == sum(len(keys) for keys in SETTINGS.values())
+    expected = explicit_config(5, **fields)
+    assert trace.system_config() == expected
+    # Same values of the same JSON types, as a journal header holds them.
+    assert json.dumps(config_to_json(trace.system_config())) == json.dumps(
+        config_to_json(expected)
+    )
