@@ -21,6 +21,7 @@ seeds.  A change that must move no byte runs the same command on
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -77,6 +78,23 @@ UNMASKED = json.dumps({
     "tenants": [{"tenant": "solo", "jobs": [{"workload": "select", "rows": 8}]}],
 }, indent=2) + "\n"
 
+#: A tenant trace with a misspelt ``bft`` key: ``repro lint`` must
+#: report it and ``repro serve`` must refuse it.
+TYPO = json.dumps({
+    "name": "typo",
+    "bft": {"f": 1, "replicas": 1},
+    "tenants": [{"tenant": "solo", "jobs": [{"workload": "select", "rows": 8}]}],
+}, indent=2) + "\n"
+#: A one-record journal whose header config has no nodes: ``repro
+#: resume`` must refuse it with one line and exit 2.
+BAD_HEADER = json.dumps({
+    "kind": "header", "seq": 0, "schema": "repro.journal/v1", "seed": 1,
+    "script": GROUP_COUNT,
+    "script_sha256": hashlib.sha256(GROUP_COUNT.encode()).hexdigest(),
+    "config": {"cluster": {"num_nodes": 0}, "cost": {}, "bft": {}, "seed": 1},
+    "block_bytes": 1 << 20, "inputs": {},
+}, sort_keys=True) + "\n"
+
 #: Written into each side directory before the first step.
 GENERATED = {
     "job.pig": GROUP_COUNT,
@@ -85,6 +103,8 @@ GENERATED = {
     "ckpt-in.csv": pairs_csv(11, 200, 6, 100),
     "edges.csv": pairs_csv(7, 2000, 50, 500),
     "unmasked.json": UNMASKED,
+    "typo.json": TYPO,
+    "bad-header.wal": BAD_HEADER,
 }
 
 # A step is its declared exit code and a command line run in the side
@@ -120,6 +140,8 @@ RECIPE = (
     (0, "repro lint --service-trace examples/tenants.json > tenants-lint.txt"),
     (1, "repro lint --service-trace unmasked.json > unmasked-lint.txt"),
     (2, "repro serve unmasked.json > unmasked-serve.txt"),
+    (1, "repro lint --service-trace typo.json > typo-lint.txt"),
+    (2, "repro serve typo.json > typo-serve.txt"),
     (0, f"{SERVE} --ledger serve.ledger --out serve.json > serve.txt"),
     (0, f"{SERVE} --slo --ledger slo.ledger > slo.txt"),
     (KILLED, f"{KILL}=30 {SERVE} --ledger serve-kill.ledger"),
@@ -127,6 +149,7 @@ RECIPE = (
     (0, f"{JOB} --journal job.wal --outputs-json job.json > job.txt"),
     (KILLED, f"{KILL}=5 {JOB} --journal job-kill.wal"),
     (0, "repro resume job-kill.wal --outputs-json job-kill.json > job-resume.txt"),
+    (2, "repro resume bad-header.wal > bad-header.txt"),
     (0, f"{CKPT_ON} --journal cp.wal --outputs-json cp.json > cp.txt"),
     (0, f"{CKPT} --outputs-json cp-free.json > cp-free.txt"),
     (KILLED, f"{KILL}={{checkpoint@cp.wal}} {CKPT_ON} --journal cp-kill.wal"),

@@ -428,7 +428,7 @@ def check_reg1(ctx: RunContext) -> list[Violation]:
     expected migrations leave a ``reconfig`` audit record naming the
     region; and every run still ends assured."""
     scenario = ctx.scenario
-    lost = getattr(scenario, "expect_region_outage", None)
+    lost = getattr(scenario, "expect_region_loss", None)
     migrated = getattr(scenario, "expect_migration_from", None)
     if lost is None and migrated is None:
         return []

@@ -95,7 +95,7 @@ class Scenario:
     attributed_nodes: tuple[int, ...] = ()
     #: REG1: region name expected to be lost wholesale — every node of
     #: it must end detected-dead/excluded while runs stay assured.
-    expect_region_outage: str | None = None
+    expect_region_loss: str | None = None
     #: REG1: region name the reconfiguration engine must audibly
     #: migrate replica sets out of (a ``reconfig`` audit record).
     expect_migration_from: str | None = None
@@ -389,7 +389,7 @@ def _scenario_list() -> list[Scenario]:
                 "crash_timeout": 1.0,
             },
             runs=2,
-            expect_region_outage="south",
+            expect_region_loss="south",
         ),
         Scenario(
             name="wan-spike",

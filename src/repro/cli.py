@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable, NoReturn
 
@@ -76,7 +75,6 @@ from repro.common.records import Record
 from repro.core import journal as wal
 from repro.core.controller import ClusterBFTController
 from repro.core.graph_analyzer import input_ratios
-from repro.core.request_handler import RequestHandler
 from repro.dataflow.operators import LoadOp
 from repro.dataflow.piglatin import parse_script
 from repro.bench.cli import add_bench_parser, cmd_bench
@@ -577,19 +575,17 @@ def cmd_resume(args) -> int:
 def cmd_explain(args) -> int:
     script, inputs = read_inputs("repro explain", args)
     controller = make_controller(args, inputs)
-    plan = controller._to_plan(script)
+    plan = parse_script(script)
+    ratios = input_ratios(plan, controller._input_sizes(plan))
+    prepared = controller.prepare(plan)
     print("Logical plan:")
     print(plan.describe())
-    sizes = controller._input_sizes(plan)
-    ratios = input_ratios(plan, sizes)
-    handler = RequestHandler(controller.config.bft)
-    prepared = handler.prepare(script, sizes)
     print("\nInput ratios:")
     for vid in plan.topological_order():
         print(f"  [{vid}] {plan.op(vid).describe():<30} {ratios.get(vid, 0.0):.3f}")
     print("\nVerification points:")
     for vid, score in zip(prepared.marked_vertices, prepared.marker_scores):
-        print(f"  [{vid}] {prepared.plan.op(vid).describe()} (score {score:.2f})")
+        print(f"  [{vid}] {plan.op(vid).describe()} (score {score:.2f})")
     print("\nJob graph:")
     print(prepared.job_graph.describe())
     return 0

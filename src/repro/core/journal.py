@@ -64,7 +64,7 @@ from repro.common.config import (
     CostModelConfig,
     SystemConfig,
 )
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.common.records import Record, encode_value
 from repro.mapreduce.metrics import RunMetrics
 
@@ -308,7 +308,7 @@ def config_from_json(data: dict) -> SystemConfig:
             bft=ClusterBFTConfig(**data["bft"]),
             seed=data["seed"],
         ).validate()
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise JournalError(f"journal header config does not round-trip: {exc}")
 
 
@@ -574,8 +574,10 @@ class Journal:
 
 
 def read_journal(path: str) -> tuple[list[dict], list[str]]:
-    """Read a journal back (:func:`read_wal`), then check the header's
-    script hash before anything else is trusted."""
+    """Read a journal back (:func:`read_wal`), then check the header
+    before anything else is trusted: the script hash, and that the
+    config, the block size and the staged inputs decode to what a
+    resumed controller is built from."""
     records, warnings = read_wal(
         path,
         JournalError,
@@ -585,6 +587,8 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
         gap="journal seq gap: expected {index}, got {seq} ({kind})",
     )
     header = records[0]
+    if not isinstance(header["script"], str):
+        raise JournalError("journal header script is not text")
     recorded = header["script_sha256"]
     actual = script_sha256(header["script"])
     if recorded != actual:
@@ -592,6 +596,17 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
             f"journal header script hash mismatch: recorded {recorded}, "
             f"script hashes to {actual} — header tampered or corrupt"
         )
+    config_from_json(header["config"])
+    block_bytes = header["block_bytes"]
+    if type(block_bytes) is not int or block_bytes < 1:
+        raise JournalError(
+            f"journal header block_bytes={block_bytes!r} is not a positive integer"
+        )
+    try:
+        for rows in header["inputs"].values():
+            records_from_json(rows)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise JournalError(f"journal header inputs do not decode: {exc}")
     return records, warnings
 
 

@@ -27,9 +27,7 @@ from repro.common.records import Record
 from repro.compiler.mr_compiler import CompileOptions, compile_plan
 from repro.core.audit import PROBE
 from repro.core.instrument import instrument
-from repro.dataflow import expressions as ex
-from repro.dataflow.builder import PlanBuilder
-from repro.dataflow.schema import INT, Schema
+from repro.dataflow.piglatin import parse_script
 from repro.mapreduce.engine import DigestReport, JobRun
 
 
@@ -49,7 +47,12 @@ class ProbeOutcome:
 
 #: The probe workload: a small group-and-count over synthetic pairs.
 #: Deterministic, touches map and reduce paths, cheap.
-_PROBE_SCHEMA = Schema.of(("k", INT), ("v", INT))
+_PROBE_SCRIPT = """
+probe = LOAD '__probe/input' AS (k:int, v:int);
+G = GROUP probe BY k;
+C = FOREACH G GENERATE group AS k, COUNT(probe) AS n;
+STORE C INTO '__probe/output';
+"""
 
 
 def _probe_records(size: int) -> list[Record]:
@@ -88,16 +91,6 @@ class ProbeManager:
             if node.node_id not in suspects
         ]
 
-    def _probe_plan(self):
-        builder = PlanBuilder()
-        data = builder.load("__probe/input", _PROBE_SCHEMA, alias="probe")
-        (
-            data.group_by("k")
-            .generate(("group", "k"), (ex.count(ex.field("probe")), "n"))
-            .store("__probe/output")
-        )
-        return builder.build()
-
     def _ensure_input(self) -> None:
         if not self._input_ready:
             self.controller.load_input(
@@ -112,7 +105,7 @@ class ProbeManager:
         from the reference replica's (fault present among candidates)."""
         self._ensure_input()
         controller = self.controller
-        plan = self._probe_plan()
+        plan = parse_script(_PROBE_SCRIPT)
         instrumented = instrument(plan, [], include_outputs=True)
         graph = compile_plan(
             instrumented.plan,

@@ -1,7 +1,8 @@
 """Pig-style dataflow substrate: schemas, expressions, logical plans,
-a Pig Latin subset parser, and a local reference interpreter."""
+the Pig Latin subset parser (the one front end: every plan a client or
+the control tier runs is parsed from Pig text), a rewrite-rule
+optimizer, and a local reference interpreter."""
 
-from repro.dataflow.builder import PlanBuilder, Relation
 from repro.dataflow.interpreter import interpret
 from repro.dataflow.optimizer import OptimizeReport, optimize
 from repro.dataflow.piglatin import parse_script
@@ -13,8 +14,6 @@ __all__ = [
     "Field",
     "LogicalPlan",
     "OptimizeReport",
-    "PlanBuilder",
-    "Relation",
     "Schema",
     "interpret",
     "optimize",

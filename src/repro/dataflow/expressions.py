@@ -445,7 +445,7 @@ class FuncCall(Expr):
 
 
 # ----------------------------------------------------------------------
-# Convenience constructors (used by the builder API and tests)
+# Convenience constructors (used by the optimizer and tests)
 # ----------------------------------------------------------------------
 
 def field(name: str) -> FieldRef:

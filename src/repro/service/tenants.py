@@ -9,7 +9,8 @@ that builds the trace and collects every problem; :func:`parse_trace`
 refuses a trace with any (fail-closed), and ``repro lint`` PLAN008
 reports the same list (:func:`trace_problems`), so the linter flags
 exactly what the service refuses.  The ``cluster``/``bft`` sections
-give overrides of :data:`SERVICE_BASE` (keys in :data:`SETTINGS`).
+give overrides of :data:`SERVICE_BASE` (keys in :data:`SETTINGS`); a
+key that neither they nor :data:`KEYS` declare is a problem too.
 
 Trace document shape::
 
@@ -235,6 +236,26 @@ SETTINGS = {
 }
 
 
+#: The keys the other objects of a trace may hold (``cluster`` and
+#: ``bft`` hold those of :data:`SETTINGS`), by what the object is.
+KEYS = {
+    "trace": ("name", "seed", "cluster", "bft", "faults", "tenants"),
+    "tenant": ("tenant", "faulty", "quota", "jobs"),
+    "quota": tuple(f.name for f in fields(TenantQuota)),
+    "job": ("at", "workload", "rows"),
+    "fault": ("kind", "node", "params"),
+}
+
+
+def _undeclared(where: str, values: dict, keys, problems: list[str]) -> None:
+    """Report each key of ``values`` that ``keys`` does not declare: a
+    misspelt setting would otherwise fall back to its default unseen."""
+    for key in sorted(set(values).difference(keys)):
+        problems.append(
+            f"{where}: unknown key {key!r} (known: {', '.join(sorted(keys))})"
+        )
+
+
 def _is_number(value: object, integer: bool = False) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -254,6 +275,7 @@ def read_trace(
     if not isinstance(entries, list) or not entries:
         return None, ["trace must declare a non-empty 'tenants' list"]
     problems: list[str] = []
+    _undeclared("trace", data, KEYS["trace"], problems)
     trace_name = data.get("name", name)
     if not isinstance(trace_name, str):
         problems.append("'name' must be a string")
@@ -300,6 +322,7 @@ def _read_settings(data: dict, section: str, problems: list[str]) -> dict:
     if not isinstance(values, dict):
         problems.append(f"'{section}' must be an object")
         return {}
+    _undeclared(section, values, SETTINGS[section], problems)
     overrides = {}
     for key, (config_field, integer) in SETTINGS[section].items():
         if key not in values:
@@ -324,6 +347,7 @@ def _read_tenant(
         return None
     name = entry.get("tenant")
     label = name if isinstance(name, str) and name else f"tenants[{position}]"
+    _undeclared(f"tenant {label}", entry, KEYS["tenant"], problems)
     if not isinstance(name, str) or not name:
         problems.append(f"tenants[{position}] missing 'tenant' name")
     elif name in seen:
@@ -337,6 +361,7 @@ def _read_tenant(
     if not isinstance(quota, dict):
         problems.append(f"tenant {label}: 'quota' must be an object")
         quota = {}
+    _undeclared(f"tenant {label}: quota", quota, KEYS["quota"], problems)
     max_concurrent = quota.get("max_concurrent", TenantQuota.max_concurrent)
     if not _is_number(max_concurrent, integer=True) or max_concurrent <= 0:
         problems.append(
@@ -387,6 +412,7 @@ def _read_job(
     if not isinstance(job, dict):
         problems.append(f"{where} must be an object")
         return None
+    _undeclared(where, job, KEYS["job"], problems)
     workload = job.get("workload")
     if not isinstance(workload, str) or workload not in WORKLOADS:
         known = ", ".join(sorted(WORKLOADS))
@@ -421,6 +447,7 @@ def _read_fault(
     if not isinstance(spec, dict):
         problems.append(f"faults[{position}] must be an object")
         return None
+    _undeclared(f"faults[{position}]", spec, KEYS["fault"], problems)
     kind = spec.get("kind")
     behavior = FAULT_BEHAVIORS.get(kind) if isinstance(kind, str) else None
     if behavior is None:

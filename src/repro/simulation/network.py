@@ -1,8 +1,8 @@
 """Simulated message network.
 
 Used by the BFT replication library (control-tier replicas exchanging
-protocol messages) and by worker nodes sending digests/heartbeats to the
-trusted tier.  Latency is sampled per message from a seeded stream, so
+protocol messages); worker digests and heartbeats are direct event-loop
+hops.  Latency is sampled per message from a seeded stream, so
 runs are reproducible; per-link partitions and drop rules model the
 adversary's (limited) network powers — recall the paper's system model
 forbids the adversary from *preventing* communication, but a Byzantine
@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
-from repro.common.errors import SimulationError
 from repro.simulation.events import EventLoop
 from repro.telemetry import DISABLED
 
@@ -49,59 +48,6 @@ class NetworkFilter(Protocol):
     """
 
     def __call__(self, sender: str, receiver: str, message: Any) -> bool: ...
-
-
-class Topology:
-    """Named regions with a WAN latency matrix for cross-region sends.
-
-    Endpoints are assigned to regions with :meth:`assign`; unassigned
-    endpoints (and same-region pairs) keep the network's flat LAN
-    :class:`LatencyModel`.  Cross-region sends use the per-pair model
-    from ``links`` when one exists, else the default ``wan`` model —
-    still one sample per message from the same seeded stream, so adding
-    a topology never reorders latency draws.
-    """
-
-    def __init__(
-        self,
-        regions: tuple[str, ...] | list[str],
-        wan: LatencyModel | None = None,
-        links: dict[tuple[str, str], LatencyModel] | None = None,
-    ) -> None:
-        self.regions = tuple(regions)
-        if len(set(self.regions)) != len(self.regions):
-            raise SimulationError("topology regions must be unique")
-        self.wan = wan or LatencyModel(base=0.08, jitter=0.02)
-        self._links: dict[tuple[str, str], LatencyModel] = {}
-        for (a, b), model in (links or {}).items():
-            for region in (a, b):
-                if region not in self.regions:
-                    raise SimulationError(f"unknown region in link: {region!r}")
-            self._links[(a, b)] = model
-        self._assignments: dict[str, str] = {}
-
-    def assign(self, endpoint: str, region: str) -> None:
-        if region not in self.regions:
-            raise SimulationError(f"unknown region: {region!r}")
-        self._assignments[endpoint] = region
-
-    def region_of(self, endpoint: str) -> str | None:
-        return self._assignments.get(endpoint)
-
-    def members(self, region: str) -> list[str]:
-        return sorted(
-            endpoint
-            for endpoint, assigned in self._assignments.items()
-            if assigned == region
-        )
-
-    def link_model(self, sender: str, receiver: str) -> LatencyModel | None:
-        """WAN model for a cross-region pair, ``None`` for LAN traffic."""
-        source = self._assignments.get(sender)
-        sink = self._assignments.get(receiver)
-        if source is None or sink is None or source == sink:
-            return None
-        return self._links.get((source, sink), self.wan)
 
 
 class _InFlight:
@@ -142,7 +88,6 @@ class SimNetwork:
         self.loop = loop
         self.rng = rng
         self.latency = latency or LatencyModel()
-        self.topology: Topology | None = None
         self.telemetry = telemetry if telemetry is not None else DISABLED
         self._handlers: dict[str, MessageHandler] = {}
         self._filters: list[NetworkFilter] = []
@@ -167,10 +112,6 @@ class SimNetwork:
 
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
-
-    def set_topology(self, topology: Topology | None) -> None:
-        """Attach (or clear) the region topology for WAN latency."""
-        self.topology = topology
 
     def add_filter(self, rule: NetworkFilter) -> None:
         """Install a delivery filter (all filters must approve delivery).
@@ -214,12 +155,7 @@ class SimNetwork:
                 self.messages_filtered += 1
                 self._count("network_messages_dropped", cause="filtered")
                 return
-        model = self.latency
-        if self.topology is not None:
-            wan = self.topology.link_model(sender, receiver)
-            if wan is not None:
-                model = wan
-        delay = model.sample(self.rng)
+        delay = self.latency.sample(self.rng)
         for rule in self._delay_rules:
             delay += max(rule(sender, receiver, message), 0.0)
         tracer = self.telemetry.tracer
@@ -326,32 +262,6 @@ def selective_drop(
         if sender not in endpoints:
             return True
         return rng.random() >= probability
-
-    return rule
-
-
-def asymmetric_partition(sources: set[str], sinks: set[str]) -> NetworkFilter:
-    """One-way partition: ``sources`` cannot reach ``sinks``, but the
-    reverse direction still flows — the classic asymmetric WAN failure
-    where a region can hear the world but not answer it."""
-
-    def rule(sender: str, receiver: str, message: Any) -> bool:
-        return not (sender in sources and receiver in sinks)
-
-    return rule
-
-
-def region_outage(topology: Topology, region: str) -> NetworkFilter:
-    """Region failure: every message into *or* out of ``region`` is
-    dropped.  Endpoints without a region assignment are unaffected."""
-    if region not in topology.regions:
-        raise SimulationError(f"unknown region: {region!r}")
-
-    def rule(sender: str, receiver: str, message: Any) -> bool:
-        return (
-            topology.region_of(sender) != region
-            and topology.region_of(receiver) != region
-        )
 
     return rule
 

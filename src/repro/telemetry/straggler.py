@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.telemetry.analysis import TraceModel, summarize
-from repro.telemetry.export import read_jsonl_lenient
 
 #: A node is a straggler when its mean task time exceeds the run-wide
 #: mean by this factor (and it ran enough tasks to judge).
@@ -108,19 +107,3 @@ def build_profile(
         stragglers=tuple(stragglers),
         critical_path_nodes=frozenset(critical_nodes),
     )
-
-
-def load_profile(
-    path: str,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_tasks: int = DEFAULT_MIN_TASKS,
-) -> StragglerProfile:
-    """Build a profile straight from a trace JSONL file.
-
-    The file is read by :func:`~repro.telemetry.export.read_jsonl_lenient`:
-    a corrupt trace raises :class:`~repro.common.errors.TraceError`, and a
-    torn final line is dropped (its warning is not returned here; read the
-    file yourself to show it).
-    """
-    records, _warnings = read_jsonl_lenient(path)
-    return build_profile(records, threshold=threshold, min_tasks=min_tasks)

@@ -246,7 +246,7 @@ class TestReg1:
 
     def test_lost_region_fully_detected_passes(self):
         scenario = Scenario(
-            name="t", description="", expect_region_outage="south"
+            name="t", description="", expect_region_loss="south"
         )
         ctx = make_ctx(
             scenario=scenario,
@@ -257,7 +257,7 @@ class TestReg1:
 
     def test_excluded_counts_as_detected(self):
         scenario = Scenario(
-            name="t", description="", expect_region_outage="south"
+            name="t", description="", expect_region_loss="south"
         )
         ctx = make_ctx(
             scenario=scenario,
@@ -269,7 +269,7 @@ class TestReg1:
 
     def test_half_alive_region_violates(self):
         scenario = Scenario(
-            name="t", description="", expect_region_outage="south"
+            name="t", description="", expect_region_loss="south"
         )
         ctx = make_ctx(
             scenario=scenario,

@@ -24,12 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.common.errors import ReproError, TraceError
+from repro.common.errors import ReproError
 from repro.service.tenants import SETTINGS, parse_trace, trace_problems
 from repro.telemetry import Telemetry
 from repro.telemetry.export import read_jsonl_lenient
 from repro.telemetry.slo import AlertRule, load_rules, parse_rules
-from repro.telemetry.straggler import StragglerProfile, load_profile
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 RULES = (EXAMPLES / "alerts.json").read_bytes()
@@ -139,21 +138,30 @@ def test_a_garbled_trace_fails_closed(tmp_path_factory, edits):
         assert all(isinstance(record, dict) for record in read[0])
 
 
-def load_prior(tmp_path, data: bytes):
-    path = tmp_path / "prior.jsonl"
-    path.write_bytes(data)
-    return load_profile(str(path))
+def run_after(tmp_path, prior: bytes) -> int:
+    """``repro run --schedule-from-trace`` of a one-job script, with
+    ``prior`` as its prior trace."""
+    for name, data in (
+        ("job.pig", b"A = LOAD 'in' AS (k:int, v:int);\nSTORE A INTO 'out';\n"),
+        ("in.csv", b"1,2\n"),
+        ("prior.jsonl", prior),
+    ):
+        (tmp_path / name).write_bytes(data)
+    return main([
+        "run", str(tmp_path / "job.pig"), "--input", f"in={tmp_path / 'in.csv'}",
+        "--schedule-from-trace", str(tmp_path / "prior.jsonl"),
+    ])
 
 
-def test_a_prior_trace_fails_closed(tmp_path):
-    """``repro run --schedule-from-trace`` reads its prior trace as
-    ``load_profile`` does: a line that is JSON but not an object is a
-    typed error, and a torn final line is dropped as every trace reader
-    drops it."""
-    with pytest.raises(TraceError, match="not an object"):
-        load_prior(tmp_path, TRACE + b"[1, 2]\n")
+def test_a_prior_trace_fails_closed(tmp_path, capsys):
+    """``repro run --schedule-from-trace`` refuses a prior trace with a
+    line that is JSON but not an object, naming the file, and drops a
+    torn final line with a warning, as every trace reader drops it."""
+    with pytest.raises(SystemExit, match="prior.jsonl: .* not an object"):
+        run_after(tmp_path, TRACE + b"[1, 2]\n")
     torn = TRACE + TRACE.splitlines(keepends=True)[0][:20]
-    assert isinstance(load_prior(tmp_path, torn), StragglerProfile)
+    assert run_after(tmp_path, torn) == 0
+    assert "prior.jsonl: " in capsys.readouterr().err
 
 
 # -- alert rules -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import _parse_cell, load_csv, main
@@ -80,16 +82,34 @@ class TestRunCommand:
         assert "1 more" in capsys.readouterr().out
 
 
+EXPLAINED = """Logical plan:
+[0] load 'in' (A)
+[1] filter (B) <- [0]
+[2] group (G) <- [1]
+[3] foreach (C) <- [2]
+[4] store 'out' <- [3]
+
+Input ratios:
+  [0] load 'in'                      1.000
+  [1] filter                         1.000
+  [2] group                          1.000
+  [3] foreach                        1.000
+  [4] store 'out'                    1.000
+
+Verification points:
+  [3] foreach (score 4.00)
+
+Job graph:
+#0 G+C@0: [in] -group-> out
+"""
+
+
 class TestExplainCommand:
     def test_explain_shows_plan_and_jobs(self, workspace, capsys):
         script, csv = workspace
         code = main(["explain", str(script), "--input", f"in={csv}"])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "Logical plan:" in out
-        assert "Verification points:" in out
-        assert "Job graph:" in out
-        assert "group" in out
+        assert capsys.readouterr().out == EXPLAINED
 
 
 class TestJournalAndResume:
@@ -177,6 +197,44 @@ class TestJournalAndResume:
         bad.write_text("this is not a journal\n")
         assert main(["resume", str(bad)]) == 2
         assert "repro resume:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("config", "cluster", "num_nodes"), 0),
+            (("config", "bft", "f"), -1),
+            (("block_bytes",), "x"),
+            (("inputs",), {"in": 5}),
+            (("block_bytes",), 0),
+            (("script",), 5),
+        ],
+        ids=["no-nodes", "negative-f", "text-block-bytes", "rowless-input",
+             "zero-block-bytes", "script-not-text"],
+    )
+    def test_resume_rejects_a_bad_header_with_exit_2(
+        self, workspace, tmp_path, capsys, where, value
+    ):
+        """A journal cut after record 4, as a kill there leaves it, with
+        one header value edited: one ``repro resume:`` line, exit 2, and
+        the journal left as it was."""
+        journal = tmp_path / "run.wal"
+        assert main(self.run_args(workspace, "--journal", str(journal))) == 0
+        header, *records = journal.read_text().splitlines(keepends=True)[:5]
+        header = json.loads(header)
+        *path, key = where
+        container = header
+        for name in path:
+            container = container[name]
+        container[key] = value
+        journal.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(records))
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro resume: journal header ")
+        assert journal.read_bytes() == before
 
     def test_exhaustion_exits_3_with_diagnostic(self, workspace, tmp_path, capsys):
         script, csv = workspace

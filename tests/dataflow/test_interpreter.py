@@ -15,6 +15,7 @@ G = GROUP B BY k;
 C = FOREACH G GENERATE group AS k, COUNT(B) AS n;
 STORE C INTO 'out';
 """
+EDGES = "A = LOAD 'in' AS (user:int, follower:int);\n"
 
 
 class TestInterpret:
@@ -24,6 +25,44 @@ class TestInterpret:
             inputs={"in": records_from_rows([(1, 1), (1, None), (2, 2)])},
         )
         assert sorted(r.fields for r in out["out"]) == [(1, 1), (2, 1)]
+
+    @pytest.mark.parametrize(
+        "script, rows, expected",
+        [
+            (
+                EDGES + "B = LOAD 'in' AS (user:int, follower:int);\n"
+                "J = JOIN A BY user, B BY follower;\n"
+                "P = FOREACH J GENERATE A::follower, B::user;\nSTORE P INTO 'out';",
+                # A=(1,2) joins B=(2,1) on 1: emits (2, 2); A=(2,1) joins B=(1,2).
+                [(1, 2), (2, 1)],
+                [(2, 2), (1, 1)],
+            ),
+            (
+                EDGES + "B = LOAD 'in' AS (user:int, follower:int);\n"
+                "U = UNION A, B;\nD = DISTINCT U;\nSTORE D INTO 'out';",
+                [(1, 2), (3, 4)],
+                [(1, 2), (3, 4)],
+            ),
+            (
+                EDGES + "O = ORDER A BY follower DESC;\nL = LIMIT O 2;\n"
+                "STORE L INTO 'out';",
+                [(1, 5), (2, 9), (3, 1)],
+                [(2, 9), (1, 5)],
+            ),
+            (
+                EDGES + "P = FOREACH A GENERATE user, 1 AS one;\nSTORE P INTO 'out';",
+                [(7, 8)],
+                [(7, 1)],
+            ),
+        ],
+        ids=["join-on-two-keys", "union-distinct", "order-limit", "generate-literal"],
+    )
+    def test_answers(self, script, rows, expected):
+        """A join on two different keys, a union then distinct, a
+        descending order with a limit, a literal column: each answer in
+        the interpreter's output order."""
+        out = interpret(parse_script(script), inputs={"in": records_from_rows(rows)})
+        assert [r.fields for r in out["out"]] == expected
 
     def test_missing_input_rejected(self):
         with pytest.raises(PlanError):

@@ -213,9 +213,12 @@ def with_edit(edit):
         (lambda d: d["faults"][0].update(node=99), "targets node 99"),
         (lambda d: d["faults"][0]["params"].update(bogus=1), "no param 'bogus'"),
         (lambda d: d["cluster"].update(nodes=0), "num_nodes"),
+        (lambda d: d["bft"].update(replicas=1), "bft: unknown key 'replicas'"),
+        (lambda d: d["tenants"][0]["quota"].update(max_concurent=0),
+         "quota: unknown key 'max_concurent'"),
     ],
     ids=["replication-1", "quarantine-2", "verifier-timeout-0", "fault-node-99",
-         "unknown-fault-param", "nodes-0"],
+         "unknown-fault-param", "nodes-0", "bft-replicas", "quota-max-concurent"],
 )
 def test_plan008_reports_what_serve_refuses(edit, says):
     text = with_edit(edit)

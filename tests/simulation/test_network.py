@@ -2,18 +2,12 @@
 
 import random
 
-import pytest
-
-from repro.common.errors import SimulationError
 from repro.simulation.events import EventLoop
 from repro.simulation.network import (
     LatencyModel,
     SimNetwork,
-    Topology,
-    asymmetric_partition,
     delay_spike,
     partition,
-    region_outage,
     selective_drop,
 )
 from repro.telemetry import Telemetry
@@ -246,101 +240,6 @@ class TestInFlightSweep:
         net.add_filter(partition([{"a", "b"}]))  # same side: allowed
         loop.run_until_idle()
         assert inbox == ["x"]
-
-
-class TestTopology:
-    def make_topology(self):
-        return Topology(
-            ["east", "west"], wan=LatencyModel(base=0.5, jitter=0.0)
-        )
-
-    def test_duplicate_region_rejected(self):
-        with pytest.raises(SimulationError):
-            Topology(["east", "east"])
-
-    def test_assign_unknown_region_rejected(self):
-        topology = self.make_topology()
-        with pytest.raises(SimulationError):
-            topology.assign("n1", "mars")
-
-    def test_same_region_uses_flat_latency(self):
-        topology = self.make_topology()
-        topology.assign("a", "east")
-        topology.assign("b", "east")
-        assert topology.link_model("a", "b") is None
-
-    def test_cross_region_uses_wan_latency(self):
-        loop, net = make_network(LatencyModel(base=0.1, jitter=0.0))
-        topology = self.make_topology()
-        topology.assign("a", "east")
-        topology.assign("b", "west")
-        net.set_topology(topology)
-        net.register("b", lambda *a: None)
-        net.send("a", "b", "x")
-        loop.run_until_idle()
-        assert loop.now == 0.5  # WAN model overrides the flat 0.1
-
-    def test_unassigned_endpoint_falls_back_to_flat(self):
-        loop, net = make_network(LatencyModel(base=0.1, jitter=0.0))
-        topology = self.make_topology()
-        topology.assign("a", "east")
-        net.set_topology(topology)
-        net.register("b", lambda *a: None)
-        net.send("a", "b", "x")
-        loop.run_until_idle()
-        assert loop.now == 0.1
-
-    def test_per_pair_link_overrides_default_wan(self):
-        topology = Topology(
-            ["east", "west"],
-            wan=LatencyModel(base=0.5, jitter=0.0),
-            links={("east", "west"): LatencyModel(base=2.0, jitter=0.0)},
-        )
-        topology.assign("a", "east")
-        topology.assign("b", "west")
-        assert topology.link_model("a", "b").base == 2.0
-
-    def test_members_sorted(self):
-        topology = self.make_topology()
-        topology.assign("z", "east")
-        topology.assign("a", "east")
-        assert topology.members("east") == ["a", "z"]
-
-
-class TestRegionFaults:
-    def test_asymmetric_partition_cuts_one_direction_only(self):
-        loop, net = make_network()
-        inbox = []
-        for name in ("a", "b"):
-            net.register(name, lambda s, m, n=name: inbox.append(n))
-        net.add_filter(asymmetric_partition({"a"}, {"b"}))
-        net.send("a", "b", "x")  # cut
-        net.send("b", "a", "y")  # reverse direction still flows
-        loop.run_until_idle()
-        assert inbox == ["a"]
-        assert net.messages_filtered == 1
-
-    def test_region_outage_silences_region_both_ways(self):
-        loop, net = make_network()
-        topology = Topology(["east", "west"])
-        for endpoint, region in (("a", "east"), ("b", "west")):
-            topology.assign(endpoint, region)
-        net.set_topology(topology)
-        inbox = []
-        for name in ("a", "b", "c"):
-            net.register(name, lambda s, m, n=name: inbox.append(n))
-        net.add_filter(region_outage(topology, "east"))
-        net.send("a", "b", "x")  # from the dark region
-        net.send("b", "a", "y")  # into the dark region
-        net.send("b", "c", "z")  # unrelated endpoints unaffected
-        loop.run_until_idle()
-        assert inbox == ["c"]
-        assert net.messages_filtered == 2
-
-    def test_region_outage_unknown_region_rejected(self):
-        topology = Topology(["east"])
-        with pytest.raises(SimulationError):
-            region_outage(topology, "atlantis")
 
 
 class TestLatencyModel:

@@ -2,11 +2,8 @@
 
 import json
 
-from repro.telemetry.straggler import (
-    StragglerProfile,
-    build_profile,
-    load_profile,
-)
+from repro.cli import main
+from repro.telemetry.straggler import StragglerProfile, build_profile
 
 
 def task(node, duration, start=0.0, job_id=None, attempt=0):
@@ -118,10 +115,19 @@ class TestBuildProfile:
 
 
 class TestLoadProfile:
-    def test_load_from_jsonl(self, tmp_path):
+    def test_load_from_jsonl(self, tmp_path, capsys):
+        """``repro run --schedule-from-trace`` reads a JSONL trace file
+        into the profile it schedules with."""
         path = tmp_path / "trace.jsonl"
         with open(path, "w") as handle:
             for record in balanced_trace():
                 handle.write(json.dumps(record) + "\n")
-        profile = load_profile(str(path))
-        assert profile.stragglers == ("node_c",)
+        (tmp_path / "job.pig").write_text(
+            "A = LOAD 'in' AS (k:int, v:int);\nSTORE A INTO 'out';\n"
+        )
+        (tmp_path / "in.csv").write_text("1,2\n")
+        assert main([
+            "run", str(tmp_path / "job.pig"), "--input", f"in={tmp_path / 'in.csv'}",
+            "--schedule-from-trace", str(path),
+        ]) == 0
+        assert f"stragglers: node_c (from {path})" in capsys.readouterr().out
