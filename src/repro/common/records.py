@@ -9,6 +9,7 @@ replicas must produce *bit-identical* digests (paper §5.4).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Scalar = int | float | str | bool | None
@@ -25,7 +26,9 @@ class Record:
     3
     """
 
-    __slots__ = ("fields", "_encoded", "_digest")
+    #: ``_size`` is the length of ``_encoded``, set in the same call
+    #: that fills it and unset until then (see :func:`encoded_sizes`).
+    __slots__ = ("fields", "_encoded", "_digest", "_size")
 
     def __init__(self, fields: Sequence[FieldValue]) -> None:
         self.fields: tuple[FieldValue, ...] = tuple(fields)
@@ -71,11 +74,32 @@ class Record:
         encoded = self._encoded
         if encoded is None:
             encoded = self._encoded = encode_value(self.fields)
+            self._size = len(encoded)
         return encoded
 
     def size_bytes(self) -> int:
-        """Approximate serialized size, used by the cost model."""
-        return len(self.encoded())
+        """Serialized size, used by the cost model: the kept length of
+        :meth:`encoded`."""
+        self.encoded()
+        return self._size
+
+
+_kept_size = attrgetter("_size")
+
+
+def encoded_sizes(records: Sequence[Record]) -> list[int]:
+    """The length of each record's encoding, in order: the one way a
+    stream is sized.
+
+    When every record has been encoded, its kept size is read in one
+    C-level pass, with no Python frame per record.  An unset slot raises
+    ``AttributeError`` there, and the whole list is then sized through
+    :meth:`Record.encoded`, which encodes (and measures) the records that
+    were never encoded."""
+    try:
+        return list(map(_kept_size, records))
+    except AttributeError:
+        return list(map(len, map(Record.encoded, records)))
 
 
 def encode_tuple(members: Iterable[bytes]) -> bytes:

@@ -258,6 +258,8 @@ def record_to_json(record: Record) -> list:
 
 
 def record_from_json(fields: list) -> Record:
+    if type(fields) is not list:
+        raise JournalError(f"row is not a list: {fields!r}")
     return Record(tuple(value_from_json(v) for v in fields))
 
 
@@ -605,7 +607,7 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
     try:
         for rows in header["inputs"].values():
             records_from_json(rows)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, JournalError) as exc:
         raise JournalError(f"journal header inputs do not decode: {exc}")
     return records, warnings
 

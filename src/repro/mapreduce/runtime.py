@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable
 
 from repro.common.hashing import Digest, StreamingDigest, record_digest, sha256
-from repro.common.records import Record, encode_tuple, encode_value
+from repro.common.records import Record, encode_tuple, encode_value, encoded_sizes
 from repro.compiler.jobspec import JobSpec, PipelineOp
 from repro.dataflow.operators import VerifyOp
 from repro.faults.behaviors import NodeBehavior
@@ -124,7 +124,7 @@ def _tap(point: VerifyOp, records: list[Record]) -> TapResult:
         vp_id=point.vp_id,
         digests=streaming.all_digests(),
         record_count=len(records),
-        bytes_hashed=sum(map(len, map(Record.encoded, records))),
+        bytes_hashed=sum(encoded_sizes(records)),
     )
 
 
@@ -179,7 +179,7 @@ def execute_map_task(
         # faulty node may still persist something else entirely.
         out = behavior.corrupt_stored_output(out, rng)
         result.output_records = out
-        result.bytes_out = sum(map(len, map(Record.encoded, out)))
+        result.bytes_out = sum(encoded_sizes(out))
         return result
 
     keyed, combiner = out, spec.combiner
@@ -197,14 +197,14 @@ def execute_map_task(
         result.records_out = len(keyed)
     place = _key_placer(spec.num_reducers)
     partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
-    bytes_out = 0
+    key_bytes_out = 0
     tag = branch.tag
     for key, record in keyed:
         part, key_as_tuple, key_bytes = place(key, record)
         partitions[part].append((key, tag, record, key_as_tuple, key_bytes))
-        bytes_out += len(record.encoded()) + key_bytes
+        key_bytes_out += key_bytes
     result.partitions = dict(partitions)
-    result.bytes_out = bytes_out
+    result.bytes_out = sum(encoded_sizes(list(map(itemgetter(1), keyed)))) + key_bytes_out
     return result
 
 
@@ -234,7 +234,7 @@ def execute_reduce_task(
     # shuffle is charged what the map side sent.
     records = [entry[2] for entry in keyed_records]
     corrupted = behavior.corrupt_records(records, rng)
-    bytes_in = sum(map(len, map(Record.encoded, records))) + sum(
+    bytes_in = sum(encoded_sizes(records)) + sum(
         map(itemgetter(4), keyed_records)
     )
     # Key order goes by a group's first-seen key, the one ``groups``
@@ -278,5 +278,5 @@ def execute_reduce_task(
         records_in=len(keyed_records),
         records_out=len(out_records),
         bytes_in=bytes_in,
-        bytes_out=sum(map(len, map(Record.encoded, out_records))),
+        bytes_out=sum(encoded_sizes(out_records)),
     )

@@ -22,7 +22,7 @@ from typing import Callable
 
 from repro.common.errors import FileAlreadyExists, FileNotFound, StorageError
 from repro.common.ids import NodeId
-from repro.common.records import Record
+from repro.common.records import Record, encoded_sizes
 
 #: Read-path fault hook: (file name, block index, reading node, records)
 #: -> the records that node actually observes.  Installed by the engine
@@ -170,7 +170,7 @@ class TrustedDFS:
             raise StorageError(f"file is closed: {name}")
         # ends[i]: bytes of records[:i + 1]; a block is the run of records
         # whose end offsets fit within block_bytes of the block's start.
-        ends = list(accumulate(map(len, map(Record.encoded, records))))
+        ends = list(accumulate(encoded_sizes(records)))
         start = offset = 0
         while start < len(records):
             stop = max(bisect_right(ends, offset + self.block_bytes, start), start + 1)
@@ -203,7 +203,7 @@ class TrustedDFS:
         file = self.create(name, scope=scope)
         written = records = 0
         for block in blocks:
-            self._flush_block(file, block.records, block.size_bytes)
+            self._flush_block(file, list(block.records), block.size_bytes)
             written += block.size_bytes
             records += len(block.records)
         self._count_write(scope, written, records)
@@ -308,7 +308,7 @@ class TrustedDFS:
         file.blocks.append(
             Block(
                 index=len(file.blocks),
-                records=list(records),
+                records=records,
                 size_bytes=size,
                 locations=locations,
             )

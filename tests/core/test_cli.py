@@ -207,9 +207,10 @@ class TestJournalAndResume:
             (("inputs",), {"in": 5}),
             (("block_bytes",), 0),
             (("script",), 5),
+            (("inputs",), {"in": [{"t": 5}]}),
         ],
         ids=["no-nodes", "negative-f", "text-block-bytes", "rowless-input",
-             "zero-block-bytes", "script-not-text"],
+             "zero-block-bytes", "script-not-text", "object-row"],
     )
     def test_resume_rejects_a_bad_header_with_exit_2(
         self, workspace, tmp_path, capsys, where, value
