@@ -149,6 +149,7 @@ RECIPE = (
     (0, f"{JOB} --journal job.wal --outputs-json job.json > job.txt"),
     (KILLED, f"{KILL}=5 {JOB} --journal job-kill.wal"),
     (0, "repro resume job-kill.wal --outputs-json job-kill.json > job-resume.txt"),
+    (0, "repro resume job-kill.wal --outputs-json job-kill2.json > job-resume2.txt"),
     (2, "repro resume bad-header.wal > bad-header.txt"),
     (0, f"{CKPT_ON} --journal cp.wal --outputs-json cp.json > cp.txt"),
     (0, f"{CKPT} --outputs-json cp-free.json > cp-free.txt"),
@@ -186,6 +187,7 @@ TABLES = (
 PAIRS = (
     ("serve.ledger", "serve-kill.ledger"),  # resumed = uninterrupted
     ("job.json", "job-kill.json"),
+    ("job.json", "job-kill2.json"),  # a resumed journal is complete
     ("cp.json", "cp-kill.json"),
     ("geo-run.json", "geo-kill.json"),
     ("cp-free.json", "cp.json"),  # checkpointed = checkpoint-free

@@ -29,8 +29,9 @@ Record stream layout (one JSON object per line, sorted keys)::
 service ledger alike; the readers reject any record it does not allow.
 
 Durability policy: the :data:`SYNC_KINDS` records — ``header``,
-``reconfig``, ``commit``, ``checkpoint``, ``attempt_end``, ``resume``
-and ``run_end`` — are flushed *and fsync'd* before the writer returns
+``reconfig``, ``commit``, ``checkpoint``, ``attempt_end``, ``resume``,
+``run_end`` and the ledger's ``service_end`` — are flushed *and
+fsync'd* before the writer returns
 (these are the records recovery depends on); everything else is
 flushed to the OS but not forced to stable storage — a torn tail of
 marker records degrades crash-point coverage, never correctness.
@@ -157,10 +158,10 @@ RECORDS: dict[str, dict[str, tuple[str, ...]]] = {
     },
 }
 
-#: Record kinds whose loss would corrupt recovery — forced to stable
-#: storage before the append returns.
+#: Record kinds whose loss would corrupt recovery, in either log —
+#: forced to stable storage before the append returns.
 SYNC_KINDS = frozenset(
-    {HEADER, RECONFIG, COMMIT, CHECKPOINT, ATTEMPT_END, RESUME, RUN_END}
+    {HEADER, RECONFIG, COMMIT, CHECKPOINT, ATTEMPT_END, RESUME, RUN_END, SERVICE_END}
 )
 
 
@@ -315,91 +316,50 @@ def config_from_json(data: dict) -> SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# file-level core, shared with the service ledger
+# reader
 # ---------------------------------------------------------------------------
 #
 # ``Journal`` and ``repro.service.ledger.MultiplexedLedger`` are the same
 # kind of file: JSONL, sorted keys, a header at ``seq`` 0, one global seq
-# chain, a tail a crash may tear.  What is below knows that format once;
-# each caller passes its error class, its noun and the wording of its
-# own messages.
-
-
-def fsync_directory(path: str) -> None:
-    """Force a directory entry to stable storage (no-op where the
-    platform cannot fsync directories, e.g. Windows)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def truncate_torn_tail(path: str, error: type[ReproError], noun: str) -> int:
-    """Cut a torn final line off a log about to be appended to; returns
-    the bytes dropped (0 for a clean file).
-
-    A crash mid-append can tear the final line (the readers tolerate and
-    drop it); it has to go *before* the next append, or that record
-    would be concatenated onto it, turning expected crash damage into
-    mid-file corruption that poisons every later read.  Records are
-    newline-terminated, so everything after the last newline is the torn
-    tail.
-    """
-    try:
-        with open(path, "rb+") as raw:
-            data = raw.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                raw.truncate(keep)
-                raw.flush()
-                os.fsync(raw.fileno())
-    except OSError as exc:
-        raise error(f"cannot read {noun}: {exc}")
-    return len(data) - keep
+# chain, a tail a crash may tear.  ``read_wal`` knows that format once;
+# each log's reader adds the checks of its own header.
 
 
 def read_wal(
-    path: str,
-    error: type[ReproError],
-    noun: str,
-    schema: str,
-    tail: str,
-    gap: str,
+    path: str, error: type[ReproError], noun: str, schema: str
 ) -> tuple[list[dict], list[str]]:
     """Read a log back as ``(records, warnings)``, tolerating a torn tail.
 
-    A run killed mid-append can leave a cut-off final line — that is
-    expected crash damage, reported as a warning (worded by ``tail``:
-    fields ``index``, ``size``, ``exc``) and dropped.  Anything else
-    fails closed with ``error``: an unreadable file, a line before the
-    tail that does not parse, a line that parses to something other than
-    an object, no records at all, a first record that is not a
-    ``schema`` header, a break in the seq chain (worded by ``gap``:
-    fields ``index``, ``seq``, ``kind``) — lost durable records are
-    corruption, not crash damage — and a record whose kind ``RECORDS``
-    does not declare for ``schema``, or that lacks a field it requires.
+    Records are newline-terminated, so whatever follows the last newline
+    is a record a crash cut short (the writer's rule too, see
+    :meth:`Journal.reopen`): expected crash damage, reported as one
+    warning and dropped, even where it parses.  Anything else fails
+    closed with ``error``: an unreadable file, a line that does not
+    parse, a line that parses to something other than an object, no
+    records at all, a first record that is not a ``schema`` header, a
+    break in the seq chain — lost durable records are corruption, not
+    crash damage — and a record whose kind ``RECORDS`` does not declare
+    for ``schema``, or that lacks a field it requires.
     """
     try:
         with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+            text = handle.read()
     except OSError as exc:
         raise error(f"cannot read {noun}: {exc}")
-    records: list[dict] = []
+    body, _, torn = text.rpartition("\n")
+    lines = [line for line in body.splitlines() if line.strip()]
     warnings: list[str] = []
+    if torn:
+        warnings.append(
+            f"{noun} tail truncated: dropped record {len(lines)} "
+            f"({len(torn.encode())} byte(s) after the last newline)"
+        )
+    records: list[dict] = []
     for index, line in enumerate(lines):
         try:
             record = json.loads(line)
         except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    tail.format(index=index, size=len(line.encode()), exc=exc)
-                )
-                break
-            raise error(f"{noun} corrupt at record {index} (not the tail): {exc}")
+            raise error(f"{noun} corrupt at record {index}: {exc}")
         if not isinstance(record, dict):
             raise error(
                 f"{noun} corrupt at record {index}: "
@@ -420,7 +380,9 @@ def read_wal(
     for index, record in enumerate(records):
         kind = record.get("kind")
         if record.get("seq") != index:
-            raise error(gap.format(index=index, seq=record.get("seq"), kind=kind))
+            raise error(
+                f"{noun} seq gap: expected {index}, got {record.get('seq')!r} ({kind})"
+            )
         fields = declared.get(kind)
         if fields is None:
             raise error(f"{noun} record {index} has an undeclared kind {kind!r}")
@@ -430,164 +392,13 @@ def read_wal(
     return records, warnings
 
 
-# ---------------------------------------------------------------------------
-# writer
-# ---------------------------------------------------------------------------
-
-
-# ``Journal`` and ``MultiplexedLedger`` each keep their own ``create`` /
-# ``append`` / ``close``, and this module keeps binding ``encode_value``
-# by name: the host-clock benchmark (``benchmarks/perf/tracing.py``)
-# replaces exactly those attributes through ``vars()`` to time and count
-# the two logs apart, and a PR that is not a benchmark PR may not edit
-# it.  Folding the two classes into one waits for such a PR.
-class Journal:
-    """Append-only write-ahead journal for one assured run.
-
-    ``crash_hook`` — chaos seam: called with each record *after* it is
-    durable; raising :class:`ControlTierCrash` (or sending SIGKILL)
-    models the control tier dying at exactly that decision point.
-    ``tracer`` — when bound (and enabled), every append also lands a
-    ``journal.append`` event in the telemetry trace.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        handle: IO[str],
-        next_seq: int,
-        crash_hook: Callable[[dict], None] | None = None,
-    ) -> None:
-        self.path = path
-        self._handle: IO[str] | None = handle
-        self._seq = next_seq
-        self.crash_hook = crash_hook
-        self._tracer = None
-        #: Bytes of torn tail :meth:`reopen` truncated before appending
-        #: (0 for a fresh or clean journal).  Callers surface this in the
-        #: audit log — dropped crash damage is evidence, not noise.
-        self.torn_bytes_truncated = 0
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        path: str,
-        config: SystemConfig,
-        script: str,
-        inputs: dict[str, list[Record]],
-        block_bytes: int = 1 << 20,
-        crash_hook: Callable[[dict], None] | None = None,
-    ) -> "Journal":
-        """Start a fresh journal: writes (and fsyncs) the header.
-
-        Refuses an existing path — one WAL describes one run, and
-        silently truncating a prior run's journal would destroy its
-        recovery state.  The parent directory is fsync'd so the new
-        file's directory entry survives a host crash too.
-        """
-        try:
-            handle = open(path, "x")
-        except FileExistsError:
-            raise JournalError(
-                f"journal {path} already exists — one WAL describes one "
-                "run; resume it with `repro resume` or pass a fresh path"
-            )
-        journal = cls(path, handle, next_seq=0, crash_hook=crash_hook)
-        journal.append(
-            HEADER,
-            schema=SCHEMA_VERSION,
-            seed=config.seed,
-            script=script,
-            script_sha256=script_sha256(script),
-            config=config_to_json(config),
-            block_bytes=block_bytes,
-            inputs={
-                dfs_path: records_to_json(records)
-                for dfs_path, records in sorted(inputs.items())
-            },
-        )
-        fsync_directory(os.path.dirname(os.path.abspath(path)))
-        return journal
-
-    @classmethod
-    def reopen(
-        cls,
-        path: str,
-        next_seq: int,
-        crash_hook: Callable[[dict], None] | None = None,
-    ) -> "Journal":
-        """Reopen an existing journal for appending (recovery path),
-        minus the torn tail a crash may have left (see
-        :func:`truncate_torn_tail`)."""
-        torn_bytes = truncate_torn_tail(path, JournalError, "journal")
-        journal = cls(path, open(path, "a"), next_seq, crash_hook)
-        journal.torn_bytes_truncated = torn_bytes
-        return journal
-
-    # -- plumbing -------------------------------------------------------
-
-    def bind_tracer(self, tracer) -> None:
-        self._tracer = tracer if getattr(tracer, "enabled", False) else None
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recently appended record."""
-        return self._seq - 1
-
-    def append(self, kind: str, **fields) -> dict:
-        """Write one record; returns it (with ``seq`` stamped).
-
-        Records of :data:`SYNC_KINDS` are fsync'd before returning; all
-        others are flushed to the OS only.  The crash hook fires after
-        durability, i.e. the record survives the crash it triggers.
-        """
-        if self._handle is None:
-            raise JournalError(f"journal {self.path} is closed")
-        record = {"kind": kind, "seq": self._seq}
-        record.update(fields)
-        self._seq += 1
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        if kind in SYNC_KINDS:
-            os.fsync(self._handle.fileno())
-        if self._tracer is not None:
-            self._tracer.event("journal.append", kind=kind, seq=record["seq"])
-        if self.crash_hook is not None:
-            self.crash_hook(record)
-        return record
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
-
-
-# ---------------------------------------------------------------------------
-# reader
-# ---------------------------------------------------------------------------
-
-
 def read_journal(path: str) -> tuple[list[dict], list[str]]:
     """Read a journal back (:func:`read_wal`), then check the header
     before anything else is trusted: the script hash, and that the
-    config, the block size and the staged inputs decode to what a
-    resumed controller is built from."""
-    records, warnings = read_wal(
-        path,
-        JournalError,
-        "journal",
-        SCHEMA_VERSION,
-        tail="journal tail truncated: dropped record {index} ({exc})",
-        gap="journal seq gap: expected {index}, got {seq} ({kind})",
-    )
+    config and the block size decode to what a resumed controller is
+    built from.  The header's ``inputs`` comes back decoded: the
+    records a resume stages."""
+    records, warnings = read_wal(path, JournalError, "journal", SCHEMA_VERSION)
     header = records[0]
     if not isinstance(header["script"], str):
         raise JournalError("journal header script is not text")
@@ -605,11 +416,199 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
             f"journal header block_bytes={block_bytes!r} is not a positive integer"
         )
     try:
-        for rows in header["inputs"].values():
-            records_from_json(rows)
+        header["inputs"] = {
+            dfs_path: records_from_json(rows)
+            for dfs_path, rows in header["inputs"].items()
+        }
     except (AttributeError, TypeError, ValueError, JournalError) as exc:
         raise JournalError(f"journal header inputs do not decode: {exc}")
     return records, warnings
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+
+# The one write-ahead log class: ``MultiplexedLedger``
+# (``repro.service.ledger``) subclasses it and adds only what differs —
+# its header, the ``run`` tag and a resume that verifies the replay
+# against the durable prefix.  The host-clock benchmark
+# (``benchmarks/perf/tracing.py``) times and counts the two logs apart by
+# replacing ``create``, ``append`` and ``close`` in each class's own
+# ``vars()``, and ``encode_value`` in this module, by name.  So each class
+# keeps those three names in its own body, and none of them calls the
+# other class's (nor ``super().append``): that would nest one log's span
+# inside the other's.
+class Journal:
+    """Append-only write-ahead journal for one assured run.
+
+    ``crash_hook`` — chaos seam: called with each record *after* it is
+    durable; raising :class:`ControlTierCrash` (or sending SIGKILL)
+    models the control tier dying at exactly that decision point.
+    ``tracer`` — when bound (and enabled), every append also lands a
+    ``journal.append`` event in the telemetry trace.
+    """
+
+    #: What the shared steps below say and read of each log.
+    noun = "journal"
+    error: type[ReproError] = JournalError
+    schema = SCHEMA_VERSION
+    read = staticmethod(read_journal)
+
+    def __init__(
+        self,
+        path: str,
+        handle: IO[str],
+        next_seq: int,
+        crash_hook: Callable[[dict], None] | None = None,
+    ) -> None:
+        self.path = path
+        self._handle: IO[str] | None = handle
+        self._seq = next_seq
+        self.crash_hook = crash_hook
+        self._tracer = None
+        #: Bytes of torn tail :meth:`reopen` truncated before appending
+        #: (0 for a fresh or clean log).  Callers surface this in the
+        #: audit log — dropped crash damage is evidence, not noise.
+        self.torn_bytes_truncated = 0
+
+    # -- construction ---------------------------------------------------
+
+    @classmethod
+    def create(
+        cls,
+        path: str,
+        config: SystemConfig,
+        script: str,
+        inputs: dict[str, list[Record]],
+        block_bytes: int = 1 << 20,
+        crash_hook: Callable[[dict], None] | None = None,
+    ) -> "Journal":
+        """Start a fresh journal (:meth:`_start`) whose header binds it
+        to one run: seed, config, script and its hash, staged inputs."""
+        return cls._start(
+            path,
+            crash_hook,
+            "one WAL describes one run; resume it with `repro resume` "
+            "or pass a fresh path",
+            seed=config.seed,
+            script=script,
+            script_sha256=script_sha256(script),
+            config=config_to_json(config),
+            block_bytes=block_bytes,
+            inputs={
+                dfs_path: records_to_json(records)
+                for dfs_path, records in sorted(inputs.items())
+            },
+        )
+
+    @classmethod
+    def _start(
+        cls,
+        path: str,
+        crash_hook: Callable[[dict], None] | None,
+        resume_hint: str,
+        **header,
+    ):
+        """Create the log at ``path`` and write (and fsync) its header.
+
+        Refuses an existing path (``resume_hint`` says what to do
+        instead) — one log describes one execution, and silently
+        truncating a prior one would destroy its recovery state.  The
+        parent directory is fsync'd so the new file's directory entry
+        survives a host crash too (where the platform can: not on
+        Windows).
+        """
+        try:
+            handle = open(path, "x")
+        except FileExistsError:
+            raise cls.error(f"{cls.noun} {path} already exists — {resume_hint}")
+        log = cls(path, handle, 0, crash_hook)
+        log.append(HEADER, schema=cls.schema, **header)
+        try:
+            directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        except OSError:
+            return log
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        return log
+
+    @classmethod
+    def reopen(cls, path: str, crash_hook: Callable[[dict], None] | None = None):
+        """Reopen a crashed log for appending (recovery path); returns
+        the log, positioned after its last record, and the records.
+
+        The torn tail goes first, then what is left is read with the
+        log's reader, so no record a crash cut short — not even one
+        missing only its newline — is read back or appended after.  A
+        crash mid-append can tear the final line; it has to go *before*
+        the next append, or that record would be concatenated onto it,
+        turning expected crash damage into mid-file corruption that
+        poisons every later read.  Records are newline-terminated, so
+        everything after the last newline is the torn tail.
+        """
+        try:
+            with open(path, "rb+") as raw:
+                data = raw.read()
+                keep = data.rfind(b"\n") + 1
+                if keep < len(data):
+                    raw.truncate(keep)
+                    raw.flush()
+                    os.fsync(raw.fileno())
+        except OSError as exc:
+            raise cls.error(f"cannot read {cls.noun}: {exc}")
+        records = cls.read(path)[0]
+        log = cls(path, open(path, "a"), len(records), crash_hook)
+        log.torn_bytes_truncated = len(data) - keep
+        return log, records
+
+    # -- plumbing -------------------------------------------------------
+
+    def bind_tracer(self, tracer) -> None:
+        self._tracer = tracer if getattr(tracer, "enabled", False) else None
+
+    @property
+    def closed(self) -> bool:
+        return self._handle is None
+
+    def append(self, kind: str, **fields) -> dict:
+        """Write one record; returns it (with ``seq`` stamped)."""
+        if self._handle is None:
+            raise JournalError(f"journal {self.path} is closed")
+        record = {"kind": kind, "seq": self._seq}
+        record.update(fields)
+        return self._write(record)
+
+    def _write(self, record: dict, **event) -> dict:
+        """The append step of both logs.  Records of :data:`SYNC_KINDS`
+        are fsync'd before returning; all others are flushed to the OS
+        only.  A bound tracer gets a ``<noun>.append`` event (plus
+        ``event``).  The crash hook fires after durability, i.e. the
+        record survives the crash it triggers."""
+        kind = record["kind"]
+        self._seq += 1
+        handle = self._handle
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.flush()
+        if kind in SYNC_KINDS:
+            os.fsync(handle.fileno())
+        if self._tracer is not None:
+            self._tracer.event(
+                f"{self.noun}.append", kind=kind, seq=record["seq"], **event
+            )
+        if self.crash_hook is not None:
+            self.crash_hook(record)
+        return record
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._handle.close()
+            self._handle = None
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The counterpart to :mod:`repro.core.journal`.  Given a WAL left behind
 by a crashed control tier, :func:`resume_run`
 
-1. validates the header (schema version, script hash) and rebuilds the
-   exact :class:`~repro.common.config.SystemConfig` the run used;
+1. reopens the journal (:meth:`~repro.core.journal.Journal.reopen`:
+   a torn tail is cut off first, then the rest is read), validates the
+   header (schema version, script hash) and rebuilds the exact
+   :class:`~repro.common.config.SystemConfig` the run used;
 2. builds a *fresh* controller/request-handler/verifier stack and
    re-stages the journal's input data-sets into its trusted DFS;
 3. restores the state captured by the last fsync'd ``attempt_end``
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.records import Record
 from repro.core import journal as wal
 from repro.core.audit import TORN_TAIL
 from repro.core.controller import ClusterBFTController, ScriptResult
@@ -100,15 +101,6 @@ def _completed_result(run_end: dict) -> ScriptResult:
     )
 
 
-def load_inputs(path: str) -> dict[str, list[Record]]:
-    """The input data-sets a journal's header staged (decoded)."""
-    records, _ = wal.read_journal(path)
-    return {
-        dfs_path: wal.records_from_json(rows)
-        for dfs_path, rows in records[0]["inputs"].items()
-    }
-
-
 def resume_run(
     path: str,
     fault_plan: FaultPlan | None = None,
@@ -125,9 +117,17 @@ def resume_run(
     :class:`~repro.common.errors.VerificationExhausted` when the
     escalation budget runs out.
     """
-    records, warnings = wal.read_journal(path)
+    journal, records = wal.Journal.reopen(path, crash_hook=crash_hook)
     header = records[0]
     config = wal.config_from_json(header["config"])
+    warnings = []
+    if journal.torn_bytes_truncated:
+        # Crash damage is evidence: the reopen dropped a torn final
+        # line — surface how much, in the warnings *and* the audit log.
+        warnings.append(
+            f"journal tail truncated: dropped {journal.torn_bytes_truncated} "
+            "byte(s) of torn final record"
+        )
 
     run_start: dict | None = None
     snapshot: dict | None = None
@@ -151,6 +151,7 @@ def resume_run(
             run_end = record
 
     if run_end is not None:
+        journal.close()
         return RecoveredRun(
             result=_completed_result(run_end),
             controller=None,
@@ -158,9 +159,6 @@ def resume_run(
             completed=True,
         )
 
-    journal = wal.Journal.reopen(
-        path, next_seq=records[-1]["seq"] + 1, crash_hook=crash_hook
-    )
     controller = ClusterBFTController(
         config=config,
         fault_plan=fault_plan,
@@ -170,20 +168,14 @@ def resume_run(
         journal=journal,
     )
     if journal.torn_bytes_truncated:
-        # Crash damage is evidence: the reopen dropped a torn final
-        # line — surface how much, in the warnings *and* the audit log.
-        warnings.append(
-            f"journal tail truncated: dropped {journal.torn_bytes_truncated} "
-            "byte(s) of torn final record"
-        )
         controller.audit.record(
             controller.loop.now,
             TORN_TAIL,
             path,
             bytes_truncated=journal.torn_bytes_truncated,
         )
-    for dfs_path, rows in header["inputs"].items():
-        controller.load_input(dfs_path, wal.records_from_json(rows))
+    for dfs_path, staged in header["inputs"].items():
+        controller.load_input(dfs_path, staged)
 
     script = header["script"]
 

@@ -107,7 +107,7 @@ class TestWriter:
         header = records[0]
         assert header["schema"] == wal.SCHEMA_VERSION
         assert header["script_sha256"] == wal.script_sha256(SCRIPT)
-        assert wal.records_from_json(header["inputs"]["in"]) == INPUTS["in"]
+        assert header["inputs"] == INPUTS
 
     def test_append_after_close_raises(self, tmp_path):
         journal = wal.Journal.create(
@@ -131,14 +131,6 @@ class TestWriter:
         records, _ = wal.read_journal(path)
         assert records[-1]["kind"] == wal.ATTEMPT_START
 
-    def test_last_seq_tracks_appends(self, tmp_path):
-        journal = wal.Journal.create(
-            str(tmp_path / "run.wal"), small_config(), SCRIPT, INPUTS
-        )
-        assert journal.last_seq == 0  # the header
-        journal.append(wal.RUN_START)
-        assert journal.last_seq == 1
-
     def test_create_refuses_existing_path(self, tmp_path):
         path = str(tmp_path / "run.wal")
         wal.Journal.create(path, small_config(), SCRIPT, INPUTS).close()
@@ -155,7 +147,9 @@ class TestWriter:
         journal.close()
         with open(path, "a") as handle:
             handle.write('{"kind": "attempt_sta')  # crash mid-append
-        reopened = wal.Journal.reopen(path, next_seq=2)
+        reopened, survived = wal.Journal.reopen(path)
+        assert [r["seq"] for r in survived] == [0, 1]
+        assert reopened.torn_bytes_truncated == len('{"kind": "attempt_sta')
         reopened.append(wal.RESUME, start_attempt=0, commits_replayed=0)
         reopened.close()
         # The resume record must not merge into the partial line: the
@@ -189,6 +183,19 @@ class TestReader:
         records, warnings = wal.read_journal(path)
         assert [r["kind"] for r in records] == [wal.HEADER, wal.RUN_START]
         assert any("truncated" in w for w in warnings)
+
+    def test_final_record_without_its_newline_is_the_torn_tail(self, tmp_path):
+        """The reader's torn tail is the writer's: everything after the
+        last newline, even a record that parses.  Accepting it would let
+        a resume hand out a seq the reopen then cuts off the file."""
+        line = json.dumps({"kind": wal.ATTEMPT_START, "seq": 2, **ATTEMPT_START})
+        path = self.write_journal(tmp_path, [line])
+        records, warnings = wal.read_journal(path)
+        assert [r["kind"] for r in records] == [wal.HEADER, wal.RUN_START]
+        assert warnings == [
+            f"journal tail truncated: dropped record 2 ({len(line)} byte(s) "
+            "after the last newline)"
+        ]
 
     def test_corrupt_middle_raises(self, tmp_path):
         path = self.write_journal(
@@ -256,7 +263,7 @@ class TestReader:
     def test_header_lacking_a_field_recovery_needs_raises(self, tmp_path, field):
         """Schema and script hash can both check out on a header that
         recovery cannot rebuild a deployment from."""
-        from repro.core.recovery import load_inputs, resume_run
+        from repro.core.recovery import resume_run
 
         path = self.write_journal(tmp_path)
         with open(path) as handle:
@@ -266,6 +273,6 @@ class TestReader:
         lines[0] = json.dumps(header, sort_keys=True) + "\n"
         with open(path, "w") as handle:
             handle.writelines(lines)
-        for reader in (wal.read_journal, resume_run, load_inputs):
+        for reader in (wal.read_journal, resume_run):
             with pytest.raises(wal.JournalError, match=f"record 0.*{field}"):
                 reader(path)

@@ -8,7 +8,7 @@ from repro.common.records import encode_record, records_from_rows
 from repro.core import journal as wal
 from repro.core.audit import EXHAUSTED
 from repro.core.controller import ClusterBFTController
-from repro.core.recovery import load_inputs, resume_run
+from repro.core.recovery import resume_run
 from repro.faults.injection import single_commission
 
 SCRIPT = """
@@ -89,10 +89,10 @@ class TestResume:
         assert recovered.result.outputs == reference.outputs
         assert recovered.result.latency == reference.latency
 
-    def test_load_inputs_round_trips(self, tmp_path):
+    def test_header_inputs_round_trip(self, tmp_path):
         path = str(tmp_path / "run.wal")
         journaled_run(path)
-        assert load_inputs(path) == inputs()
+        assert wal.read_journal(path)[0][0]["inputs"] == inputs()
 
     def test_crash_before_run_start_resumes_from_scratch(self, tmp_path):
         path = str(tmp_path / "run.wal")
@@ -196,13 +196,34 @@ class TestResume:
         with open(path, "a") as handle:
             handle.write(damage)
         recovered = resume_run(path)
-        assert any(
-            f"dropped {len(damage)} byte(s)" in w for w in recovered.warnings
-        )
+        # Once: the reopen cuts the tail before anything reads the journal.
+        assert [w for w in recovered.warnings if "truncated" in w] == [
+            f"journal tail truncated: dropped {len(damage)} byte(s) "
+            "of torn final record"
+        ]
         events = recovered.controller.audit.events(kind=TORN_TAIL)
         assert len(events) == 1
         assert events[0].subject == path
         assert events[0].details["bytes_truncated"] == len(damage)
+
+    def test_resume_after_a_cut_final_newline_twice(self, tmp_path):
+        """A crash that cut only the final newline leaves a record that
+        parses; it is still the torn tail.  The first resume must not
+        number its records past it, or the second finds a seq gap."""
+        reference = journaled_run(str(tmp_path / "ref.wal"))
+        path = str(tmp_path / "crash.wal")
+        with pytest.raises(wal.ControlTierCrash):
+            journaled_run(path, crash_hook=wal.crash_at(5))
+        with open(path, "rb+") as handle:
+            handle.truncate(handle.seek(0, 2) - 1)  # the final newline
+        first = resume_run(path)
+        assert not first.completed
+        second = resume_run(path)
+        assert second.completed and second.warnings == []
+        assert canonical(second.result.outputs) == canonical(reference.outputs)
+        records, warnings = wal.read_journal(path)
+        assert warnings == []
+        assert [r["seq"] for r in records] == list(range(len(records)))
 
     def test_clean_resume_reports_no_torn_tail(self, tmp_path):
         from repro.core.audit import TORN_TAIL

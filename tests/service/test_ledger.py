@@ -178,6 +178,10 @@ def test_resume_rejects_tampered_trace(tmp_path):
     header["trace"] = '{"name": "tampered"}'
     with open(path, "w") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
+    # The reader checks the trace as ``read_journal`` checks the script,
+    # so every reader refuses it, not only ``resume``.
+    with pytest.raises(LedgerError, match="hash mismatch"):
+        read_ledger(path)
     with pytest.raises(LedgerError, match="hash mismatch"):
         MultiplexedLedger.resume(path)
 
