@@ -307,10 +307,6 @@ class ClusterBFTConfig:
         """Matching digests required to accept an output: f + 1."""
         return self.f + 1
 
-    def with_guarantee(self, guarantee: str) -> "ClusterBFTConfig":
-        """Return a copy with ``replication`` set from a guarantee level."""
-        return replace(self, replication=replication_for_guarantee(self.f, guarantee))
-
     def escalated(self) -> "ClusterBFTConfig":
         """Configuration for a rerun after verification failure/timeout:
         the paper re-initiates the job "with a higher value for r"."""

@@ -49,14 +49,8 @@ class IdFactory:
         Hadoop's ``attempt_.._m_000000`` naming."""
         return f"{job_id}_{kind}_{index:06d}"
 
-    def subgraph_id(self) -> SubGraphId:
-        return f"sid_{self._next('sid'):04d}"
-
     def node_id(self) -> NodeId:
         return f"node_{self._next('node'):04d}"
-
-    def digest_id(self) -> str:
-        return f"digest_{self._next('digest'):08d}"
 
 
 def task_kind(task_id: TaskId) -> str:

@@ -197,10 +197,6 @@ class JobGraph:
             remaining -= set(ready)
         return order
 
-    def final_outputs(self) -> list[str]:
-        """User-visible store paths (non-temporary outputs)."""
-        return [job.output_path for job in self.jobs if not job.output_is_temp]
-
     def describe(self) -> str:
         deps = self.dependencies()
         lines = []

@@ -4,7 +4,7 @@ The paper motivates BFT in the cloud partly by *attribution*: "it is
 also necessary to keep track of where such accesses were attempted, as
 these may hint to exploited leaks and intruders" (§3.1).  The audit log
 is the queryable record backing that: every verification verdict, fault
-attribution, suspicion change, eviction, and probe lands here with its
+attribution, suspicion change and eviction lands here with its
 simulated timestamp.
 
 Entries always append to the log directly.  With telemetry enabled,
@@ -29,11 +29,9 @@ VERDICT = "verdict"
 FAULT = "fault"
 EVICTION = "eviction"
 QUARANTINE = "quarantine"
-REINSTATE = "reinstate"
 #: Online reconfiguration: replica sets migrated out of a region whose
 #: aggregate suspicion crossed the threshold.
 RECONFIG = "reconfig"
-PROBE = "probe"
 RERUN = "rerun"
 COMMIT = "commit"
 EXHAUSTED = "exhausted"

@@ -42,9 +42,6 @@ class InstrumentedPlan:
     def vp_ids(self) -> list[str]:
         return [p.vp_id for p in self.points]
 
-    def intermediate_vp_ids(self) -> list[str]:
-        return [p.vp_id for p in self.points if not p.is_output]
-
 
 def instrument(
     plan: LogicalPlan,

@@ -334,25 +334,30 @@ def read_wal(
     is a record a crash cut short (the writer's rule too, see
     :meth:`Journal.reopen`): expected crash damage, reported as one
     warning and dropped, even where it parses.  Anything else fails
-    closed with ``error``: an unreadable file, a line that does not
-    parse, a line that parses to something other than an object, no
-    records at all, a first record that is not a ``schema`` header, a
-    break in the seq chain — lost durable records are corruption, not
-    crash damage — and a record whose kind ``RECORDS`` does not declare
-    for ``schema``, or that lacks a field it requires.
+    closed with ``error``: an unreadable file, bytes before the last
+    newline that are not UTF-8, a line that does not parse, a line that
+    parses to something other than an object, no records at all, a
+    first record that is not a ``schema`` header, a break in the seq
+    chain — lost durable records are corruption, not crash damage — and
+    a record whose kind ``RECORDS`` does not declare for ``schema``, or
+    that lacks a field it requires.
     """
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise error(f"cannot read {noun}: {exc}")
-    body, _, torn = text.rpartition("\n")
-    lines = [line for line in body.splitlines() if line.strip()]
+    body, _, torn = data.rpartition(b"\n")
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{noun} {path} is not UTF-8 text: {exc}")
+    lines = [line for line in text.splitlines() if line.strip()]
     warnings: list[str] = []
     if torn:
         warnings.append(
             f"{noun} tail truncated: dropped record {len(lines)} "
-            f"({len(torn.encode())} byte(s) after the last newline)"
+            f"({len(torn)} byte(s) after the last newline)"
         )
     records: list[dict] = []
     for index, line in enumerate(lines):
@@ -541,15 +546,17 @@ class Journal:
         """Reopen a crashed log for appending (recovery path); returns
         the log, positioned after its last record, and the records.
 
-        The torn tail goes first, then what is left is read with the
-        log's reader, so no record a crash cut short — not even one
-        missing only its newline — is read back or appended after.  A
-        crash mid-append can tear the final line; it has to go *before*
-        the next append, or that record would be concatenated onto it,
-        turning expected crash damage into mid-file corruption that
-        poisons every later read.  Records are newline-terminated, so
-        everything after the last newline is the torn tail.
+        The log's reader goes first, so a file that is not a log fails
+        closed untouched.  Records are newline-terminated, so everything
+        after the last newline is the torn tail: the reader drops it,
+        and only after the read succeeds is it truncated, so no record
+        a crash cut short — not even one missing only its newline — is
+        read back or appended after.  A crash mid-append can tear the
+        final line; it has to go *before* the next append, or that
+        record would be concatenated onto it, turning expected crash
+        damage into mid-file corruption that poisons every later read.
         """
+        records = cls.read(path)[0]
         try:
             with open(path, "rb+") as raw:
                 data = raw.read()
@@ -560,7 +567,6 @@ class Journal:
                     os.fsync(raw.fileno())
         except OSError as exc:
             raise cls.error(f"cannot read {cls.noun}: {exc}")
-        records = cls.read(path)[0]
         log = cls(path, open(path, "a"), len(records), crash_hook)
         log.torn_bytes_truncated = len(data) - keep
         return log, records

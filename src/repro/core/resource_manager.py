@@ -8,8 +8,8 @@ level.  Placement policy itself lives in
 everything else the tier knows and decides about the cluster (DESIGN.md
 §20): suspicion levels and the fault analyzer's sets, the one fault
 recorder that feeds them, the inclusion list with threshold eviction
-and quarantine, region migration, operator re-initialization, and the
-tier half of the ``attempt_end`` WAL record next to its inverse.
+and quarantine, region migration, and the tier half of the
+``attempt_end`` WAL record next to its inverse.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.common.ids import NodeId, SubGraphId
 from repro.core import journal as wal
-from repro.core.audit import EVICTION, FAULT, QUARANTINE, RECONFIG, REINSTATE
+from repro.core.audit import EVICTION, FAULT, QUARANTINE, RECONFIG
 from repro.core.fault_analyzer import FaultAnalyzer
 from repro.core.gauges import publish_suspicion
 from repro.core.suspicion import NodeSuspicion, SuspicionTracker
@@ -93,20 +93,9 @@ class ResourceManager:
                 return row
         raise KeyError(node_id)
 
-    def overlap_degree(self) -> float:
-        """Average number of distinct sids per busy node — the overlap
-        the scheduler engineers for fault isolation."""
-        rows = [row for row in self.table() if row.sids]
-        if not rows:
-            return 0.0
-        return sum(len(row.sids) for row in rows) / len(rows)
-
     # ------------------------------------------------------------------
     # inclusion list
     # ------------------------------------------------------------------
-
-    def inclusion_list(self) -> list[NodeId]:
-        return [n.node_id for n in self.cluster.active_nodes()]
 
     def evicted(self) -> list[NodeId]:
         """Nodes off the inclusion list, sorted."""
@@ -117,15 +106,6 @@ class ResourceManager:
     def quarantined(self) -> list[NodeId]:
         """Nodes the scheduler places nothing on, sorted."""
         return sorted(self.scheduler.quarantined)
-
-    def reinitialize_node(self, node_id: NodeId) -> None:
-        """Administrator intervention (paper §4.2): take the node off the
-        grid, patch it, and re-insert it with a clean slate — back on
-        the inclusion list, out of quarantine, no faults on record."""
-        self.cluster.reinstate(node_id)
-        self.scheduler.release(node_id)
-        self.suspicion.clear_faults({node_id})
-        self.audit.record(self.loop.now, REINSTATE, node_id)
 
     # ------------------------------------------------------------------
     # evidence: jobs and faults

@@ -19,13 +19,6 @@ VertexId = int
 
 
 @dataclass(frozen=True)
-class Edge:
-    src: VertexId
-    dst: VertexId
-    input_index: int  # position among dst's inputs
-
-
-@dataclass(frozen=True)
 class PlanProblem:
     """One defect found by the non-raising validation pass.
 
@@ -340,11 +333,4 @@ class LogicalPlan:
             vid: op.path
             for vid, op in self._ops.items()
             if isinstance(op, LoadOp)
-        }
-
-    def store_paths(self) -> dict[VertexId, str]:
-        return {
-            vid: op.path
-            for vid, op in self._ops.items()
-            if isinstance(op, StoreOp)
         }

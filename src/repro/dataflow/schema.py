@@ -161,13 +161,6 @@ class Schema:
     def type_of(self, ref: str) -> str:
         return self.fields[self.index_of(ref)].type
 
-    def has_field(self, ref: str) -> bool:
-        try:
-            self.index_of(ref)
-            return True
-        except SchemaError:
-            return False
-
     def qualify(self, alias: str) -> "Schema":
         """Qualify every field as ``alias::name`` (used for join inputs)."""
         return Schema([f.qualified(alias) for f in self.fields])

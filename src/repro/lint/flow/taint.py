@@ -115,7 +115,6 @@ _SCHEDULER_RECEIVERS = {"scheduler", "_scheduler"}
 _SCHEDULER_METHODS = {
     "assign",
     "quarantine",
-    "release",
     "register_owner",
     "set_slot_budget",
 }

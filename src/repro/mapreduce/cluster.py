@@ -46,10 +46,6 @@ class WorkerNode:
     def free_slots(self) -> int:
         return max(self.slots - len(self.running), 0)
 
-    @property
-    def is_faulty(self) -> bool:
-        return self.behavior.faulty
-
     def start_task(self, task_id: TaskId) -> None:
         self.running.add(task_id)
 
@@ -91,7 +87,7 @@ class Cluster:
                 speed=config.speed_of_index(index),
             )
         # Membership is fixed for the cluster's lifetime; only the
-        # ``excluded`` flags move, and only through exclude/reinstate.
+        # ``excluded`` flags move, and only through ``exclude``.
         self._node_ids = sorted(self.nodes)
         self._region_ids: dict[str, list[NodeId]] = {}
         for node_id in self._node_ids:
@@ -102,9 +98,6 @@ class Cluster:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def region_of(self, node_id: NodeId) -> str:
-        return self.nodes[node_id].region
 
     def regions(self) -> list[str]:
         """Declared region names in declaration order ([] when flat)."""
@@ -122,7 +115,7 @@ class Cluster:
     def active_ordinals(self, region: str | None = None) -> dict[NodeId, int]:
         """node id -> its index among the non-excluded nodes (of
         ``region``, when given) in id order; iterates in that order.
-        Cached until the next ``exclude``/``reinstate``: the scheduler
+        Cached until the next ``exclude``: the scheduler
         asks on every eligibility check of every heartbeat."""
         ordinals = self._active_ordinals.get(region)
         if ordinals is None:
@@ -133,26 +126,10 @@ class Cluster:
             }
         return ordinals
 
-    def active_nodes(self) -> list[WorkerNode]:
-        return [n for n in self.nodes.values() if not n.excluded]
-
-    def faulty_node_ids(self) -> set[NodeId]:
-        return {n.node_id for n in self.nodes.values() if n.is_faulty}
-
     def exclude(self, node_id: NodeId) -> None:
         """Remove a node from the inclusion list (suspicion threshold hit)."""
         self.nodes[node_id].excluded = True
         self._active_ordinals.clear()
-
-    def reinstate(self, node_id: NodeId) -> None:
-        """Administrator re-inserts a re-imaged node (paper §4.2)."""
-        node = self.nodes[node_id]
-        node.excluded = False
-        node.behavior = CORRECT
-        self._active_ordinals.clear()
-
-    def total_slots(self) -> int:
-        return sum(n.slots for n in self.active_nodes())
 
     def heartbeat_offsets(self) -> dict[NodeId, float]:
         """Initial heartbeat phase per node.  Staggered so the execution

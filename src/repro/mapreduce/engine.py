@@ -113,7 +113,6 @@ class JobRun:
         digest_sink: Callable[[DigestReport], None] | None = None,
         on_complete: Callable[["JobRun"], None] | None = None,
         total_replicas: int = 1,
-        allowed_nodes: set[NodeId] | None = None,
         trace_attrs: dict | None = None,
         span_parent: int | None = None,
         shared: ReplicaResults | None = None,
@@ -123,9 +122,6 @@ class JobRun:
         self.sid = sid
         self.replica = replica
         self.total_replicas = max(total_replicas, replica + 1)
-        #: Explicit placement constraint (dummy-job probing, §3.3): when
-        #: set, only these nodes may execute this run's tasks.
-        self.allowed_nodes = set(allowed_nodes) if allowed_nodes is not None else None
         self.spec = spec
         self.path_map = dict(path_map)
         self.scope = scope

@@ -60,11 +60,6 @@ class TaskScheduler:
             self.quarantined = set(self.quarantined)
         self.quarantined.add(node_id)
 
-    def release(self, node_id: NodeId) -> None:
-        """Lift a quarantine (e.g. after reinstatement)."""
-        if isinstance(self.quarantined, set):
-            self.quarantined.discard(node_id)
-
     def is_quarantined(self, node_id: NodeId) -> bool:
         return node_id in self.quarantined
 
@@ -88,14 +83,7 @@ class TaskScheduler:
 
     def eligible(self, node: WorkerNode, run: "JobRun") -> bool:
         """May this node run tasks of this run at all?"""
-        if node.node_id in self.quarantined:
-            return False
-        return self.placement_allows(node, run)
-
-    @staticmethod
-    def placement_allows(node: WorkerNode, run: "JobRun") -> bool:
-        """Explicit placement constraints (probe jobs) bind everywhere."""
-        return run.allowed_nodes is None or node.node_id in run.allowed_nodes
+        return node.node_id not in self.quarantined
 
     def note_assignment(self, node: WorkerNode, ref: TaskRef) -> None:
         """Hook invoked by the engine when an assignment is made."""
@@ -220,15 +208,9 @@ class ClusterBFTScheduler(TaskScheduler):
     def eligible(self, node: WorkerNode, run: "JobRun") -> bool:
         if node.node_id in self.quarantined:
             return False
-        if not self.placement_allows(node, run):
-            return False
         pin = self._pins.get((node.node_id, run.sid))
         if pin is not None:
             return pin == run.replica
-        if run.allowed_nodes is not None:
-            # Probe jobs place replicas explicitly; the pin above still
-            # guards against a node serving two replicas of one sid.
-            return True
         total = max(run.total_replicas, 1)
         live = self._live_regions()
         if len(live) > 1:
@@ -379,9 +361,6 @@ class FairShareScheduler(TaskScheduler):
 
     def quarantine(self, node_id: NodeId) -> None:
         self.inner.quarantine(node_id)
-
-    def release(self, node_id: NodeId) -> None:
-        self.inner.release(node_id)
 
     def is_quarantined(self, node_id: NodeId) -> bool:
         return self.inner.is_quarantined(node_id)

@@ -50,9 +50,6 @@ class AdmissionController:
         queue = self._queues.get(tenant)
         return len(queue) if queue is not None else 0
 
-    def total_backlog(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
     # -- decisions ------------------------------------------------------
 
     def decide(self, request: JobRequest) -> str:

@@ -145,12 +145,13 @@ class MultiplexedLedger(wal.Journal):
     ) -> "MultiplexedLedger":
         """Reopen a crashed service's ledger in verify-then-append mode.
 
-        :meth:`~repro.core.journal.Journal.reopen` truncates the torn
-        tail (recording how many bytes were cut) and reads what survived
-        with :func:`read_ledger` — so anything but a well-formed ledger
-        is a :class:`LedgerError`; the ledger is then armed with the
-        surviving lines: replayed appends are verified against them in
-        order, and writing resumes only past the durable prefix.
+        :meth:`~repro.core.journal.Journal.reopen` reads the ledger with
+        :func:`read_ledger` — so anything but a well-formed ledger is a
+        :class:`LedgerError`, and the file is left as it was — and only
+        then truncates the torn tail (recording how many bytes were
+        cut); the ledger is then armed with the surviving lines:
+        replayed appends are verified against them in order, and writing
+        resumes only past the durable prefix.
         """
         ledger, records = cls.reopen(path, crash_hook)
         ledger.trace_text = records[0]["trace"]

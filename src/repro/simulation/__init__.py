@@ -6,6 +6,6 @@ cluster is not the network's: ``ClusterConfig.regions`` and
 """
 
 from repro.simulation.events import EventHandle, EventLoop
-from repro.simulation.network import LatencyModel, SimNetwork, partition
+from repro.simulation.network import LatencyModel, SimNetwork
 
-__all__ = ["EventHandle", "EventLoop", "LatencyModel", "SimNetwork", "partition"]
+__all__ = ["EventHandle", "EventLoop", "LatencyModel", "SimNetwork"]

@@ -3,7 +3,7 @@
 Used by the BFT replication library (control-tier replicas exchanging
 protocol messages); worker digests and heartbeats are direct event-loop
 hops.  Latency is sampled per message from a seeded stream, so
-runs are reproducible; per-link partitions and drop rules model the
+runs are reproducible; endpoint drop and delay rules model the
 adversary's (limited) network powers — recall the paper's system model
 forbids the adversary from *preventing* communication, but a Byzantine
 *endpoint* may still refuse to send (omission).
@@ -43,8 +43,8 @@ class LatencyModel:
 class NetworkFilter(Protocol):
     """Hook deciding whether a message is delivered.
 
-    Implementations model Byzantine senders (selective omission) or test
-    scenarios (partitions).  Return ``True`` to deliver.
+    Implementations model Byzantine senders (selective omission).
+    Return ``True`` to deliver.
     """
 
     def __call__(self, sender: str, receiver: str, message: Any) -> bool: ...
@@ -95,9 +95,9 @@ class SimNetwork:
         self._in_flight: list[_InFlight] = []
         self.messages_sent = 0
         self.messages_delivered = 0
-        #: Rejected by an installed filter (partition / selective drop).
+        #: Rejected by an installed filter (selective drop).
         self.messages_filtered = 0
-        #: Receiver unknown at delivery time (crashed or unregistered).
+        #: Receiver unknown at delivery time (never registered).
         self.messages_undeliverable = 0
         self.bytes_sent = 0
 
@@ -110,16 +110,13 @@ class SimNetwork:
         """Register (or replace) the endpoint called ``name``."""
         self._handlers[name] = handler
 
-    def unregister(self, name: str) -> None:
-        self._handlers.pop(name, None)
-
     def add_filter(self, rule: NetworkFilter) -> None:
         """Install a delivery filter (all filters must approve delivery).
 
         The new filter also re-checks messages already in flight: a
-        message delayed past a partition's installation is dropped, not
-        delivered late once the partition heals — links that go down
-        lose the packets they were carrying.
+        message delayed past a drop rule's installation is dropped, not
+        delivered late — links that go down lose the packets they were
+        carrying.
         """
         self._filters.append(rule)
         for entry in self._in_flight:
@@ -130,15 +127,9 @@ class SimNetwork:
                 self.messages_filtered += 1
                 self._count("network_messages_dropped", cause="filtered")
 
-    def remove_filter(self, rule: NetworkFilter) -> None:
-        self._filters.remove(rule)
-
     def add_delay(self, rule: DelayRule) -> None:
         """Install a delay rule; extra latencies from all rules add up."""
         self._delay_rules.append(rule)
-
-    def remove_delay(self, rule: DelayRule) -> None:
-        self._delay_rules.remove(rule)
 
     def _count(self, counter: str, **labels) -> None:
         if self.telemetry.enabled:
@@ -191,8 +182,8 @@ class SimNetwork:
                 return
             handler = self._handlers.get(receiver)
             if handler is None:
-                # Receiver crashed/unregistered meanwhile: silently drop,
-                # as a real datagram network would.
+                # No such endpoint: silently drop, as a real datagram
+                # network would.
                 self.messages_undeliverable += 1
                 self._count("network_messages_dropped", cause="undeliverable")
                 if causal:
@@ -232,23 +223,6 @@ class SimNetwork:
         """
         for receiver in sorted(receivers):
             self.send(sender, receiver, message, size_bytes)
-
-
-def partition(groups: list[set[str]]) -> NetworkFilter:
-    """Build a filter that only delivers within a group.
-
-    Endpoints absent from every group communicate freely.
-    """
-
-    def rule(sender: str, receiver: str, message: Any) -> bool:
-        for group in groups:
-            sender_in = sender in group
-            receiver_in = receiver in group
-            if sender_in != receiver_in:
-                return False
-        return True
-
-    return rule
 
 
 def selective_drop(

@@ -279,9 +279,6 @@ class TrustedDFS:
     def counters_for(self, scope: str) -> StorageCounters:
         return self._counters(scope)
 
-    def reset_scope(self, scope: str) -> None:
-        self._scoped.pop(scope, None)
-
     def _count_read(self, scope: str, size: int, records: int) -> None:
         for counters in (self._counters(scope), self.global_counters):
             counters.bytes_read += size

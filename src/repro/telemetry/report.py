@@ -18,9 +18,9 @@ sections:
    saturation and every other instant event, in stream order;
 6. **network** — simulated message-network counters from the trailing
    metrics snapshot, with dropped messages broken out by cause
-   (``filtered`` — a partition/drop rule rejected the send, including
+   (``filtered`` — a drop rule rejected the send, including
    in-flight messages swept by a filter installed mid-flight —
-   vs ``undeliverable`` — the receiving endpoint deregistered);
+   vs ``undeliverable`` — no endpoint registered under that name);
 7. **slo alerts** — the built-in alert rules of
    :mod:`repro.telemetry.slo` evaluated over the record stream (the
    same deterministic firings ``repro alerts`` prints);

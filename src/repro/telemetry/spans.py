@@ -180,9 +180,6 @@ class Tracer:
         self.events_recorded = 0
         self.samples_recorded = 0
 
-    def add_sink(self, sink: TelemetrySink) -> None:
-        self.sinks.append(sink)
-
     # -- span lifecycle -------------------------------------------------
 
     def _new_id(self) -> int:

@@ -41,13 +41,6 @@ class StragglerProfile:
     #: Nodes that executed a critical-path job in any attempt.
     critical_path_nodes: frozenset[str] = frozenset()
 
-    def is_straggler(self, node_id: str) -> bool:
-        return node_id in self._straggler_set
-
-    @property
-    def _straggler_set(self) -> frozenset[str]:
-        return frozenset(self.stragglers)
-
     def render(self) -> str:
         lines = [
             f"overall mean task time: {self.overall_mean_seconds:.3f}s",

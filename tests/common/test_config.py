@@ -67,10 +67,6 @@ class TestGuarantees:
         with pytest.raises(ConfigError):
             replication_for_guarantee(1, "mystery")
 
-    def test_with_guarantee_builds_config(self):
-        config = ClusterBFTConfig(f=2).with_guarantee(GUARANTEE_FULL_BFT)
-        assert config.replication == 7
-
 
 class TestClusterBFTConfig:
     def test_default_is_valid(self):

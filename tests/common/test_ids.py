@@ -15,7 +15,7 @@ class TestIdFactory:
         factory.job_id()
         factory.job_id()
         assert factory.script_id() == "script_0000"
-        assert factory.subgraph_id() == "sid_0000"
+        assert factory.node_id() == "node_0000"
 
     def test_job_ids_are_unique(self):
         factory = IdFactory()
@@ -27,11 +27,6 @@ class TestIdFactory:
         job = factory.job_id()
         task = factory.task_id(job, "m", 7)
         assert task == f"{job}_m_000007"
-
-    def test_node_and_digest_ids(self):
-        factory = IdFactory()
-        assert factory.node_id() == "node_0000"
-        assert factory.digest_id() == "digest_00000000"
 
 
 class TestTaskIdParsing:

@@ -13,18 +13,26 @@ warning, so every byte prefix of a trace reads back.  The file inputs
 of ``repro run`` and ``repro explain`` (the script and its CSVs) fail
 with one line naming the file and exit 2, before any job runs; so do
 a script that does not parse and a LOAD path with no ``--input``.
+The write-ahead logs (journal and ledger), garbled the same way,
+reopen or raise their log's error, and a reopen writes to the file
+only to cut a valid log's torn tail.
 """
 
 import copy
+import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
+from repro.common.records import records_from_rows
+from repro.core import journal as wal
+from repro.service.ledger import MultiplexedLedger
 from repro.service.tenants import SETTINGS, parse_trace, trace_problems
 from repro.telemetry import Telemetry
 from repro.telemetry.export import read_jsonl_lenient
@@ -243,6 +251,80 @@ def test_a_garbled_tenant_trace_fails_closed(edits, swaps, overrides):
     parses_or_fails_closed(garble(TENANTS, edits).decode(errors="replace"))
     lint_agrees_with_serve(swap(TENANTS, swaps))
     lint_agrees_with_serve(deploy(TENANTS, overrides))
+
+
+# -- write-ahead logs --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def logs(tmp_path_factory):
+    """A small valid journal and ledger, as bytes, by log class."""
+    root = tmp_path_factory.mktemp("logs")
+    journal = wal.Journal.create(
+        str(root / "run.wal"), SystemConfig(), "A = LOAD 'in' AS (k:int);\n",
+        {"in": records_from_rows([(1,), (2,)])}, block_bytes=256,
+    )
+    journal.append(wal.ANALYZER, suspects=["node_0001"], cleared=[])
+    journal.append(wal.EVICTION, node="node_0001", suspicion=0.5, jobs=3)
+    journal.close()
+    ledger = MultiplexedLedger.create(str(root / "svc.ledger"), TENANTS.decode())
+    ledger.append(wal.ADMIT, tenant="a", workload="w", index=0, t=0.0, queued_for=0.0)
+    ledger.close()
+    return {
+        wal.Journal: (root / "run.wal").read_bytes(),
+        MultiplexedLedger: (root / "svc.ledger").read_bytes(),
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(edits=edits)
+def test_a_garbled_log_reopens_or_is_left_as_it_was(logs, tmp_path_factory, edits):
+    """Garbled anywhere, or followed by a garbled copy of its last
+    record without the newline, as a crash mid-append leaves a log."""
+    root = tmp_path_factory.mktemp("wal")
+    for (log_class, valid), torn in itertools.product(logs.items(), (False, True)):
+        path = root / log_class.noun
+        if torn:
+            data = valid + garble(valid.splitlines()[-1], edits)
+        else:
+            data = garble(valid, edits)
+        path.write_bytes(data)
+        try:
+            log, records = log_class.reopen(str(path))
+        except log_class.error:
+            assert path.read_bytes() == data
+        else:
+            log.close()
+            assert records[0]["kind"] == wal.HEADER
+            assert path.read_bytes() == data[: data.rfind(b"\n") + 1]
+
+
+NOT_A_LOG = b"this is a text file\nwithout a trailing newline"
+
+
+@pytest.mark.parametrize("command", ["resume", "serve"])
+@pytest.mark.parametrize(
+    "data, says",
+    [(NOT_A_LOG, "corrupt at record 0"), (b"\xff\xfe\n", "is not UTF-8 text")],
+    ids=["text-without-final-newline", "not-utf8"],
+)
+def test_resume_refuses_a_file_that_is_not_a_log_and_leaves_it(
+    tmp_path, capsys, command, data, says
+):
+    """``repro resume`` and ``repro serve --resume`` print one line and
+    exit 2 on a file that is not a log, and do not touch it: not even
+    the text after its last newline, which a log's reopen would cut."""
+    path = tmp_path / "notes.txt"
+    path.write_bytes(data)
+    argv = ["resume", str(path)]
+    if command == "serve":
+        argv = ["serve", "--resume", "--ledger", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"repro {command}: ") and says in line
+    assert path.read_bytes() == data
 
 
 # -- repro run / explain file inputs -----------------------------------------

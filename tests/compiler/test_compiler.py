@@ -160,7 +160,7 @@ class TestJobGraph:
 
     def test_final_outputs_exclude_temps(self):
         graph = compile_src(TOP_AIRPORTS)
-        finals = set(graph.final_outputs())
+        finals = {job.output_path for job in graph.jobs if not job.output_is_temp}
         assert finals == {
             "airline/top_outbound",
             "airline/top_inbound",
@@ -171,7 +171,7 @@ class TestJobGraph:
         """Fig. 8 (iii): the multi-store query becomes a diamond of jobs."""
         graph = compile_src(TOP_AIRPORTS)
         assert len(graph.jobs) == 7  # filter, 2 groups, union-group, 3 order/limit
-        assert len(graph.final_outputs()) == 3
+        assert sum(not job.output_is_temp for job in graph.jobs) == 3
 
     def test_describe_mentions_every_job(self):
         graph = compile_src(FOLLOWER_ANALYSIS)

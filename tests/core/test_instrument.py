@@ -75,7 +75,7 @@ class TestInstrument:
         result = instrument(plan, [plan.find_by_alias("A")])
         vp_ids = result.vp_ids()
         assert len(vp_ids) == len(set(vp_ids))
-        assert len(result.intermediate_vp_ids()) == 1
+        assert sum(not point.is_output for point in result.points) == 1
 
     def test_instrumented_plan_still_validates(self):
         plan = parse_script(MULTI_STORE)

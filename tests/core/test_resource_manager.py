@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.records import records_from_rows
 from repro.compiler.mr_compiler import CompileOptions, compile_plan
-from repro.core.audit import EVICTION, QUARANTINE, REINSTATE
+from repro.core.audit import EVICTION, QUARANTINE
 from repro.core.controller import ClusterBFTController
 from repro.core.suspicion import NodeSuspicion
 from repro.dataflow.piglatin import parse_script
@@ -35,11 +35,11 @@ def make_manager(nodes=4, **bft):
     return make_controller(nodes, **bft).resources
 
 
-def group_job(controller, **kwargs):
+def group_job(controller):
     """One replica of a small group-by, submitted to the engine."""
     controller.load_input("in", records_from_rows([(i % 3, i) for i in range(50)]))
     graph = compile_plan(parse_script(GROUP_SCRIPT), CompileOptions(num_reducers=2))
-    run = JobRun("j0", "sid7", 0, graph.jobs[0], {"out": "r/out"}, scope="s", **kwargs)
+    run = JobRun("j0", "sid7", 0, graph.jobs[0], {"out": "r/out"}, scope="s")
     controller.engine.submit(run)
     return run
 
@@ -78,7 +78,6 @@ class TestTable:
         busy = [row for row in manager.table() if row.sids]
         assert busy
         assert all(row.sids == ("sid7",) for row in busy)
-        assert manager.overlap_degree() == 1.0
 
     def test_row_lookup(self):
         manager = make_manager()
@@ -99,7 +98,7 @@ class TestInclusionList:
         manager.record_job({"node_0000"})
         manager.suspicion.record_fault({"node_0000"})
         assert enforce(manager) == (["node_0000"], [])
-        assert "node_0000" not in manager.inclusion_list()
+        assert manager.evicted() == ["node_0000"]
 
     def test_eviction_idempotent(self):
         manager = make_manager()
@@ -107,37 +106,6 @@ class TestInclusionList:
         assert enforce(manager) == (["node_0000"], [])
         assert enforce(manager) == ([], [])
         assert len(manager.audit.events(kind=EVICTION)) == 1
-
-    def test_reinitialize_restores_node(self):
-        manager = make_manager()
-        observe(manager, "node_0000", jobs=3, faults=3)
-        enforce(manager)
-        manager.reinitialize_node("node_0000")
-        assert "node_0000" in manager.inclusion_list()
-        assert manager.suspicion.level("node_0000") == 0.0
-
-    def test_reinitialized_node_is_scheduled_again(self):
-        """Quarantined, then evicted, then re-initialised by the operator
-        (paper §4.2): the node must come back out of quarantine too."""
-        controller = make_controller(quarantine_threshold=0.3, suspicion_threshold=0.9)
-        manager = controller.resources
-        observe(manager, "node_0000", jobs=3, faults=2)
-        assert enforce(manager) == ([], ["node_0000"])
-        observe(manager, "node_0000", jobs=3, faults=3)
-        assert enforce(manager) == (["node_0000"], [])
-
-        manager.reinitialize_node("node_0000")
-
-        assert manager.evicted() == [] and manager.quarantined() == []
-        run = group_job(controller, allowed_nodes={"node_0000"})
-        controller.loop.run_while(lambda: run.state != "done" and controller.loop.now < 60)
-        assert run.state == "done"
-        assert run.nodes_used == {"node_0000"}
-        (entry,) = manager.audit.events(kind=REINSTATE)
-        assert entry.subject == "node_0000"
-
-    def test_overlap_degree_zero_when_idle(self):
-        assert make_manager().overlap_degree() == 0.0
 
 
 #: (case, config, {node: (jobs, faults)}, evicted, quarantined) — the

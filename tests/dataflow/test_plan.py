@@ -71,7 +71,7 @@ class TestStructure:
     def test_load_and_store_paths(self):
         plan, load, _, store = linear_plan()
         assert plan.load_paths() == {load: "in"}
-        assert plan.store_paths() == {store: "out"}
+        assert plan.sinks() == [store] and plan.op(store).path == "out"
 
 
 class TestValidation:

@@ -49,10 +49,6 @@ class TestResolution:
     def test_type_of(self):
         assert self.schema.type_of("user") == INT
 
-    def test_has_field(self):
-        assert self.schema.has_field("user")
-        assert not self.schema.has_field("ghost")
-
 
 class TestQualifiedResolution:
     def setup_method(self):
@@ -93,7 +89,7 @@ class TestMemoisedResolution:
         for _ in range(3):
             for ref in self.GOOD:
                 assert warm.index_of(ref) == Schema(self.FIELDS).index_of(ref)
-        assert warm.type_of("n") == INT and warm.has_field("follower")
+        assert warm.type_of("n") == INT
 
     def test_errors_are_raised_every_time_and_never_cached(self):
         schema = Schema(self.FIELDS)
@@ -101,7 +97,6 @@ class TestMemoisedResolution:
             for ref in self.BAD:
                 with pytest.raises(SchemaError):
                     schema.index_of(ref)
-                assert not schema.has_field(ref)
         # A failed lookup leaves later good ones intact, and vice versa.
         assert [schema.index_of(ref) for ref in self.GOOD] == [0, 5, 0, 2, 1, 1, 3]
         with pytest.raises(SchemaError):

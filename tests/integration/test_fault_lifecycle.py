@@ -7,8 +7,7 @@ A flaky Byzantine node corrupts task streams only occasionally (the
 2. suspicion accumulates on the chains that lose votes;
 3. the Fig. 7 analyzer saturates and its suspect set contains the
    culprit;
-4. dummy-job probing (§3.3) narrows the suspect set to the exact node;
-5. the operator evicts it; subsequent runs are fault-free.
+4. the operator evicts it; subsequent runs are fault-free.
 """
 
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.records import records_from_rows
 from repro.core.controller import ClusterBFTController
-from repro.core.probe import ProbeManager
 from repro.faults.behaviors import CommissionBehavior
 from repro.faults.injection import FaultPlan
 
@@ -67,18 +65,6 @@ class TestFaultLifecycle:
         assert controller.resources.fault_analyzer.observations >= 1
         if controller.resources.fault_analyzer.saturated:
             assert FAULTY in controller.resources.fault_analyzer.suspects()
-
-    def test_probing_isolates_exact_node(self, story):
-        controller, truth, results = story
-        suspects = (
-            controller.resources.fault_analyzer.suspects()
-            if controller.resources.fault_analyzer.saturated
-            else controller.resources.suspicion.suspects()
-        )
-        assert FAULTY in suspects
-        manager = ProbeManager(controller, repeats_per_round=4)
-        outcome = manager.isolate(suspects)
-        assert outcome.isolated == [FAULTY]
 
     def test_eviction_restores_clean_runs(self, story):
         controller, truth, results = story

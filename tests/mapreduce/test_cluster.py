@@ -4,7 +4,6 @@ import random
 
 from repro.common.config import ClusterConfig
 from repro.common.rng import RngRegistry
-from repro.faults.behaviors import CommissionBehavior
 from repro.faults.injection import single_commission
 from repro.mapreduce.cluster import Cluster, WorkerNode
 
@@ -24,38 +23,24 @@ class TestWorkerNode:
         node.finish_task("ghost")
         assert node.free_slots == 1
 
-    def test_faulty_flag_follows_behavior(self):
-        assert not WorkerNode("n", 1).is_faulty
-        assert WorkerNode("n", 1, behavior=CommissionBehavior()).is_faulty
-
 
 class TestCluster:
     def test_builds_configured_node_count(self):
         cluster = Cluster(ClusterConfig(num_nodes=5, slots_per_node=2))
         assert len(cluster) == 5
-        assert cluster.total_slots() == 10
+        assert all(node.slots == 2 for node in cluster.nodes.values())
 
     def test_fault_plan_applied_by_node_id(self):
         cluster = Cluster(
             ClusterConfig(num_nodes=4), single_commission("node_0002")
         )
-        assert cluster.faulty_node_ids() == {"node_0002"}
+        faulty = {n for n, node in cluster.nodes.items() if node.behavior.faulty}
+        assert faulty == {"node_0002"}
 
     def test_exclusion_removes_from_active_set(self):
         cluster = Cluster(ClusterConfig(num_nodes=3, slots_per_node=2))
         cluster.exclude("node_0001")
-        active = {n.node_id for n in cluster.active_nodes()}
-        assert active == {"node_0000", "node_0002"}
-        assert cluster.total_slots() == 4
-
-    def test_reinstate_clears_behavior(self):
-        cluster = Cluster(
-            ClusterConfig(num_nodes=2), single_commission("node_0001")
-        )
-        cluster.exclude("node_0001")
-        cluster.reinstate("node_0001")
-        node = cluster.node("node_0001")
-        assert not node.excluded and not node.is_faulty
+        assert list(cluster.active_ordinals()) == ["node_0000", "node_0002"]
 
     def test_heartbeat_offsets_staggered(self):
         cluster = Cluster(ClusterConfig(num_nodes=4, heartbeat_period=1.0))

@@ -154,20 +154,6 @@ class TestQuarantine:
         assert "node_0001" not in run.nodes_used
         assert run.nodes_used  # the other nodes did the work
 
-    def test_release_restores_eligibility(self):
-        scheduler = NaiveScheduler()
-        loop, dfs, cluster, engine = build_engine(nodes=1, scheduler=scheduler)
-        scheduler.quarantine("node_0000")
-        _, run = submit_job(engine, dfs)
-        # With the only node quarantined nothing can be scheduled yet.
-        for _ in range(50):
-            loop.step()
-        assert run.nodes_used == set()
-        scheduler.release("node_0000")
-        loop.run_until_idle()
-        assert run.state == "done"
-        assert run.nodes_used == {"node_0000"}
-
     def test_quarantine_applies_to_bft_scheduler(self):
         scheduler = ClusterBFTScheduler()
         loop, dfs, cluster, engine = build_engine(scheduler=scheduler)
@@ -177,13 +163,8 @@ class TestQuarantine:
         assert run.state == "done"
         assert "node_0002" not in run.nodes_used
 
-    def test_quarantine_is_queryable_and_reversible(self):
+    def test_quarantine_is_queryable(self):
         scheduler = NaiveScheduler()
         assert not scheduler.is_quarantined("n1")
         scheduler.quarantine("n1")
         assert scheduler.is_quarantined("n1")
-        scheduler.release("n1")
-        assert not scheduler.is_quarantined("n1")
-
-    def test_release_on_fresh_scheduler_is_noop(self):
-        NaiveScheduler().release("never-quarantined")

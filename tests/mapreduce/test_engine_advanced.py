@@ -1,5 +1,5 @@
-"""Advanced engine behaviours: locality, sequential scripts, placement
-constraints, heartbeat lifecycle."""
+"""Advanced engine behaviours: locality, sequential scripts, heartbeat
+lifecycle."""
 
 import random
 
@@ -10,7 +10,7 @@ from repro.dataflow.piglatin import parse_script
 from repro.faults.injection import FaultPlan
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.engine import JobRun, MapReduceEngine
-from repro.mapreduce.scheduler import ClusterBFTScheduler, NaiveScheduler
+from repro.mapreduce.scheduler import NaiveScheduler
 from repro.simulation.events import EventLoop
 from repro.storage.dfs import TrustedDFS
 
@@ -60,41 +60,6 @@ class TestLocality:
         local, remote = run.ready_map_tasks(holder)
         assert 0 in local or 0 in remote
         assert local, "block holder should see local work"
-
-
-class TestPlacementConstraints:
-    def test_allowed_nodes_enforced(self):
-        loop, dfs, cluster, engine = build(nodes=6, slots=3)
-        dfs.write_file("in", records_from_rows([(i, i) for i in range(200)]))
-        graph = compile_plan(parse_script(MAP_ONLY))
-        allowed = {"node_0002", "node_0003"}
-        run = JobRun(
-            "j0", "s0", 0, graph.jobs[0], {"out": "r/out"}, scope="s",
-            allowed_nodes=allowed,
-        )
-        engine.submit(run)
-        loop.run_until_idle()
-        assert run.state == "done"
-        assert run.nodes_used <= allowed
-
-    def test_allowed_nodes_with_bft_scheduler(self):
-        loop, dfs, cluster, engine = build(nodes=8, slots=3)
-        engine.scheduler = ClusterBFTScheduler()
-        engine.scheduler.set_cluster(cluster)
-        dfs.write_file("in", records_from_rows([(i, i) for i in range(200)]))
-        graph = compile_plan(parse_script(MAP_ONLY))
-        runs = []
-        for replica, allowed in ((0, {"node_0001"}), (1, {"node_0005"})):
-            run = JobRun(
-                f"j0r{replica}", "s0", replica, graph.jobs[0],
-                {"out": f"r{replica}/out"}, scope="s",
-                total_replicas=2, allowed_nodes=allowed,
-            )
-            runs.append(run)
-            engine.submit(run)
-        loop.run_until_idle()
-        assert runs[0].nodes_used == {"node_0001"}
-        assert runs[1].nodes_used == {"node_0005"}
 
 
 class TestLifecycle:

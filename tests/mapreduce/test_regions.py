@@ -93,7 +93,7 @@ class TestClusterRegions:
         cluster = Cluster(geo_config())
         assert cluster.regions() == ["east", "west", "south"]
         assert cluster.region_node_ids("west") == ["node_0002", "node_0003"]
-        assert cluster.region_of("node_0004") == "south"
+        assert cluster.node("node_0004").region == "south"
 
     def test_flat_cluster_has_no_regions(self):
         cluster = Cluster(ClusterConfig(num_nodes=3))
@@ -108,7 +108,6 @@ class _Run:
         self.replica = replica
         self.total_replicas = total
         self.sid = sid
-        self.allowed_nodes = None
 
 
 class TestRegionPlacement:

@@ -5,8 +5,8 @@ call and picks a task in one scan; ``NaiveScheduler.assign`` does the
 same without the overlap preference.  The two-pass ``_first_task``
 selection they replaced is kept below as the reference.  On generated
 clusters and run lists — pins, quarantines, exclusions, regions,
-``allowed_nodes``, straggler profiles, full and empty nodes, runs that
-are done, cancelled or have nothing ready — every scheduler returns the
+straggler profiles, full and empty nodes, runs that are done, cancelled
+or have nothing ready — every scheduler returns the
 same ``TaskRef`` sequence as its reference, and leaves the same pins,
 task states and fair-share credit behind.
 """
@@ -177,7 +177,6 @@ def worlds(draw):
             "job": draw(st.integers(0, 5)),
             "maps": draw(st.lists(st.tuples(STATUS, node_set), max_size=4)),
             "reduces": draw(st.lists(STATUS, max_size=2)),
-            "allowed": draw(st.none() | node_set),
             "used": draw(node_set),
             "life": draw(st.sampled_from(("active",) * 4 + ("done", "cancelled"))),
         }
@@ -186,8 +185,6 @@ def worlds(draw):
     first = drawn_runs[0]
     first["life"] = "active"
     first["maps"] = [(PENDING, draw(node_set)), *first["maps"][1:]]
-    if first["allowed"] is not None:
-        first["allowed"] = first["allowed"] | {anchor}
     # The anchor's pin comes last: a later pin on its key would win.
     pins = draw(
         st.lists(st.tuples(node_ix, sid_ix, st.integers(0, 3)), max_size=3)
@@ -252,12 +249,7 @@ def build(world, make_scheduler):
             SPECS[spec["spec"]],
             {},
             scope=f"run{position}",
-            total_replicas=world["sid_totals"][spec["sid"]],
-            allowed_nodes=(
-                None
-                if spec["allowed"] is None
-                else set(map(node_id, spec["allowed"]))
-            ),
+            total_replicas=spec.get("total", world["sid_totals"][spec["sid"]]),
         )
         run.splits = [
             Split(0, index, 1, tuple(map(node_id, sorted(locations))))
@@ -315,30 +307,26 @@ def replay(world, make_scheduler):
     }
 
 
-def probe_run(replica, job, allowed):
+def sid0_run(replica, job, total):
     return {
-        "sid": 0, "replica": replica, "spec": 0, "job": job,
+        "sid": 0, "replica": replica, "spec": 0, "job": job, "total": total,
         "maps": [(PENDING, frozenset())], "reduces": [],
-        "allowed": allowed, "used": frozenset(), "life": "active",
+        "used": frozenset(), "life": "active",
     }
 
 
-#: A pin written mid-call both excludes and admits.  On node_0000 the
-#: ordinal partition admits replica 0 of the sid; two probe runs (placed
-#: by ``allowed_nodes``) are eligible whatever their replica.  Placing
-#: the replica-1 probe pins the node to replica 1: the replica-0 probe
-#: must drop out (anti-collocation) and the partition-excluded replica-1
-#: run must come in.
+#: A pin written mid-call both excludes and admits.  Runs of one sid
+#: with different replication degrees split node_0003 (ordinal 3)
+#: differently: 3 % 2 admits replica 1 of degree 2, 3 % 3 admits
+#: replica 0 of degree 3.  Placing the first pins the node to replica
+#: 1: the replica-0 run must drop out (anti-collocation) and the
+#: partition-excluded replica-1 run of degree 3 must come in.
 PIN_MID_CALL = {
-    "nodes": 2, "slots": 3, "regions": (), "sid_totals": [2],
+    "nodes": 4, "slots": 3, "regions": (), "sid_totals": [2],
     "excluded": frozenset(), "quarantined": frozenset(), "stragglers": None,
     "pins": [], "budget": None,
-    "runs": [
-        probe_run(1, 0, frozenset({0, 1})),
-        probe_run(0, 1, frozenset({0, 1})),
-        probe_run(1, 2, None),
-    ],
-    "beats": [(0, 0, False)],
+    "runs": [sid0_run(1, 0, 2), sid0_run(0, 1, 3), sid0_run(1, 2, 3)],
+    "beats": [(3, 0, False)],
 }
 
 

@@ -108,5 +108,3 @@ def test_quarantine_is_shared_with_inner_scheduler():
     assert inner.is_quarantined("node_0005")
     assert sched.is_quarantined("node_0005")
     assert sched.quarantined is inner.quarantined
-    sched.release("node_0005")
-    assert not inner.is_quarantined("node_0005")

@@ -147,12 +147,6 @@ class TestAccounting:
         assert dfs.counters_for("jobA").bytes_read == 0
         assert dfs.counters_for("jobB").bytes_read > 0
 
-    def test_reset_scope(self):
-        dfs = small_dfs()
-        dfs.write_file("f", records_from_rows([(1,)]), scope="jobA")
-        dfs.reset_scope("jobA")
-        assert dfs.counters_for("jobA").bytes_written == 0
-
     def test_file_info_does_not_count(self):
         dfs = small_dfs()
         dfs.write_file("f", records_from_rows([(1,)]))
